@@ -1094,6 +1094,9 @@ fn cmd_serve(raw: &[String]) -> Result<CmdOutcome, CliError> {
         catalog_dir: a.get("catalog").map(|s| Path::new(s).to_path_buf()),
     };
     let srv = server::Server::bind(&cfg)?;
+    for note in srv.notes() {
+        eprintln!("bfhrf: {note}");
+    }
     let addr = srv.local_addr();
     if let Some(port_file) = a.get("port-file") {
         std::fs::write(port_file, format!("{addr}\n"))

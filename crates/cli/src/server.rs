@@ -58,6 +58,11 @@
 //! then publish a fresh [`QueryView`]. In-flight requests keep answering
 //! from the view they started with.
 //!
+//! On a clean index, bind publishes the memory-mapped frozen sidecar as the
+//! first snapshot and leaves the [`Index`] unopened, so a daemon that only
+//! reads never builds the live hash. The first write opens it, timed in
+//! `serve_index_load_ns`.
+//!
 //! Shutdown does not poll and does not need the old
 //! one-connection-per-worker unpark hack: the shutdown path half-closes
 //! every registered connection (blocked readers wake with EOF), notifies
@@ -82,12 +87,15 @@ use crate::proto::{
 use crate::{CliError, EXIT_BUDGET, EXIT_ERROR};
 use bfhrf::{Comparator, CoreError, FrozenComparator, RunBudget, RunGuard};
 use phylo::{parse_newick_readonly, BipartitionScratch, TaxonSet, Tree};
-use phylo_index::{Catalog, Index, PinnedCollection, QueryView, DEFAULT_COLLECTION};
+use phylo_index::{
+    verify_snapshot_with, Catalog, Index, IndexError, IndexStats, PinnedCollection, QueryView,
+    RealVfs, DEFAULT_COLLECTION, SNAPSHOT_FILE,
+};
 use phylo_obs::{expose, Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -168,6 +176,9 @@ struct ServeMetrics {
     /// `stats` schema is the same one the client-side tooling records into.
     #[allow(dead_code)]
     wire_encode: [Histogram; WireEncoding::ALL.len()],
+    /// Time the first write spent opening the index a read-only bind left
+    /// unopened — why that one write was slow.
+    index_load: Histogram,
 }
 
 impl ServeMetrics {
@@ -215,6 +226,7 @@ impl ServeMetrics {
                     &[("encoding", WireEncoding::ALL[i].as_str())],
                 )
             }),
+            index_load: reg.histogram("serve_index_load_ns", &[]),
         }
     }
 
@@ -234,9 +246,35 @@ struct ConnSlots {
     freed: Condvar,
 }
 
+/// The default index's write state, behind the admin mutex. A daemon bound
+/// through the frozen sidecar serves reads from the mapped table and never
+/// builds the live hash until a write needs it.
+enum Admin {
+    /// Bound read-only: `stats` answers from the snapshot header, and the
+    /// first `add`/`remove`/`compact` opens the index (see [`open_index`]).
+    Unopened {
+        dir: PathBuf,
+        stats: IndexStats,
+    },
+    Open(Index),
+}
+
+impl Admin {
+    /// The counters `stats` reports; refreshes the index gauges either way.
+    fn stats(&self) -> IndexStats {
+        match self {
+            Admin::Open(index) => index.stats(),
+            Admin::Unopened { stats, .. } => {
+                stats.publish_gauges();
+                *stats
+            }
+        }
+    }
+}
+
 struct ServeState {
     snap: RwLock<Arc<SnapView>>,
-    admin: Mutex<Index>,
+    admin: Mutex<Admin>,
     shutdown: AtomicBool,
     served: AtomicU64,
     /// When the listener came up, for `ping` uptime.
@@ -291,11 +329,50 @@ fn recover_lock<G>(state: &ServeState, result: Result<G, PoisonError<G>>) -> G {
 
 /// Lock the admin mutex, recording how long the request queued behind
 /// other admin work.
-fn lock_admin(state: &ServeState) -> MutexGuard<'_, Index> {
+fn lock_admin(state: &ServeState) -> MutexGuard<'_, Admin> {
     let start = Instant::now();
     let guard = recover_lock(state, state.admin.lock());
     state.metrics.admin_wait.record_duration(start.elapsed());
     guard
+}
+
+/// The live index for a write, opened on first use. The open is timed
+/// into `serve_index_load_ns` and its recovery notes go to stderr. If the
+/// directory no longer holds the index bind published — changed behind
+/// the daemon — the write is refused, the slot stays unopened, and reads
+/// keep serving the bound snapshot.
+fn open_index<'a>(state: &ServeState, admin: &'a mut Admin) -> Result<&'a mut Index, ReqError> {
+    if let Admin::Unopened { dir, stats } = &*admin {
+        let start = Instant::now();
+        let index = Index::open(dir).map_err(ReqError::from_index)?;
+        state.metrics.index_load.record_duration(start.elapsed());
+        for note in index.notes() {
+            eprintln!("bfhrf: {note}");
+        }
+        let found = index.stats();
+        if found != *stats {
+            // index.stats() just pointed the gauges at the on-disk state;
+            // point them back at the state this daemon still serves.
+            stats.publish_gauges();
+            return Err(ReqError::new(format!(
+                "the index at {} changed since the daemon bound it (bound generation {} with \
+                 {} trees and {} pending WAL records, found generation {} with {} trees and {} \
+                 pending); restart the daemon to serve it",
+                dir.display(),
+                stats.generation,
+                stats.n_trees,
+                stats.wal_pending,
+                found.generation,
+                found.n_trees,
+                found.wal_pending
+            )));
+        }
+        *admin = Admin::Open(index);
+    }
+    match admin {
+        Admin::Open(index) => Ok(index),
+        Admin::Unopened { .. } => unreachable!("opened above"),
+    }
 }
 
 /// Registry entry for one connection, deregistered on drop (any exit path
@@ -404,17 +481,45 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServeState>,
     addr: SocketAddr,
+    notes: Vec<String>,
+}
+
+/// Open the default index for serving: the query view to publish as
+/// snapshot 0, the admin slot, and the open's recovery notes.
+///
+/// A clean index — no pending or torn WAL records, a current sidecar — is
+/// served straight from its memory-mapped `frozen.bfh`, and the live hash
+/// stays unbuilt until the first write. That path reads only the snapshot
+/// header and taxa, so the snapshot is streamed through
+/// [`verify_snapshot_with`] to keep bind's corruption check. Whenever
+/// [`Index::open_frozen`] declines or fails, bind opens eagerly with
+/// [`Index::open`]: that repairs what it can and fails with exactly the
+/// error it always did.
+fn open_default(dir: &Path) -> Result<(QueryView, Admin, Vec<String>), IndexError> {
+    match Index::open_frozen(dir) {
+        Ok(open) => {
+            let snapshot = dir.join(SNAPSHOT_FILE);
+            verify_snapshot_with(&RealVfs, &snapshot, &RunGuard::default())?;
+            let admin = Admin::Unopened {
+                dir: dir.to_path_buf(),
+                stats: open.stats(),
+            };
+            Ok((open.view(), admin, Vec::new()))
+        }
+        Err(_) => {
+            let mut index = Index::open(dir)?;
+            let notes = index.notes().to_vec();
+            Ok((index.view(), Admin::Open(index), notes))
+        }
+    }
 }
 
 impl Server {
     /// Open the index and bind the listener.
     pub fn bind(cfg: &ServeConfig) -> Result<Server, CliError> {
-        let mut index = Index::open(&cfg.index_dir).map_err(crate::index_fail)?;
-        let wal_pending = index.stats().wal_pending as u64;
-        let snap = Arc::new(SnapView {
-            view: index.view(),
-            snap: 0,
-        });
+        let (view, admin, notes) = open_default(&cfg.index_dir).map_err(crate::index_fail)?;
+        let wal_pending = admin.stats().wal_pending as u64;
+        let snap = Arc::new(SnapView { view, snap: 0 });
         // Opening the catalog at bind also pre-registers every
         // per-collection obs cell, so the full metrics matrix is visible
         // from the first scrape.
@@ -432,7 +537,7 @@ impl Server {
             listener,
             state: Arc::new(ServeState {
                 snap: RwLock::new(snap),
-                admin: Mutex::new(index),
+                admin: Mutex::new(admin),
                 shutdown: AtomicBool::new(false),
                 served: AtomicU64::new(0),
                 started: Instant::now(),
@@ -453,12 +558,21 @@ impl Server {
                 metrics: ServeMetrics::resolve(),
             }),
             addr,
+            notes,
         })
     }
 
     /// The bound address (resolves `:0` to the real port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Recovery notes from opening the default index at bind (torn WAL
+    /// tail truncated, stale log discarded, sidecar ignored, ...); empty
+    /// on a clean open. An index opened later, by the first write, logs
+    /// its notes to stderr instead.
+    pub fn notes(&self) -> &[String] {
+        &self.notes
     }
 
     /// Run the accept loop until a `shutdown` request lands. Returns the
@@ -468,6 +582,7 @@ impl Server {
             listener,
             state,
             addr,
+            ..
         } = self;
         std::thread::scope(|scope| {
             let mut conn_seq = 0u64;
@@ -1183,7 +1298,7 @@ fn op_taxa(state: &ServeState, target: &Target) -> Result<Response, ReqError> {
 fn op_stats(state: &ServeState, target: &Target) -> Result<Response, ReqError> {
     let stats = match target {
         Target::Default => {
-            // Index::stats also refreshes the index_generation /
+            // Admin::stats also refreshes the index_generation /
             // index_wal_pending gauges, so the metrics snapshot below
             // reflects this very answer.
             let stats = lock_admin(state).stats();
@@ -1246,7 +1361,8 @@ fn op_mutate(
         pin.cell().publish_obs(&mut col);
         return Ok(Response::Applied { applied, n_trees });
     }
-    let mut index = lock_admin(state);
+    let mut admin = lock_admin(state);
+    let index = open_index(state, &mut admin)?;
     // Validate the whole batch against the namespace up front so a typo in
     // tree k does not leave trees 0..k applied.
     let trees = payload_trees(state, enc, index.taxa(), items)?;
@@ -1277,7 +1393,7 @@ fn op_mutate(
     // Publish the mutated hash for queries, frozen once for this
     // publication; in-flight readers keep their old view alive, so every
     // batch still answers from a single snapshot.
-    publish_snap(state, &mut index);
+    publish_snap(state, index);
     let stats = index.stats();
     state
         .wal_pending
@@ -1299,11 +1415,12 @@ fn op_compact(state: &ServeState, target: &Target) -> Result<Response, ReqError>
             wal_pending: 0,
         });
     }
-    let mut index = lock_admin(state);
+    let mut admin = lock_admin(state);
+    let index = open_index(state, &mut admin)?;
     let meta = index.compact().map_err(ReqError::from_index)?;
     // The hash contents are unchanged, but the generation moved; publish
     // so score responses report the new generation.
-    publish_snap(state, &mut index);
+    publish_snap(state, index);
     state.wal_pending.store(0, Ordering::Relaxed);
     Ok(Response::Compacted {
         generation: meta.generation,

@@ -1844,3 +1844,403 @@ fn taxa_op_and_binary_mutations_replay() {
         inspect.stdout
     );
 }
+
+// ---------------------------------------------------------------------------
+// Read-only bind: the default index is served from its frozen sidecar and
+// opened by the first write
+// ---------------------------------------------------------------------------
+
+/// Build an index from `REFS` under `root/<name>` and return its path.
+fn build_index_in(root: &std::path::Path, name: &str) -> String {
+    let dir = root.join(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    build_index(&dir, REFS)
+}
+
+/// Drop the named members of a JSON object response.
+fn without(resp: json::Json, drop: &[&str]) -> json::Json {
+    match resp {
+        json::Json::Obj(pairs) => json::Json::Obj(
+            pairs
+                .into_iter()
+                .filter(|(k, _)| !drop.contains(&k.as_str()))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+/// One fixed read session: Newick `avgrf`, Newick and `bin` batches and
+/// `best-query` through the `query` client (their output as a string),
+/// then raw `taxa`, `stats` and `ping` frames, without the members that
+/// differ between any two daemons (the process-wide `metrics`, the
+/// `uptime_ms`).
+fn read_session(addr: &str, queries_path: &str) -> Vec<json::Json> {
+    let mut out = Vec::new();
+    for extra in [
+        &[][..],
+        &["--batch", "2"],
+        &["--batch", "2", "--format", "bin"],
+        &["--op", "best-query"],
+    ] {
+        let mut args = vec!["query", "--addr", addr, "--queries", queries_path];
+        args.extend_from_slice(extra);
+        out.push(json::Json::Str(runv(&args).unwrap().stdout));
+    }
+    for frame in [
+        r#"{"v":2,"op":"taxa"}"#,
+        r#"{"op":"stats"}"#,
+        r#"{"v":2,"op":"ping"}"#,
+    ] {
+        out.push(without(raw_request(addr, frame), &["metrics", "uptime_ms"]));
+    }
+    out
+}
+
+/// What an index holds, independent of hash layout: tree count, sum, and
+/// every split with its frequency.
+fn index_content(index_dir: &str) -> (usize, u64, Vec<(String, u32)>) {
+    let index = phylo_index::Index::open(std::path::Path::new(index_dir)).unwrap();
+    let bfh = index.bfh();
+    let mut splits: Vec<_> = bfh.iter().map(|(b, f)| (b.to_string(), f)).collect();
+    splits.sort();
+    (bfh.n_trees(), bfh.sum(), splits)
+}
+
+/// A daemon bound read-only from the frozen sidecar answers every read op
+/// like one that opened the index eagerly — client output byte for byte,
+/// raw frames member for member — whether the eager open was forced by a
+/// missing sidecar or by pending WAL records.
+#[test]
+fn lazy_and_eager_binds_answer_byte_identically() {
+    let dir = scratch("lazy-eager");
+    let queries_path = write(&dir, "queries.nwk", QUERIES);
+    let extra_path = write(&dir, "extra.nwk", EXTRA);
+    let lazy = build_index_in(&dir, "lazy");
+    let no_sidecar = build_index_in(&dir, "no-sidecar");
+    std::fs::remove_file(std::path::Path::new(&no_sidecar).join("frozen.bfh")).unwrap();
+    // Add and remove the same tree: the hash is unchanged, two records
+    // await replay.
+    let pending = build_index_in(&dir, "pending");
+    for op in ["add", "remove"] {
+        runv(&["index", op, "--index", &pending, "--trees", &extra_path]).unwrap();
+    }
+    assert!(phylo_index::Index::open_frozen(std::path::Path::new(&lazy)).is_ok());
+    for eager in [&no_sidecar, &pending] {
+        assert!(phylo_index::Index::open_frozen(std::path::Path::new(eager)).is_err());
+    }
+
+    let session = |index_dir: &str| {
+        let (addr, handle) = start_server(index_dir, None);
+        let answers = read_session(&addr, &queries_path);
+        shutdown(&addr, handle);
+        answers
+    };
+    let want = session(&lazy);
+    assert_eq!(
+        want[0].as_str().map(|s| s.starts_with("query\tavg_rf\n")),
+        Some(true),
+        "{}",
+        want[0]
+    );
+    assert_eq!(session(&no_sidecar), want);
+
+    // Pending records show in the WAL depth of `stats` and `ping`, and
+    // nowhere else.
+    let got = session(&pending);
+    let depth = |answers: &[json::Json]| -> Vec<u64> {
+        answers
+            .iter()
+            .filter_map(|a| a.get("wal_pending")?.as_u64())
+            .collect()
+    };
+    assert_eq!((depth(&want), depth(&got)), (vec![0, 0], vec![2, 2]));
+    let strip = |answers: Vec<json::Json>| -> Vec<json::Json> {
+        answers
+            .into_iter()
+            .map(|a| without(a, &["wal_pending"]))
+            .collect()
+    };
+    assert_eq!(strip(got), strip(want));
+}
+
+/// On a lazily bound daemon the first write opens the index: add, remove
+/// and compact land exactly as on an eagerly bound one, reads follow them,
+/// and the reopened index holds what it started with.
+#[test]
+fn lazy_daemon_writes_match_offline_and_keep_the_index() {
+    let dir = scratch("lazy-writes");
+    let refs_path = write(&dir, "refs.nwk", REFS);
+    let queries_path = write(&dir, "queries.nwk", QUERIES);
+    let extra_path = write(&dir, "extra.nwk", EXTRA);
+    let refs4 = write(&dir, "refs4.nwk", &format!("{REFS}{EXTRA}"));
+    let index_dir = build_index_in(&dir, "idx");
+    let before = index_content(&index_dir);
+    let (addr, handle) = start_server(&index_dir, None);
+
+    let served = |addr: &str| {
+        runv(&["query", "--addr", addr, "--queries", &queries_path])
+            .unwrap()
+            .stdout
+    };
+    let offline = |refs: &str| {
+        runv(&["avgrf", "--refs", refs, "--queries", &queries_path])
+            .unwrap()
+            .stdout
+    };
+    assert_eq!(served(&addr), offline(&refs_path));
+    let add = runv(&[
+        "query",
+        "--addr",
+        &addr,
+        "--op",
+        "add",
+        "--trees",
+        &extra_path,
+    ])
+    .unwrap();
+    assert_eq!(add.stdout, "applied\t1\nn_trees\t4\n");
+    assert_eq!(served(&addr), offline(&refs4));
+    let rm = runv(&[
+        "query",
+        "--addr",
+        &addr,
+        "--op",
+        "remove",
+        "--trees",
+        &extra_path,
+    ])
+    .unwrap();
+    assert_eq!(rm.stdout, "applied\t1\nn_trees\t3\n");
+    let compacted = runv(&["query", "--addr", &addr, "--op", "compact"]).unwrap();
+    assert!(
+        compacted.stdout.contains("generation\t1"),
+        "{}",
+        compacted.stdout
+    );
+    assert_eq!(served(&addr), offline(&refs_path));
+    shutdown(&addr, handle);
+    assert_eq!(index_content(&index_dir), before);
+}
+
+/// An index changed behind a lazily bound daemon — here by `bfhrf index
+/// add` from outside — no longer matches the header the daemon published.
+/// The daemon's first write is refused with a typed error naming the
+/// change, and reads keep serving the bound snapshot.
+#[test]
+fn index_changed_behind_a_lazy_daemon_refuses_writes() {
+    let dir = scratch("lazy-changed");
+    let refs_path = write(&dir, "refs.nwk", REFS);
+    let queries_path = write(&dir, "queries.nwk", QUERIES);
+    let extra_path = write(&dir, "extra.nwk", EXTRA);
+    let index_dir = build_index_in(&dir, "idx");
+    let (addr, handle) = start_server(&index_dir, None);
+    let stats_before = raw_request(&addr, r#"{"op":"stats"}"#);
+
+    runv(&[
+        "index",
+        "add",
+        "--index",
+        &index_dir,
+        "--trees",
+        &extra_path,
+    ])
+    .unwrap();
+    for op in [
+        r#"{"op":"add","trees":["((A,B),((C,E),(D,F)));"]}"#,
+        r#"{"op":"compact"}"#,
+    ] {
+        let resp = raw_request(&addr, op);
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{resp}");
+        assert_eq!(resp.get("code").unwrap().as_str(), Some("error"), "{resp}");
+        let msg = resp.get("error").unwrap().as_str().unwrap();
+        assert!(msg.contains("changed since the daemon bound it"), "{msg}");
+    }
+
+    let served = runv(&["query", "--addr", &addr, "--queries", &queries_path]).unwrap();
+    let offline = runv(&["avgrf", "--refs", &refs_path, "--queries", &queries_path]).unwrap();
+    assert_eq!(served.stdout, offline.stdout);
+    let stats = raw_request(&addr, r#"{"op":"stats"}"#);
+    for key in ["generation", "n_trees", "distinct", "sum", "wal_pending"] {
+        assert_eq!(stats.get(key), stats_before.get(key), "{key}");
+    }
+    shutdown(&addr, handle);
+}
+
+/// The sidecar path never loads the splits, so bind streams the snapshot
+/// through the same checks: a flipped byte in the splits section fails
+/// bind with the very message `Index::open` gives.
+#[test]
+fn bind_refuses_a_corrupt_snapshot_like_index_open() {
+    let dir = scratch("lazy-corrupt");
+    let index_dir = build_index_in(&dir, "idx");
+    let path = std::path::Path::new(&index_dir);
+    let snap = path.join("snapshot.bfh");
+    let mut bytes = std::fs::read(&snap).unwrap();
+    // The last record's mask (a record is 8 mask bytes + a 4-byte
+    // frequency, and the section ends with an 8-byte seal).
+    let at = bytes.len() - 8 - 12 + 4;
+    bytes[at] ^= 0x5a;
+    std::fs::write(&snap, &bytes).unwrap();
+
+    // The sidecar path alone would accept the directory.
+    assert!(phylo_index::Index::open_frozen(path).is_ok());
+    let want = phylo_index::Index::open(path).err().unwrap().to_string();
+    let err = Server::bind(&ServeConfig {
+        index_dir: path.to_path_buf(),
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        mem_budget: None,
+        timeout_ms: None,
+        catalog_dir: None,
+    })
+    .err()
+    .expect("bind must refuse a corrupt snapshot");
+    assert_eq!(err.message, want);
+    assert!(want.contains("splits"), "{want}");
+}
+
+/// Append half a WAL record, as a crash mid-append leaves it.
+fn tear_wal(index_dir: &str) {
+    let wal = std::path::Path::new(index_dir).join("wal.log");
+    let mut f = std::fs::OpenOptions::new().append(true).open(wal).unwrap();
+    f.write_all(&[1, 9, 0]).unwrap();
+}
+
+/// Bind on a torn WAL tail opens eagerly, repairs the log, and reports
+/// the repair in `Server::notes`.
+#[test]
+fn bind_reports_wal_recovery_notes() {
+    let dir = scratch("bind-notes");
+    let index_dir = build_index_in(&dir, "idx");
+    tear_wal(&index_dir);
+    let srv = Server::bind(&ServeConfig {
+        index_dir: PathBuf::from(&index_dir),
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        mem_budget: None,
+        timeout_ms: None,
+        catalog_dir: None,
+    })
+    .unwrap();
+    assert!(
+        srv.notes().iter().any(|n| n.contains("torn")),
+        "{:?}",
+        srv.notes()
+    );
+}
+
+/// `bfhrf serve` run as a child process, so its metrics registry is its
+/// own and counts are exact. Dropping it kills and reaps the child, so a
+/// failing test leaves no daemon behind.
+struct ChildDaemon {
+    child: Option<std::process::Child>,
+    addr: String,
+}
+
+impl ChildDaemon {
+    /// Start the daemon on `index_dir` and wait for its port file.
+    fn spawn(index_dir: &str, dir: &std::path::Path) -> ChildDaemon {
+        let port_file = dir.join("port");
+        let _ = std::fs::remove_file(&port_file);
+        let child = std::process::Command::new(env!("CARGO_BIN_EXE_bfhrf"))
+            .args(["serve", "--index", index_dir, "--addr", "127.0.0.1:0"])
+            .args(["--threads", "2", "--port-file", port_file.to_str().unwrap()])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn();
+        let mut daemon = ChildDaemon {
+            child: Some(child.unwrap()),
+            addr: String::new(),
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !daemon.addr.ends_with('\n') {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "port file never appeared"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            daemon.addr = std::fs::read_to_string(&port_file).unwrap_or_default();
+        }
+        daemon.addr.truncate(daemon.addr.trim_end().len());
+        daemon
+    }
+
+    /// Shut the daemon down and return what it wrote to stderr.
+    fn stop(mut self) -> String {
+        let resp = raw_request(&self.addr, r#"{"op":"shutdown"}"#);
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
+        let out = self.child.take().unwrap().wait_with_output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stderr).unwrap()
+    }
+}
+
+impl Drop for ChildDaemon {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Samples in the daemon's pre-registered `serve_index_load_ns`.
+fn index_loads(addr: &str) -> u64 {
+    let resp = raw_request(addr, r#"{"op":"stats"}"#);
+    find_series(resp.get("metrics").unwrap(), "serve_index_load_ns", &[])
+        .expect("serve_index_load_ns is pre-registered at bind")
+        .get("count")
+        .unwrap()
+        .as_u64()
+        .unwrap()
+}
+
+/// `serve_index_load_ns` counts the deferred open: none while a lazily
+/// bound daemon only reads, one at its first write, none more after. The
+/// deferred open's recovery notes reach stderr, and so do the notes of an
+/// eager open at bind.
+#[test]
+fn deferred_open_is_timed_once_and_notes_reach_stderr() {
+    let dir = scratch("index-load");
+    let queries_path = write(&dir, "queries.nwk", QUERIES);
+    let extra_path = write(&dir, "extra.nwk", EXTRA);
+    let index_dir = build_index_in(&dir, "lazy");
+    // Left by a crash mid-compaction; the read-write open removes it.
+    write(
+        std::path::Path::new(&index_dir),
+        "snapshot.bfh.tmp",
+        "scratch",
+    );
+    let daemon = ChildDaemon::spawn(&index_dir, &dir);
+    let addr = daemon.addr.clone();
+    runv(&["query", "--addr", &addr, "--queries", &queries_path]).unwrap();
+    assert_eq!(index_loads(&addr), 0);
+    for op in ["add", "remove"] {
+        runv(&["query", "--addr", &addr, "--op", op, "--trees", &extra_path]).unwrap();
+        assert_eq!(index_loads(&addr), 1, "after {op}");
+    }
+    let stderr = daemon.stop();
+    assert!(
+        stderr.contains("bfhrf: removed stale compaction scratch"),
+        "{stderr}"
+    );
+
+    let torn = build_index_in(&dir, "torn");
+    tear_wal(&torn);
+    let daemon = ChildDaemon::spawn(&torn, &dir);
+    let addr = daemon.addr.clone();
+    runv(&[
+        "query",
+        "--addr",
+        &addr,
+        "--op",
+        "add",
+        "--trees",
+        &extra_path,
+    ])
+    .unwrap();
+    assert_eq!(index_loads(&addr), 0, "an eager bind defers nothing");
+    let stderr = daemon.stop();
+    assert!(stderr.contains("bfhrf: wal: dropped a torn"), "{stderr}");
+}

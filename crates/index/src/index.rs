@@ -74,6 +74,19 @@ pub struct IndexStats {
     pub wal_pending: usize,
 }
 
+impl IndexStats {
+    /// Set the `index_generation` and `index_wal_pending` gauges from these
+    /// counters, so the metrics registry tracks whichever index was
+    /// inspected last (one daemon process serves one index).
+    pub fn publish_gauges(&self) {
+        let reg = phylo_obs::global();
+        reg.gauge("index_generation", &[])
+            .set(self.generation as i64);
+        reg.gauge("index_wal_pending", &[])
+            .set(self.wal_pending as i64);
+    }
+}
+
 /// An immutable scoring view of the index at one instant: the frozen
 /// probe-optimized hash, the (shared) taxon namespace, and the generation
 /// they came from. Cheap to clone; the serve daemon hands one `QueryView`
@@ -494,23 +507,19 @@ impl Index {
         &self.dir
     }
 
-    /// Live counters. Also refreshes the `index_generation` and
-    /// `index_wal_pending` gauges so the metrics registry tracks whichever
-    /// index was inspected last (one daemon process serves one index).
+    /// Live counters. Also refreshes the index gauges
+    /// ([`IndexStats::publish_gauges`]).
     pub fn stats(&self) -> IndexStats {
-        let reg = phylo_obs::global();
-        reg.gauge("index_generation", &[])
-            .set(self.generation as i64);
-        reg.gauge("index_wal_pending", &[])
-            .set(self.wal_pending as i64);
-        IndexStats {
+        let stats = IndexStats {
             generation: self.generation,
             n_trees: self.bfh.n_trees(),
             n_taxa: self.bfh.n_taxa(),
             distinct: self.bfh.distinct(),
             sum: self.bfh.sum(),
             wal_pending: self.wal_pending,
-        }
+        };
+        stats.publish_gauges();
+        stats
     }
 
     /// Parse `newick` against the frozen namespace without mutating it.
@@ -820,6 +829,20 @@ impl FrozenOpen {
             frozen: self.frozen.clone(),
             taxa: self.taxa.clone(),
             generation: self.meta.generation,
+        }
+    }
+
+    /// The counters [`Index::stats`] would report after a read-write open
+    /// of the same directory: the snapshot header, and an empty WAL (the
+    /// sidecar path declines whenever records are pending).
+    pub fn stats(&self) -> IndexStats {
+        IndexStats {
+            generation: self.meta.generation,
+            n_trees: self.meta.n_trees,
+            n_taxa: self.meta.n_taxa,
+            distinct: self.meta.distinct,
+            sum: self.meta.sum,
+            wal_pending: 0,
         }
     }
 }

@@ -43,8 +43,9 @@ pub use frozen_file::{
 };
 pub use index::{FrozenOpen, Index, IndexStats, QueryView, FROZEN_FILE, SNAPSHOT_FILE, WAL_FILE};
 pub use snapshot::{
-    read_meta, read_meta_with, read_snapshot, read_snapshot_with, read_taxa_with, write_snapshot,
-    write_snapshot_with, Snapshot, SnapshotMeta, FORMAT_VERSION, SNAPSHOT_MAGIC,
+    read_meta, read_meta_with, read_snapshot, read_snapshot_with, read_taxa_with,
+    verify_snapshot_with, write_snapshot, write_snapshot_with, Snapshot, SnapshotMeta,
+    FORMAT_VERSION, SNAPSHOT_MAGIC,
 };
 pub use vfs::{
     real_vfs, seeded_schedule, Fault, FaultKind, FaultSite, FaultVfs, JournalOp, Mapping, MemVfs,

@@ -25,6 +25,8 @@
 //! bits are checked manually before [`Bits::from_words`] (which would
 //! panic), and the reconstructed hash is cross-checked against the header
 //! totals. Corruption is always a typed [`IndexError`], never a panic.
+//! [`verify_snapshot_with`] runs the same checks while streaming, without
+//! building the hash.
 
 use crate::error::IndexError;
 use crate::format::{CheckedReader, CheckedWriter};
@@ -282,32 +284,27 @@ pub fn read_snapshot(path: &Path, guard: &RunGuard) -> Result<Snapshot, IndexErr
     read_snapshot_with(&RealVfs, path, guard)
 }
 
-/// [`read_snapshot`] routed through an explicit [`Vfs`].
-pub fn read_snapshot_with(
-    vfs: &dyn Vfs,
-    path: &Path,
+/// Stream the splits section, running every check a snapshot must pass:
+/// mask padding, strict ascending order, the frequency range, the section
+/// seal, EOF, and the header sum. `each` receives every record's mask
+/// words and frequency as soon as the record itself validates; the caller
+/// must not trust the whole until this returns `Ok`. The loading and the
+/// verifying readers share this loop, so the checks exist once.
+fn read_splits<R: std::io::Read>(
+    r: &mut CheckedReader<R>,
+    meta: &SnapshotMeta,
     guard: &RunGuard,
-) -> Result<Snapshot, IndexError> {
-    let file = vfs.open_read(path).map_err(|e| IndexError::io(path, e))?;
-    let mut r = CheckedReader::new(BufReader::new(file), path);
-    let meta = read_header(&mut r)?;
-    let taxa = read_taxa_section(&mut r, &meta, guard)?;
-
-    // Splits.
+    mut each: impl FnMut(&[u64], u32),
+) -> Result<(), IndexError> {
     let words = words_for(meta.n_taxa);
-    let record_bytes = words * 8 + 4;
-    guard.check_alloc(
-        "snapshot splits",
-        meta.distinct.saturating_mul(record_bytes + 32),
-    )?;
-    let pad_mask = if meta.n_taxa % WORD_BITS == 0 {
+    let pad_mask = if meta.n_taxa.is_multiple_of(WORD_BITS) {
         0u64
     } else {
         !((1u64 << (meta.n_taxa % WORD_BITS)) - 1)
     };
-    let mut entries: Vec<(Bits, u32)> = Vec::with_capacity(meta.distinct);
     let mut word_buf = vec![0u64; words];
-    let mut prev: Option<Bits> = None;
+    // Masks share one width, so `Bits` order is lexicographic word order.
+    let mut prev = vec![0u64; words];
     let mut sum_check: u64 = 0;
     for i in 0..meta.distinct {
         if i % CHECKPOINT_EVERY == 0 {
@@ -327,15 +324,13 @@ pub fn read_snapshot_with(
                 });
             }
         }
-        let bits = Bits::from_words(meta.n_taxa, &word_buf);
-        if let Some(p) = &prev {
-            if bits <= *p {
-                return Err(IndexError::Corrupt {
-                    section: "splits",
-                    detail: format!("record {i} out of order (masks must strictly ascend)"),
-                });
-            }
+        if i > 0 && word_buf <= prev {
+            return Err(IndexError::Corrupt {
+                section: "splits",
+                detail: format!("record {i} out of order (masks must strictly ascend)"),
+            });
         }
+        prev.copy_from_slice(&word_buf);
         let freq = r.take_u32("splits")?;
         if freq == 0 || freq as usize > meta.n_trees {
             return Err(IndexError::Corrupt {
@@ -344,8 +339,7 @@ pub fn read_snapshot_with(
             });
         }
         sum_check += u64::from(freq);
-        prev = Some(bits.clone());
-        entries.push((bits, freq));
+        each(&word_buf, freq);
     }
     r.verify_section("splits")?;
     r.expect_eof("splits")?;
@@ -359,6 +353,50 @@ pub fn read_snapshot_with(
             ),
         });
     }
+    Ok(())
+}
+
+/// Stream the snapshot at `path` through every check [`read_snapshot_with`]
+/// runs — the three section seals, mask padding, strict ascending order,
+/// the frequency range, the header sum, and EOF — without building the
+/// hash. It returns the header when the snapshot would load, and otherwise
+/// the error [`read_snapshot_with`] would return (except a refusal of the
+/// split records' memory budget: verifying holds no records). This is how
+/// a read-only daemon, which serves from the frozen sidecar and never
+/// loads the splits, still refuses a corrupt snapshot at bind.
+pub fn verify_snapshot_with(
+    vfs: &dyn Vfs,
+    path: &Path,
+    guard: &RunGuard,
+) -> Result<SnapshotMeta, IndexError> {
+    let file = vfs.open_read(path).map_err(|e| IndexError::io(path, e))?;
+    let mut r = CheckedReader::new(BufReader::new(file), path);
+    let meta = read_header(&mut r)?;
+    read_taxa_section(&mut r, &meta, guard)?;
+    read_splits(&mut r, &meta, guard, |_, _| {})?;
+    Ok(meta)
+}
+
+/// [`read_snapshot`] routed through an explicit [`Vfs`].
+pub fn read_snapshot_with(
+    vfs: &dyn Vfs,
+    path: &Path,
+    guard: &RunGuard,
+) -> Result<Snapshot, IndexError> {
+    let file = vfs.open_read(path).map_err(|e| IndexError::io(path, e))?;
+    let mut r = CheckedReader::new(BufReader::new(file), path);
+    let meta = read_header(&mut r)?;
+    let taxa = read_taxa_section(&mut r, &meta, guard)?;
+
+    let record_bytes = words_for(meta.n_taxa) * 8 + 4;
+    guard.check_alloc(
+        "snapshot splits",
+        meta.distinct.saturating_mul(record_bytes + 32),
+    )?;
+    let mut entries: Vec<(Bits, u32)> = Vec::with_capacity(meta.distinct);
+    read_splits(&mut r, &meta, guard, |words, freq| {
+        entries.push((Bits::from_words(meta.n_taxa, words), freq));
+    })?;
 
     let bfh = Bfh::from_entries(meta.n_taxa, meta.n_shards, meta.n_trees, entries)?;
     if bfh.distinct() != meta.distinct {

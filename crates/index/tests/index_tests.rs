@@ -5,8 +5,8 @@
 use bfhrf::{Bfh, Comparator, RunBudget, RunGuard};
 use phylo::TreeCollection;
 use phylo_index::{
-    read_meta, read_snapshot, read_wal, write_snapshot, Index, IndexError, Wal, WalOp,
-    SNAPSHOT_FILE, WAL_FILE,
+    read_meta, read_snapshot, read_wal, verify_snapshot_with, write_snapshot, Index, IndexError,
+    RealVfs, Snapshot, Wal, WalOp, SNAPSHOT_FILE, WAL_FILE,
 };
 use phylo_sim::perturb::random_collection;
 use proptest::prelude::*;
@@ -58,7 +58,7 @@ proptest! {
         let path = dir.join(format!("snap-{seed:x}-{n}-{r}-{shards}.bfh"));
         write_snapshot(&path, &bfh, &coll.taxa, 3).unwrap();
 
-        let snap = read_snapshot(&path, &RunGuard::default()).unwrap();
+        let snap = read_and_verify(&path).unwrap();
         prop_assert_eq!(snap.meta.generation, 3);
         prop_assert_eq!(snap.meta.n_shards, bfh.n_shards());
         prop_assert_eq!(snap.taxa.len(), coll.taxa.len());
@@ -89,6 +89,26 @@ proptest! {
     }
 }
 
+/// Load the snapshot at `path` and also stream it through
+/// `verify_snapshot_with`: the two must accept or refuse together, with the
+/// same error text — the verifier is how a read-only daemon refuses a
+/// corrupt snapshot it never loads.
+fn read_and_verify(path: &std::path::Path) -> Result<Snapshot, IndexError> {
+    let read = read_snapshot(path, &RunGuard::default());
+    let verified = verify_snapshot_with(&RealVfs, path, &RunGuard::default());
+    match (&read, &verified) {
+        (Ok(snap), Ok(meta)) => assert_eq!(snap.meta, *meta),
+        (Err(r), Err(v)) => assert_eq!(r.to_string(), v.to_string()),
+        _ => panic!(
+            "read and verify disagree on {}: read {:?}, verify {:?}",
+            path.display(),
+            read.as_ref().map(|s| s.meta).map_err(|e| e.to_string()),
+            verified.map_err(|e| e.to_string())
+        ),
+    }
+    read
+}
+
 /// Every single-byte flip anywhere in a snapshot must surface as a typed
 /// corruption/IO error — never a panic, never a silently-different hash.
 #[test]
@@ -99,12 +119,13 @@ fn every_flipped_snapshot_byte_is_a_typed_error() {
     let path = dir.join("snap.bfh");
     write_snapshot(&path, &bfh, &coll.taxa, 1).unwrap();
     let clean = std::fs::read(&path).unwrap();
+    read_and_verify(&path).unwrap();
 
     for at in 0..clean.len() {
         let mut bytes = clean.clone();
         bytes[at] ^= 0x5a;
         std::fs::write(&path, &bytes).unwrap();
-        match read_snapshot(&path, &RunGuard::default()) {
+        match read_and_verify(&path) {
             Ok(snap) => panic!(
                 "flip at byte {at} went undetected (loaded {} splits)",
                 snap.bfh.distinct()
@@ -129,7 +150,7 @@ fn every_truncation_is_a_typed_error() {
 
     for keep in 0..clean.len() {
         std::fs::write(&path, &clean[..keep]).unwrap();
-        let err = read_snapshot(&path, &RunGuard::default())
+        let err = read_and_verify(&path)
             .err()
             .unwrap_or_else(|| panic!("truncation to {keep} bytes loaded successfully"));
         assert!(
