@@ -232,6 +232,42 @@ print(f"serve smoke: stats schema ok "
       f"({ok_avgrf['value']} avgrf ok, p50 {lat['p50']:.0f} ns)")
 EOF
 
+echo "== add/remove publish a delta: answers follow, the table is never refrozen"
+"$BIN" simulate --taxa 24 --trees 1 --out "$WORK/extra.nwk" --seed 99
+cat "$WORK/refs.nwk" "$WORK/extra.nwk" >"$WORK/refs_plus.nwk"
+"$BIN" avgrf --refs "$WORK/refs_plus.nwk" --queries "$WORK/queries.nwk" >"$WORK/offline_plus.tsv"
+"$BIN" stats --port-file "$WORK/port" --json >"$WORK/stats_pre_write.json"
+"$BIN" query --port-file "$WORK/port" --op add --trees "$WORK/extra.nwk"
+"$BIN" query --port-file "$WORK/port" --queries "$WORK/queries.nwk" >"$WORK/served_plus.tsv"
+diff -u "$WORK/offline_plus.tsv" "$WORK/served_plus.tsv"
+"$BIN" query --port-file "$WORK/port" --op remove --trees "$WORK/extra.nwk"
+"$BIN" query --port-file "$WORK/port" --queries "$WORK/queries.nwk" >"$WORK/served_minus.tsv"
+diff -u "$WORK/offline.tsv" "$WORK/served_minus.tsv"
+"$BIN" stats --port-file "$WORK/port" --json >"$WORK/stats_post_write.json"
+python3 - "$WORK/stats_pre_write.json" "$WORK/stats_post_write.json" <<'EOF'
+import json
+import sys
+
+def series(path):
+    with open(path) as fh:
+        return {s["name"]: s for s in json.load(fh)["metrics"]["series"]
+                if not s["labels"]}
+
+pre, post = series(sys.argv[1]), series(sys.argv[2])
+for name in ("index_freeze_ns", "index_folds_total", "index_delta_splits"):
+    if name not in pre:
+        sys.exit(f"serve smoke: {name} is not pre-registered")
+if post["index_freeze_ns"]["count"] != pre["index_freeze_ns"]["count"]:
+    sys.exit(f"serve smoke: the add/remove pair refroze the table "
+             f"(index_freeze_ns count {pre['index_freeze_ns']['count']} -> "
+             f"{post['index_freeze_ns']['count']})")
+if post["index_delta_splits"]["value"] != 0:
+    sys.exit(f"serve smoke: index_delta_splits is "
+             f"{post['index_delta_splits']['value']} after the matching remove")
+print("serve smoke: add/remove published as a delta "
+      f"(index_freeze_ns count {post['index_freeze_ns']['count']})")
+EOF
+
 echo "== clean shutdown"
 "$BIN" query --port-file "$WORK/port" --op shutdown
 wait "$SERVER_PID"

@@ -50,13 +50,14 @@
 //! pipelined burst of N requests into ~one write syscall (depth is
 //! recorded in `serve_pipeline_depth`).
 //!
-//! Queries run on an immutable `Arc` snapshot of the hash, pre-frozen into
-//! the probe-optimized [`bfhrf::FrozenBfh`] layout once per publication: a
-//! reader takes the snapshot lock only long enough to clone the `Arc`, so
-//! queries never block behind an admin mutation — writers
-//! (`add`/`remove`/`compact`) mutate the [`Index`] under its own mutex,
-//! then publish a fresh [`QueryView`]. In-flight requests keep answering
-//! from the view they started with.
+//! Queries run on an immutable `Arc` snapshot of the probe-optimized
+//! [`bfhrf::FrozenBfh`]: a reader takes the snapshot lock only long enough
+//! to clone the `Arc`, so queries never block behind an admin mutation —
+//! writers (`add`/`remove`/`compact`) mutate the [`Index`] under its own
+//! mutex, then publish a fresh [`QueryView`]: the same frozen lanes with
+//! the writes since they froze as a small delta ([`Index::frozen`]), not a
+//! refreeze. In-flight requests keep answering from the view they started
+//! with.
 //!
 //! On a clean index, bind publishes the memory-mapped frozen sidecar as the
 //! first snapshot and leaves the [`Index`] unopened, so a daemon that only
@@ -183,6 +184,7 @@ struct ServeMetrics {
 
 impl ServeMetrics {
     fn resolve() -> ServeMetrics {
+        phylo_index::register_index_metrics();
         let reg = phylo_obs::global();
         ServeMetrics {
             latency: std::array::from_fn(|i| {
@@ -1368,14 +1370,11 @@ fn op_mutate(
     let trees = payload_trees(state, enc, index.taxa(), items)?;
     if !add {
         // remove_tree is verify-then-mutate per tree, but a batch can still
-        // fail halfway; dry-run the batch on a scratch hash first.
-        let mut probe = index.bfh().clone();
-        let taxa = index.taxa().clone();
-        for (i, tree) in trees.iter().enumerate() {
-            probe
-                .remove_tree(tree, &taxa)
-                .map_err(|e| ReqError::new(format!("tree {i}: {e}")))?;
-        }
+        // fail halfway; dry-run the whole batch first.
+        index
+            .bfh()
+            .check_remove_batch(&trees, index.taxa())
+            .map_err(|(i, e)| ReqError::new(format!("tree {i}: {e}")))?;
     }
     let mut applied = 0usize;
     for tree in &trees {
@@ -1390,9 +1389,8 @@ fn op_mutate(
         r.map_err(ReqError::from_index)?;
         applied += 1;
     }
-    // Publish the mutated hash for queries, frozen once for this
-    // publication; in-flight readers keep their old view alive, so every
-    // batch still answers from a single snapshot.
+    // Publish the mutated hash for queries; in-flight readers keep their
+    // old view alive, so every batch still answers from a single snapshot.
     publish_snap(state, index);
     let stats = index.stats();
     state

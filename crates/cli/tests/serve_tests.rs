@@ -2185,15 +2185,21 @@ impl Drop for ChildDaemon {
     }
 }
 
-/// Samples in the daemon's pre-registered `serve_index_load_ns`.
-fn index_loads(addr: &str) -> u64 {
+/// `field` (a histogram's `count`, a counter's or gauge's `value`) of the
+/// daemon's pre-registered, unlabelled series `name`.
+fn metric(addr: &str, name: &str, field: &str) -> u64 {
     let resp = raw_request(addr, r#"{"op":"stats"}"#);
-    find_series(resp.get("metrics").unwrap(), "serve_index_load_ns", &[])
-        .expect("serve_index_load_ns is pre-registered at bind")
-        .get("count")
+    find_series(resp.get("metrics").unwrap(), name, &[])
+        .unwrap_or_else(|| panic!("{name} is pre-registered at bind"))
+        .get(field)
         .unwrap()
         .as_u64()
         .unwrap()
+}
+
+/// Samples in the daemon's `serve_index_load_ns`.
+fn index_loads(addr: &str) -> u64 {
+    metric(addr, "serve_index_load_ns", "count")
 }
 
 /// `serve_index_load_ns` counts the deferred open: none while a lazily
@@ -2243,4 +2249,79 @@ fn deferred_open_is_timed_once_and_notes_reach_stderr() {
     assert_eq!(index_loads(&addr), 0, "an eager bind defers nothing");
     let stderr = daemon.stop();
     assert!(stderr.contains("bfhrf: wal: dropped a torn"), "{stderr}");
+}
+
+/// Writes publish a delta over the frozen table instead of refreezing it:
+/// across an add/remove pair the daemon's `index_freeze_ns` count stays 0,
+/// `index_delta_splits` rises with the add and is back to 0 after the
+/// matching remove, and reads match offline `avgrf` at every step. A batch
+/// removal that would fail partway is refused whole, without changing the
+/// index.
+#[test]
+fn writes_publish_a_delta_without_refreezing() {
+    let dir = scratch("delta-writes");
+    let refs_path = dir.join("refs.nwk").to_str().unwrap().to_string();
+    let extra_path = dir.join("extra.nwk").to_str().unwrap().to_string();
+    for (out, trees, seed) in [(&refs_path, "40", "4077"), (&extra_path, "1", "99")] {
+        runv(&[
+            "simulate", "--taxa", "24", "--trees", trees, "--seed", seed, "--out", out,
+        ])
+        .unwrap();
+    }
+    let extra = std::fs::read_to_string(&extra_path).unwrap();
+    let both_path = write(
+        &dir,
+        "both.nwk",
+        &(std::fs::read_to_string(&refs_path).unwrap() + &extra),
+    );
+    let queries_path = write(&dir, "queries.nwk", &extra);
+    let index_dir = dir.join("index").to_str().unwrap().to_string();
+    runv(&["index", "build", "--refs", &refs_path, "--out", &index_dir]).unwrap();
+
+    let daemon = ChildDaemon::spawn(&index_dir, &dir);
+    let addr = daemon.addr.clone();
+    let served = || {
+        runv(&["query", "--addr", &addr, "--queries", &queries_path])
+            .unwrap()
+            .stdout
+    };
+    let offline = |refs: &str| {
+        runv(&["avgrf", "--refs", refs, "--queries", &queries_path])
+            .unwrap()
+            .stdout
+    };
+    let write_op = |op: &str| {
+        runv(&["query", "--addr", &addr, "--op", op, "--trees", &extra_path]).unwrap();
+    };
+    let freezes = || metric(&addr, "index_freeze_ns", "count");
+    let delta = || metric(&addr, "index_delta_splits", "value");
+    assert_eq!((freezes(), delta()), (0, 0));
+
+    write_op("add");
+    assert_eq!(served(), offline(&both_path));
+    assert!(delta() > 0, "the add is published as a delta");
+    write_op("remove");
+    assert_eq!(served(), offline(&refs_path));
+    assert_eq!((freezes(), delta()), (0, 0), "no refreeze, delta drained");
+    assert_eq!(metric(&addr, "index_folds_total", "value"), 0);
+
+    // Fifty copies of a tree the index holds once: the batch fails partway
+    // and is refused whole.
+    write_op("add");
+    let tree = format!("\"{}\"", extra.trim());
+    let frame = format!(
+        r#"{{"op":"remove","trees":[{}]}}"#,
+        vec![tree; 50].join(",")
+    );
+    let resp = raw_request(&addr, &frame);
+    assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
+    let error = resp.get("error").unwrap().as_str().unwrap().to_string();
+    assert!(
+        error.starts_with("tree ") && error.contains("remove_tree"),
+        "{error}"
+    );
+    assert_eq!(served(), offline(&both_path));
+    write_op("remove");
+    assert_eq!((freezes(), delta()), (0, 0));
+    daemon.stop();
 }

@@ -23,10 +23,10 @@
 
 use crate::error::CoreError;
 use crate::guard::{isolate, RunGuard};
-use phylo::{Bipartition, BipartitionScratch, TaxonSet, Tree};
+use phylo::{Bipartition, BipartitionScratch, SplitBatch, TaxonSet, Tree};
 use phylo_bitset::{
     bits_map_with_capacity, map_get_words, map_get_words_mut, shard_of, split_hash128, words_for,
-    Bits, BitsMap,
+    Bits, BitsMap, WordsKey,
 };
 use rayon::prelude::*;
 
@@ -256,15 +256,10 @@ impl Bfh {
     }
 
     /// Reassemble a hash from raw `(mask, frequency)` entries — the
-    /// validating reconstruction path used by the on-disk snapshot reader
-    /// (`phylo-index`). Entries are routed into the `shards`-way layout
-    /// exactly as an in-memory build would route them, so the result is
-    /// bitwise-identical to the hash the entries were exported from.
-    ///
-    /// Every entry is validated: the mask width must match `n_taxa`, the
-    /// frequency must be in `1..=n_trees`, and duplicate masks are
-    /// rejected — a corrupted snapshot surfaces as
-    /// [`CoreError::Structure`], never as silently wrong frequencies.
+    /// validating reconstruction path. Entries are routed into the
+    /// `shards`-way layout exactly as an in-memory build would route them,
+    /// so the result is bitwise-identical to the hash the entries were
+    /// exported from. Every entry is validated as in [`Bfh::insert_entry`].
     pub fn from_entries<I>(
         n_taxa: usize,
         shards: usize,
@@ -279,27 +274,69 @@ impl Bfh {
                 "a Bfh needs at least one shard".into(),
             ));
         }
-        let mut bfh = Bfh::empty_sharded(n_taxa, shards);
-        bfh.n_trees = n_trees;
+        let entries = entries.into_iter();
+        let mut bfh = Bfh::with_capacity_sharded(n_taxa, shards, n_trees, entries.size_hint().0);
         for (bits, freq) in entries {
-            if bits.len() != n_taxa {
-                return Err(CoreError::Structure(format!(
-                    "entry mask is {} bits wide, namespace has {n_taxa} taxa",
-                    bits.len()
-                )));
-            }
-            if freq == 0 || freq as usize > n_trees {
-                return Err(CoreError::Structure(format!(
-                    "entry {bits} has frequency {freq}, expected 1..={n_trees}"
-                )));
-            }
-            let si = bfh.shard_index(bits.words());
-            if bfh.shards[si].insert(bits, freq).is_some() {
-                return Err(CoreError::Structure("duplicate mask among entries".into()));
-            }
-            bfh.sum += u64::from(freq);
+            bfh.insert_entry(bits, freq)?;
         }
         Ok(bfh)
+    }
+
+    /// An empty `shards`-way hash that declares `n_trees` reference trees
+    /// and reserves room for `distinct` splits in total, so a loader that
+    /// knows the final size (the on-disk snapshot reader, `phylo-index`)
+    /// fills it through [`Bfh::insert_entry`] without ever regrowing a
+    /// shard map. Multi-shard maps get four standard deviations of headroom
+    /// over an even split, so uneven routing does not regrow them either.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn with_capacity_sharded(
+        n_taxa: usize,
+        shards: usize,
+        n_trees: usize,
+        distinct: usize,
+    ) -> Self {
+        assert!(shards > 0, "a Bfh needs at least one shard");
+        let per_shard = if shards == 1 {
+            distinct
+        } else {
+            let mean = distinct / shards;
+            mean + 4 * mean.isqrt()
+        };
+        Bfh {
+            shards: (0..shards)
+                .map(|_| bits_map_with_capacity(per_shard))
+                .collect(),
+            sum: 0,
+            n_trees,
+            n_taxa,
+        }
+    }
+
+    /// Insert one reassembled `(mask, frequency)` entry. The mask width
+    /// must match the namespace, the frequency must be in `1..=n_trees`,
+    /// and a mask may appear once — a corrupted snapshot surfaces as
+    /// [`CoreError::Structure`], never as silently wrong frequencies.
+    pub fn insert_entry(&mut self, bits: Bits, freq: u32) -> Result<(), CoreError> {
+        let (n_taxa, n_trees) = (self.n_taxa, self.n_trees);
+        if bits.len() != n_taxa {
+            return Err(CoreError::Structure(format!(
+                "entry mask is {} bits wide, namespace has {n_taxa} taxa",
+                bits.len()
+            )));
+        }
+        if freq == 0 || freq as usize > n_trees {
+            return Err(CoreError::Structure(format!(
+                "entry {bits} has frequency {freq}, expected 1..={n_trees}"
+            )));
+        }
+        let si = self.shard_index(bits.words());
+        if self.shards[si].insert(bits, freq).is_some() {
+            return Err(CoreError::Structure("duplicate mask among entries".into()));
+        }
+        self.sum += u64::from(freq);
+        Ok(())
     }
 
     /// Add one reference tree's bipartitions (incremental update).
@@ -331,6 +368,16 @@ impl Bfh {
         self.n_trees += 1;
     }
 
+    /// Add one reference tree given its extracted splits (one
+    /// [`BipartitionScratch::batch_splits`] batch) — for callers that
+    /// use the same extraction for more than the hash.
+    pub fn add_split_batch(&mut self, batch: &SplitBatch<'_>) {
+        for i in 0..batch.len() {
+            self.bump_words(batch.mask(i));
+        }
+        self.n_trees += 1;
+    }
+
     /// Remove a previously added reference tree (incremental downdate).
     ///
     /// Counts reaching zero are evicted so memory tracks the live
@@ -339,29 +386,80 @@ impl Bfh {
     /// bipartitions are verified before any counter is touched, so dynamic
     /// maintenance can treat the error as fully recoverable.
     pub fn remove_tree(&mut self, tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreError> {
-        let splits = tree.bipartitions(taxa);
-        // Verify-then-mutate: a failure after partial decrements would
-        // corrupt frequencies silently.
-        for bp in &splits {
-            if self.frequency(bp.bits()) == 0 {
+        let mut scratch = BipartitionScratch::new();
+        self.remove_split_batch(&scratch.batch_splits(tree, taxa))
+    }
+
+    /// Whether removing the tree whose splits are `batch` would succeed
+    /// after earlier removals in the same batch took `taken` trees and
+    /// `used(mask)` occurrences of each split — with [`Bfh::remove_tree`]'s
+    /// error when it would not.
+    fn check_removal(
+        &self,
+        batch: &SplitBatch<'_>,
+        taken: usize,
+        used: impl Fn(&[u64]) -> u32,
+    ) -> Result<(), CoreError> {
+        for i in 0..batch.len() {
+            let w = batch.mask(i);
+            if self.frequency_words(w) <= used(w) {
                 return Err(CoreError::Structure(format!(
                     "remove_tree: bipartition {} was never added",
-                    bp.bits()
+                    Bits::from_words(self.n_taxa, w)
                 )));
             }
         }
-        if self.n_trees == 0 {
+        if self.n_trees <= taken {
             return Err(CoreError::Structure(
                 "remove_tree: hash holds no trees".into(),
             ));
         }
-        for bp in splits {
-            let bits = bp.into_bits();
-            let si = self.shard_index(bits.words());
-            match self.shards[si].get_mut(&bits) {
+        Ok(())
+    }
+
+    /// Dry-run removing `trees` in order without touching the hash. `Ok`
+    /// exactly when [`Bfh::remove_tree`] of each tree in turn, on a clone,
+    /// would succeed; otherwise the index of the first tree that would fail
+    /// and the error it would fail with. Costs one map entry per distinct
+    /// split the batch touches instead of a copy of the hash.
+    pub fn check_remove_batch(
+        &self,
+        trees: &[Tree],
+        taxa: &TaxonSet,
+    ) -> Result<(), (usize, CoreError)> {
+        let mut scratch = BipartitionScratch::new();
+        // How many times the batch so far has removed each split.
+        let mut used: BitsMap<u32> = bits_map_with_capacity(0);
+        for (i, tree) in trees.iter().enumerate() {
+            let batch = scratch.batch_splits(tree, taxa);
+            self.check_removal(&batch, i, |w| map_get_words(&used, w).copied().unwrap_or(0))
+                .map_err(|e| (i, e))?;
+            for k in 0..batch.len() {
+                let w = batch.mask(k);
+                match map_get_words_mut(&mut used, w) {
+                    Some(c) => *c += 1,
+                    None => {
+                        used.insert(Bits::from_words(self.n_taxa, w), 1);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Bfh::remove_tree`] given the tree's extracted splits.
+    pub fn remove_split_batch(&mut self, batch: &SplitBatch<'_>) -> Result<(), CoreError> {
+        // Verify-then-mutate: a failure after partial decrements would
+        // corrupt frequencies silently.
+        self.check_removal(batch, 0, |_| 0)?;
+        for i in 0..batch.len() {
+            let w = batch.mask(i);
+            let si = self.shard_index(w);
+            let shard = &mut self.shards[si];
+            match map_get_words_mut(shard, w) {
                 Some(c) if *c > 1 => *c -= 1,
                 _ => {
-                    self.shards[si].remove(&bits);
+                    shard.remove(WordsKey::new(w));
                 }
             }
             self.sum -= 1;

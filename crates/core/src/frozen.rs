@@ -42,14 +42,20 @@
 //! workspace that way), and benchmark ablations pass an explicit
 //! [`ProbeMode`] to race both engines over identical batches.
 //!
-//! The table is immutable by construction — freezing a mutated hash means
-//! freezing again — and the freeze itself is a single `O(distinct)` pass
-//! over [`Bfh::iter`], cheap next to the build that produced it.
+//! The lanes are immutable by construction and shared behind one `Arc`, so
+//! cloning a table is O(1). A mutated hash is answered without refreezing
+//! by [`FrozenBfh::with_delta`]: the same lanes plus a small [`SplitDelta`]
+//! of net per-split count changes, which every probe adds to the stored
+//! frequency. The freeze itself is a single `O(distinct)` pass over
+//! [`Bfh::iter`], cheap next to the build that produced it.
 
 use crate::bfh::Bfh;
 use phylo::{BipartitionScratch, SplitBatch, TaxonSet, Tree};
 use phylo_bitset::group::{Engine, GroupScan, ScalarScan, SimdScan, CTRL_EMPTY, GROUP_SLOTS};
-use phylo_bitset::{ctrl_h2, hash_bucket, hash_tag, split_hash128, words_for, Bits};
+use phylo_bitset::{
+    bits_map_with_capacity, ctrl_h2, hash_bucket, hash_tag, map_get_words, map_get_words_mut,
+    split_hash128, words_for, Bits, BitsMap, WordsKey,
+};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -90,19 +96,6 @@ impl<T> Deref for Lane<T> {
             // SAFETY: constructor contract — ptr/len describe a valid,
             // immutable region outliving `_guard`.
             Lane::Mapped { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-        }
-    }
-}
-
-impl<T: Clone> Clone for Lane<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Lane::Owned(b) => Lane::Owned(b.clone()),
-            Lane::Mapped { ptr, len, _guard } => Lane::Mapped {
-                ptr: *ptr,
-                len: *len,
-                _guard: Arc::clone(_guard),
-            },
         }
     }
 }
@@ -158,17 +151,29 @@ struct Entry {
 ///
 /// Answers exactly the same `frequency`/`sum`/`n_trees` questions (it
 /// implements [`crate::SplitFrequency`]), bitwise-identically, but
-/// read-only.
+/// read-only. Clones share the lanes.
 #[derive(Debug, Clone)]
 pub struct FrozenBfh {
     n_taxa: usize,
     words: usize,
+    /// The answered scalars: the lanes' own, or patched by `delta`.
     n_trees: usize,
     sum: u64,
     distinct: usize,
-    /// `capacity - 1`; capacity is a power of two ≥ 2 × distinct and
-    /// ≥ [`GROUP_SLOTS`].
+    /// `capacity - 1`; capacity is a power of two ≥ 2 × the lanes'
+    /// distinct count and ≥ [`GROUP_SLOTS`].
     mask: usize,
+    lanes: Arc<Lanes>,
+    /// Net count changes answered on top of the lanes
+    /// ([`FrozenBfh::with_delta`]); never empty when present.
+    delta: Option<Arc<SplitDelta>>,
+}
+
+/// The three probe lanes of a frozen table, immutable once built.
+#[derive(Debug)]
+struct Lanes {
+    /// Distinct splits stored in the lanes.
+    distinct: usize,
     /// Per-slot control byte ([`CTRL_EMPTY`] or `h2`), length
     /// `capacity + GROUP_SLOTS`: the tail mirrors the first group so an
     /// unaligned 16-byte window starting at any slot never wraps.
@@ -177,6 +182,83 @@ pub struct FrozenBfh {
     entries: Lane<Entry>,
     /// All distinct masks, packed at stride `words` in insertion order.
     pool: Lane<u64>,
+}
+
+/// Net per-split count changes since a frozen table was built: what a
+/// [`FrozenBfh::with_delta`] table adds to its lanes' answers. Masks whose
+/// net count returns to zero are dropped, so an add followed by the
+/// matching remove leaves the delta empty again.
+#[derive(Debug, Clone)]
+pub struct SplitDelta {
+    n_taxa: usize,
+    counts: BitsMap<i64>,
+    /// Net reference trees added.
+    trees: i64,
+    /// Net split occurrences added.
+    sum: i64,
+}
+
+impl SplitDelta {
+    /// An empty delta over an `n_taxa`-wide namespace.
+    pub fn new(n_taxa: usize) -> SplitDelta {
+        SplitDelta {
+            n_taxa,
+            counts: bits_map_with_capacity(0),
+            trees: 0,
+            sum: 0,
+        }
+    }
+
+    /// Record one tree added (`sign` = 1) or removed (`sign` = -1), given
+    /// its extracted splits.
+    pub fn record(&mut self, batch: &SplitBatch<'_>, sign: i64) {
+        for i in 0..batch.len() {
+            let w = batch.mask(i);
+            match map_get_words_mut(&mut self.counts, w) {
+                Some(c) => {
+                    *c += sign;
+                    if *c == 0 {
+                        self.counts.remove(WordsKey::new(w));
+                    }
+                }
+                None => {
+                    self.counts.insert(Bits::from_words(self.n_taxa, w), sign);
+                }
+            }
+        }
+        self.trees += sign;
+        self.sum += sign * batch.len() as i64;
+    }
+
+    /// Masks with a non-zero net count.
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Whether the delta changes nothing: no split counts, no net trees.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty() && self.trees == 0
+    }
+
+    #[inline]
+    fn count(&self, w: &[u64]) -> i64 {
+        map_get_words(&self.counts, w).copied().unwrap_or(0)
+    }
+
+    /// Entries in ascending mask order — the order [`FrozenBfh::digest`]
+    /// mixes them in.
+    fn sorted(&self) -> Vec<(&Bits, i64)> {
+        let mut entries: Vec<(&Bits, i64)> = self.counts.iter().map(|(b, &c)| (b, c)).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
+    }
+
+    /// Heap bytes: map buckets plus key payloads (as [`Bfh::approx_bytes`]).
+    fn approx_bytes(&self) -> usize {
+        let per_entry =
+            words_for(self.n_taxa) * 8 + std::mem::size_of::<Bits>() + std::mem::size_of::<i64>();
+        self.counts.capacity() * per_entry
+    }
 }
 
 /// Issue a best-effort prefetch of the cache line holding `*ptr`.
@@ -237,10 +319,66 @@ impl FrozenBfh {
             sum: bfh.sum(),
             distinct,
             mask,
-            ctrl: Lane::Owned(ctrl),
-            entries: Lane::Owned(entries),
-            pool: Lane::Owned(pool.into_boxed_slice()),
+            // Moves the boxes; the pool was allocated at its exact length,
+            // so `into_boxed_slice` does not reallocate either.
+            lanes: Arc::new(Lanes {
+                distinct,
+                ctrl: Lane::Owned(ctrl),
+                entries: Lane::Owned(entries),
+                pool: Lane::Owned(pool.into_boxed_slice()),
+            }),
+            delta: None,
         }
+    }
+
+    /// This table with `delta` answered on top of its lanes, which the two
+    /// tables share. Frequencies, `n_trees`, `sum` and `distinct` are the
+    /// patched values. An empty delta yields a plain clone: bitwise the
+    /// same table, with the same digest.
+    ///
+    /// # Panics
+    /// If this table already carries a delta, if the namespaces differ, or
+    /// if the delta removes more than the lanes hold — a delta must record
+    /// the writes made since exactly these lanes were frozen.
+    pub fn with_delta(&self, delta: Arc<SplitDelta>) -> FrozenBfh {
+        assert!(
+            self.delta.is_none(),
+            "with_delta patches a table's lanes, not another delta"
+        );
+        assert_eq!(delta.n_taxa, self.n_taxa, "delta namespace width differs");
+        if delta.is_empty() {
+            return self.clone();
+        }
+        let mut distinct = self.distinct;
+        for (bits, &c) in &delta.counts {
+            let stored = i64::from(self.lanes_frequency(split_hash128(bits.words()), bits.words()));
+            assert!(
+                stored + c >= 0,
+                "delta removes {bits} more often than it is stored"
+            );
+            if stored == 0 {
+                distinct += 1;
+            } else if stored + c == 0 {
+                distinct -= 1;
+            }
+        }
+        let patch = |v: u64, d: i64| {
+            v.checked_add_signed(d)
+                .expect("delta removes more than the lanes hold")
+        };
+        FrozenBfh {
+            n_trees: patch(self.n_trees as u64, delta.trees) as usize,
+            sum: patch(self.sum, delta.sum),
+            distinct,
+            delta: Some(delta),
+            ..self.clone()
+        }
+    }
+
+    /// Whether this table answers a delta on top of its lanes (and so has
+    /// no serialized form).
+    pub fn has_delta(&self) -> bool {
+        self.delta.is_some()
     }
 
     /// Words per pooled mask (`words_for(n_taxa)`).
@@ -250,7 +388,7 @@ impl FrozenBfh {
     }
 
     /// The header scalars a serializer must persist to reconstruct this
-    /// table.
+    /// table (one without a delta).
     pub fn layout(&self) -> FrozenLayout {
         FrozenLayout {
             n_taxa: self.n_taxa,
@@ -264,19 +402,19 @@ impl FrozenBfh {
     /// The control lane, mirror group included — exactly the bytes a
     /// serializer should write.
     pub fn ctrl_lane(&self) -> &[u8] {
-        &self.ctrl
+        &self.lanes.ctrl
     }
 
     /// The packed mask pool in layout order.
     pub fn pool_lane(&self) -> &[u64] {
-        &self.pool
+        &self.lanes.pool
     }
 
     /// The entry lane as 16-byte little-endian records
     /// (`key u64 · freq u32 · offset u32`) — the exact on-disk form, and
     /// on little-endian hosts the exact in-memory form too.
     pub fn entry_records(&self) -> impl Iterator<Item = [u8; 16]> + '_ {
-        self.entries.iter().map(|e| {
+        self.lanes.entries.iter().map(|e| {
             let mut rec = [0u8; 16];
             rec[0..8].copy_from_slice(&e.key.to_le_bytes());
             rec[8..12].copy_from_slice(&e.freq.to_le_bytes());
@@ -310,6 +448,22 @@ impl FrozenBfh {
                 offset: u32::from_le_bytes(rec[12..16].try_into().expect("4 bytes")),
             })
             .collect();
+        FrozenBfh::from_lanes(
+            layout,
+            Lane::Owned(ctrl.into_boxed_slice()),
+            Lane::Owned(entries),
+            Lane::Owned(pool.into_boxed_slice()),
+        )
+    }
+
+    /// Assemble a table from deserialized lanes, rejecting any layout the
+    /// probe loops could not walk safely.
+    fn from_lanes(
+        layout: FrozenLayout,
+        ctrl: Lane<u8>,
+        entries: Lane<Entry>,
+        pool: Lane<u64>,
+    ) -> Result<FrozenBfh, String> {
         let frozen = FrozenBfh {
             n_taxa: layout.n_taxa,
             words: words_for(layout.n_taxa),
@@ -317,9 +471,13 @@ impl FrozenBfh {
             sum: layout.sum,
             distinct: layout.distinct,
             mask: layout.capacity.wrapping_sub(1),
-            ctrl: Lane::Owned(ctrl.into_boxed_slice()),
-            entries: Lane::Owned(entries),
-            pool: Lane::Owned(pool.into_boxed_slice()),
+            lanes: Arc::new(Lanes {
+                distinct: layout.distinct,
+                ctrl,
+                entries,
+                pool,
+            }),
+            delta: None,
         };
         frozen.validate_layout()?;
         Ok(frozen)
@@ -357,37 +515,29 @@ impl FrozenBfh {
         if pool.align_offset(std::mem::align_of::<u64>()) != 0 {
             return Err("pool lane pointer is misaligned".into());
         }
-        let words = words_for(layout.n_taxa);
-        let frozen = FrozenBfh {
-            n_taxa: layout.n_taxa,
-            words,
-            n_trees: layout.n_trees,
-            sum: layout.sum,
-            distinct: layout.distinct,
-            mask: layout.capacity.wrapping_sub(1),
-            ctrl: Lane::Mapped {
+        FrozenBfh::from_lanes(
+            layout,
+            Lane::Mapped {
                 ptr: ctrl,
                 len: layout.capacity + GROUP_SLOTS,
                 _guard: Arc::clone(&guard),
             },
-            entries: Lane::Mapped {
+            Lane::Mapped {
                 ptr: entries as *const Entry,
                 len: layout.capacity,
                 _guard: Arc::clone(&guard),
             },
-            pool: Lane::Mapped {
+            Lane::Mapped {
                 ptr: pool as *const u64,
-                len: layout.distinct * words,
+                len: layout.distinct * words_for(layout.n_taxa),
                 _guard: guard,
             },
-        };
-        frozen.validate_layout()?;
-        Ok(frozen)
+        )
     }
 
     /// Whether this table borrows a memory mapping (vs owning its lanes).
     pub fn is_mapped(&self) -> bool {
-        matches!(self.ctrl, Lane::Mapped { .. })
+        matches!(self.lanes.ctrl, Lane::Mapped { .. })
     }
 
     /// Every invariant the probe loops rely on for memory safety. An
@@ -396,62 +546,69 @@ impl FrozenBfh {
     /// fast; probe reads into it are covered by the rank bound checked
     /// here.
     fn validate_layout(&self) -> Result<(), String> {
+        let Lanes {
+            distinct,
+            ctrl,
+            entries,
+            pool,
+        } = &*self.lanes;
+        let distinct = *distinct;
         let capacity = self.mask.wrapping_add(1);
         if !capacity.is_power_of_two() || capacity < GROUP_SLOTS {
             return Err(format!(
                 "capacity {capacity} is not a power of two ≥ {GROUP_SLOTS}"
             ));
         }
-        if capacity < 2 * self.distinct {
+        if capacity < 2 * distinct {
             // Also guarantees an empty slot exists, which is what
             // terminates an absent-key probe.
             return Err(format!(
                 "capacity {capacity} under-provisioned for {} distinct splits",
-                self.distinct
+                distinct
             ));
         }
-        if self.ctrl.len() != capacity + GROUP_SLOTS {
+        if ctrl.len() != capacity + GROUP_SLOTS {
             return Err(format!(
                 "ctrl lane holds {} bytes, capacity {capacity} needs {}",
-                self.ctrl.len(),
+                ctrl.len(),
                 capacity + GROUP_SLOTS
             ));
         }
-        if self.entries.len() != capacity {
+        if entries.len() != capacity {
             return Err(format!(
                 "entry lane holds {} slots, capacity is {capacity}",
-                self.entries.len()
+                entries.len()
             ));
         }
-        if self.pool.len() != self.distinct * self.words {
+        if pool.len() != distinct * self.words {
             return Err(format!(
                 "pool holds {} words, {} distinct × {} words need {}",
-                self.pool.len(),
-                self.distinct,
+                pool.len(),
+                distinct,
                 self.words,
-                self.distinct * self.words
+                distinct * self.words
             ));
         }
-        if self.ctrl[capacity..] != self.ctrl[..GROUP_SLOTS] {
+        if ctrl[capacity..] != ctrl[..GROUP_SLOTS] {
             return Err("ctrl mirror group does not match the first group".into());
         }
         let mut full = 0usize;
         for i in 0..capacity {
-            if self.ctrl[i] != CTRL_EMPTY {
+            if ctrl[i] != CTRL_EMPTY {
                 full += 1;
-                let rank = self.entries[i].offset as usize;
-                if rank >= self.distinct {
+                let rank = entries[i].offset as usize;
+                if rank >= distinct {
                     return Err(format!(
                         "slot {i} pool rank {rank} out of range ({} distinct)",
-                        self.distinct
+                        distinct
                     ));
                 }
             }
         }
-        if full != self.distinct {
+        if full != distinct {
             return Err(format!(
                 "{full} occupied slots disagree with {} distinct splits",
-                self.distinct
+                distinct
             ));
         }
         Ok(())
@@ -492,9 +649,10 @@ impl FrozenBfh {
     /// pool. Pinned against the real allocation sizes by test, because the
     /// catalog LRU accounts resident collections in exactly these bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.ctrl.len() * std::mem::size_of::<u8>()
-            + self.entries.len() * std::mem::size_of::<Entry>()
-            + self.pool.len() * std::mem::size_of::<u64>()
+        self.lanes.ctrl.len() * std::mem::size_of::<u8>()
+            + self.lanes.entries.len() * std::mem::size_of::<Entry>()
+            + self.lanes.pool.len() * std::mem::size_of::<u64>()
+            + self.delta.as_ref().map_or(0, |d| d.approx_bytes())
     }
 
     /// FNV-1a fingerprint over every lane in layout order. Two frozen
@@ -515,14 +673,22 @@ impl FrozenBfh {
         mix(&self.sum.to_le_bytes());
         mix(&(self.distinct as u64).to_le_bytes());
         mix(&(self.mask as u64).to_le_bytes());
-        mix(&self.ctrl[..self.capacity()]);
-        for e in self.entries.iter() {
+        mix(&self.lanes.ctrl[..self.capacity()]);
+        for e in self.lanes.entries.iter() {
             mix(&e.key.to_le_bytes());
             mix(&e.freq.to_le_bytes());
             mix(&e.offset.to_le_bytes());
         }
-        for &w in self.pool.iter() {
+        for &w in self.lanes.pool.iter() {
             mix(&w.to_le_bytes());
+        }
+        if let Some(delta) = &self.delta {
+            for (bits, count) in delta.sorted() {
+                for &w in bits.words() {
+                    mix(&w.to_le_bytes());
+                }
+                mix(&count.to_le_bytes());
+            }
         }
         h
     }
@@ -540,7 +706,13 @@ impl FrozenBfh {
     /// compare; h2 never equals [`CTRL_EMPTY`], so candidates are always
     /// full slots.
     fn frequency_hashed_impl<G: GroupScan>(&self, h: u128, w: &[u64]) -> u32 {
-        if self.distinct == 0 {
+        let Lanes {
+            distinct,
+            ctrl,
+            entries,
+            pool,
+        } = &*self.lanes;
+        if *distinct == 0 {
             return 0;
         }
         let h2 = ctrl_h2(h);
@@ -549,11 +721,11 @@ impl FrozenBfh {
             // One-word namespace: the key is the mask, equality is exact.
             let t = w[0];
             loop {
-                let g = &self.ctrl[i..i + GROUP_SLOTS];
+                let g = &ctrl[i..i + GROUP_SLOTS];
                 let mut m = G::match_byte(g, h2);
                 while m != 0 {
                     let s = (i + m.trailing_zeros() as usize) & self.mask;
-                    let e = &self.entries[s];
+                    let e = &entries[s];
                     if e.key == t {
                         return e.freq;
                     }
@@ -567,14 +739,14 @@ impl FrozenBfh {
         }
         let t = hash_tag(h);
         loop {
-            let g = &self.ctrl[i..i + GROUP_SLOTS];
+            let g = &ctrl[i..i + GROUP_SLOTS];
             let mut m = G::match_byte(g, h2);
             while m != 0 {
                 let s = (i + m.trailing_zeros() as usize) & self.mask;
-                let e = &self.entries[s];
+                let e = &entries[s];
                 if e.key == t {
                     let off = e.offset as usize * self.words;
-                    if &self.pool[off..off + self.words] == w {
+                    if &pool[off..off + self.words] == w {
                         return e.freq;
                     }
                 }
@@ -591,9 +763,25 @@ impl FrozenBfh {
     /// known (the batched path computes it during extraction).
     #[inline]
     pub fn frequency_hashed(&self, h: u128, w: &[u64]) -> u32 {
+        self.patched(self.lanes_frequency(h, w), w)
+    }
+
+    /// The frequency the lanes store for `w`, before any delta.
+    #[inline]
+    fn lanes_frequency(&self, h: u128, w: &[u64]) -> u32 {
         match Engine::auto() {
             Engine::Simd => self.frequency_hashed_impl::<SimdScan>(h, w),
             Engine::Scalar => self.frequency_hashed_impl::<ScalarScan>(h, w),
+        }
+    }
+
+    /// A stored frequency plus the delta's count for `w`. In range by
+    /// construction: [`Self::with_delta`] checked every delta entry.
+    #[inline]
+    fn patched(&self, stored: u32, w: &[u64]) -> u32 {
+        match &self.delta {
+            None => stored,
+            Some(d) => (i64::from(stored) + d.count(w)) as u32,
         }
     }
 
@@ -609,10 +797,11 @@ impl FrozenBfh {
     /// this regardless of the process-wide engine.
     pub fn frequency_words_with(&self, mode: ProbeMode, w: &[u64]) -> u32 {
         let h = split_hash128(w);
-        match mode.engine() {
+        let stored = match mode.engine() {
             Engine::Simd => self.frequency_hashed_impl::<SimdScan>(h, w),
             Engine::Scalar => self.frequency_hashed_impl::<ScalarScan>(h, w),
-        }
+        };
+        self.patched(stored, w)
     }
 
     /// Frequency of a canonical split (0 if absent).
@@ -627,8 +816,8 @@ impl FrozenBfh {
     #[inline(always)]
     fn prefetch_bucket(&self, h: u128) {
         let i = hash_bucket(h) as usize & self.mask;
-        prefetch(&raw const self.ctrl[i]);
-        prefetch(&raw const self.entries[i]);
+        prefetch(&raw const self.lanes.ctrl[i]);
+        prefetch(&raw const self.lanes.entries[i]);
     }
 
     /// Σ frequency over a whole extracted batch — the quantity Algorithm 2
@@ -651,7 +840,20 @@ impl FrozenBfh {
     }
 
     fn sum_batch_impl<G: GroupScan>(&self, batch: &SplitBatch<'_>) -> u64 {
-        if self.distinct == 0 {
+        let stored = self.lanes_sum_batch::<G>(batch);
+        match &self.delta {
+            None => stored,
+            Some(d) => {
+                let patch: i64 = (0..batch.len()).map(|i| d.count(batch.mask(i))).sum();
+                (stored as i64 + patch) as u64
+            }
+        }
+    }
+
+    /// Σ stored frequency over the batch, before any delta: the pipelined
+    /// probe loop.
+    fn lanes_sum_batch<G: GroupScan>(&self, batch: &SplitBatch<'_>) -> u64 {
+        if self.lanes.distinct == 0 {
             return 0;
         }
         let n = batch.len();
@@ -843,6 +1045,55 @@ mod tests {
     }
 
     #[test]
+    fn delta_overlay_answers_like_a_fresh_freeze() {
+        let spec = phylo_sim::DatasetSpec::new("delta", 70, 10, 9);
+        let coll = phylo_sim::generate(&spec);
+        let mut live = Bfh::build(&coll.trees[..6], &coll.taxa);
+        let base = live.freeze();
+        let mut scratch = BipartitionScratch::new();
+        let mut delta = SplitDelta::new(coll.taxa.len());
+        for (tree, sign) in [
+            (&coll.trees[7], 1),
+            (&coll.trees[8], 1),
+            (&coll.trees[2], -1),
+        ] {
+            let batch = scratch.batch_splits(tree, &coll.taxa);
+            delta.record(&batch, sign);
+            if sign > 0 {
+                live.add_split_batch(&batch);
+            } else {
+                live.remove_split_batch(&batch).unwrap();
+            }
+        }
+        let patched = base.with_delta(Arc::new(delta));
+        let fresh = live.freeze();
+        assert!(patched.has_delta());
+        assert_eq!(patched.n_trees(), fresh.n_trees());
+        assert_eq!(patched.sum(), fresh.sum());
+        assert_eq!(patched.distinct(), fresh.distinct());
+        for (bits, _) in Bfh::build(&coll.trees, &coll.taxa).iter() {
+            assert_eq!(patched.frequency(bits), fresh.frequency(bits), "{bits}");
+            for mode in [ProbeMode::Scalar, ProbeMode::Simd] {
+                assert_eq!(
+                    patched.frequency_words_with(mode, bits.words()),
+                    fresh.frequency(bits)
+                );
+            }
+        }
+        for q in &coll.trees {
+            assert_eq!(
+                patched.average_scratch(q, &coll.taxa, &mut scratch),
+                fresh.average_scratch(q, &coll.taxa, &mut scratch)
+            );
+        }
+        // A delta changes the digest; an empty one is the base, bitwise.
+        assert_ne!(patched.digest(), base.digest());
+        let same = base.with_delta(Arc::new(SplitDelta::new(coll.taxa.len())));
+        assert!(!same.has_delta());
+        assert_eq!(same.digest(), base.digest());
+    }
+
+    #[test]
     fn load_factor_stays_at_most_half() {
         let spec = phylo_sim::DatasetSpec::new("load", 80, 40, 7);
         let coll = phylo_sim::generate(&spec);
@@ -863,20 +1114,20 @@ mod tests {
             let spec = phylo_sim::DatasetSpec::new("bytes", n, r, 11);
             let coll = phylo_sim::generate(&spec);
             let frozen = Bfh::build(&coll.trees, &coll.taxa).freeze();
-            let actual = std::mem::size_of_val(&*frozen.ctrl)
-                + std::mem::size_of_val(&*frozen.entries)
-                + std::mem::size_of_val(&*frozen.pool);
+            let actual = std::mem::size_of_val(&*frozen.lanes.ctrl)
+                + std::mem::size_of_val(&*frozen.lanes.entries)
+                + std::mem::size_of_val(&*frozen.lanes.pool);
             assert_eq!(frozen.approx_bytes(), actual, "n={n} r={r}");
             // Layout invariants the accounting relies on.
-            assert_eq!(frozen.ctrl.len(), frozen.capacity() + GROUP_SLOTS);
+            assert_eq!(frozen.lanes.ctrl.len(), frozen.capacity() + GROUP_SLOTS);
             assert_eq!(std::mem::size_of::<Entry>(), 16);
-            assert_eq!(frozen.entries.len(), frozen.capacity());
-            assert_eq!(frozen.pool.len(), frozen.distinct() * frozen.words);
+            assert_eq!(frozen.lanes.entries.len(), frozen.capacity());
+            assert_eq!(frozen.lanes.pool.len(), frozen.distinct() * frozen.words);
         }
         let empty = Bfh::empty(4).freeze();
-        let actual = std::mem::size_of_val(&*empty.ctrl)
-            + std::mem::size_of_val(&*empty.entries)
-            + std::mem::size_of_val(&*empty.pool);
+        let actual = std::mem::size_of_val(&*empty.lanes.ctrl)
+            + std::mem::size_of_val(&*empty.lanes.entries)
+            + std::mem::size_of_val(&*empty.lanes.pool);
         assert_eq!(empty.approx_bytes(), actual);
     }
 
@@ -964,6 +1215,6 @@ mod tests {
         let coll = phylo_sim::generate(&spec);
         let frozen = Bfh::build(&coll.trees, &coll.taxa).freeze();
         let cap = frozen.capacity();
-        assert_eq!(&frozen.ctrl[cap..], &frozen.ctrl[..GROUP_SLOTS]);
+        assert_eq!(&frozen.lanes.ctrl[cap..], &frozen.lanes.ctrl[..GROUP_SLOTS]);
     }
 }

@@ -92,7 +92,7 @@ pub use comparator::{
 };
 pub use day::day_rf;
 pub use error::CoreError;
-pub use frozen::{simd_available, FrozenBfh, FrozenLayout, MapGuard, ProbeMode};
+pub use frozen::{simd_available, FrozenBfh, FrozenLayout, MapGuard, ProbeMode, SplitDelta};
 pub use guard::{CancelToken, Degradation, EvictFn, RunBudget, RunGuard};
 pub use hashrf::{HashRf, HashRfConfig};
 pub use rf::{bfhrf_all, bfhrf_average, QueryScore, RfAverage, SplitFrequency};

@@ -260,6 +260,42 @@ proptest! {
     }
 
     #[test]
+    fn batch_remove_check_matches_a_clone_dry_run(
+        n in 5usize..16,
+        r in 1usize..6,
+        picks in proptest::collection::vec(0usize..12, 0..10),
+        seed in any::<u64>(),
+    ) {
+        // The hash holds trees 0..r and one star tree (no splits, so only
+        // the tree count can refuse its removal). Picks index a pool of
+        // those, their repeats, and trees the hash never held; a batch that
+        // removes every held tree and then the star sees the hash empty.
+        let coll = random_collection(n, 2 * r + 2, seed);
+        let (mut star, root) = phylo::Tree::with_root();
+        for i in 0..n {
+            star.add_leaf(root, phylo::TaxonId(i as u32));
+        }
+        let mut bfh = Bfh::build(&coll.trees[..r], &coll.taxa);
+        bfh.add_tree(&star, &coll.taxa);
+        let mut pool: Vec<phylo::Tree> = coll.trees.clone();
+        pool.push(star.clone());
+        let mut batch: Vec<phylo::Tree> = picks.iter().map(|&p| pool[p % pool.len()].clone()).collect();
+        if picks.len() % 3 == 0 {
+            batch = coll.trees[..r].to_vec();
+            batch.extend([star.clone(), star]);
+        }
+        let mut clone = bfh.clone();
+        let dry_run = batch
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, t)| clone.remove_tree(t, &coll.taxa).map_err(|e| (i, e.to_string())));
+        let checked = bfh
+            .check_remove_batch(&batch, &coll.taxa)
+            .map_err(|(i, e)| (i, e.to_string()));
+        prop_assert_eq!(checked, dry_run);
+    }
+
+    #[test]
     fn day_is_a_metric(
         n in 5usize..20,
         s1 in any::<u64>(),

@@ -682,29 +682,39 @@ impl Collection {
         Ok(trees.len())
     }
 
-    /// Remove a batch of Newick trees with a dry run first: every removal
-    /// is verified against clones of the hash *and* the tree list, so a
-    /// bad row refuses the whole batch before anything durable happens.
+    /// Remove a batch of Newick trees with a dry run first: the batch is
+    /// checked in order against the hash ([`Bfh::check_remove_batch`]) and
+    /// against how often the tree list holds each canonical line, so a bad
+    /// row refuses the whole batch before anything durable happens.
     pub fn remove_batch(&mut self, newicks: &[String]) -> Result<usize, IndexError> {
         let trees = self.parse_all(newicks)?;
-        let mut probe = self.index.bfh().clone();
-        let mut probe_lines = self.lines.clone();
-        for (i, t) in trees.iter().enumerate() {
-            probe
-                .remove_tree(t, self.index.taxa())
-                .map_err(|e| catalog_err(format!("tree {i}: {e}")))?;
-            let canon = write_newick(t, self.index.taxa());
-            let Some(at) = probe_lines.iter().position(|l| l == &canon) else {
-                return Err(catalog_err(format!(
-                    "tree {i} is not in the collection's tree list"
-                )));
-            };
-            probe_lines.remove(at);
+        let taxa = self.index.taxa();
+        let hash_refusal = self.index.bfh().check_remove_batch(&trees, taxa).err();
+        let canon: Vec<String> = trees.iter().map(|t| write_newick(t, taxa)).collect();
+        // Copies of each batch line the list holds, spent as the walk
+        // below removes them.
+        let mut held: HashMap<&str, usize> = canon.iter().map(|c| (c.as_str(), 0)).collect();
+        for line in &self.lines {
+            if let Some(n) = held.get_mut(line.as_str()) {
+                *n += 1;
+            }
         }
-        for t in &trees {
+        for (i, c) in canon.iter().enumerate() {
+            if let Some((_, e)) = hash_refusal.as_ref().filter(|(at, _)| *at == i) {
+                return Err(catalog_err(format!("tree {i}: {e}")));
+            }
+            match held.get_mut(c.as_str()) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => {
+                    return Err(catalog_err(format!(
+                        "tree {i} is not in the collection's tree list"
+                    )))
+                }
+            }
+        }
+        for (t, c) in trees.iter().zip(&canon) {
             self.index.append_remove(t)?;
-            let canon = write_newick(t, self.index.taxa());
-            if let Some(at) = self.lines.iter().position(|l| l == &canon) {
+            if let Some(at) = self.lines.iter().position(|l| l == c) {
                 self.lines.remove(at);
             }
         }
@@ -1433,6 +1443,36 @@ mod tests {
         assert_eq!(col.tree_lines().len(), 4);
         assert_eq!(col.generation(), 1);
         assert_eq!(col.wal_pending(), 1);
+    }
+
+    /// The tree list is checked by count: a batch naming a line twice
+    /// needs the list to hold it twice, even where the hash alone would
+    /// allow both removals (every split of the star-like tree is also in
+    /// the binary one). Refusals name the first failing row, and refuse
+    /// the whole batch.
+    #[test]
+    fn remove_batch_counts_tree_list_lines() {
+        let (_mem, mut cat) = mem_catalog(None);
+        cat.create("m", "((A,B),C,D,E,F);\n((A,B),((C,D),(E,F)));\n")
+            .unwrap();
+        let pin = cat.acquire("m").unwrap();
+        let mut col = pin.lock();
+        let star = col.tree_lines()[0].clone();
+        let err = col.remove_batch(&[star.clone(), star.clone()]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("tree 1 is not in the collection's tree list"),
+            "{err}"
+        );
+        let err = col
+            .remove_batch(&[star.clone(), "((A,C),(B,(D,(E,F))));".to_string()])
+            .unwrap_err();
+        assert!(err.to_string().contains("tree 1: "), "{err}");
+        assert!(err.to_string().contains("never added"), "{err}");
+        assert_eq!(col.stats().n_trees, 2);
+        assert_eq!(col.tree_lines().len(), 2);
+        assert_eq!(col.remove_batch(&[star]).unwrap(), 1);
+        assert_eq!(col.tree_lines().len(), 1);
     }
 
     #[test]

@@ -122,13 +122,20 @@ fn corrupt(detail: String) -> IndexError {
 }
 
 /// Write `frozen` as a sidecar at `path`, fsynced. The caller owns
-/// crash-safety sequencing (write to a temp name, then rename).
+/// crash-safety sequencing (write to a temp name, then rename). A table
+/// that carries a delta ([`FrozenBfh::with_delta`]) has no lane form and
+/// is refused; freeze the live hash instead.
 pub fn write_frozen_with(
     vfs: &dyn Vfs,
     path: &Path,
     frozen: &FrozenBfh,
     generation: u64,
 ) -> Result<(), IndexError> {
+    if frozen.has_delta() {
+        return Err(IndexError::Core(bfhrf::CoreError::Structure(
+            "a frozen table carrying a delta has no sidecar form; write a fresh freeze".into(),
+        )));
+    }
     let layout = frozen.layout();
     let ctrl = frozen.ctrl_lane();
     let pool = frozen.pool_lane();

@@ -43,8 +43,8 @@ use crate::snapshot::{
 };
 use crate::vfs::{real_vfs, Vfs};
 use crate::wal::{scan_wal, Wal, WalOp, WalOpen, WalPolicy, WalRecord, WalTail};
-use bfhrf::{Bfh, RunGuard};
-use phylo::{parse_newick, write_newick, TaxaPolicy, TaxonSet, Tree};
+use bfhrf::{Bfh, FrozenBfh, RunGuard, SplitDelta};
+use phylo::{parse_newick, write_newick, BipartitionScratch, TaxaPolicy, TaxonSet, Tree};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -56,6 +56,24 @@ pub const WAL_FILE: &str = "wal.log";
 pub const FROZEN_FILE: &str = "frozen.bfh";
 pub(crate) const SNAPSHOT_TMP: &str = "snapshot.bfh.tmp";
 pub(crate) const FROZEN_TMP: &str = "frozen.bfh.tmp";
+
+/// The published table re-freezes from the live hash once the delta holds
+/// more than `1 / FOLD_FRACTION` of the base's distinct splits. A fixed
+/// rule: it bounds what the overlay adds to every probe and to every
+/// publication's copy of the delta, against one freeze per fold.
+const FOLD_FRACTION: usize = 8;
+
+/// Pre-register the index series a daemon reports — `index_freeze_ns`
+/// (every freeze of the live hash), `index_folds_total` (freezes that
+/// folded a delta into a new base) and `index_delta_splits` (distinct
+/// splits the published table answers from its delta) — so they read 0
+/// from the first scrape instead of appearing at the first write.
+pub fn register_index_metrics() {
+    let reg = phylo_obs::global();
+    reg.histogram("index_freeze_ns", &[]);
+    reg.counter("index_folds_total", &[]);
+    reg.gauge("index_delta_splits", &[]);
+}
 
 /// Live counters describing an opened index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,22 +141,30 @@ pub struct Index {
     /// Recovery notes accumulated while opening (torn WAL tail truncated,
     /// stale log discarded, ...). Surfaced by the CLI and the daemon.
     notes: Vec<String>,
-    /// Probe-optimized view of `bfh`, built lazily and invalidated by
-    /// every mutation. `Arc` so long-lived readers (the serve daemon)
-    /// keep a generation alive across snapshot swaps.
-    frozen: Option<std::sync::Arc<bfhrf::FrozenBfh>>,
+    /// The frozen table `delta` is relative to: the sidecar primed at
+    /// open, or the last freeze. `None` until the first freeze when no
+    /// sidecar was usable.
+    base: Option<Arc<FrozenBfh>>,
+    /// Net split counts written since `base` froze, so `bfh` always
+    /// answers what `base` plus `delta` does.
+    delta: Arc<SplitDelta>,
+    /// The published table, `base` with `delta`, cached until the next
+    /// mutation. `Arc` so long-lived readers (the serve daemon) keep a
+    /// generation alive across snapshot swaps.
+    frozen: Option<Arc<FrozenBfh>>,
 }
 
-/// Fold WAL records into the hash under the policy the log itself was
-/// created with. An index built leniently keeps that promise across
-/// restarts: a record whose payload no longer decodes against the frozen
-/// namespace is skipped with a note (and counted), exactly as the original
-/// ingest would have skipped the source tree. Under the strict policy the
+/// Fold WAL records into the hash, and into `delta`, under the policy the
+/// log itself was created with. An index built leniently keeps that
+/// promise across restarts: a record whose payload no longer decodes
+/// against the frozen namespace is skipped with a note (and counted),
+/// exactly as the original ingest would have skipped the source tree. Under the strict policy the
 /// same record is fatal corruption, as before. A *remove* of a tree the
 /// hash does not hold is fatal under both policies — that is not a bad
 /// input, it is a log that disagrees with its own snapshot.
 fn replay(
     bfh: &mut Bfh,
+    delta: &mut SplitDelta,
     taxa: &TaxonSet,
     records: &[WalRecord],
     policy: WalPolicy,
@@ -148,6 +174,7 @@ fn replay(
     // against it, so one scratch clone satisfies the parser's `&mut` for
     // every record (`TaxaPolicy::Require` keeps it from growing).
     let mut scratch = taxa.clone();
+    let mut splits = BipartitionScratch::new();
     for (i, rec) in records.iter().enumerate() {
         let tree = match rec.decode_with_scratch(taxa, &mut scratch) {
             Ok(tree) => tree,
@@ -167,17 +194,72 @@ fn replay(
                 })
             }
         };
+        let batch = splits.batch_splits(&tree, taxa);
         match rec.op {
-            WalOp::Add => bfh.add_tree(&tree, taxa),
-            WalOp::Remove => bfh
-                .remove_tree(&tree, taxa)
-                .map_err(|e| IndexError::Corrupt {
-                    section: "wal-record",
-                    detail: format!("record {i} removes a tree the hash does not hold: {e}"),
-                })?,
+            WalOp::Add => {
+                bfh.add_split_batch(&batch);
+                delta.record(&batch, 1);
+            }
+            WalOp::Remove => {
+                bfh.remove_split_batch(&batch)
+                    .map_err(|e| IndexError::Corrupt {
+                        section: "wal-record",
+                        detail: format!("record {i} removes a tree the hash does not hold: {e}"),
+                    })?;
+                delta.record(&batch, -1);
+            }
         }
     }
     Ok(())
+}
+
+/// The refusal every mutation gets while the log is out of service.
+fn wal_unavailable() -> IndexError {
+    IndexError::WalUnavailable {
+        detail: "the log could not be reset after the last compaction committed".into(),
+    }
+}
+
+/// The frozen sidecar as the base of a fresh open, when it is current: at
+/// the snapshot's generation and agreeing with its header, so that the
+/// snapshot's splits are exactly its lanes and WAL records replay on top
+/// of it as a delta. Anything else is a cache miss (the open freezes),
+/// with a note when the file looked wrong.
+fn prime_base(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    meta: &SnapshotMeta,
+    guard: &RunGuard,
+    notes: &mut Vec<String>,
+) -> Option<Arc<FrozenBfh>> {
+    let path = dir.join(FROZEN_FILE);
+    if !vfs.exists(&path) {
+        return None;
+    }
+    let f = match frozen_file::open_frozen_with(vfs, &path, guard) {
+        Ok(f) => f,
+        Err(e) => {
+            notes.push(format!("frozen sidecar unreadable (cache only): {e}"));
+            return None;
+        }
+    };
+    let l = f.meta.layout;
+    if f.meta.generation != meta.generation {
+        notes.push(format!(
+            "frozen sidecar is stale (generation {} vs {}); ignoring it",
+            f.meta.generation, meta.generation
+        ));
+        None
+    } else if l.n_taxa != meta.n_taxa
+        || l.n_trees != meta.n_trees
+        || l.sum != meta.sum
+        || l.distinct != meta.distinct
+    {
+        notes.push("frozen sidecar disagrees with the snapshot scalars; ignoring it".to_string());
+        None
+    } else {
+        Some(Arc::new(f.frozen))
+    }
 }
 
 impl Index {
@@ -232,6 +314,7 @@ impl Index {
         let mut index = Index {
             dir: dir.to_path_buf(),
             vfs,
+            delta: Arc::new(SplitDelta::new(bfh.n_taxa())),
             bfh,
             taxa: std::sync::Arc::new(taxa),
             generation: 0,
@@ -239,6 +322,7 @@ impl Index {
             wal_pending: 0,
             policy,
             notes: Vec::new(),
+            base: None,
             frozen: None,
         };
         index.write_frozen_sidecar();
@@ -297,6 +381,8 @@ impl Index {
             taxa,
             meta,
         } = read_snapshot_with(&*vfs, &snap_path, guard)?;
+        let base = prime_base(&*vfs, dir, &meta, guard, &mut notes);
+        let mut delta = SplitDelta::new(meta.n_taxa);
 
         let wal_path = dir.join(WAL_FILE);
         let (wal, wal_pending) = if vfs.exists(&wal_path) {
@@ -323,7 +409,14 @@ impl Index {
                     notes.extend(wal_notes);
                     match wal.generation().cmp(&meta.generation) {
                         std::cmp::Ordering::Equal => {
-                            replay(&mut bfh, &taxa, &records, wal.policy(), &mut notes)?;
+                            replay(
+                                &mut bfh,
+                                &mut delta,
+                                &taxa,
+                                &records,
+                                wal.policy(),
+                                &mut notes,
+                            )?;
                             (wal, records.len())
                         }
                         std::cmp::Ordering::Less => {
@@ -380,45 +473,13 @@ impl Index {
             wal_pending,
             policy,
             notes,
+            base,
+            delta: Arc::new(delta),
             frozen: None,
         };
-        // Prime the probe-ready table from the frozen sidecar when it is
-        // current — skipping the freeze pass (and on mapped filesystems,
-        // the lane copies). Only a sidecar at this exact generation with
-        // no pending WAL deltas can stand in for a fresh freeze; anything
-        // else degrades to freezing, with a note if the file looked wrong.
-        if wal_pending == 0 {
-            let frozen_path = index.dir.join(FROZEN_FILE);
-            if index.vfs.exists(&frozen_path) {
-                match frozen_file::open_frozen_with(&*index.vfs, &frozen_path, guard) {
-                    Ok(f) => {
-                        let l = f.meta.layout;
-                        if f.meta.generation != index.generation {
-                            index.notes.push(format!(
-                                "frozen sidecar is stale (generation {} vs {}); ignoring it",
-                                f.meta.generation, index.generation
-                            ));
-                        } else if l.n_taxa != index.bfh.n_taxa()
-                            || l.n_trees != index.bfh.n_trees()
-                            || l.sum != index.bfh.sum()
-                            || l.distinct != index.bfh.distinct()
-                        {
-                            index.notes.push(
-                                "frozen sidecar disagrees with the snapshot scalars; ignoring it"
-                                    .to_string(),
-                            );
-                        } else {
-                            index.frozen = Some(std::sync::Arc::new(f.frozen));
-                        }
-                    }
-                    Err(e) => index
-                        .notes
-                        .push(format!("frozen sidecar unreadable (cache only): {e}")),
-                }
-            }
-        }
-        // Freeze eagerly: an opened index is overwhelmingly read-next, and
-        // the freeze is one pass over a hash that was just built anyway.
+        // Publish eagerly: an opened index is overwhelmingly read-next.
+        // With a current sidecar this is the mapped table plus the
+        // replayed records as a delta; without one, a freeze.
         index.frozen();
         Ok(index)
     }
@@ -449,7 +510,7 @@ impl Index {
     /// (tmp + rename). Failures are cache misses, not errors: the note
     /// records them and the snapshot path still serves everything.
     fn write_frozen_sidecar(&mut self) {
-        let frozen = self.frozen();
+        let frozen = self.folded();
         let tmp = self.dir.join(FROZEN_TMP);
         let path = self.dir.join(FROZEN_FILE);
         let result = frozen_file::write_frozen_with(&*self.vfs, &tmp, &frozen, self.generation)
@@ -465,25 +526,52 @@ impl Index {
         }
     }
 
-    /// The frozen probe-optimized view of the current hash, built on first
-    /// use after open or mutation and cached until the next mutation.
-    pub fn frozen(&mut self) -> std::sync::Arc<bfhrf::FrozenBfh> {
+    /// The frozen probe-optimized view of the current hash, cached until
+    /// the next mutation: the base table with the writes since it froze
+    /// as a delta. It re-freezes the live hash (a fold) only when there is
+    /// no base yet or the delta outgrew its [`FOLD_FRACTION`] bound.
+    pub fn frozen(&mut self) -> Arc<FrozenBfh> {
         if let Some(f) = &self.frozen {
             return f.clone();
         }
-        let start = std::time::Instant::now();
-        let f = std::sync::Arc::new(self.bfh.freeze());
-        phylo_obs::global()
-            .histogram("index_freeze_ns", &[])
-            .record_duration(start.elapsed());
+        let f = match &self.base {
+            Some(base) if self.delta.len() * FOLD_FRACTION <= base.distinct() => {
+                Arc::new(base.with_delta(Arc::clone(&self.delta)))
+            }
+            _ => self.fold(),
+        };
         self.frozen = Some(f.clone());
         f
     }
 
-    /// Snapshot the current state as an immutable [`QueryView`]. Freezes
-    /// the hash if a mutation invalidated the cache; the returned view
-    /// stays valid (and internally consistent) no matter what happens to
-    /// the index afterwards.
+    /// The current hash as a table without a delta — what the sidecar
+    /// stores: the base itself when nothing changed since it froze.
+    fn folded(&mut self) -> Arc<FrozenBfh> {
+        match &self.base {
+            Some(base) if self.delta.is_empty() => base.clone(),
+            _ => self.fold(),
+        }
+    }
+
+    /// Freeze the live hash into the new base and start an empty delta.
+    fn fold(&mut self) -> Arc<FrozenBfh> {
+        let start = std::time::Instant::now();
+        let f = Arc::new(self.bfh.freeze());
+        let reg = phylo_obs::global();
+        reg.histogram("index_freeze_ns", &[])
+            .record_duration(start.elapsed());
+        if self.base.is_some() {
+            reg.counter("index_folds_total", &[]).inc();
+        }
+        self.base = Some(f.clone());
+        self.delta = Arc::new(SplitDelta::new(self.bfh.n_taxa()));
+        self.frozen = Some(f.clone());
+        f
+    }
+
+    /// Snapshot the current state as an immutable [`QueryView`] (see
+    /// [`Index::frozen`]); the returned view stays valid (and internally
+    /// consistent) no matter what happens to the index afterwards.
     pub fn view(&mut self) -> QueryView {
         QueryView {
             frozen: self.frozen(),
@@ -508,7 +596,7 @@ impl Index {
     }
 
     /// Live counters. Also refreshes the index gauges
-    /// ([`IndexStats::publish_gauges`]).
+    /// ([`IndexStats::publish_gauges`], and `index_delta_splits`).
     pub fn stats(&self) -> IndexStats {
         let stats = IndexStats {
             generation: self.generation,
@@ -519,6 +607,9 @@ impl Index {
             wal_pending: self.wal_pending,
         };
         stats.publish_gauges();
+        phylo_obs::global()
+            .gauge("index_delta_splits", &[])
+            .set(self.delta.len() as i64);
         stats
     }
 
@@ -534,23 +625,51 @@ impl Index {
         self.wal.is_some()
     }
 
-    /// The live log, or a typed refusal if a failed compaction left it
-    /// out of service.
-    fn wal_mut(&mut self) -> Result<&mut Wal, IndexError> {
-        self.wal.as_mut().ok_or_else(|| IndexError::WalUnavailable {
-            detail: "the log could not be reset after the last compaction committed".into(),
-        })
+    /// Log `tree` as an `op` record through `log`, then apply it to the
+    /// live hash and the delta from one split extraction.
+    ///
+    /// An add is WAL-first: the record is durable before the hash changes,
+    /// so a crash replays it on open. A removal is verified against the
+    /// live hash **before** the record is logged, so a tree that was never
+    /// added fails cleanly and leaves memory and disk unchanged; a refused
+    /// append puts the splits back, so the hash keeps matching what a
+    /// reopen would reconstruct.
+    fn apply_logged(
+        &mut self,
+        tree: &Tree,
+        op: WalOp,
+        log: impl FnOnce(&mut Wal) -> Result<(), IndexError>,
+    ) -> Result<(), IndexError> {
+        let wal = self.wal.as_mut().ok_or_else(wal_unavailable)?;
+        let mut scratch = BipartitionScratch::new();
+        let batch = scratch.batch_splits(tree, &self.taxa);
+        let sign = match op {
+            WalOp::Add => {
+                log(wal)?;
+                self.bfh.add_split_batch(&batch);
+                1
+            }
+            WalOp::Remove => {
+                self.bfh.remove_split_batch(&batch)?;
+                if let Err(e) = log(wal) {
+                    self.bfh.add_split_batch(&batch);
+                    return Err(e);
+                }
+                -1
+            }
+        };
+        // Drop the cached view first, so the delta is copied below only
+        // when a published view still shares it.
+        self.frozen = None;
+        Arc::make_mut(&mut self.delta).record(&batch, sign);
+        self.wal_pending += 1;
+        Ok(())
     }
 
-    /// Log and apply an add of `tree`. WAL-first: the record is durable
-    /// before the in-memory hash changes, so a crash replays it on open.
+    /// Log and apply an add of `tree` (see [`Index::apply_logged`]).
     pub fn append_add(&mut self, tree: &Tree) -> Result<(), IndexError> {
         let newick = write_newick(tree, &self.taxa);
-        self.wal_mut()?.append(WalOp::Add, &newick)?;
-        self.bfh.add_tree(tree, &self.taxa);
-        self.wal_pending += 1;
-        self.frozen = None;
-        Ok(())
+        self.apply_logged(tree, WalOp::Add, |wal| wal.append(WalOp::Add, &newick))
     }
 
     /// Parse `newick` against the index taxa, then log and apply the add.
@@ -559,29 +678,13 @@ impl Index {
         self.append_add(&tree)
     }
 
-    /// Log and apply a removal of `tree`. The removal is verified against
-    /// the live hash **before** the record is logged, so a tree that was
-    /// never added fails cleanly and leaves both memory and disk unchanged.
+    /// Verify, log and apply a removal of `tree` (see
+    /// [`Index::apply_logged`]).
     pub fn append_remove(&mut self, tree: &Tree) -> Result<(), IndexError> {
-        // Check WAL availability before touching the hash so a refusal
-        // leaves memory untouched.
-        self.wal_mut()?;
-        // remove_tree is verify-then-mutate: on error the hash is untouched
-        // and nothing must reach the WAL.
-        self.bfh.remove_tree(tree, &self.taxa)?;
         let newick = write_newick(tree, &self.taxa);
-        if let Err(e) = self
-            .wal_mut()
-            .and_then(|wal| wal.append(WalOp::Remove, &newick))
-        {
-            // Disk refused the record; roll the in-memory hash back so it
-            // keeps matching what a reopen would reconstruct.
-            self.bfh.add_tree(tree, &self.taxa);
-            return Err(e);
-        }
-        self.wal_pending += 1;
-        self.frozen = None;
-        Ok(())
+        self.apply_logged(tree, WalOp::Remove, |wal| {
+            wal.append(WalOp::Remove, &newick)
+        })
     }
 
     /// Parse `newick` against the index taxa, then log and apply the
@@ -603,31 +706,16 @@ impl Index {
     /// records skip the Newick round-trip on both append and replay.
     pub fn append_add_bin(&mut self, tree: &Tree) -> Result<(), IndexError> {
         let bytes = self.encode_bin(tree)?;
-        self.wal_mut()?.append_bin(WalOp::Add, &bytes)?;
-        self.bfh.add_tree(tree, &self.taxa);
-        self.wal_pending += 1;
-        self.frozen = None;
-        Ok(())
+        self.apply_logged(tree, WalOp::Add, |wal| wal.append_bin(WalOp::Add, &bytes))
     }
 
     /// [`Index::append_remove`] logging the record in the compact binary
-    /// encoding instead of Newick. Verified-then-logged like the Newick
-    /// path: a tree the hash does not hold fails cleanly, and a refused
-    /// append rolls the in-memory removal back.
+    /// encoding instead of Newick.
     pub fn append_remove_bin(&mut self, tree: &Tree) -> Result<(), IndexError> {
-        self.wal_mut()?;
         let bytes = self.encode_bin(tree)?;
-        self.bfh.remove_tree(tree, &self.taxa)?;
-        if let Err(e) = self
-            .wal_mut()
-            .and_then(|wal| wal.append_bin(WalOp::Remove, &bytes))
-        {
-            self.bfh.add_tree(tree, &self.taxa);
-            return Err(e);
-        }
-        self.wal_pending += 1;
-        self.frozen = None;
-        Ok(())
+        self.apply_logged(tree, WalOp::Remove, |wal| {
+            wal.append_bin(WalOp::Remove, &bytes)
+        })
     }
 
     /// Fold the WAL into a fresh snapshot at generation `g+1` and reset

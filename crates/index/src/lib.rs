@@ -41,7 +41,10 @@ pub use frozen_file::{
     verify_frozen_with, write_frozen_with, FrozenMeta, FrozenOpenFile, FrozenSection, FROZEN_MAGIC,
     FROZEN_VERSION,
 };
-pub use index::{FrozenOpen, Index, IndexStats, QueryView, FROZEN_FILE, SNAPSHOT_FILE, WAL_FILE};
+pub use index::{
+    register_index_metrics, FrozenOpen, Index, IndexStats, QueryView, FROZEN_FILE, SNAPSHOT_FILE,
+    WAL_FILE,
+};
 pub use snapshot::{
     read_meta, read_meta_with, read_snapshot, read_snapshot_with, read_taxa_with,
     verify_snapshot_with, write_snapshot, write_snapshot_with, Snapshot, SnapshotMeta,

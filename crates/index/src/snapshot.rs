@@ -287,14 +287,15 @@ pub fn read_snapshot(path: &Path, guard: &RunGuard) -> Result<Snapshot, IndexErr
 /// Stream the splits section, running every check a snapshot must pass:
 /// mask padding, strict ascending order, the frequency range, the section
 /// seal, EOF, and the header sum. `each` receives every record's mask
-/// words and frequency as soon as the record itself validates; the caller
-/// must not trust the whole until this returns `Ok`. The loading and the
-/// verifying readers share this loop, so the checks exist once.
+/// words and frequency as soon as the record itself validates, and may
+/// refuse it; the caller must not trust the whole until this returns
+/// `Ok`. The loading and the verifying readers share this loop, so the
+/// checks exist once.
 fn read_splits<R: std::io::Read>(
     r: &mut CheckedReader<R>,
     meta: &SnapshotMeta,
     guard: &RunGuard,
-    mut each: impl FnMut(&[u64], u32),
+    mut each: impl FnMut(&[u64], u32) -> Result<(), IndexError>,
 ) -> Result<(), IndexError> {
     let words = words_for(meta.n_taxa);
     let pad_mask = if meta.n_taxa.is_multiple_of(WORD_BITS) {
@@ -339,7 +340,7 @@ fn read_splits<R: std::io::Read>(
             });
         }
         sum_check += u64::from(freq);
-        each(&word_buf, freq);
+        each(&word_buf, freq)?;
     }
     r.verify_section("splits")?;
     r.expect_eof("splits")?;
@@ -373,7 +374,7 @@ pub fn verify_snapshot_with(
     let mut r = CheckedReader::new(BufReader::new(file), path);
     let meta = read_header(&mut r)?;
     read_taxa_section(&mut r, &meta, guard)?;
-    read_splits(&mut r, &meta, guard, |_, _| {})?;
+    read_splits(&mut r, &meta, guard, |_, _| Ok(()))?;
     Ok(meta)
 }
 
@@ -393,12 +394,13 @@ pub fn read_snapshot_with(
         "snapshot splits",
         meta.distinct.saturating_mul(record_bytes + 32),
     )?;
-    let mut entries: Vec<(Bits, u32)> = Vec::with_capacity(meta.distinct);
+    // Records go straight into shard maps sized from the header, so the
+    // load holds one copy of the splits and never regrows a map.
+    let mut bfh =
+        Bfh::with_capacity_sharded(meta.n_taxa, meta.n_shards, meta.n_trees, meta.distinct);
     read_splits(&mut r, &meta, guard, |words, freq| {
-        entries.push((Bits::from_words(meta.n_taxa, words), freq));
+        Ok(bfh.insert_entry(Bits::from_words(meta.n_taxa, words), freq)?)
     })?;
-
-    let bfh = Bfh::from_entries(meta.n_taxa, meta.n_shards, meta.n_trees, entries)?;
     if bfh.distinct() != meta.distinct {
         return Err(IndexError::Corrupt {
             section: "splits",
