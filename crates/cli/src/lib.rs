@@ -407,16 +407,18 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
     let shards: Option<usize> = a.get_parsed("shards")?;
 
     if a.flag("common-taxa") {
-        let queries = match a.get("queries") {
+        // Without --queries, Q = R: the references are scored in place.
+        let loaded = match a.get("queries") {
             Some(p) => {
                 let (coll, report) = load_with(p, policy)?;
                 partial |= note_ingest(&mut notes, p, &report);
-                coll
+                Some(coll)
             }
-            None => refs.clone(),
+            None => None,
         };
+        let queries = loaded.as_ref().unwrap_or(&refs);
         prof.phase("score");
-        let out = bfhrf::variable_taxa::common_taxa_rf(&refs, &queries).map_err(core_fail)?;
+        let out = bfhrf::variable_taxa::common_taxa_rf(&refs, queries).map_err(core_fail)?;
         prof.phase("render");
         let mut report = format!(
             "# common taxa: {} of {} reference labels\n",
@@ -432,14 +434,15 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
         });
     }
 
-    let queries = match a.get("queries") {
+    let loaded = match a.get("queries") {
         Some(p) => {
             let (trees, report) = load_queries_with(p, &mut refs, policy)?;
             partial |= note_ingest(&mut notes, p, &report);
-            trees
+            Some(trees)
         }
-        None => refs.trees.clone(),
+        None => None,
     };
+    let queries = loaded.as_deref().unwrap_or(&refs.trees);
     let n = refs.taxa.len();
     if !matches!(algorithm, "bfhrf" | "bfhrf-seq") && (build_mode.is_some() || shards.is_some()) {
         return Err(format!(
@@ -468,15 +471,15 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
                 // is one pass over the hash just built.
                 FrozenComparator::from_owned(bfh.freeze(), &refs.taxa)
                     .parallel(algorithm == "bfhrf")
-                    .average_all_guarded(&queries, &guard)
+                    .average_all_guarded(queries, &guard)
                     .map_err(core_fail)
             }
             "ds" => SetComparator::new(&refs.trees, &refs.taxa)
-                .average_all_guarded(&queries, &guard)
+                .average_all_guarded(queries, &guard)
                 .map_err(core_fail),
             "dsmp" => SetComparator::new(&refs.trees, &refs.taxa)
                 .parallel(true)
-                .average_all_guarded(&queries, &guard)
+                .average_all_guarded(queries, &guard)
                 .map_err(core_fail),
             "hashrf" => {
                 // Over the memory budget, HashRF falls back to BFHRF (same
@@ -485,10 +488,10 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
                 let cmp =
                     hashrf_or_degrade(&refs.trees, &refs.taxa, HashRfConfig::default(), &guard)
                         .map_err(core_fail)?;
-                cmp.average_all_guarded(&queries, &guard).map_err(core_fail)
+                cmp.average_all_guarded(queries, &guard).map_err(core_fail)
             }
             "day" => DayComparator::new(&refs.trees, &refs.taxa)
-                .average_all_guarded(&queries, &guard)
+                .average_all_guarded(queries, &guard)
                 .map_err(core_fail),
             other => Err(format!(
                 "unknown algorithm {other:?} (expected bfhrf, bfhrf-seq, ds, dsmp, hashrf, day)"
@@ -922,8 +925,11 @@ fn cmd_index_build(raw: &[String]) -> Result<CmdOutcome, CliError> {
             .map_err(core_fail)
     })??;
     prof.phase("write");
-    let index = phylo_index::Index::create(Path::new(out_dir), bfh, refs.taxa.clone())
-        .map_err(index_fail)?;
+    // The hash is built: free the parsed trees before the snapshot and
+    // sidecar are written, and hand the namespace over without a copy.
+    let TreeCollection { taxa, trees } = refs;
+    drop(trees);
+    let index = phylo_index::Index::create(Path::new(out_dir), bfh, taxa).map_err(index_fail)?;
     let stats = index.stats();
     notes.extend(prof.render().lines().map(String::from));
     let mut stdout = format!(
@@ -2289,17 +2295,29 @@ mod tests {
             "refs2.nwk",
             "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));\n",
         );
-        let base = ["--refs", refs.to_str().unwrap(), "--threads", "2"];
+        let path = refs.to_str().unwrap();
+        let base = ["--refs", path, "--threads", "2"];
         let mut outs = Vec::new();
         for alg in ["bfhrf", "bfhrf-seq", "ds", "dsmp", "hashrf", "day"] {
             let mut argv = vec!["avgrf"];
             argv.extend_from_slice(&base);
             argv.extend_from_slice(&["--algorithm", alg]);
-            outs.push(runv(&argv).unwrap());
+            let default = runv(&argv).unwrap();
+            // Q = R scores the references in place; naming the same file
+            // as --queries must give the same bytes.
+            argv.extend_from_slice(&["--queries", path]);
+            assert_eq!(runv(&argv).unwrap(), default, "{alg} with --queries");
+            outs.push(default);
         }
         for out in &outs[1..] {
             assert_eq!(&outs[0], out);
         }
+        let common = runv(&["avgrf", "--refs", path, "--common-taxa"]).unwrap();
+        assert!(common.starts_with("# common taxa: 6 of 6"), "{common}");
+        assert_eq!(
+            runv(&["avgrf", "--refs", path, "--common-taxa", "--queries", path]).unwrap(),
+            common
+        );
     }
 
     #[test]

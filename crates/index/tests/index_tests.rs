@@ -328,6 +328,33 @@ fn taxon_labels_round_trip_in_order() {
     }
 }
 
+/// Labels the writer has to quote, with non-ASCII characters, survive the
+/// WAL: an `append_add` logs the tree as Newick and strict replay on reopen
+/// must resolve every quoted label to the same taxon.
+#[test]
+fn quoted_non_ascii_labels_survive_wal_replay() {
+    let dir = tmp("quoted-labels");
+    let coll = TreeCollection::parse(
+        "(('Homo sapiens é',Café),('Mus (x)',(Rattus,'ü,ö')));\n\
+         ((Café,'Mus (x)'),('Homo sapiens é',(Rattus,'ü,ö')));\n",
+    )
+    .unwrap();
+    let mut idx = Index::create(
+        &dir,
+        Bfh::build(&coll.trees[..1], &coll.taxa),
+        coll.taxa.clone(),
+    )
+    .unwrap();
+    idx.append_add(&coll.trees[1]).unwrap();
+    drop(idx);
+    let reopened = Index::open(&dir).unwrap();
+    assert_bfh_identical(reopened.bfh(), &Bfh::build(&coll.trees, &coll.taxa));
+    for (id, label) in coll.taxa.iter() {
+        assert_eq!(reopened.taxa().label(id), label);
+    }
+    assert!(coll.taxa.get("Homo sapiens é").is_some());
+}
+
 /// The frozen view opened with the index answers like the live hash, the
 /// cached Arc is reused until a mutation, and mutations invalidate it.
 #[test]

@@ -124,27 +124,21 @@ impl<'a> Lexer<'a> {
                 Ok(Token::Semicolon)
             }
             b'\'' => {
-                self.pos += 1;
-                let mut label = String::new();
+                // Find the closing quote (`''` is an escaped quote), then
+                // decode the label's bytes as UTF-8 in one go.
+                let mut end = start + 1;
                 loop {
-                    match self.input.get(self.pos) {
+                    match self.input.get(end) {
                         None => return Err(PhyloError::parse(start, "unterminated quoted label")),
-                        Some(b'\'') => {
-                            if self.input.get(self.pos + 1) == Some(&b'\'') {
-                                label.push('\'');
-                                self.pos += 2;
-                            } else {
-                                self.pos += 1;
-                                break;
-                            }
-                        }
-                        Some(&c) => {
-                            label.push(c as char);
-                            self.pos += 1;
-                        }
+                        Some(b'\'') if self.input.get(end + 1) == Some(&b'\'') => end += 2,
+                        Some(b'\'') => break,
+                        Some(_) => end += 1,
                     }
                 }
-                Ok(Token::Label(label))
+                let text = std::str::from_utf8(&self.input[start + 1..end])
+                    .map_err(|_| PhyloError::parse(start, "invalid UTF-8 in label"))?;
+                self.pos = end + 1;
+                Ok(Token::Label(text.replace("''", "'")))
             }
             _ => {
                 // bare token: runs until a structural character
@@ -239,25 +233,79 @@ fn policy_resolver(
     }
 }
 
+/// The number of nodes the record at the start of `input` builds: the root,
+/// plus one per `(` and one per `,` before its terminating `;`, skipping
+/// quoted labels and nested `[...]` comments as the lexer does. Every node
+/// the parser adds comes from one of those bytes, so the count is exact for
+/// a record that parses and an upper bound for one that fails part-way.
+///
+/// The scan runs before every parse, so it goes a block at a time: a
+/// 64-byte block outside quotes and comments that holds no `'`, `[` or `;`
+/// (almost every block of a real record) is counted in one branch-free
+/// pass; any other block goes byte by byte.
+fn record_node_count(input: &[u8]) -> usize {
+    const BLOCK: usize = 64;
+    let mut count = 1;
+    let mut in_quote = false;
+    let mut comment_depth = 0usize;
+    let mut i = 0;
+    while i < input.len() {
+        if !in_quote && comment_depth == 0 {
+            if let Some(block) = input[i..].first_chunk::<BLOCK>() {
+                let (mut nodes, mut stops) = (0u8, 0u8);
+                // `|` rather than `||`/`matches!`: no branches, so the
+                // loop vectorizes (about 10x faster than the byte loop).
+                for &b in block {
+                    nodes += u8::from(b == b'(') | u8::from(b == b',');
+                    stops |= u8::from(b == b'\'') | u8::from(b == b'[') | u8::from(b == b';');
+                }
+                if stops == 0 {
+                    count += usize::from(nodes);
+                    i += BLOCK;
+                    continue;
+                }
+            }
+        }
+        let end = (i + BLOCK).min(input.len());
+        for &b in &input[i..end] {
+            if in_quote {
+                // `''` leaves the quote and re-enters it at the next byte.
+                in_quote = b != b'\'';
+            } else if comment_depth > 0 {
+                match b {
+                    b'[' => comment_depth += 1,
+                    b']' => comment_depth -= 1,
+                    _ => {}
+                }
+            } else {
+                match b {
+                    b'\'' => in_quote = true,
+                    b'[' => comment_depth = 1,
+                    b'(' | b',' => count += 1,
+                    b';' => return count,
+                    _ => {}
+                }
+            }
+        }
+        i = end;
+    }
+    count
+}
+
 fn parse_one(
     lexer: &mut Lexer<'_>,
     resolve: &mut dyn FnMut(&str) -> Result<crate::TaxonId, PhyloError>,
 ) -> Result<Tree, PhyloError> {
-    let mut tree = Tree::new();
+    // Sized from the record's own count, the arena never regrows and holds
+    // exactly `num_nodes()` slots once the tree parses.
+    let capacity = record_node_count(&lexer.input[lexer.pos..]);
+    let mut tree = Tree::with_node_capacity(capacity);
     let root = tree.add_root();
     let mut cur = root;
-    // Per-node bookkeeping to reject duplicate names/lengths.
-    let mut named = vec![false];
-    let mut lengthed = vec![false];
+    // Nodes that already carry a label, to reject a second one. Every node
+    // id stays below `capacity`, so plain indexing cannot go out of range.
+    let mut named = vec![false; capacity];
     let mut depth = 0usize;
-
-    let mark = |v: &mut Vec<bool>, id: NodeId| {
-        if v.len() <= id.index() {
-            v.resize(id.index() + 1, false);
-        }
-        v[id.index()] = true;
-    };
-    let is_marked = |v: &Vec<bool>, id: NodeId| v.get(id.index()).copied().unwrap_or(false);
 
     loop {
         let offset = {
@@ -266,7 +314,7 @@ fn parse_one(
         };
         match lexer.next_token(false)? {
             Token::Open => {
-                if is_marked(&named, cur) || tree.taxon(cur).is_some() {
+                if named[cur.index()] || tree.taxon(cur).is_some() {
                     return Err(PhyloError::parse(offset, "unexpected '(' after label"));
                 }
                 if !tree.children(cur).is_empty() {
@@ -299,14 +347,11 @@ fn parse_one(
                     .ok_or_else(|| PhyloError::parse(offset, "unbalanced ')'"))?;
             }
             Token::Colon => {
-                if is_marked(&lengthed, cur) {
+                if tree.length(cur).is_some() {
                     return Err(PhyloError::parse(offset, "duplicate branch length"));
                 }
                 match lexer.next_token(true)? {
-                    Token::Number(v) => {
-                        tree.set_length(cur, Some(v));
-                        mark(&mut lengthed, cur);
-                    }
+                    Token::Number(v) => tree.set_length(cur, Some(v)),
                     _ => {
                         return Err(PhyloError::parse(
                             offset,
@@ -327,7 +372,7 @@ fn parse_one(
                 return Ok(tree);
             }
             Token::Label(label) => {
-                if is_marked(&named, cur) || tree.taxon(cur).is_some() {
+                if named[cur.index()] || tree.taxon(cur).is_some() {
                     return Err(PhyloError::parse(
                         offset,
                         format!("unexpected second label {label:?}"),
@@ -342,7 +387,7 @@ fn parse_one(
                 // for dialect compatibility but not stored: nothing in the
                 // RF pipeline reads them, and dropping them keeps nodes at
                 // two words.
-                mark(&mut named, cur);
+                named[cur.index()] = true;
             }
             Token::Number(_) => unreachable!("numbers only requested after ':'"),
         }
@@ -570,6 +615,102 @@ mod tests {
         assert!(taxa.get("Homo sapiens").is_some());
         assert!(taxa.get("it's complicated").is_some());
         assert_eq!(t.leaf_count(), 2);
+    }
+
+    #[test]
+    fn quoted_labels_decode_as_utf8() {
+        // A closed namespace: quoting must not change which taxon a label is.
+        let mut taxa = TaxonSet::new();
+        let cafe = taxa.intern("Café");
+        let homo = taxa.intern("Homo sapiens é");
+        let bare = parse_newick("(Café,'Homo sapiens é');", &mut taxa, TaxaPolicy::Require);
+        let quoted = parse_newick("('Café','Homo sapiens é');", &mut taxa, TaxaPolicy::Require);
+        for t in [bare.unwrap(), quoted.unwrap()] {
+            let leaves: Vec<_> = t.leaves().iter().map(|&n| t.taxon(n)).collect();
+            assert_eq!(leaves, [Some(cafe), Some(homo)]);
+        }
+        assert_eq!(taxa.len(), 2);
+        let (_, grown) = grow("('Café',B);");
+        assert_eq!(grown.get("Café").map(|id| id.index()), Some(0));
+    }
+
+    /// Inputs covering every shape the node count must see through, with
+    /// the text `write_newick` gives back for each.
+    const ARENA_CASES: [(&str, &str); 6] = [
+        (
+            "((A:0.1,B:2):1e-3,(C:3.5,D:4):0.5);",
+            "((A:0.1,B:2.0):0.001,(C:3.5,D:4.0):0.5);",
+        ),
+        ("(A,B,C,(D,E,F,G,H),I);", "(A,B,C,(D,E,F,G,H),I);"),
+        ("A;", "A;"),
+        (
+            "('a(b',C,'d,e','f;g','it''s');",
+            "('a(b',C,'d,e','f;g','it''s');",
+        ),
+        ("[c, (x) [nested, (y;)]]((A,B)[,(],C)[;];", "((A,B),C);"),
+        ("((A,B)x:1,(C,D)'y, z');", "((A,B):1.0,(C,D));"),
+    ];
+
+    #[test]
+    fn parsed_arenas_are_exact() {
+        let exact = |t: &Tree| assert_eq!(t.node_capacity(), t.num_nodes(), "{t:?}");
+        for (src, want) in ARENA_CASES {
+            let mut taxa = TaxonSet::new();
+            let t = parse_newick(src, &mut taxa, TaxaPolicy::Grow).unwrap();
+            exact(&t);
+            assert_eq!(write_newick(&t, &taxa), want);
+            let t = parse_newick_readonly(src, &taxa).unwrap();
+            exact(&t);
+            assert_eq!(write_newick(&t, &taxa), want);
+        }
+
+        let all: String = ARENA_CASES
+            .iter()
+            .map(|(src, _)| format!("{src}\n"))
+            .collect();
+        let wants: Vec<&str> = ARENA_CASES.iter().map(|(_, want)| *want).collect();
+        let check = |trees: &[Tree], taxa: &TaxonSet| {
+            trees.iter().for_each(exact);
+            let got: Vec<String> = trees.iter().map(|t| write_newick(t, taxa)).collect();
+            assert_eq!(got, wants);
+        };
+
+        let mut taxa = TaxonSet::new();
+        let trees = read_trees_from_str(&all, &mut taxa, TaxaPolicy::Grow).unwrap();
+        check(&trees, &taxa);
+
+        let (coll, _) =
+            crate::ingest::read_collection(all.as_bytes(), crate::IngestPolicy::Strict).unwrap();
+        check(&coll.trees, &coll.taxa);
+
+        let mut taxa = TaxonSet::new();
+        let mut stream = NewickStream::new(all.as_bytes(), TaxaPolicy::Grow);
+        let mut trees = Vec::new();
+        while let Some(t) = stream.next_tree(&mut taxa).unwrap() {
+            trees.push(t);
+        }
+        check(&trees, &taxa);
+    }
+
+    #[test]
+    fn arenas_are_exact_when_quotes_and_comments_straddle_count_blocks() {
+        // Records longer than the count's 64-byte block, with the quote,
+        // the comment and the `;` shifted across block boundaries.
+        let long = "z".repeat(70);
+        let mut all = String::new();
+        for shift in 0..70 {
+            let pad = "a".repeat(shift + 1);
+            let src =
+                format!("({pad},('b (,;'' {long}',[c (,;[n] {long}]C),(D{shift},E{long}):1.5);");
+            let mut taxa = TaxonSet::new();
+            let t = parse_newick(&src, &mut taxa, TaxaPolicy::Grow).unwrap();
+            assert_eq!((t.node_capacity(), t.num_nodes()), (8, 8), "{src}");
+            all.push_str(&src);
+        }
+        let mut taxa = TaxonSet::new();
+        let trees = read_trees_from_str(&all, &mut taxa, TaxaPolicy::Grow).unwrap();
+        assert_eq!(trees.len(), 70);
+        assert!(trees.iter().all(|t| t.node_capacity() == t.num_nodes()));
     }
 
     #[test]

@@ -137,8 +137,9 @@ impl Tree {
 
     /// Create an empty tree whose arena is pre-sized for `n` nodes.
     ///
-    /// Decoders that learn the node count from a header (the phylo-wire
-    /// record codec does) avoid every arena reallocation this way.
+    /// Decoders that know the node count up front (the phylo-wire record
+    /// codec reads it from a header, the Newick parser counts it) avoid
+    /// every arena reallocation this way.
     pub fn with_node_capacity(n: usize) -> Self {
         Tree {
             nodes: Vec::with_capacity(n),
@@ -201,6 +202,12 @@ impl Tree {
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Slots the arena has allocated (tests check parsers size it exactly).
+    #[cfg(test)]
+    pub(crate) fn node_capacity(&self) -> usize {
+        self.nodes.capacity()
     }
 
     /// Parent of `node` (`None` for the root).

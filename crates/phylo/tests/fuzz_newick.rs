@@ -122,6 +122,33 @@ proptest! {
     }
 
     #[test]
+    fn invalid_utf8_inside_quotes_is_a_typed_error(
+        junk in proptest::collection::vec(0x80u8..=0xff, 1..4),
+        prefix in "[a-z ]{0,3}",
+    ) {
+        // Continuation/lead bytes alone, or truncated sequences, inside a
+        // quoted label: strict ingest refuses with an offset inside the
+        // input, lenient skips just that record, and nothing panics.
+        let mut bytes = b"((A,B),(C,D));\n(('".to_vec();
+        bytes.extend_from_slice(prefix.as_bytes());
+        bytes.extend_from_slice(&junk);
+        bytes.extend_from_slice(b"',B),(C,D));\n((A,C),(B,D));\n");
+        if std::str::from_utf8(&bytes).is_err() {
+            match read_collection(&bytes[..], IngestPolicy::Strict) {
+                Err(PhyloError::Parse { offset, message }) => {
+                    prop_assert!(offset <= bytes.len());
+                    prop_assert!(message.contains("invalid UTF-8"), "{}", message);
+                }
+                other => prop_assert!(false, "expected a parse error, got {:?}", other),
+            }
+            let (coll, report) = read_collection(&bytes[..], IngestPolicy::lenient()).unwrap();
+            prop_assert_eq!(coll.trees.len(), 2);
+            prop_assert_eq!(report.skipped.len(), 1);
+            prop_assert_eq!(report.skipped[0].record, 1);
+        }
+    }
+
+    #[test]
     fn parse_write_parse_fixpoint(seed in any::<u64>(), n in 4usize..24) {
         // generated trees → text → tree → text must be a fixpoint
         use rand::SeedableRng;

@@ -51,13 +51,25 @@ proptest! {
     }
 
     #[test]
-    fn newick_roundtrip_preserves_splits(n in 4usize..50, seed in any::<u64>()) {
-        let (t, taxa) = random_binary_tree(n, seed);
+    fn newick_roundtrip_preserves_splits(
+        // Labels mix bare text with ones the writer must quote, and
+        // non-ASCII characters inside and outside quotes.
+        labels in proptest::collection::vec("[A-Za-z0-9_.éü中 '(),:;\\[\\]]{1,6}", 4..50),
+        seed in any::<u64>(),
+    ) {
+        let labels: std::collections::BTreeSet<String> = labels.into_iter().collect();
+        prop_assume!(labels.len() >= 4);
+        let (t, _) = random_binary_tree(labels.len(), seed);
+        let mut taxa = TaxonSet::new();
+        for label in &labels {
+            taxa.intern(label);
+        }
         let text = write_newick(&t, &taxa);
         let mut taxa2 = taxa.clone();
         let t2 = parse_newick(&text, &mut taxa2, TaxaPolicy::Require).unwrap();
         prop_assert_eq!(taxa2.len(), taxa.len());
         prop_assert_eq!(split_set(&t2, &taxa2), split_set(&t, &taxa));
+        prop_assert_eq!(write_newick(&t2, &taxa2), text);
     }
 
     #[test]
