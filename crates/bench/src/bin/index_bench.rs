@@ -13,8 +13,9 @@
 //! 2. **Frozen open**: at `--frozen-trees` scale (default 100k trees,
 //!    its own index directory), time-to-first-answer for the zero-copy
 //!    path — `Index::open_frozen` mapping the `frozen.bfh` sidecar and
-//!    probing it in place — vs the full `Index::open`, which reads the
-//!    snapshot and materializes every split into the live hash first.
+//!    probing it in place — vs the read-write `Index::open`, which
+//!    streams the whole snapshot and cross-checks every split against the
+//!    sidecar before taking it as its write base.
 //!    Both sides answer the same `avgrf` query and both answers are
 //!    asserted equal to the pre-computed live answer before any timing
 //!    is recorded.
@@ -152,8 +153,9 @@ fn main() {
     // -------- frozen sidecar: zero-copy mmap open vs full open ---------
     // The tentpole claim of the frozen sidecar: a query-only consumer can
     // open a huge index without materializing a single split. Side A maps
-    // `frozen.bfh` and probes it in place; side B is the classic open —
-    // snapshot read, every split rebuilt into the live hash. Both sides
+    // `frozen.bfh` and probes it in place; side B is the read-write open —
+    // the snapshot streamed and every split probed against the sidecar
+    // before the sidecar becomes its base. Both sides
     // answer one avgrf query so "open" means time-to-first-answer, and
     // both answers are asserted equal to the live hash's before timing.
     eprintln!("[index_bench] frozen open: generating insect preset (n=144, r={frozen_trees}) ...");
@@ -210,7 +212,7 @@ fn main() {
     );
     assert!(
         fz_open < full_open,
-        "zero-copy open ({fz_open:.4}s) must beat read-and-materialize ({full_open:.4}s)"
+        "zero-copy open ({fz_open:.4}s) must beat the read-write open ({full_open:.4}s)"
     );
     eprintln!(
         "[index_bench] frozen open: mmap {:.1}ms vs full {:.1}ms → {:.1}x (mapped: {mapped}, snapshot {:.1} MiB, sidecar {:.1} MiB)",

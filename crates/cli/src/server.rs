@@ -61,8 +61,10 @@
 //!
 //! On a clean index, bind publishes the memory-mapped frozen sidecar as the
 //! first snapshot and leaves the [`Index`] unopened, so a daemon that only
-//! reads never builds the live hash. The first write opens it, timed in
-//! `serve_index_load_ns`.
+//! reads never reads the splits into its heap. The first write opens it,
+//! timed in `serve_index_load_ns`; that open cross-checks the snapshot
+//! against the same sidecar and keeps it as its only table, so a daemon
+//! that writes builds no hash either.
 //!
 //! Shutdown does not poll and does not need the old
 //! one-connection-per-worker unpark hack: the shutdown path half-closes
@@ -249,8 +251,8 @@ struct ConnSlots {
 }
 
 /// The default index's write state, behind the admin mutex. A daemon bound
-/// through the frozen sidecar serves reads from the mapped table and never
-/// builds the live hash until a write needs it.
+/// through the frozen sidecar serves reads from the mapped table and opens
+/// the index only when a write needs it.
 enum Admin {
     /// Bound read-only: `stats` answers from the snapshot header, and the
     /// first `add`/`remove`/`compact` opens the index (see [`open_index`]).
@@ -490,8 +492,8 @@ pub struct Server {
 /// snapshot 0, the admin slot, and the open's recovery notes.
 ///
 /// A clean index — no pending or torn WAL records, a current sidecar — is
-/// served straight from its memory-mapped `frozen.bfh`, and the live hash
-/// stays unbuilt until the first write. That path reads only the snapshot
+/// served straight from its memory-mapped `frozen.bfh`, and the index
+/// stays unopened until the first write. That path reads only the snapshot
 /// header and taxa, so the snapshot is streamed through
 /// [`verify_snapshot_with`] to keep bind's corruption check. Whenever
 /// [`Index::open_frozen`] declines or fails, bind opens eagerly with
@@ -1369,11 +1371,11 @@ fn op_mutate(
     // tree k does not leave trees 0..k applied.
     let trees = payload_trees(state, enc, index.taxa(), items)?;
     if !add {
-        // remove_tree is verify-then-mutate per tree, but a batch can still
-        // fail halfway; dry-run the whole batch first.
-        index
-            .bfh()
-            .check_remove_batch(&trees, index.taxa())
+        // Each removal is verify-then-log, but a batch can still fail
+        // halfway; dry-run the whole batch against the published table
+        // first.
+        let view = index.view();
+        bfhrf::check_remove_batch(&*view.frozen, &trees, index.taxa())
             .map_err(|(i, e)| ReqError::new(format!("tree {i}: {e}")))?;
     }
     let mut applied = 0usize;

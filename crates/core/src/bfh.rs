@@ -23,7 +23,7 @@
 
 use crate::error::CoreError;
 use crate::guard::{isolate, RunGuard};
-use phylo::{Bipartition, BipartitionScratch, SplitBatch, TaxonSet, Tree};
+use phylo::{Bipartition, BipartitionScratch, TaxonSet, Tree};
 use phylo_bitset::{
     bits_map_with_capacity, map_get_words, map_get_words_mut, shard_of, split_hash128, words_for,
     Bits, BitsMap, WordsKey,
@@ -368,16 +368,6 @@ impl Bfh {
         self.n_trees += 1;
     }
 
-    /// Add one reference tree given its extracted splits (one
-    /// [`BipartitionScratch::batch_splits`] batch) — for callers that
-    /// use the same extraction for more than the hash.
-    pub fn add_split_batch(&mut self, batch: &SplitBatch<'_>) {
-        for i in 0..batch.len() {
-            self.bump_words(batch.mask(i));
-        }
-        self.n_trees += 1;
-    }
-
     /// Remove a previously added reference tree (incremental downdate).
     ///
     /// Counts reaching zero are evicted so memory tracks the live
@@ -387,71 +377,10 @@ impl Bfh {
     /// maintenance can treat the error as fully recoverable.
     pub fn remove_tree(&mut self, tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreError> {
         let mut scratch = BipartitionScratch::new();
-        self.remove_split_batch(&scratch.batch_splits(tree, taxa))
-    }
-
-    /// Whether removing the tree whose splits are `batch` would succeed
-    /// after earlier removals in the same batch took `taken` trees and
-    /// `used(mask)` occurrences of each split — with [`Bfh::remove_tree`]'s
-    /// error when it would not.
-    fn check_removal(
-        &self,
-        batch: &SplitBatch<'_>,
-        taken: usize,
-        used: impl Fn(&[u64]) -> u32,
-    ) -> Result<(), CoreError> {
-        for i in 0..batch.len() {
-            let w = batch.mask(i);
-            if self.frequency_words(w) <= used(w) {
-                return Err(CoreError::Structure(format!(
-                    "remove_tree: bipartition {} was never added",
-                    Bits::from_words(self.n_taxa, w)
-                )));
-            }
-        }
-        if self.n_trees <= taken {
-            return Err(CoreError::Structure(
-                "remove_tree: hash holds no trees".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Dry-run removing `trees` in order without touching the hash. `Ok`
-    /// exactly when [`Bfh::remove_tree`] of each tree in turn, on a clone,
-    /// would succeed; otherwise the index of the first tree that would fail
-    /// and the error it would fail with. Costs one map entry per distinct
-    /// split the batch touches instead of a copy of the hash.
-    pub fn check_remove_batch(
-        &self,
-        trees: &[Tree],
-        taxa: &TaxonSet,
-    ) -> Result<(), (usize, CoreError)> {
-        let mut scratch = BipartitionScratch::new();
-        // How many times the batch so far has removed each split.
-        let mut used: BitsMap<u32> = bits_map_with_capacity(0);
-        for (i, tree) in trees.iter().enumerate() {
-            let batch = scratch.batch_splits(tree, taxa);
-            self.check_removal(&batch, i, |w| map_get_words(&used, w).copied().unwrap_or(0))
-                .map_err(|e| (i, e))?;
-            for k in 0..batch.len() {
-                let w = batch.mask(k);
-                match map_get_words_mut(&mut used, w) {
-                    Some(c) => *c += 1,
-                    None => {
-                        used.insert(Bits::from_words(self.n_taxa, w), 1);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Bfh::remove_tree`] given the tree's extracted splits.
-    pub fn remove_split_batch(&mut self, batch: &SplitBatch<'_>) -> Result<(), CoreError> {
+        let batch = scratch.batch_splits(tree, taxa);
         // Verify-then-mutate: a failure after partial decrements would
         // corrupt frequencies silently.
-        self.check_removal(batch, 0, |_| 0)?;
+        crate::rf::check_removal(self, self.n_taxa, &batch, 0, |_| 0)?;
         for i in 0..batch.len() {
             let w = batch.mask(i);
             let si = self.shard_index(w);

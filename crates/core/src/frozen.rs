@@ -47,7 +47,9 @@
 //! by [`FrozenBfh::with_delta`]: the same lanes plus a small [`SplitDelta`]
 //! of net per-split count changes, which every probe adds to the stored
 //! frequency. The freeze itself is a single `O(distinct)` pass over
-//! [`Bfh::iter`], cheap next to the build that produced it.
+//! [`Bfh::iter`], cheap next to the build that produced it, and
+//! [`FrozenBfh::folded`] folds a delta into fresh lanes the same way,
+//! straight from the old lanes.
 
 use crate::bfh::Bfh;
 use phylo::{BipartitionScratch, SplitBatch, TaxonSet, Tree};
@@ -261,6 +263,34 @@ impl SplitDelta {
     }
 }
 
+/// A frozen table and a [`SplitDelta`] answered together by reference
+/// ([`FrozenBfh::overlay`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Overlay<'a> {
+    base: &'a FrozenBfh,
+    delta: &'a SplitDelta,
+}
+
+impl crate::SplitFrequency for Overlay<'_> {
+    fn split_frequency(&self, bits: &Bits) -> u32 {
+        self.split_frequency_words(bits.len(), bits.words())
+    }
+
+    fn occurrence_sum(&self) -> u64 {
+        self.base.sum.saturating_add_signed(self.delta.sum)
+    }
+
+    fn reference_count(&self) -> usize {
+        self.base
+            .n_trees
+            .saturating_add_signed(self.delta.trees as isize)
+    }
+
+    fn split_frequency_words(&self, _n_bits: usize, words: &[u64]) -> u32 {
+        (i64::from(self.base.frequency_words(words)) + self.delta.count(words)).max(0) as u32
+    }
+}
+
 /// Issue a best-effort prefetch of the cache line holding `*ptr`.
 #[inline(always)]
 #[allow(unused_variables)]
@@ -282,9 +312,40 @@ impl FrozenBfh {
     /// Freeze `bfh` into the probe-optimized layout. One pass, no effect on
     /// the source hash.
     pub fn freeze(bfh: &Bfh) -> FrozenBfh {
-        let n_taxa = bfh.n_taxa();
+        FrozenBfh::lay_out(
+            bfh.n_taxa(),
+            bfh.n_trees(),
+            bfh.sum(),
+            bfh.distinct(),
+            bfh.iter().map(|(bits, freq)| (bits.words(), freq)),
+        )
+    }
+
+    /// This table's answers in fresh lanes without a delta: the delta
+    /// folded straight into a copy of the lanes, with no [`Bfh`] in
+    /// between. Costs one pass over the lanes; the layout may differ from
+    /// a [`Self::freeze`] of the same splits, the answers do not.
+    pub fn folded(&self) -> FrozenBfh {
+        FrozenBfh::lay_out(
+            self.n_taxa,
+            self.n_trees,
+            self.sum,
+            self.distinct,
+            self.iter(),
+        )
+    }
+
+    /// Lay `distinct` `(mask words, frequency)` entries out in fresh lanes,
+    /// in the order given — the one table builder behind [`Self::freeze`]
+    /// and [`Self::folded`].
+    fn lay_out<'a>(
+        n_taxa: usize,
+        n_trees: usize,
+        sum: u64,
+        distinct: usize,
+        splits: impl Iterator<Item = (&'a [u64], u32)>,
+    ) -> FrozenBfh {
         let words = words_for(n_taxa);
-        let distinct = bfh.distinct();
         // Load factor ≤ 0.5 keeps probe chains short; minimum one full
         // group so the windowed scan is always in bounds.
         let capacity = (distinct * 2).max(GROUP_SLOTS).next_power_of_two();
@@ -292,9 +353,8 @@ impl FrozenBfh {
         let mut ctrl = vec![CTRL_EMPTY; capacity + GROUP_SLOTS].into_boxed_slice();
         let mut entries = vec![Entry::default(); capacity].into_boxed_slice();
         let mut pool = Vec::with_capacity(distinct * words);
-        for (bits, freq) in bfh.iter() {
+        for (w, freq) in splits {
             debug_assert!(freq >= 1, "stored frequencies are tree counts");
-            let w = bits.words();
             let h = split_hash128(w);
             let mut i = hash_bucket(h) as usize & mask;
             while ctrl[i] != CTRL_EMPTY {
@@ -308,6 +368,7 @@ impl FrozenBfh {
             };
             pool.extend_from_slice(w);
         }
+        debug_assert_eq!(pool.len(), distinct * words, "entry count is `distinct`");
         // Mirror the first group past the end so every 16-byte window
         // starting at a slot index is contiguous.
         let (head, tail) = ctrl.split_at_mut(capacity);
@@ -315,8 +376,8 @@ impl FrozenBfh {
         FrozenBfh {
             n_taxa,
             words,
-            n_trees: bfh.n_trees(),
-            sum: bfh.sum(),
+            n_trees,
+            sum,
             distinct,
             mask,
             // Moves the boxes; the pool was allocated at its exact length,
@@ -329,6 +390,51 @@ impl FrozenBfh {
             }),
             delta: None,
         }
+    }
+
+    /// Every split the table answers with its frequency: the lanes' entries
+    /// in slot order with the delta applied (any it takes to zero left
+    /// out), then the splits only the delta holds, in ascending mask order.
+    /// Yields exactly [`Self::distinct`] items.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u64], u32)> + '_ {
+        let lanes = &*self.lanes;
+        let words = self.words;
+        let stored = lanes
+            .ctrl
+            .iter()
+            .zip(lanes.entries.iter())
+            .filter(|(&c, _)| c != CTRL_EMPTY)
+            .filter_map(move |(_, e)| {
+                let off = e.offset as usize * words;
+                let w = &lanes.pool[off..off + words];
+                let freq = self.patched(e.freq, w);
+                (freq > 0).then_some((w, freq))
+            });
+        let added = self
+            .delta
+            .iter()
+            .flat_map(|d| d.sorted())
+            .filter(move |(bits, _)| {
+                self.lanes_frequency(split_hash128(bits.words()), bits.words()) == 0
+            })
+            .map(|(bits, count)| (bits.words(), count as u32));
+        stored.chain(added)
+    }
+
+    /// This table and `delta` answered together by reference: the
+    /// frequencies, sum and tree count [`Self::with_delta`] would answer,
+    /// without its pass over the delta. What a write checks a removal
+    /// against while it records into the delta.
+    ///
+    /// # Panics
+    /// If this table already carries a delta or the namespaces differ.
+    pub fn overlay<'a>(&'a self, delta: &'a SplitDelta) -> Overlay<'a> {
+        assert!(
+            self.delta.is_none(),
+            "an overlay patches a table's lanes, not another delta"
+        );
+        assert_eq!(delta.n_taxa, self.n_taxa, "delta namespace width differs");
+        Overlay { base: self, delta }
     }
 
     /// This table with `delta` answered on top of its lanes, which the two
@@ -804,6 +910,68 @@ impl FrozenBfh {
         self.patched(stored, w)
     }
 
+    /// The cross-check a table from an unverified source (the mapped
+    /// sidecar, whose pool lane is never checksummed) must pass against its
+    /// source of truth: probe a run of splits slot by slot with every lane
+    /// compared — control tag, entry key **and** pooled mask, even in
+    /// one-word namespaces where the key alone decides a normal probe — and
+    /// return the position of the first that does not probe to its count.
+    /// `masks` holds the splits packed at stride [`Self::words`], `freqs`
+    /// the count each must probe to; the loop prefetches
+    /// [`PREFETCH_AHEAD`] splits ahead as [`Self::frequency_sum_batch`]
+    /// does. A table that answers every one of its `distinct` splits this
+    /// way holds exactly those splits in every lane a fold or
+    /// [`Self::iter`] reads.
+    pub fn first_inexact(&self, masks: &[u64], freqs: &[u32]) -> Option<usize> {
+        let words = self.words;
+        assert_eq!(masks.len(), freqs.len() * words, "one mask per count");
+        if words == 0 {
+            // A zero-width namespace holds no splits.
+            return freqs.iter().position(|&f| f != 0);
+        }
+        let hashes: Vec<u128> = masks.chunks_exact(words).map(split_hash128).collect();
+        for &h in hashes.iter().take(PREFETCH_AHEAD) {
+            self.prefetch_bucket(h);
+        }
+        for (i, (&h, &freq)) in hashes.iter().zip(freqs).enumerate() {
+            if let Some(&ahead) = hashes.get(i + PREFETCH_AHEAD) {
+                self.prefetch_bucket(ahead);
+            }
+            if self.exact_hashed(h, &masks[i * words..(i + 1) * words]) != freq {
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    /// The frequency every lane agrees `w` (with hash `h`) has: see
+    /// [`Self::first_inexact`].
+    fn exact_hashed(&self, h: u128, w: &[u64]) -> u32 {
+        let Lanes {
+            distinct,
+            ctrl,
+            entries,
+            pool,
+        } = &*self.lanes;
+        if *distinct == 0 {
+            return 0;
+        }
+        let h2 = ctrl_h2(h);
+        let key = if self.words == 1 { w[0] } else { hash_tag(h) };
+        let mut i = hash_bucket(h) as usize & self.mask;
+        // Linear-probe insertion leaves every slot between a key's home and
+        // its own full, so the first empty slot ends the search.
+        while ctrl[i] != CTRL_EMPTY {
+            let e = &entries[i];
+            let off = e.offset as usize * self.words;
+            if ctrl[i] == h2 && e.key == key && &pool[off..off + self.words] == w {
+                return e.freq;
+            }
+            i = (i + 1) & self.mask;
+        }
+        0
+    }
+
     /// Frequency of a canonical split (0 if absent).
     #[inline]
     pub fn frequency(&self, bits: &Bits) -> u32 {
@@ -1057,15 +1225,15 @@ mod tests {
             (&coll.trees[8], 1),
             (&coll.trees[2], -1),
         ] {
-            let batch = scratch.batch_splits(tree, &coll.taxa);
-            delta.record(&batch, sign);
+            delta.record(&scratch.batch_splits(tree, &coll.taxa), sign);
             if sign > 0 {
-                live.add_split_batch(&batch);
+                live.add_tree(tree, &coll.taxa);
             } else {
-                live.remove_split_batch(&batch).unwrap();
+                live.remove_tree(tree, &coll.taxa).unwrap();
             }
         }
-        let patched = base.with_delta(Arc::new(delta));
+        let delta = Arc::new(delta);
+        let patched = base.with_delta(Arc::clone(&delta));
         let fresh = live.freeze();
         assert!(patched.has_delta());
         assert_eq!(patched.n_trees(), fresh.n_trees());
@@ -1086,6 +1254,29 @@ mod tests {
                 fresh.average_scratch(q, &coll.taxa, &mut scratch)
             );
         }
+        // The entries, a fold into fresh lanes, and the borrowed overlay
+        // all answer as the fresh freeze does.
+        let folded = patched.folded();
+        assert!(!folded.has_delta());
+        assert_eq!(
+            (folded.n_trees(), folded.sum(), folded.distinct()),
+            (fresh.n_trees(), fresh.sum(), fresh.distinct())
+        );
+        assert_eq!(patched.iter().count(), fresh.distinct());
+        assert_eq!(folded.iter().count(), fresh.distinct());
+        for (w, freq) in patched.iter() {
+            assert_eq!(fresh.frequency_words(w), freq);
+            assert_eq!(folded.frequency_words(w), freq);
+        }
+        let overlay = base.overlay(&delta);
+        use crate::SplitFrequency;
+        assert_eq!(overlay.reference_count(), fresh.n_trees());
+        assert_eq!(overlay.occurrence_sum(), fresh.sum());
+        for (bits, _) in Bfh::build(&coll.trees, &coll.taxa).iter() {
+            assert_eq!(folded.frequency(bits), fresh.frequency(bits), "{bits}");
+            assert_eq!(overlay.split_frequency(bits), fresh.frequency(bits));
+        }
+
         // A delta changes the digest; an empty one is the base, bitwise.
         assert_ne!(patched.digest(), base.digest());
         let same = base.with_delta(Arc::new(SplitDelta::new(coll.taxa.len())));
@@ -1157,6 +1348,41 @@ mod tests {
                 twin.average_scratch(q, &coll.taxa, &mut scratch),
             );
         }
+    }
+
+    #[test]
+    fn exact_probe_compares_the_pool_the_fast_probe_skips() {
+        // One-word namespace: the entry key is the mask, so a corrupt pool
+        // word never changes a fast probe — only the exact one sees it.
+        let spec = phylo_sim::DatasetSpec::new("exact", 20, 15, 8);
+        let coll = phylo_sim::generate(&spec);
+        let bfh = Bfh::build(&coll.trees, &coll.taxa);
+        let frozen = bfh.freeze();
+        let (masks, freqs): (Vec<u64>, Vec<u32>) =
+            bfh.iter().map(|(bits, c)| (bits.words()[0], c)).unzip();
+        assert_eq!(frozen.first_inexact(&masks, &freqs), None);
+        let absent = Bits::from_indices(coll.taxa.len(), [0, 19]);
+        assert_eq!(frozen.frequency(&absent), 0);
+        assert_eq!(frozen.first_inexact(absent.words(), &[0]), None);
+        assert_eq!(frozen.first_inexact(absent.words(), &[1]), Some(0));
+        let mut pool = frozen.pool_lane().to_vec();
+        pool[3] ^= 1 << 4;
+        let entry_bytes: Vec<u8> = frozen.entry_records().flatten().collect();
+        let bad = FrozenBfh::from_le_parts(
+            frozen.layout(),
+            frozen.ctrl_lane().to_vec(),
+            &entry_bytes,
+            pool,
+        )
+        .unwrap();
+        let victim = frozen.pool_lane()[3];
+        assert_eq!(
+            bad.frequency_words(&[victim]),
+            bfh.frequency_words(&[victim])
+        );
+        let at = masks.iter().position(|&m| m == victim);
+        assert!(at.is_some());
+        assert_eq!(bad.first_inexact(&masks, &freqs), at);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 
 use crate::bfh::Bfh;
 use crate::CoreError;
-use phylo::{BipartitionScratch, TaxaPolicy, TaxonSet, Tree};
+use phylo::{BipartitionScratch, SplitBatch, TaxaPolicy, TaxonSet, Tree};
+use phylo_bitset::{bits_map_with_capacity, map_get_words, map_get_words_mut, Bits, BitsMap};
 use std::io::BufRead;
 
 /// Exact average-RF result for one query tree against a collection.
@@ -62,6 +63,71 @@ pub trait SplitFrequency {
     fn split_frequency_words(&self, n_bits: usize, words: &[u64]) -> u32 {
         self.split_frequency(&phylo_bitset::Bits::from_words(n_bits, words))
     }
+}
+
+/// Whether removing the tree whose splits are `batch` from `table` would
+/// succeed after earlier removals took `taken` trees and `used(mask)`
+/// occurrences of each split — with [`Bfh::remove_tree`]'s error when it
+/// would not.
+pub(crate) fn check_removal<F: SplitFrequency + ?Sized>(
+    table: &F,
+    n_taxa: usize,
+    batch: &SplitBatch<'_>,
+    taken: usize,
+    used: impl Fn(&[u64]) -> u32,
+) -> Result<(), CoreError> {
+    for i in 0..batch.len() {
+        let w = batch.mask(i);
+        if table.split_frequency_words(n_taxa, w) <= used(w) {
+            return Err(CoreError::Structure(format!(
+                "remove_tree: bipartition {} was never added",
+                Bits::from_words(n_taxa, w)
+            )));
+        }
+    }
+    if table.reference_count() <= taken {
+        return Err(CoreError::Structure(
+            "remove_tree: hash holds no trees".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Dry-run removing `trees` in order from `table` without touching it.
+/// `Ok` exactly when [`Bfh::remove_tree`] of each tree in turn, on a copy
+/// of the table, would succeed; otherwise the index of the first tree that
+/// would fail and the error it would fail with. Costs one map entry per
+/// distinct split the batch touches instead of a copy of the table, so a
+/// frozen table with its delta ([`crate::FrozenBfh::overlay`]) is checked
+/// as cheaply as a live hash.
+pub fn check_remove_batch<F: SplitFrequency + ?Sized>(
+    table: &F,
+    trees: &[Tree],
+    taxa: &TaxonSet,
+) -> Result<(), (usize, CoreError)> {
+    let mut scratch = BipartitionScratch::new();
+    // How many times the batch so far has removed each split.
+    let mut used: BitsMap<u32> = bits_map_with_capacity(0);
+    for (i, tree) in trees.iter().enumerate() {
+        let batch = scratch.batch_splits(tree, taxa);
+        check_removal(table, taxa.len(), &batch, i, |w| {
+            map_get_words(&used, w).copied().unwrap_or(0)
+        })
+        .map_err(|e| (i, e))?;
+        if i + 1 == trees.len() {
+            break;
+        }
+        for k in 0..batch.len() {
+            let w = batch.mask(k);
+            match map_get_words_mut(&mut used, w) {
+                Some(c) => *c += 1,
+                None => {
+                    used.insert(Bits::from_words(taxa.len(), w), 1);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 impl SplitFrequency for Bfh {

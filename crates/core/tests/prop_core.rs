@@ -10,7 +10,7 @@
 use bfhrf::matrix::rf_matrix_exact;
 use bfhrf::{
     bfhrf_all, day_rf, sequential_rf, Bfh, BfhBuilder, BfhrfComparator, Comparator, DayComparator,
-    FrozenComparator, HashRf, HashRfConfig, ProbeMode, SetComparator,
+    FrozenComparator, HashRf, HashRfConfig, ProbeMode, SetComparator, SplitDelta, SplitFrequency,
 };
 use phylo::{BipartitionScratch, TreeCollection};
 use phylo_sim::datasets::DatasetSpec;
@@ -277,6 +277,7 @@ proptest! {
         }
         let mut bfh = Bfh::build(&coll.trees[..r], &coll.taxa);
         bfh.add_tree(&star, &coll.taxa);
+        let star_held = star.clone();
         let mut pool: Vec<phylo::Tree> = coll.trees.clone();
         pool.push(star.clone());
         let mut batch: Vec<phylo::Tree> = picks.iter().map(|&p| pool[p % pool.len()].clone()).collect();
@@ -289,10 +290,31 @@ proptest! {
             .iter()
             .enumerate()
             .try_for_each(|(i, t)| clone.remove_tree(t, &coll.taxa).map_err(|e| (i, e.to_string())));
-        let checked = bfh
-            .check_remove_batch(&batch, &coll.taxa)
-            .map_err(|(i, e)| (i, e.to_string()));
-        prop_assert_eq!(checked, dry_run);
+        let check = |table: &dyn SplitFrequency| {
+            bfhrf::check_remove_batch(table, &batch, &coll.taxa).map_err(|(i, e)| (i, e.to_string()))
+        };
+        prop_assert_eq!(check(&bfh), dry_run.clone());
+
+        // The same holdings as a frozen base plus a delta: the base holds
+        // the first half of the trees and one tree the hash does not, and
+        // the delta adds the rest and the star and takes that tree out.
+        let half = r / 2;
+        let mut base_trees = coll.trees[..half].to_vec();
+        base_trees.push(coll.trees[r].clone());
+        let base = Bfh::build(&base_trees, &coll.taxa).freeze();
+        let mut delta = SplitDelta::new(coll.taxa.len());
+        let mut scratch = BipartitionScratch::new();
+        for (t, sign) in coll.trees[half..r]
+            .iter()
+            .chain([&star_held])
+            .map(|t| (t, 1))
+            .chain([(&coll.trees[r], -1)])
+        {
+            delta.record(&scratch.batch_splits(t, &coll.taxa), sign);
+        }
+        prop_assert_eq!(check(&base.overlay(&delta)), dry_run.clone());
+        let patched = base.with_delta(std::sync::Arc::new(delta));
+        prop_assert_eq!(check(&patched), dry_run);
     }
 
     #[test]

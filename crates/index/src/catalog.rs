@@ -623,15 +623,7 @@ impl Collection {
     /// Live counters, built without touching the global single-index
     /// gauges (per-collection gauges are the catalog's job).
     pub fn stats(&self) -> IndexStats {
-        let bfh = self.index.bfh();
-        IndexStats {
-            generation: self.index.generation(),
-            n_trees: bfh.n_trees(),
-            n_taxa: bfh.n_taxa(),
-            distinct: bfh.distinct(),
-            sum: bfh.sum(),
-            wal_pending: self.index.wal_pending(),
-        }
+        self.index.counters()
     }
 
     /// An immutable scoring view (see [`Index::view`]).
@@ -683,13 +675,17 @@ impl Collection {
     }
 
     /// Remove a batch of Newick trees with a dry run first: the batch is
-    /// checked in order against the hash ([`Bfh::check_remove_batch`]) and
-    /// against how often the tree list holds each canonical line, so a bad
-    /// row refuses the whole batch before anything durable happens.
+    /// checked in order against the published table
+    /// ([`bfhrf::check_remove_batch`]) and against how often the tree list
+    /// holds each canonical line, so a bad row refuses the whole batch
+    /// before anything durable happens.
     pub fn remove_batch(&mut self, newicks: &[String]) -> Result<usize, IndexError> {
         let trees = self.parse_all(newicks)?;
+        let hash_refusal = {
+            let view = self.index.view();
+            bfhrf::check_remove_batch(&*view.frozen, &trees, &view.taxa).err()
+        };
         let taxa = self.index.taxa();
-        let hash_refusal = self.index.bfh().check_remove_batch(&trees, taxa).err();
         let canon: Vec<String> = trees.iter().map(|t| write_newick(t, taxa)).collect();
         // Copies of each batch line the list holds, spent as the walk
         // below removes them.

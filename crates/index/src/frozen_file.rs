@@ -35,10 +35,11 @@
 //! entries lane checksums, and every structural invariant the probe loops
 //! rely on ([`FrozenBfh::from_le_parts`] / `from_mapped_le` reject unsafe
 //! layouts). The read-and-materialize path additionally verifies the pool
-//! lane checksum; the mmap path leaves the pool lazily paged — a flipped
-//! pool byte there can only mis-rank a split's mask, which the header seal
-//! makes as likely as a snapshot checksum collision, and `inspect --check`
-//! still catches it.
+//! lane checksum; the mmap path leaves the pool lazily paged, so a flipped
+//! pool byte there goes unseen by the open. `inspect --check` catches it,
+//! and the read-write [`crate::Index::open`] probes every snapshot record
+//! against every lane before it takes a sidecar as its base, so a bad
+//! pool is never folded or re-sealed by a compaction.
 
 use crate::error::IndexError;
 use crate::format::{fnv1a64, Digest};
@@ -124,7 +125,7 @@ fn corrupt(detail: String) -> IndexError {
 /// Write `frozen` as a sidecar at `path`, fsynced. The caller owns
 /// crash-safety sequencing (write to a temp name, then rename). A table
 /// that carries a delta ([`FrozenBfh::with_delta`]) has no lane form and
-/// is refused; freeze the live hash instead.
+/// is refused; fold it ([`FrozenBfh::folded`]) instead.
 pub fn write_frozen_with(
     vfs: &dyn Vfs,
     path: &Path,

@@ -19,6 +19,23 @@
 //! writing or reading it degrades to the ordinary snapshot path with a
 //! recovery note, never an error.
 //!
+//! # One resident table
+//!
+//! An opened [`Index`] holds one table: a frozen base plus a
+//! [`SplitDelta`] of the writes since it froze. Writes check removals
+//! against that pair and record into the delta; publication patches the
+//! base with the delta, or folds the delta into fresh lanes once it
+//! outgrows [`FOLD_FRACTION`]; compaction writes the snapshot from the
+//! pair. No [`Bfh`] is built unless a caller asks for one
+//! ([`Index::bfh`]).
+//!
+//! The snapshot stays the source of truth. A read-write open takes the
+//! mapped sidecar as its base only after streaming the snapshot past it —
+//! every record must probe to its own count — so a sidecar that
+//! disagrees (a flipped pool bit the lazy mapping never checksums) is
+//! refused with a note and the snapshot is frozen instead; compaction can
+//! then never re-seal a bad sidecar.
+//!
 //! # Crash safety
 //!
 //! Every mutation is WAL-first (for adds) or verified-then-logged (for
@@ -39,14 +56,16 @@
 use crate::error::IndexError;
 use crate::frozen_file;
 use crate::snapshot::{
-    read_snapshot_with, read_taxa_with, write_snapshot_with, Snapshot, SnapshotMeta,
+    read_meta_with, read_snapshot_with, read_taxa_with, scan_snapshot_with, write_snapshot_with,
+    write_table_snapshot_with, Snapshot, SnapshotMeta,
 };
 use crate::vfs::{real_vfs, Vfs};
 use crate::wal::{scan_wal, Wal, WalOp, WalOpen, WalPolicy, WalRecord, WalTail};
-use bfhrf::{Bfh, FrozenBfh, RunGuard, SplitDelta};
+use bfhrf::{check_remove_batch, Bfh, FrozenBfh, RunGuard, SplitDelta};
 use phylo::{parse_newick, write_newick, BipartitionScratch, TaxaPolicy, TaxonSet, Tree};
+use phylo_bitset::Bits;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// File name of the snapshot inside an index directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bfh";
@@ -57,15 +76,16 @@ pub const FROZEN_FILE: &str = "frozen.bfh";
 pub(crate) const SNAPSHOT_TMP: &str = "snapshot.bfh.tmp";
 pub(crate) const FROZEN_TMP: &str = "frozen.bfh.tmp";
 
-/// The published table re-freezes from the live hash once the delta holds
-/// more than `1 / FOLD_FRACTION` of the base's distinct splits. A fixed
-/// rule: it bounds what the overlay adds to every probe and to every
-/// publication's copy of the delta, against one freeze per fold.
+/// The published table folds the delta into fresh lanes once the delta
+/// holds more than `1 / FOLD_FRACTION` of the base's distinct splits. A
+/// fixed rule: it bounds what the overlay adds to every probe and to every
+/// publication's copy of the delta, against one pass over the lanes per
+/// fold.
 const FOLD_FRACTION: usize = 8;
 
 /// Pre-register the index series a daemon reports — `index_freeze_ns`
-/// (every freeze of the live hash), `index_folds_total` (freezes that
-/// folded a delta into a new base) and `index_delta_splits` (distinct
+/// (every freeze of a hash or fold of a delta into fresh lanes),
+/// `index_folds_total` (the folds) and `index_delta_splits` (distinct
 /// splits the published table answers from its delta) — so they read 0
 /// from the first scrape instead of appearing at the first write.
 pub fn register_index_metrics() {
@@ -124,9 +144,11 @@ pub struct QueryView {
 pub struct Index {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
-    bfh: Bfh,
     taxa: std::sync::Arc<TaxonSet>,
     generation: u64,
+    /// Shard count of the snapshot header, carried into every compaction
+    /// so the rewritten snapshot's bytes do not depend on how it was made.
+    n_shards: usize,
     /// `None` after a committed compaction whose WAL reset failed: the
     /// snapshot holds everything durable, but the old log is stale and
     /// appending to it would be silent data loss — mutations are refused
@@ -141,29 +163,32 @@ pub struct Index {
     /// Recovery notes accumulated while opening (torn WAL tail truncated,
     /// stale log discarded, ...). Surfaced by the CLI and the daemon.
     notes: Vec<String>,
-    /// The frozen table `delta` is relative to: the sidecar primed at
-    /// open, or the last freeze. `None` until the first freeze when no
-    /// sidecar was usable.
-    base: Option<Arc<FrozenBfh>>,
-    /// Net split counts written since `base` froze, so `bfh` always
-    /// answers what `base` plus `delta` does.
+    /// The frozen table `delta` is relative to: the sidecar once the open
+    /// cross-checked it against the snapshot, a freeze of the snapshot, or
+    /// the last fold.
+    base: Arc<FrozenBfh>,
+    /// Net split counts written since `base` froze; `base` plus `delta` is
+    /// the index's only resident table.
     delta: Arc<SplitDelta>,
     /// The published table, `base` with `delta`, cached until the next
     /// mutation. `Arc` so long-lived readers (the serve daemon) keep a
     /// generation alive across snapshot swaps.
     frozen: Option<Arc<FrozenBfh>>,
+    /// `base` plus `delta` as a hash, built only when [`Index::bfh`] is
+    /// called and cleared by every write.
+    bfh: OnceLock<Bfh>,
 }
 
-/// Fold WAL records into the hash, and into `delta`, under the policy the
-/// log itself was created with. An index built leniently keeps that
-/// promise across restarts: a record whose payload no longer decodes
-/// against the frozen namespace is skipped with a note (and counted),
-/// exactly as the original ingest would have skipped the source tree. Under the strict policy the
-/// same record is fatal corruption, as before. A *remove* of a tree the
-/// hash does not hold is fatal under both policies — that is not a bad
-/// input, it is a log that disagrees with its own snapshot.
+/// Fold WAL records into `delta`, under the policy the log itself was
+/// created with. An index built leniently keeps that promise across
+/// restarts: a record whose payload no longer decodes against the frozen
+/// namespace is skipped with a note (and counted), exactly as the original
+/// ingest would have skipped the source tree. Under the strict policy the
+/// same record is fatal corruption, as before. A *remove* of a tree that
+/// `base` plus `delta` does not hold is fatal under both policies — that is
+/// not a bad input, it is a log that disagrees with its own snapshot.
 fn replay(
-    bfh: &mut Bfh,
+    base: &FrozenBfh,
     delta: &mut SplitDelta,
     taxa: &TaxonSet,
     records: &[WalRecord],
@@ -194,21 +219,18 @@ fn replay(
                 })
             }
         };
-        let batch = splits.batch_splits(&tree, taxa);
-        match rec.op {
-            WalOp::Add => {
-                bfh.add_split_batch(&batch);
-                delta.record(&batch, 1);
-            }
+        let sign = match rec.op {
+            WalOp::Add => 1,
             WalOp::Remove => {
-                bfh.remove_split_batch(&batch)
-                    .map_err(|e| IndexError::Corrupt {
+                check_remove_batch(&base.overlay(delta), std::slice::from_ref(&tree), taxa)
+                    .map_err(|(_, e)| IndexError::Corrupt {
                         section: "wal-record",
                         detail: format!("record {i} removes a tree the hash does not hold: {e}"),
                     })?;
-                delta.record(&batch, -1);
+                -1
             }
-        }
+        };
+        delta.record(&splits.batch_splits(&tree, taxa), sign);
     }
     Ok(())
 }
@@ -220,11 +242,21 @@ fn wal_unavailable() -> IndexError {
     }
 }
 
-/// The frozen sidecar as the base of a fresh open, when it is current: at
-/// the snapshot's generation and agreeing with its header, so that the
-/// snapshot's splits are exactly its lanes and WAL records replay on top
-/// of it as a delta. Anything else is a cache miss (the open freezes),
-/// with a note when the file looked wrong.
+/// Freeze `bfh`, timed into `index_freeze_ns`.
+fn freeze_timed(bfh: &Bfh) -> FrozenBfh {
+    let start = std::time::Instant::now();
+    let frozen = bfh.freeze();
+    phylo_obs::global()
+        .histogram("index_freeze_ns", &[])
+        .record_duration(start.elapsed());
+    frozen
+}
+
+/// The frozen sidecar as a candidate base for a fresh open, when it is
+/// current: at the snapshot's generation and agreeing with its header.
+/// Anything else is a cache miss, with a note when the file looked wrong.
+/// The caller still cross-checks the candidate against the snapshot's
+/// records before trusting it ([`open_base`]).
 fn prime_base(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -260,6 +292,96 @@ fn prime_base(
     } else {
         Some(Arc::new(f.frozen))
     }
+}
+
+/// Split records streamed from the snapshot, probed against a candidate
+/// base in runs of [`CrossCheck::RUN`] so the probes pipeline
+/// ([`FrozenBfh::first_inexact`]).
+struct CrossCheck<'a> {
+    base: &'a FrozenBfh,
+    masks: Vec<u64>,
+    freqs: Vec<u32>,
+    /// Records probed before the current run.
+    done: usize,
+    /// The first record that probed to another count.
+    first: Option<usize>,
+}
+
+impl<'a> CrossCheck<'a> {
+    const RUN: usize = 1024;
+
+    fn new(base: &'a FrozenBfh) -> Self {
+        CrossCheck {
+            base,
+            masks: Vec::with_capacity(Self::RUN * base.words()),
+            freqs: Vec::with_capacity(Self::RUN),
+            done: 0,
+            first: None,
+        }
+    }
+
+    fn push(&mut self, words: &[u64], freq: u32) {
+        self.masks.extend_from_slice(words);
+        self.freqs.push(freq);
+        if self.freqs.len() == Self::RUN {
+            self.probe();
+        }
+    }
+
+    fn probe(&mut self) {
+        if self.first.is_none() {
+            self.first = self
+                .base
+                .first_inexact(&self.masks, &self.freqs)
+                .map(|i| self.done + i);
+        }
+        self.done += self.freqs.len();
+        self.masks.clear();
+        self.freqs.clear();
+    }
+
+    /// The first record that disagreed, if any.
+    fn finish(mut self) -> Option<usize> {
+        self.probe();
+        self.first
+    }
+}
+
+/// The snapshot's table and namespace for a read-write open. A current
+/// sidecar becomes the base only once the snapshot has streamed past it
+/// through every snapshot check, with each record probing to its own count
+/// ([`FrozenBfh::first_inexact`], which compares the pooled mask too)
+/// and the distinct counts equal — so every lane of the base holds exactly
+/// the snapshot's splits. Without a sidecar, or with one refused (and noted),
+/// the snapshot is read, frozen, and its hash dropped.
+fn open_base(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    guard: &RunGuard,
+    notes: &mut Vec<String>,
+) -> Result<(Arc<FrozenBfh>, TaxonSet, SnapshotMeta), IndexError> {
+    let snap_path = dir.join(SNAPSHOT_FILE);
+    let header = read_meta_with(vfs, &snap_path)?;
+    if let Some(base) = prime_base(vfs, dir, &header, guard, notes) {
+        let mut check = CrossCheck::new(&base);
+        let (meta, taxa) = scan_snapshot_with(vfs, &snap_path, guard, |words, freq| {
+            check.push(words, freq);
+            Ok(())
+        })?;
+        match check.finish() {
+            None if meta == header && base.distinct() == meta.distinct => {
+                return Ok((base, taxa, meta))
+            }
+            Some(i) => notes.push(format!(
+                "frozen sidecar disagrees with snapshot split record {i}; ignoring it"
+            )),
+            None => notes.push(
+                "frozen sidecar disagrees with the snapshot's split count; ignoring it".to_string(),
+            ),
+        }
+    }
+    let Snapshot { bfh, taxa, meta } = read_snapshot_with(vfs, &snap_path, guard)?;
+    Ok((Arc::new(freeze_timed(&bfh)), taxa, meta))
 }
 
 impl Index {
@@ -311,21 +433,24 @@ impl Index {
         vfs.rename(&tmp, &snap_path)
             .map_err(|e| IndexError::io(&snap_path, e))?;
         let wal = Wal::create_policy_with(vfs.clone(), &dir.join(WAL_FILE), 0, policy)?;
+        let base = Arc::new(freeze_timed(&bfh));
         let mut index = Index {
             dir: dir.to_path_buf(),
             vfs,
-            delta: Arc::new(SplitDelta::new(bfh.n_taxa())),
-            bfh,
             taxa: std::sync::Arc::new(taxa),
             generation: 0,
+            n_shards: bfh.n_shards(),
             wal: Some(wal),
             wal_pending: 0,
             policy,
             notes: Vec::new(),
-            base: None,
-            frozen: None,
+            delta: Arc::new(SplitDelta::new(bfh.n_taxa())),
+            base: Arc::clone(&base),
+            frozen: Some(Arc::clone(&base)),
+            bfh: OnceLock::new(),
         };
-        index.write_frozen_sidecar();
+        drop(bfh);
+        index.write_frozen_sidecar(&base);
         Ok(index)
     }
 
@@ -334,10 +459,10 @@ impl Index {
         Index::open_guarded(dir, &RunGuard::default())
     }
 
-    /// Open the index at `dir`: load and validate the snapshot, then
-    /// replay the WAL on top of it (reusing the same incremental
-    /// `add_tree`/`remove_tree` paths the live index uses). `guard` bounds
-    /// the snapshot load.
+    /// Open the index at `dir`: validate the snapshot and take its table
+    /// (the cross-checked sidecar, or a freeze of the snapshot), then
+    /// replay the WAL into a delta on top of it, checking removals exactly
+    /// as the live index does. `guard` bounds the snapshot load.
     pub fn open_guarded(dir: &Path, guard: &RunGuard) -> Result<Index, IndexError> {
         Index::open_guarded_with(real_vfs(), dir, guard)
     }
@@ -376,12 +501,7 @@ impl Index {
                 "removed stale frozen sidecar scratch {FROZEN_TMP} (crash before commit)"
             ));
         }
-        let Snapshot {
-            mut bfh,
-            taxa,
-            meta,
-        } = read_snapshot_with(&*vfs, &snap_path, guard)?;
-        let base = prime_base(&*vfs, dir, &meta, guard, &mut notes);
+        let (base, taxa, meta) = open_base(&*vfs, dir, guard, &mut notes)?;
         let mut delta = SplitDelta::new(meta.n_taxa);
 
         let wal_path = dir.join(WAL_FILE);
@@ -409,14 +529,7 @@ impl Index {
                     notes.extend(wal_notes);
                     match wal.generation().cmp(&meta.generation) {
                         std::cmp::Ordering::Equal => {
-                            replay(
-                                &mut bfh,
-                                &mut delta,
-                                &taxa,
-                                &records,
-                                wal.policy(),
-                                &mut notes,
-                            )?;
+                            replay(&base, &mut delta, &taxa, &records, wal.policy(), &mut notes)?;
                             (wal, records.len())
                         }
                         std::cmp::Ordering::Less => {
@@ -466,9 +579,9 @@ impl Index {
         let mut index = Index {
             dir: dir.to_path_buf(),
             vfs,
-            bfh,
             taxa: std::sync::Arc::new(taxa),
             generation: meta.generation,
+            n_shards: meta.n_shards,
             wal: Some(wal),
             wal_pending,
             policy,
@@ -476,10 +589,11 @@ impl Index {
             base,
             delta: Arc::new(delta),
             frozen: None,
+            bfh: OnceLock::new(),
         };
         // Publish eagerly: an opened index is overwhelmingly read-next.
-        // With a current sidecar this is the mapped table plus the
-        // replayed records as a delta; without one, a freeze.
+        // This is the base plus the replayed records as a delta, folded
+        // if they outgrew it.
         index.frozen();
         Ok(index)
     }
@@ -506,14 +620,14 @@ impl Index {
         self.policy
     }
 
-    /// Rewrite the frozen sidecar cache for the current generation
-    /// (tmp + rename). Failures are cache misses, not errors: the note
-    /// records them and the snapshot path still serves everything.
-    fn write_frozen_sidecar(&mut self) {
-        let frozen = self.folded();
+    /// Rewrite the frozen sidecar cache for the current generation from
+    /// `table`, which must carry no delta (tmp + rename). Failures are
+    /// cache misses, not errors: the note records them and the snapshot
+    /// path still serves everything.
+    fn write_frozen_sidecar(&mut self, table: &FrozenBfh) {
         let tmp = self.dir.join(FROZEN_TMP);
         let path = self.dir.join(FROZEN_FILE);
-        let result = frozen_file::write_frozen_with(&*self.vfs, &tmp, &frozen, self.generation)
+        let result = frozen_file::write_frozen_with(&*self.vfs, &tmp, table, self.generation)
             .and_then(|()| {
                 self.vfs
                     .rename(&tmp, &path)
@@ -526,45 +640,44 @@ impl Index {
         }
     }
 
-    /// The frozen probe-optimized view of the current hash, cached until
-    /// the next mutation: the base table with the writes since it froze
-    /// as a delta. It re-freezes the live hash (a fold) only when there is
-    /// no base yet or the delta outgrew its [`FOLD_FRACTION`] bound.
+    /// The frozen probe-optimized view of the current table, cached until
+    /// the next mutation: the base with the writes since it froze as a
+    /// delta. It folds the delta into fresh lanes only when the delta
+    /// outgrew its [`FOLD_FRACTION`] bound.
     pub fn frozen(&mut self) -> Arc<FrozenBfh> {
         if let Some(f) = &self.frozen {
             return f.clone();
         }
-        let f = match &self.base {
-            Some(base) if self.delta.len() * FOLD_FRACTION <= base.distinct() => {
-                Arc::new(base.with_delta(Arc::clone(&self.delta)))
-            }
-            _ => self.fold(),
+        let f = if self.delta.len() * FOLD_FRACTION <= self.base.distinct() {
+            Arc::new(self.base.with_delta(Arc::clone(&self.delta)))
+        } else {
+            self.fold()
         };
         self.frozen = Some(f.clone());
         f
     }
 
-    /// The current hash as a table without a delta — what the sidecar
-    /// stores: the base itself when nothing changed since it froze.
+    /// The current table without a delta — what the sidecar stores: the
+    /// base itself when nothing changed since it froze.
     fn folded(&mut self) -> Arc<FrozenBfh> {
-        match &self.base {
-            Some(base) if self.delta.is_empty() => base.clone(),
-            _ => self.fold(),
+        if self.delta.is_empty() {
+            self.base.clone()
+        } else {
+            self.fold()
         }
     }
 
-    /// Freeze the live hash into the new base and start an empty delta.
+    /// Fold the delta into fresh lanes built from the base's, make them the
+    /// new base, and start an empty delta.
     fn fold(&mut self) -> Arc<FrozenBfh> {
         let start = std::time::Instant::now();
-        let f = Arc::new(self.bfh.freeze());
+        let f = Arc::new(self.base.with_delta(Arc::clone(&self.delta)).folded());
         let reg = phylo_obs::global();
         reg.histogram("index_freeze_ns", &[])
             .record_duration(start.elapsed());
-        if self.base.is_some() {
-            reg.counter("index_folds_total", &[]).inc();
-        }
-        self.base = Some(f.clone());
-        self.delta = Arc::new(SplitDelta::new(self.bfh.n_taxa()));
+        reg.counter("index_folds_total", &[]).inc();
+        self.base = f.clone();
+        self.delta = Arc::new(SplitDelta::new(f.n_taxa()));
         self.frozen = Some(f.clone());
         f
     }
@@ -580,9 +693,27 @@ impl Index {
         }
     }
 
-    /// The live hash (snapshot plus replayed/pending WAL batches).
+    /// The index's splits (snapshot plus replayed/pending WAL batches) as
+    /// a hash with the snapshot's shard count. Built from the table on
+    /// first use and kept until the next write: reads, writes, stats and
+    /// compaction never need it, so only callers that want a [`Bfh`] pay
+    /// for one.
     pub fn bfh(&self) -> &Bfh {
-        &self.bfh
+        self.bfh.get_or_init(|| {
+            let table = self.base.with_delta(Arc::clone(&self.delta));
+            let n_taxa = table.n_taxa();
+            let mut bfh = Bfh::with_capacity_sharded(
+                n_taxa,
+                self.n_shards,
+                table.n_trees(),
+                table.distinct(),
+            );
+            for (words, freq) in table.iter() {
+                bfh.insert_entry(Bits::from_words(n_taxa, words), freq)
+                    .expect("a table's splits form a valid hash");
+            }
+            bfh
+        })
     }
 
     /// The frozen taxon namespace.
@@ -595,17 +726,31 @@ impl Index {
         &self.dir
     }
 
+    /// Live counters, read from the published table (or the base patched
+    /// with the delta when a write cleared it), touching no gauges.
+    pub(crate) fn counters(&self) -> IndexStats {
+        let patched;
+        let table = match &self.frozen {
+            Some(f) => &**f,
+            None => {
+                patched = self.base.with_delta(Arc::clone(&self.delta));
+                &patched
+            }
+        };
+        IndexStats {
+            generation: self.generation,
+            n_trees: table.n_trees(),
+            n_taxa: table.n_taxa(),
+            distinct: table.distinct(),
+            sum: table.sum(),
+            wal_pending: self.wal_pending,
+        }
+    }
+
     /// Live counters. Also refreshes the index gauges
     /// ([`IndexStats::publish_gauges`], and `index_delta_splits`).
     pub fn stats(&self) -> IndexStats {
-        let stats = IndexStats {
-            generation: self.generation,
-            n_trees: self.bfh.n_trees(),
-            n_taxa: self.bfh.n_taxa(),
-            distinct: self.bfh.distinct(),
-            sum: self.bfh.sum(),
-            wal_pending: self.wal_pending,
-        };
+        let stats = self.counters();
         stats.publish_gauges();
         phylo_obs::global()
             .gauge("index_delta_splits", &[])
@@ -625,15 +770,14 @@ impl Index {
         self.wal.is_some()
     }
 
-    /// Log `tree` as an `op` record through `log`, then apply it to the
-    /// live hash and the delta from one split extraction.
+    /// Log `tree` as an `op` record through `log`, then record it in the
+    /// delta.
     ///
-    /// An add is WAL-first: the record is durable before the hash changes,
-    /// so a crash replays it on open. A removal is verified against the
-    /// live hash **before** the record is logged, so a tree that was never
-    /// added fails cleanly and leaves memory and disk unchanged; a refused
-    /// append puts the splits back, so the hash keeps matching what a
-    /// reopen would reconstruct.
+    /// An add is WAL-first: the record is durable before the table changes,
+    /// so a crash replays it on open. A removal is checked against the base
+    /// plus the delta **before** the record is logged, so a tree that was
+    /// never added fails cleanly and leaves memory and disk unchanged, and
+    /// so does a refused append.
     fn apply_logged(
         &mut self,
         tree: &Tree,
@@ -641,26 +785,22 @@ impl Index {
         log: impl FnOnce(&mut Wal) -> Result<(), IndexError>,
     ) -> Result<(), IndexError> {
         let wal = self.wal.as_mut().ok_or_else(wal_unavailable)?;
-        let mut scratch = BipartitionScratch::new();
-        let batch = scratch.batch_splits(tree, &self.taxa);
         let sign = match op {
-            WalOp::Add => {
-                log(wal)?;
-                self.bfh.add_split_batch(&batch);
-                1
-            }
+            WalOp::Add => 1,
             WalOp::Remove => {
-                self.bfh.remove_split_batch(&batch)?;
-                if let Err(e) = log(wal) {
-                    self.bfh.add_split_batch(&batch);
-                    return Err(e);
-                }
+                let table = self.base.overlay(&self.delta);
+                check_remove_batch(&table, std::slice::from_ref(tree), &self.taxa)
+                    .map_err(|(_, e)| e)?;
                 -1
             }
         };
-        // Drop the cached view first, so the delta is copied below only
+        log(wal)?;
+        // Drop the cached views first, so the delta is copied below only
         // when a published view still shares it.
         self.frozen = None;
+        self.bfh = OnceLock::new();
+        let mut scratch = BipartitionScratch::new();
+        let batch = scratch.batch_splits(tree, &self.taxa);
         Arc::make_mut(&mut self.delta).record(&batch, sign);
         self.wal_pending += 1;
         Ok(())
@@ -748,11 +888,17 @@ impl Index {
         &mut self,
         after_commit: impl FnOnce(u64) -> Result<(), IndexError>,
     ) -> Result<SnapshotMeta, IndexError> {
+        // The snapshot and the sidecar are both written from the table with
+        // the delta folded in; folding changes no answer, so a failure
+        // below still leaves the index as it was.
+        let table = self.folded();
         if self.wal.is_some() {
             let next = self.generation + 1;
             let tmp = self.dir.join(SNAPSHOT_TMP);
             let snap_path = self.dir.join(SNAPSHOT_FILE);
-            if let Err(e) = write_snapshot_with(&*self.vfs, &tmp, &self.bfh, &self.taxa, next) {
+            if let Err(e) =
+                write_table_snapshot_with(&*self.vfs, &tmp, &table, self.n_shards, &self.taxa, next)
+            {
                 let _ = self.vfs.remove_file(&tmp);
                 return Err(e);
             }
@@ -779,22 +925,15 @@ impl Index {
         )?);
         // Refresh the sidecar cache for the committed generation (best
         // effort — the old-generation sidecar would simply be ignored).
-        self.write_frozen_sidecar();
+        self.write_frozen_sidecar(&table);
         Ok(SnapshotMeta {
             generation: self.generation,
-            n_taxa: self.bfh.n_taxa(),
-            n_trees: self.bfh.n_trees(),
-            n_shards: self.bfh.n_shards(),
-            sum: self.bfh.sum(),
-            distinct: self.bfh.distinct(),
+            n_taxa: table.n_taxa(),
+            n_trees: table.n_trees(),
+            n_shards: self.n_shards,
+            sum: table.sum(),
+            distinct: table.distinct(),
         })
-    }
-
-    /// Tear the index apart into its hash and taxa (for callers that want
-    /// to hand the state to a long-lived reader).
-    pub fn into_parts(self) -> (Bfh, TaxonSet) {
-        let taxa = std::sync::Arc::try_unwrap(self.taxa).unwrap_or_else(|a| (*a).clone());
-        (self.bfh, taxa)
     }
 
     /// Open the index at `dir` read-only through the frozen sidecar with

@@ -31,7 +31,7 @@
 use crate::error::IndexError;
 use crate::format::{CheckedReader, CheckedWriter};
 use crate::vfs::{RealVfs, Vfs};
-use bfhrf::{Bfh, RunGuard};
+use bfhrf::{Bfh, FrozenBfh, RunGuard};
 use phylo::TaxonSet;
 use phylo_bitset::{words_for, Bits, WORD_BITS};
 use std::io::{BufReader, BufWriter, Write};
@@ -97,11 +97,59 @@ pub fn write_snapshot_with(
     taxa: &TaxonSet,
     generation: u64,
 ) -> Result<(), IndexError> {
-    if taxa.len() != bfh.n_taxa() {
+    let meta = SnapshotMeta {
+        generation,
+        n_taxa: bfh.n_taxa(),
+        n_trees: bfh.n_trees(),
+        n_shards: bfh.n_shards(),
+        sum: bfh.sum(),
+        distinct: bfh.distinct(),
+    };
+    let splits = bfh
+        .iter()
+        .map(|(bits, freq)| (bits.words(), freq))
+        .collect();
+    write_splits_with(vfs, path, &meta, taxa, splits)
+}
+
+/// Write what `table` answers (its lanes with any delta applied) as a
+/// version-1 snapshot with `n_shards` in the header — byte-identical to
+/// [`write_snapshot_with`] of a `n_shards`-way [`Bfh`] holding the same
+/// splits. Compaction writes the index's table this way, so it never
+/// builds a hash.
+pub(crate) fn write_table_snapshot_with(
+    vfs: &dyn Vfs,
+    path: &Path,
+    table: &FrozenBfh,
+    n_shards: usize,
+    taxa: &TaxonSet,
+    generation: u64,
+) -> Result<(), IndexError> {
+    let meta = SnapshotMeta {
+        generation,
+        n_taxa: table.n_taxa(),
+        n_trees: table.n_trees(),
+        n_shards,
+        sum: table.sum(),
+        distinct: table.distinct(),
+    };
+    write_splits_with(vfs, path, &meta, taxa, table.iter().collect())
+}
+
+/// The one snapshot writer: header, taxon table, and `splits` sorted
+/// ascending by mask for deterministic output bytes, fsynced.
+fn write_splits_with(
+    vfs: &dyn Vfs,
+    path: &Path,
+    meta: &SnapshotMeta,
+    taxa: &TaxonSet,
+    mut splits: Vec<(&[u64], u32)>,
+) -> Result<(), IndexError> {
+    if taxa.len() != meta.n_taxa {
         return Err(IndexError::Core(bfhrf::CoreError::Structure(format!(
             "taxon table has {} labels but the hash is {}-taxon",
             taxa.len(),
-            bfh.n_taxa()
+            meta.n_taxa
         ))));
     }
     let file = vfs.create(path).map_err(|e| IndexError::io(path, e))?;
@@ -111,12 +159,12 @@ pub fn write_snapshot_with(
     w.put_unchecked(&FORMAT_VERSION.to_le_bytes())?;
 
     // Header section.
-    w.put_u64(generation)?;
-    w.put_u64(bfh.n_taxa() as u64)?;
-    w.put_u64(bfh.n_trees() as u64)?;
-    w.put_u64(bfh.n_shards() as u64)?;
-    w.put_u64(bfh.sum())?;
-    w.put_u64(bfh.distinct() as u64)?;
+    w.put_u64(meta.generation)?;
+    w.put_u64(meta.n_taxa as u64)?;
+    w.put_u64(meta.n_trees as u64)?;
+    w.put_u64(meta.n_shards as u64)?;
+    w.put_u64(meta.sum)?;
+    w.put_u64(meta.distinct as u64)?;
     w.finish_section()?;
 
     // Taxon table section.
@@ -127,11 +175,11 @@ pub fn write_snapshot_with(
     }
     w.finish_section()?;
 
-    // Splits section, sorted by mask for deterministic output bytes.
-    let mut entries: Vec<(&Bits, u32)> = bfh.iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    for (bits, freq) in entries {
-        for word in bits.words() {
+    // Splits section. Masks share one width, so slice order is `Bits`
+    // order.
+    splits.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for (words, freq) in splits {
+        for word in words {
             w.put_u64(*word)?;
         }
         w.put_u32(freq)?;
@@ -370,12 +418,26 @@ pub fn verify_snapshot_with(
     path: &Path,
     guard: &RunGuard,
 ) -> Result<SnapshotMeta, IndexError> {
+    scan_snapshot_with(vfs, path, guard, |_, _| Ok(())).map(|(meta, _)| meta)
+}
+
+/// [`verify_snapshot_with`] handing every split record (mask words and
+/// frequency) to `each` as it validates, and returning the taxon table
+/// too. `each` may refuse a record; the caller must not trust what it saw
+/// until this returns `Ok`. The index open streams the snapshot past its
+/// frozen sidecar this way to cross-check the two.
+pub(crate) fn scan_snapshot_with(
+    vfs: &dyn Vfs,
+    path: &Path,
+    guard: &RunGuard,
+    each: impl FnMut(&[u64], u32) -> Result<(), IndexError>,
+) -> Result<(SnapshotMeta, TaxonSet), IndexError> {
     let file = vfs.open_read(path).map_err(|e| IndexError::io(path, e))?;
     let mut r = CheckedReader::new(BufReader::new(file), path);
     let meta = read_header(&mut r)?;
-    read_taxa_section(&mut r, &meta, guard)?;
-    read_splits(&mut r, &meta, guard, |_, _| Ok(()))?;
-    Ok(meta)
+    let taxa = read_taxa_section(&mut r, &meta, guard)?;
+    read_splits(&mut r, &meta, guard, each)?;
+    Ok((meta, taxa))
 }
 
 /// [`read_snapshot`] routed through an explicit [`Vfs`].

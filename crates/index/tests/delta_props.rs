@@ -6,7 +6,9 @@
 use bfhrf::{Bfh, FrozenBfh};
 use phylo::{BipartitionScratch, TaxonSet, Tree};
 use phylo_bitset::Bits;
-use phylo_index::{write_frozen_with, Index, IndexError, MemVfs, Vfs};
+use phylo_index::{
+    write_frozen_with, write_snapshot, Index, IndexError, MemVfs, Vfs, SNAPSHOT_FILE,
+};
 use phylo_sim::perturb::random_collection;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -56,6 +58,38 @@ fn assert_view_is_fresh(idx: &mut Index, probes: &[Bits], queries: &[Tree]) {
     }
 }
 
+/// After a compaction: `snapshot.bfh` is byte-equal to the snapshot a
+/// fresh `shards`-way build over the surviving trees writes, and the
+/// sidecar the compaction wrote, reopened, answers every probe as the
+/// published view does.
+fn assert_compaction_is_exact(
+    idx: &mut Index,
+    survivors: &[Tree],
+    taxa: &TaxonSet,
+    shards: usize,
+    probes: &[Bits],
+) {
+    let dir = idx.dir().to_path_buf();
+    let want = dir.with_extension("want");
+    let rebuilt = Bfh::build_sharded(survivors, taxa, shards);
+    write_snapshot(&want, &rebuilt, taxa, idx.generation()).unwrap();
+    let got = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    assert!(
+        got == std::fs::read(&want).unwrap(),
+        "compacted snapshot differs from a fresh build's"
+    );
+    std::fs::remove_file(&want).unwrap();
+    let view = idx.view();
+    let reopened = Index::open_frozen(&dir).unwrap();
+    for bits in probes {
+        assert_eq!(
+            reopened.frozen.frequency(bits),
+            view.frozen.frequency(bits),
+            "{bits}"
+        );
+    }
+}
+
 /// One write-sequence step, decoded from a `(kind, tree)` pair.
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -89,6 +123,7 @@ proptest! {
     fn published_view_equals_a_fresh_freeze_under_any_write_sequence(
         width in 0usize..4,
         r in 2usize..12,
+        shards in 1usize..4,
         steps in proptest::collection::vec((0usize..11, 0usize..24), 1..14),
         seed in any::<u64>(),
     ) {
@@ -98,11 +133,15 @@ proptest! {
         let queries = &coll.trees[..4];
         let dir = tmp("prop");
         let mut held: Vec<usize> = (0..r).collect();
-        let bfh = Bfh::build(&coll.trees[..r], &coll.taxa);
+        let bfh = Bfh::build_sharded(&coll.trees[..r], &coll.taxa, shards);
         let mut idx = Index::create(&dir, bfh, coll.taxa.clone()).unwrap();
         assert_view_is_fresh(&mut idx, &probes, queries);
-        for &s in &steps {
-            match Step::decode(s) {
+        // Every sequence ends with a burst and a compaction, so at least one
+        // compaction folds a delta past the fold bound into lanes rebuilt
+        // from the base's.
+        let tail = [Step::Burst(seed as usize % 24), Step::Compact];
+        for s in steps.iter().map(|&s| Step::decode(s)).chain(tail) {
+            match s {
                 Step::Add(k) => {
                     idx.append_add(&coll.trees[k]).unwrap();
                     held.push(k);
@@ -132,6 +171,9 @@ proptest! {
                 }
                 Step::Compact => {
                     idx.compact().unwrap();
+                    let survivors: Vec<Tree> =
+                        held.iter().map(|&k| coll.trees[k].clone()).collect();
+                    assert_compaction_is_exact(&mut idx, &survivors, &coll.taxa, shards, &probes);
                 }
                 Step::Reopen => {
                     drop(idx);

@@ -494,6 +494,72 @@ fn frozen_open_declines_cleanly_when_it_cannot_prove_parity() {
     Index::open(&dir).unwrap();
 }
 
+/// A flipped bit in the sidecar's pool lane, the lane the mapped open
+/// never checksums, must not reach an answer or outlive a compaction. The
+/// read-write open cross-checks the sidecar against the snapshot and
+/// refuses it with a note, and compaction then writes a sidecar that
+/// agrees with the snapshot. Both a multi-word namespace (where the pool
+/// decides probes) and a one-word one (where only the entry key does) are
+/// covered.
+#[test]
+fn corrupt_sidecar_pool_is_refused_at_open_and_not_resealed() {
+    use phylo_index::{read_frozen_meta, verify_frozen_with, FROZEN_FILE};
+    for n_taxa in [150usize, 20] {
+        let dir = tmp(&format!("pool-flip-{n_taxa}"));
+        let coll = random_collection(n_taxa, 200, 0x9001);
+        let truth = Bfh::build(&coll.trees, &coll.taxa);
+        drop(Index::create(&dir, truth.clone(), coll.taxa.clone()).unwrap());
+        let side = dir.join(FROZEN_FILE);
+        let pool = read_frozen_meta(&side).unwrap().pool;
+        let mut bytes = std::fs::read(&side).unwrap();
+        bytes[pool.offset as usize + 240] ^= 0x02;
+        std::fs::write(&side, &bytes).unwrap();
+        let err = verify_frozen_with(&RealVfs, &side).unwrap_err();
+        assert!(
+            err.to_string().contains("pool lane checksum mismatch"),
+            "{err}"
+        );
+
+        let mut idx = Index::open(&dir).unwrap();
+        assert!(
+            idx.notes()
+                .iter()
+                .any(|n| n.contains("frozen sidecar disagrees with snapshot split record")),
+            "n={n_taxa}: the open notes the refusal: {:?}",
+            idx.notes()
+        );
+        let view = idx.view();
+        assert_eq!(view.frozen.n_trees(), truth.n_trees());
+        assert_eq!(view.frozen.sum(), truth.sum());
+        assert_eq!(view.frozen.distinct(), truth.distinct());
+        for (bits, freq) in truth.iter() {
+            assert_eq!(view.frozen.frequency(bits), freq, "n={n_taxa} {bits}");
+        }
+        drop(view);
+
+        idx.compact().unwrap();
+        drop(idx);
+        verify_frozen_with(&RealVfs, &side).unwrap();
+        let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE), &RunGuard::default()).unwrap();
+        assert_bfh_identical(&snapshot.bfh, &truth);
+        let fast = Index::open_frozen(&dir).unwrap();
+        assert_eq!(fast.frozen.distinct(), truth.distinct());
+        let (mut masks, mut freqs) = (Vec::new(), Vec::new());
+        for (bits, freq) in truth.iter() {
+            masks.extend_from_slice(bits.words());
+            freqs.push(freq);
+        }
+        assert_eq!(
+            fast.frozen.first_inexact(&masks, &freqs),
+            None,
+            "n={n_taxa}"
+        );
+        let reopened = Index::open(&dir).unwrap();
+        assert!(reopened.notes().is_empty(), "{:?}", reopened.notes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Binary WAL records mix freely with Newick ones and replay to the same
 /// hash a fresh build produces.
 #[test]
@@ -530,13 +596,33 @@ fn binary_wal_records_replay_identically() {
 
 /// Satellite: the WAL records its replay policy, and replay honours it.
 /// A leniently-built index skips an undecodable record with a note; a
-/// strictly-built one refuses to open, exactly as before.
+/// strictly-built one refuses to open, exactly as before. A record that
+/// removes a tree the index does not hold is a log that disagrees with its
+/// snapshot, and refuses the open under both policies.
 #[test]
 fn replay_policy_is_recorded_and_honoured() {
     use phylo_index::{real_vfs, WalPolicy};
     let coll = random_collection(10, 6, 0x9001);
 
     for policy in [WalPolicy::Strict, WalPolicy::Lenient] {
+        let dir = tmp(&format!("policy-unheld-{}", policy.label()));
+        let bfh = Bfh::build(&coll.trees[..1], &coll.taxa);
+        drop(Index::create_policy_with(real_vfs(), &dir, bfh, coll.taxa.clone(), policy).unwrap());
+        let (mut wal, _) = Wal::open(&dir.join(WAL_FILE)).unwrap();
+        let held = phylo::write_newick(&coll.trees[0], &coll.taxa);
+        wal.append(WalOp::Remove, &held).unwrap();
+        wal.append(WalOp::Remove, &held).unwrap();
+        drop(wal);
+        let err = Index::open(&dir)
+            .err()
+            .expect("the second remove must refuse");
+        assert!(err.is_corruption(), "{err}");
+        assert!(
+            err.to_string()
+                .contains("record 1 removes a tree the hash does not hold"),
+            "{err}"
+        );
+
         let dir = tmp(&format!("policy-{}", policy.label()));
         let bfh = Bfh::build(&coll.trees, &coll.taxa);
         let idx =
