@@ -1,0 +1,70 @@
+//! Offline `avgrf` with Q = R streams its references: the builder holds
+//! one chunk of parsed trees at a time, keeps each tree's canonical split
+//! masks once, and scores those masks against the frozen table. This
+//! counts the heap across one `run_full avgrf` over 2 000 insect trees
+//! (n = 144), where the parsed trees alone would be ~37 MB and the kept
+//! masks are ~6.8 MB, so holding the trees again, or copying the masks a
+//! second time, shows as megabytes over the limit.
+//!
+//! One test per binary: the counting allocator sees every thread.
+
+use bfhrf_bench::peak_alloc::{InstallPeakAlloc, GLOBAL};
+use phylo::BipartitionScratch;
+use phylo_sim::datasets::{generate, DatasetSpec};
+use std::io::Write;
+
+#[global_allocator]
+static ALLOC: InstallPeakAlloc = InstallPeakAlloc;
+
+/// Reference trees in the file.
+const R: usize = 2_000;
+
+#[test]
+fn offline_q_equals_r_holds_no_tree_and_one_copy_of_the_masks() {
+    let path = std::env::temp_dir().join(format!("bfhrf-offline-heap-{}.nwk", std::process::id()));
+    let coll = generate(&DatasetSpec::insect().with_trees(R));
+    let words = coll.taxa.len().div_ceil(64);
+    let mut scratch = BipartitionScratch::new();
+    let splits: usize = coll
+        .trees
+        .iter()
+        .map(|t| scratch.split_count(t, &coll.taxa))
+        .sum();
+    let masks = splits * words * 8;
+    let mut file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    for tree in &coll.trees {
+        writeln!(file, "{}", phylo::write_newick(tree, &coll.taxa)).unwrap();
+    }
+    drop(file);
+    drop(coll);
+    drop(scratch);
+
+    let argv: Vec<String> = [
+        "avgrf",
+        "--refs",
+        &path.display().to_string(),
+        "--threads",
+        "2",
+    ]
+    .map(String::from)
+    .to_vec();
+    GLOBAL.reset_peak();
+    let start = GLOBAL.current_bytes();
+    let out = bfhrf_cli::run_full(&argv).unwrap();
+    let peak = GLOBAL.peak_bytes() - start;
+    assert_eq!(out.code, bfhrf_cli::EXIT_OK);
+    assert_eq!(out.stdout.lines().count(), R + 1);
+    std::fs::remove_file(&path).ok();
+
+    // The peak is the kept masks, the two shard maps being frozen and the
+    // frozen table: ~25.7 MB, 3.8 × the masks. A second copy of the masks
+    // would be 4.8 ×; the parsed trees held again, 9.2 ×.
+    let mb = |b: usize| b as f64 / 1e6;
+    assert!(
+        (peak as f64) < 4.3 * masks as f64,
+        "offline avgrf peaked at {:.2} MB, {:.2} × the {:.2} MB of kept masks",
+        mb(peak),
+        peak as f64 / masks as f64,
+        mb(masks)
+    );
+}

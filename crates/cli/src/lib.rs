@@ -33,8 +33,8 @@ pub use phylo_obs::json;
 
 use args::Args;
 use bfhrf::{
-    best_query, hashrf_or_degrade, BfhBuilder, Comparator, CoreError, DayComparator,
-    FrozenComparator, HashRfConfig, RunBudget, RunGuard, SetComparator,
+    best_query, hashrf_or_degrade, BfhBuilder, Comparator, CoreError, DayComparator, HashRfConfig,
+    RunBudget, RunGuard, SetComparator,
 };
 use phylo::{IngestPolicy, IngestReport, TaxaPolicy, TreeCollection};
 use std::fmt::Write as _;
@@ -399,10 +399,29 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
     let mut notes = Vec::new();
     prof.phase("load");
     let refs_path = a.require("refs")?;
+    let algorithm = a.get("algorithm").unwrap_or("bfhrf");
+    if matches!(algorithm, "bfhrf" | "bfhrf-seq") && !a.flag("common-taxa") {
+        // The BFHRF engines never need the parsed trees: stream them.
+        let run = Streamed {
+            refs: refs_path,
+            queries: a.get("queries"),
+            policy,
+            sequential: algorithm == "bfhrf-seq",
+        };
+        let (scores, n, partial) = run.scores(&a, &guard, &mut prof, &mut notes)?;
+        prof.phase("render");
+        let mut report = String::new();
+        render_scores(&mut report, &scores, n, &a);
+        notes.extend(prof.render().lines().map(String::from));
+        return Ok(CmdOutcome {
+            stdout: report,
+            notes,
+            code: if partial { EXIT_PARTIAL } else { EXIT_OK },
+        });
+    }
     let (mut refs, refs_report) = load_with(refs_path, policy)?;
     let mut partial = note_ingest(&mut notes, refs_path, &refs_report);
     let threads: Option<usize> = a.get_parsed("threads")?;
-    let algorithm = a.get("algorithm").unwrap_or("bfhrf");
     let build_mode = a.get("build-mode");
     let shards: Option<usize> = a.get_parsed("shards")?;
 
@@ -444,7 +463,7 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
     };
     let queries = loaded.as_deref().unwrap_or(&refs.trees);
     let n = refs.taxa.len();
-    if !matches!(algorithm, "bfhrf" | "bfhrf-seq") && (build_mode.is_some() || shards.is_some()) {
+    if build_mode.is_some() || shards.is_some() {
         return Err(format!(
             "--build-mode/--shards only apply to the bfhrf algorithms, not {algorithm:?}"
         )
@@ -454,26 +473,6 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
     prof.phase("score");
     let scores = with_threads(threads, || -> Result<Vec<bfhrf::QueryScore>, CliError> {
         match algorithm {
-            "bfhrf" | "bfhrf-seq" => {
-                let default_mode = if algorithm == "bfhrf" {
-                    "sharded"
-                } else {
-                    "seq"
-                };
-                let builder = resolve_builder(build_mode, shards, default_mode)?;
-                prof.phase("build");
-                let bfh = builder
-                    .guard(guard.clone())
-                    .from_trees(&refs.trees, &refs.taxa)
-                    .map_err(core_fail)?;
-                prof.phase("freeze+query");
-                // Query through the frozen probe-optimized table; freezing
-                // is one pass over the hash just built.
-                FrozenComparator::from_owned(bfh.freeze(), &refs.taxa)
-                    .parallel(algorithm == "bfhrf")
-                    .average_all_guarded(queries, &guard)
-                    .map_err(core_fail)
-            }
             "ds" => SetComparator::new(&refs.trees, &refs.taxa)
                 .average_all_guarded(queries, &guard)
                 .map_err(core_fail),
@@ -531,18 +530,14 @@ fn render_scores(out: &mut String, scores: &[bfhrf::QueryScore], n_taxa: usize, 
 fn cmd_best(raw: &[String]) -> Result<CmdOutcome, CliError> {
     let a = Args::parse(raw, &[])?;
     a.reject_unknown(&["refs", "queries", "threads"], &[])?;
-    let mut refs = load(a.require("refs")?)?;
-    let queries = load_queries_against(a.require("queries")?, &mut refs)?;
-    let threads: Option<usize> = a.get_parsed("threads")?;
-    let scores = with_threads(threads, || -> Result<Vec<bfhrf::QueryScore>, CliError> {
-        let bfh = resolve_builder(None, None, "sharded")?
-            .from_trees(&refs.trees, &refs.taxa)
-            .map_err(core_fail)?;
-        FrozenComparator::from_owned(bfh.freeze(), &refs.taxa)
-            .parallel(true)
-            .average_all(&queries)
-            .map_err(core_fail)
-    })??;
+    let run = Streamed {
+        refs: a.require("refs")?,
+        queries: Some(a.require("queries")?),
+        policy: IngestPolicy::Strict,
+        sequential: false,
+    };
+    let mut prof = phylo_obs::Profiler::new(false);
+    let (scores, _, _) = run.scores(&a, &RunGuard::default(), &mut prof, &mut Vec::new())?;
     let best = best_query(&scores)
         .ok_or_else(|| CliError::from("the --queries file contains no trees".to_string()))?;
     Ok(CmdOutcome::clean(format!(
@@ -551,6 +546,107 @@ fn cmd_best(raw: &[String]) -> Result<CmdOutcome, CliError> {
         best.rf.average(),
         best.rf.total()
     )))
+}
+
+/// A BFHRF run that never holds the parsed trees: the references stream
+/// into the builder a chunk at a time, then either their kept split masks
+/// are scored against the frozen table (Q = R) or the query file streams
+/// through it.
+struct Streamed<'a> {
+    refs: &'a str,
+    queries: Option<&'a str>,
+    policy: IngestPolicy,
+    /// `bfhrf-seq`: build sequentially unless `--build-mode` says
+    /// otherwise, and score on one thread. Otherwise the build is sharded
+    /// and scoring parallel.
+    sequential: bool,
+}
+
+impl Streamed<'_> {
+    /// The scores in input order, the namespace width, and whether any
+    /// record was skipped. Ingest reports land in `notes`.
+    fn scores(
+        &self,
+        a: &Args,
+        guard: &RunGuard,
+        prof: &mut phylo_obs::Profiler,
+        notes: &mut Vec<String>,
+    ) -> Result<(Vec<bfhrf::QueryScore>, usize, bool), CliError> {
+        let refs_path = self.refs;
+        let refs_file = open_input(refs_path)?;
+        let threads: Option<usize> = a.get_parsed("threads")?;
+        let build_mode = a.get("build-mode");
+        let shards: Option<usize> = a.get_parsed("shards")?;
+        let (default_mode, parallel) = if self.sequential {
+            ("seq", false)
+        } else {
+            ("sharded", true)
+        };
+        with_threads(threads, || {
+            let mut taxa = phylo::TaxonSet::new();
+            let mut refs = phylo_wire::SniffedReader::open(
+                refs_file,
+                &mut taxa,
+                TaxaPolicy::Grow,
+                self.policy,
+            )
+            .map_err(|e| format!("{refs_path}: {e}"))?;
+            let builder = resolve_builder(build_mode, shards, default_mode)?.guard(guard.clone());
+            prof.phase("build");
+            let (bfh, kept) = match self.queries {
+                None => builder
+                    .from_stream_kept(&mut taxa, |t| refs.next_tree(t))
+                    .map(|(bfh, kept)| (bfh, Some(kept))),
+                Some(_) => builder
+                    .from_stream(&mut taxa, |t| refs.next_tree(t))
+                    .map(|bfh| (bfh, None)),
+            }
+            .map_err(|e| stream_fail(refs_path, e))?;
+            let mut partial = note_ingest(notes, refs_path, &refs.into_report());
+            prof.phase("freeze+query");
+            let frozen = bfh.freeze();
+            drop(bfh);
+            let scores = match self.queries {
+                None => kept
+                    .expect("Q = R keeps the reference splits")
+                    .score(&frozen, parallel, guard)
+                    .map_err(core_fail)?,
+                Some(path) => {
+                    let mut queries = phylo_wire::SniffedReader::open(
+                        open_input(path)?,
+                        &mut taxa,
+                        TaxaPolicy::Require,
+                        self.policy,
+                    )
+                    .map_err(|e| format!("{path}: {e}"))?;
+                    let scores =
+                        bfhrf::rf::bfhrf_streaming(&frozen, &mut taxa, parallel, guard, |t| {
+                            queries.next_tree(t)
+                        })
+                        .map_err(|e| stream_fail(path, e))?;
+                    partial |= note_ingest(notes, path, &queries.into_report());
+                    scores
+                }
+            };
+            Ok((scores, taxa.len(), partial))
+        })?
+    }
+}
+
+/// Open a tree file for streaming.
+fn open_input(path: &str) -> Result<std::io::BufReader<std::fs::File>, String> {
+    std::fs::File::open(path)
+        .map(std::io::BufReader::new)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// A streamed pass's failure: a parse error names the file, as a loaded
+/// file's does; anything else is a core failure.
+fn stream_fail(path: &str, e: CoreError) -> CliError {
+    match e {
+        CoreError::Phylo(e) => format!("{path}: {e}").into(),
+        other => core_fail(other),
+    }
 }
 
 fn cmd_consensus(raw: &[String]) -> Result<CmdOutcome, CliError> {
@@ -911,24 +1007,26 @@ fn cmd_index_build(raw: &[String]) -> Result<CmdOutcome, CliError> {
     }
     let out_dir = a.require("out")?;
     prof.phase("load");
-    let (refs, report, found) = load_sniffed_with(refs_path, policy)?;
-    check_format(found)?;
-    let partial = note_ingest(&mut notes, refs_path, &report);
+    let refs_file = open_input(refs_path)?;
     let threads: Option<usize> = a.get_parsed("threads")?;
     let shards: Option<usize> = a.get_parsed("shards")?;
     let build_mode = a.get("build-mode");
+    let mut taxa = phylo::TaxonSet::new();
+    let mut refs = phylo_wire::SniffedReader::open(refs_file, &mut taxa, TaxaPolicy::Grow, policy)
+        .map_err(|e| format!("{refs_path}: {e}"))?;
+    let found = refs.format();
+    check_format(found)?;
     prof.phase("build");
+    // The references stream into the builder; no parsed tree outlives
+    // its chunk.
     let bfh = with_threads(threads, || -> Result<bfhrf::Bfh, CliError> {
         resolve_builder(build_mode, shards, "sharded")?
             .guard(guard.clone())
-            .from_trees(&refs.trees, &refs.taxa)
-            .map_err(core_fail)
+            .from_stream(&mut taxa, |t| refs.next_tree(t))
+            .map_err(|e| stream_fail(refs_path, e))
     })??;
+    let partial = note_ingest(&mut notes, refs_path, &refs.into_report());
     prof.phase("write");
-    // The hash is built: free the parsed trees before the snapshot and
-    // sidecar are written, and hand the namespace over without a copy.
-    let TreeCollection { taxa, trees } = refs;
-    drop(trees);
     let index = phylo_index::Index::create(Path::new(out_dir), bfh, taxa).map_err(index_fail)?;
     let stats = index.stats();
     notes.extend(prof.render().lines().map(String::from));
@@ -2577,6 +2675,92 @@ mod tests {
         let err = runf(&["avgrf", "--refs", refs.to_str().unwrap(), "--timeout", "0"]).unwrap_err();
         assert_eq!(err.code, EXIT_BUDGET);
         assert!(err.message.contains("deadline"), "{}", err.message);
+    }
+
+    #[test]
+    fn streamed_runs_keep_their_guards_and_typed_errors() {
+        // 600 trees: the references stream in three chunks.
+        let c = phylo_sim::perturb::random_collection(12, 600, 7);
+        let text: String = c
+            .trees
+            .iter()
+            .map(|t| phylo::write_newick(t, &c.taxa) + "\n")
+            .collect();
+        let refs = tmp("refs_streamed.nwk", &text);
+        let refs = refs.to_str().unwrap();
+        let queries = tmp("queries_streamed.nwk", &text[..text.len() / 3]);
+        let queries = queries.to_str().unwrap();
+        let empty = tmp("streamed_empty.nwk", "");
+        let empty = empty.to_str().unwrap();
+        // r × (n − 3) × words × 8 for the whole file.
+        let need = (600 * (12 - 3) * 8).to_string();
+        let under = (600 * (12 - 3) * 8 - 1).to_string();
+        for extra in [&[][..], &["--queries", queries][..]] {
+            let argv = |budget: &str| {
+                let mut v = vec!["avgrf", "--refs", refs, "--mem-budget"];
+                v.push(budget);
+                v.extend_from_slice(extra);
+                runf(&v)
+            };
+            assert_eq!(argv(&need).unwrap().code, EXIT_OK, "{extra:?}");
+            let err = argv(&under).unwrap_err();
+            assert_eq!(err.code, EXIT_BUDGET, "{extra:?}");
+            assert!(err.message.contains("resource limit"), "{}", err.message);
+
+            let mut v = vec!["avgrf", "--refs", refs, "--timeout", "0"];
+            v.extend_from_slice(extra);
+            let err = runf(&v).unwrap_err();
+            assert_eq!(err.code, EXIT_BUDGET);
+            assert!(err.message.contains("deadline"), "{}", err.message);
+        }
+        let dir = std::env::temp_dir().join("bfhrf-cli-tests/streamed_idx");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir = dir.to_str().unwrap();
+        let err = runf(&[
+            "index",
+            "build",
+            "--refs",
+            refs,
+            "--out",
+            dir,
+            "--mem-budget",
+            &under,
+        ])
+        .unwrap_err();
+        assert_eq!(err.code, EXIT_BUDGET);
+
+        // Empty inputs keep their typed errors; a namespace with no taxa
+        // rejects any labelled query first.
+        let err = runf(&["avgrf", "--refs", empty]).unwrap_err();
+        assert_eq!(err.code, EXIT_ERROR);
+        assert!(
+            err.message.contains("reference collection is empty"),
+            "{}",
+            err.message
+        );
+        let err = runf(&["avgrf", "--refs", empty, "--queries", queries]).unwrap_err();
+        assert!(err.message.contains("unknown taxon"), "{}", err.message);
+        let err = runf(&["avgrf", "--refs", refs, "--queries", empty]).unwrap_err();
+        assert_eq!(err.code, EXIT_ERROR);
+        assert!(
+            err.message.contains("query collection is empty"),
+            "{}",
+            err.message
+        );
+        let err = runf(&["best", "--refs", refs, "--queries", empty]).unwrap_err();
+        assert!(
+            err.message.contains("query collection is empty"),
+            "{}",
+            err.message
+        );
+        let bad = tmp("streamed_all_bad.nwk", "(A,;\n(B,(;\n");
+        let err = runf(&["avgrf", "--refs", bad.to_str().unwrap(), "--lenient"]).unwrap_err();
+        assert_eq!(err.code, EXIT_ERROR);
+        assert!(
+            err.message.contains("reference collection is empty"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

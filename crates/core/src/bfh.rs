@@ -15,20 +15,21 @@
 //! 1` (the default for [`Bfh::build`]) there is a single map and routing
 //! is skipped entirely. [`Bfh::build_sharded`] exploits the partition for
 //! construction: splits are extracted into per-worker spill buffers,
-//! routed by hash prefix, and each shard's map is then folded
+//! each tagged with its shard, and each shard's map is then folded
 //! independently — no cross-thread merge step, unlike a rayon fold/reduce
-//! of per-worker hashes. Because the router is a pure function
-//! of the mask words, the shard decomposition is deterministic and the
-//! resulting frequencies are bitwise-identical to a sequential build.
+//! of per-worker hashes (see [`crate::builder`] for the pipeline).
+//! Because the router is a pure function of the mask words, the shard
+//! decomposition is deterministic and the resulting frequencies are
+//! bitwise-identical to a sequential build.
 
+use crate::builder::Spill;
 use crate::error::CoreError;
-use crate::guard::{isolate, RunGuard};
+use crate::guard::RunGuard;
 use phylo::{Bipartition, BipartitionScratch, TaxonSet, Tree};
 use phylo_bitset::{
-    bits_map_with_capacity, map_get_words, map_get_words_mut, shard_of, split_hash128, words_for,
-    Bits, BitsMap, WordsKey,
+    bits_map_with_capacity, map_get_words, map_get_words_mut, shard_of, split_hash128, Bits,
+    BitsMap, WordsKey,
 };
-use rayon::prelude::*;
 
 /// Bipartition frequency hash over a reference collection.
 ///
@@ -125,10 +126,11 @@ impl Bfh {
     /// step**:
     ///
     /// 1. workers extract splits from disjoint tree chunks into per-worker
-    ///    spill buffers, one buffer per shard, routing each mask by
+    ///    spill buffers, in tree order, tagging each mask with its shard by
     ///    [`split_hash128`];
-    /// 2. workers fold the spill buffers of each shard — every shard is
-    ///    owned by exactly one fold, so no map is ever merged into another.
+    /// 2. workers fold each shard's masks from every spill buffer — every
+    ///    shard is owned by exactly one fold, so no map is ever merged into
+    ///    another.
     ///
     /// Frequencies are bitwise-identical to [`Bfh::build`] for any shard or
     /// thread count: routing is a pure function of the mask and counting is
@@ -149,9 +151,10 @@ impl Bfh {
 
     /// [`Bfh::build_sharded`] under a [`RunGuard`]: cancellation and
     /// deadline are polled at tree granularity, the spill-buffer footprint
-    /// is checked against the byte budget *before* allocating, and every
-    /// rayon worker body is panic-isolated — a poisoned tree yields
-    /// [`CoreError::WorkerPanic`] instead of aborting the process.
+    /// is checked against the byte budget *before* each chunk is extracted,
+    /// and every rayon worker body is panic-isolated — a poisoned tree
+    /// yields [`CoreError::WorkerPanic`] instead of aborting the process.
+    /// This is [`crate::BfhBuilder`]'s pipeline over a slice.
     ///
     /// With `RunGuard::default()` this is exactly `build_sharded`.
     pub fn try_build_sharded(
@@ -165,94 +168,24 @@ impl Bfh {
                 "a Bfh needs at least one shard".into(),
             ));
         }
-        let n_taxa = taxa.len();
-        let words = words_for(n_taxa);
-        if trees.is_empty() || words == 0 {
-            let mut bfh = Bfh::empty_sharded(n_taxa, shards);
-            bfh.n_trees = trees.len();
-            return Ok(bfh);
-        }
-        guard.checkpoint("BFH build")?;
-        // Every split is spilled once as raw words before folding: the whole
-        // phase-1 footprint is bounded by r × (n − 3) splits of `words`
-        // u64s. Refuse now rather than OOM mid-build.
-        let spill_bytes = trees
-            .len()
-            .saturating_mul(n_taxa.saturating_sub(3))
-            .saturating_mul(words * 8);
-        guard.check_alloc("BFH build spill buffers", spill_bytes)?;
+        Spill::new(shards, true, false, guard).slice(trees, taxa)
+    }
 
-        // Phase 1: extract + route into per-worker spill buffers. Masks are
-        // spilled as raw words (stride `words`), so a worker allocates only
-        // when a buffer grows — never per split.
-        let chunk = trees.len().div_ceil(rayon::current_num_threads()).max(1);
-        // Uniform-routing estimate of one bucket's word footprint: at most
-        // n − 3 internal splits per tree, spread across the shards.
-        let bucket_hint = (chunk * n_taxa.saturating_sub(3) * words).div_ceil(shards) + words;
-        let spills: Vec<(Vec<Vec<u64>>, u64)> = trees
-            .par_chunks(chunk)
-            .enumerate()
-            .map(|(ci, chunk_trees)| {
-                isolate("BFH extract worker", || {
-                    let mut scratch = BipartitionScratch::new();
-                    let mut buckets: Vec<Vec<u64>> = (0..shards)
-                        .map(|_| Vec::with_capacity(bucket_hint))
-                        .collect();
-                    let mut occurrences = 0u64;
-                    for (i, tree) in chunk_trees.iter().enumerate() {
-                        guard.checkpoint("BFH build")?;
-                        guard.panic_if_injected(ci * chunk + i);
-                        scratch.for_each_split(tree, taxa, |w| {
-                            let si = if shards == 1 {
-                                0
-                            } else {
-                                shard_of(split_hash128(w), shards)
-                            };
-                            buckets[si].extend_from_slice(w);
-                            occurrences += 1;
-                        });
-                    }
-                    Ok((buckets, occurrences))
-                })
-            })
-            .collect::<Result<_, CoreError>>()?;
-
-        // Phase 2: fold each shard independently across all workers' spills.
-        let shard_ids: Vec<usize> = (0..shards).collect();
-        let maps: Vec<BitsMap<u32>> = shard_ids
-            .par_iter()
-            .map(|&si| {
-                isolate("BFH fold worker", || {
-                    guard.checkpoint("BFH fold")?;
-                    // Size for the pessimistic every-split-distinct case
-                    // halved — one rehash at most, none once repeats
-                    // dominate.
-                    let entries: usize = spills
-                        .iter()
-                        .map(|(buckets, _)| buckets[si].len() / words)
-                        .sum();
-                    let mut map: BitsMap<u32> = bits_map_with_capacity(entries / 2 + 8);
-                    for (buckets, _) in &spills {
-                        for w in buckets[si].chunks_exact(words) {
-                            match map_get_words_mut(&mut map, w) {
-                                Some(c) => *c += 1,
-                                None => {
-                                    map.insert(Bits::from_words(n_taxa, w), 1);
-                                }
-                            }
-                        }
-                    }
-                    Ok(map)
-                })
-            })
-            .collect::<Result<_, CoreError>>()?;
-
-        Ok(Bfh {
-            shards: maps,
-            sum: spills.iter().map(|(_, occ)| occ).sum(),
-            n_trees: trees.len(),
+    /// Assemble a hash from shard maps routed by `shard_of` over
+    /// `maps.len()` shards.
+    pub(crate) fn from_shard_maps(
+        shards: Vec<BitsMap<u32>>,
+        sum: u64,
+        n_trees: usize,
+        n_taxa: usize,
+    ) -> Self {
+        debug_assert!(!shards.is_empty(), "a Bfh needs at least one shard");
+        Bfh {
+            shards,
+            sum,
+            n_trees,
             n_taxa,
-        })
+        }
     }
 
     /// Reassemble a hash from raw `(mask, frequency)` entries — the

@@ -19,14 +19,48 @@
 //! assert_eq!(bfh.n_trees(), 3);
 //! assert_eq!(bfh.n_shards(), 4);
 //! ```
+//!
+//! # One pipeline
+//!
+//! Every terminal runs the same two phases. The build pulls trees
+//! [`CHUNK`] at a time, from a slice or from a parser, and extracts each
+//! chunk's canonical split masks into spill buffers, in tree order, with
+//! each mask's shard next to it. The chunk's trees are then dropped, so a
+//! streamed build never holds more than one chunk of parsed trees. Once
+//! the source is exhausted, every shard's map is folded from the spill,
+//! independently of the others, with no merge step.
+//!
+//! The namespace may grow while the stream is read. A canonical mask is
+//! oriented on its own tree's leafset, so a mask made while the namespace
+//! was narrower is exactly the final mask with zero words appended. When
+//! the namespace crosses a 64-bit word boundary, the spilled masks are
+//! zero-extended in place and re-routed, because the shard hash reads
+//! every word. The finished hash is identical, bit for bit and in layout,
+//! to [`Bfh::build_sharded`] over the whole collection parsed up front.
+//!
+//! [`BfhBuilder::from_stream_kept`] also hands the spill back as
+//! [`KeptSplits`]: each reference tree's masks, kept once, so a caller
+//! scoring the references against themselves (Q = R) probes them without
+//! parsing or extracting any tree twice.
 
 use crate::bfh::Bfh;
 use crate::error::CoreError;
-use crate::guard::{CancelToken, RunBudget, RunGuard};
+use crate::guard::{isolate, CancelToken, RunBudget, RunGuard};
+use crate::rf::{score_batch, QueryScore, SplitFrequency};
 use phylo::{
-    BipartitionScratch, IngestPolicy, IngestReport, NewickReader, TaxaPolicy, TaxonSet, Tree,
+    BipartitionScratch, IngestPolicy, IngestReport, NewickReader, PhyloError, SplitBatch,
+    TaxaPolicy, TaxonSet, Tree,
 };
+use phylo_bitset::{
+    bits_map_with_capacity, map_get_words_mut, shard_of, split_hash128, words_for, Bits, BitsMap,
+};
+use rayon::prelude::*;
 use std::io::BufRead;
+
+/// Trees a streamed build or query pass holds parsed at once. Large enough
+/// that each chunk splits evenly across rayon workers, small enough that
+/// its parsed trees are a few megabytes at insect scale (n = 144).
+pub const CHUNK: usize = 256;
 
 /// Configurable [`Bfh`] construction. See the module docs for an example.
 #[derive(Debug, Clone)]
@@ -52,9 +86,8 @@ impl BfhBuilder {
         Self::default()
     }
 
-    /// Parallelize the build across rayon workers. With one shard this is
-    /// the fold-merge strategy; with several it is the two-phase sharded
-    /// pipeline (workers per tree chunk, then per shard).
+    /// Extract and fold on rayon workers. A build with more than one
+    /// shard always does; this knob decides the one-shard case.
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
@@ -63,15 +96,16 @@ impl BfhBuilder {
     /// Partition the hash into `k` independent shard maps. `k = 1` (the
     /// default) keeps a single map and skips routing on every probe.
     ///
-    /// Values land in [`BfhBuilder::from_trees`]'s error path rather than
-    /// panicking: `k = 0` is rejected there.
+    /// Values land in the terminals' error path rather than panicking:
+    /// `k = 0` is rejected there.
     pub fn shards(mut self, k: usize) -> Self {
         self.shards = k;
         self
     }
 
     /// Run the build under `budget`: the spill-buffer footprint is checked
-    /// before allocating and the deadline is polled at tree granularity.
+    /// before each chunk is extracted and the deadline is polled at tree
+    /// granularity.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.guard.budget = budget;
         self
@@ -92,61 +126,85 @@ impl BfhBuilder {
         self
     }
 
-    fn validate(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
+    fn spill(&self, keep: bool) -> Result<Spill<'_>, CoreError> {
         if self.shards == 0 {
             return Err(CoreError::Structure(
                 "shard count must be at least 1".into(),
             ));
         }
-        // Surface out-of-namespace leaves as a typed error instead of the
-        // extraction assert.
-        for (ti, tree) in trees.iter().enumerate() {
-            for leaf in tree.leaves() {
-                if let Some(t) = tree.taxon(leaf) {
-                    if t.index() >= taxa.len() {
-                        return Err(CoreError::TaxaMismatch(format!(
-                            "tree {ti} references taxon id {} but the namespace has {} taxa",
-                            t.index(),
-                            taxa.len()
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
+        Ok(Spill::new(self.shards, self.parallel, keep, &self.guard))
     }
 
-    /// Build from an in-memory collection encoded over `taxa`. Every
-    /// strategy honours the configured guard: sequential builds poll it
-    /// per tree, parallel builds per tree inside panic-isolated workers.
+    /// Build from an in-memory collection encoded over `taxa`, a chunk at
+    /// a time like every other terminal.
     pub fn from_trees(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<Bfh, CoreError> {
         let start = std::time::Instant::now();
-        self.validate(trees, taxa)?;
-        let bfh = match (self.shards, self.parallel) {
-            (1, false) => {
-                let mut bfh = Bfh::empty(taxa.len());
-                let mut scratch = BipartitionScratch::new();
-                for tree in trees {
-                    self.guard.checkpoint("BFH build")?;
-                    bfh.add_tree_with(tree, taxa, &mut scratch);
-                }
-                bfh
-            }
-            // Parallel one-shard runs the two-phase pipeline with k = 1:
-            // counts are bitwise-identical to the fold-merge strategy, and
-            // the pipeline is the guarded, panic-isolated path.
-            (k, _) => Bfh::try_build_sharded(trees, taxa, k, &self.guard)?,
-        };
+        let spill = self.spill(false)?;
+        validate(trees, taxa)?;
+        let bfh = spill.slice(trees, taxa)?;
         record_build_metrics(&bfh, start.elapsed());
         Ok(bfh)
     }
 
+    /// Build from a pull source of trees: `next` yields one tree per call,
+    /// resolving labels against (and under a growing policy, into) `taxa`,
+    /// and `Ok(None)` at the end. A parse failure surfaces as
+    /// [`CoreError::Phylo`]. At most [`CHUNK`] parsed trees are held at a
+    /// time.
+    pub fn from_stream<F>(&self, taxa: &mut TaxonSet, next: F) -> Result<Bfh, CoreError>
+    where
+        F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+    {
+        self.stream(taxa, false, next).map(|(bfh, _)| bfh)
+    }
+
+    /// [`BfhBuilder::from_stream`], also returning every tree's canonical
+    /// split masks in stream order, for scoring the references against
+    /// themselves with [`KeptSplits::score`]. The masks are the build's own
+    /// spill, so keeping them costs no second copy.
+    pub fn from_stream_kept<F>(
+        &self,
+        taxa: &mut TaxonSet,
+        next: F,
+    ) -> Result<(Bfh, KeptSplits), CoreError>
+    where
+        F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+    {
+        self.stream(taxa, true, next)
+            .map(|(bfh, kept)| (bfh, kept.expect("kept splits were requested")))
+    }
+
+    fn stream<F>(
+        &self,
+        taxa: &mut TaxonSet,
+        keep: bool,
+        mut next: F,
+    ) -> Result<(Bfh, Option<KeptSplits>), CoreError>
+    where
+        F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+    {
+        let start = std::time::Instant::now();
+        let mut spill = self.spill(keep)?;
+        let mut chunk = Vec::with_capacity(CHUNK);
+        loop {
+            let more = fill_chunk(&mut chunk, taxa, &mut next)?;
+            spill.push(&chunk, taxa)?;
+            chunk.clear();
+            if !more {
+                break;
+            }
+        }
+        drop(chunk);
+        let built = spill.fold(taxa.len())?;
+        record_build_metrics(&built.0, start.elapsed());
+        Ok(built)
+    }
+
     /// Parse a Newick stream and build from it. With [`TaxaPolicy::Grow`]
     /// the namespace widens as labels appear; with [`TaxaPolicy::Require`]
-    /// unknown labels are a parse error. Trees are materialized before the
-    /// build so the configured strategy (parallel/sharded) applies; for
-    /// constant-memory sequential folding of huge files, stream trees
-    /// manually into [`Bfh::add_tree_with`].
+    /// unknown labels are a parse error. The trees are streamed through
+    /// [`BfhBuilder::from_stream`], so the configured strategy applies and
+    /// at most one chunk of parsed trees is held.
     pub fn from_newick_reader<R: BufRead>(
         &self,
         reader: R,
@@ -154,11 +212,7 @@ impl BfhBuilder {
         policy: TaxaPolicy,
     ) -> Result<Bfh, CoreError> {
         let mut stream = phylo::newick::NewickStream::new(reader, policy);
-        let mut trees = Vec::new();
-        while let Some(t) = stream.next_tree(taxa)? {
-            trees.push(t);
-        }
-        self.from_trees(&trees, taxa)
+        self.from_stream(taxa, |t| stream.next_tree(t))
     }
 
     /// Like [`BfhBuilder::from_newick_reader`] but with error recovery:
@@ -173,13 +227,371 @@ impl BfhBuilder {
         ingest_policy: IngestPolicy,
     ) -> Result<(Bfh, IngestReport), CoreError> {
         let mut stream = NewickReader::new(reader, taxa_policy, ingest_policy);
-        let mut trees = Vec::new();
-        while let Some(t) = stream.next_tree(taxa)? {
-            self.guard.checkpoint("ingest")?;
-            trees.push(t);
-        }
-        let bfh = self.from_trees(&trees, taxa)?;
+        let bfh = self.from_stream(taxa, |t| stream.next_tree(t))?;
         Ok((bfh, stream.into_report()))
+    }
+}
+
+/// Pull up to [`CHUNK`] trees into `chunk`; `false` once the source is
+/// exhausted.
+pub(crate) fn fill_chunk<F>(
+    chunk: &mut Vec<Tree>,
+    taxa: &mut TaxonSet,
+    next: &mut F,
+) -> Result<bool, PhyloError>
+where
+    F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+{
+    while chunk.len() < CHUNK {
+        match next(taxa)? {
+            Some(tree) => chunk.push(tree),
+            None => return Ok(false),
+        }
+    }
+    Ok(true)
+}
+
+/// Surface out-of-namespace leaves as a typed error instead of the
+/// extraction assert.
+fn validate(trees: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
+    for (ti, tree) in trees.iter().enumerate() {
+        for leaf in tree.leaves() {
+            if let Some(t) = tree.taxon(leaf) {
+                if t.index() >= taxa.len() {
+                    return Err(CoreError::TaxaMismatch(format!(
+                        "tree {ti} references taxon id {} but the namespace has {} taxa",
+                        t.index(),
+                        taxa.len()
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One worker's share of one chunk: its trees' canonical masks in tree
+/// order, each mask's shard, and each tree's split count.
+#[derive(Debug)]
+struct Piece {
+    /// Global index of the piece's first tree.
+    first: usize,
+    /// Masks packed at the spill's stride.
+    masks: Vec<u64>,
+    /// `shard_of(split_hash128(mask))` per mask; empty with one shard.
+    routes: Vec<u32>,
+    /// Non-trivial split count of each tree.
+    splits: Vec<u32>,
+}
+
+impl Piece {
+    /// Zero-extend every mask from `from` to `to` words, in place.
+    fn widen(&mut self, from: usize, to: usize) {
+        let n = self.masks.len().checked_div(from).unwrap_or(0);
+        self.masks.resize(n * to, 0);
+        for i in (0..n).rev() {
+            self.masks.copy_within(i * from..(i + 1) * from, i * to);
+            self.masks[i * to + from..(i + 1) * to].fill(0);
+        }
+    }
+
+    fn route(&mut self, words: usize, shards: usize) {
+        self.routes.clear();
+        self.routes.extend(
+            self.masks
+                .chunks_exact(words)
+                .map(|w| shard_of(split_hash128(w), shards) as u32),
+        );
+    }
+}
+
+/// The build's phase-1 state: every spilled chunk's pieces, in order.
+pub(crate) struct Spill<'g> {
+    shards: usize,
+    parallel: bool,
+    keep: bool,
+    guard: &'g RunGuard,
+    /// Words per spilled mask; grows with the namespace, never shrinks.
+    words: usize,
+    n_trees: usize,
+    pieces: Vec<Piece>,
+}
+
+impl<'g> Spill<'g> {
+    /// A build into `shards` maps. More than one shard always extracts and
+    /// folds on rayon workers; `parallel` decides the one-shard case.
+    pub(crate) fn new(shards: usize, parallel: bool, keep: bool, guard: &'g RunGuard) -> Self {
+        Spill {
+            shards,
+            parallel: parallel || shards > 1,
+            keep,
+            guard,
+            words: 0,
+            n_trees: 0,
+            pieces: Vec::new(),
+        }
+    }
+
+    /// Build from a whole in-memory collection.
+    pub(crate) fn slice(mut self, trees: &[Tree], taxa: &TaxonSet) -> Result<Bfh, CoreError> {
+        for chunk in trees.chunks(CHUNK) {
+            self.push(chunk, taxa)?;
+        }
+        self.fold(taxa.len()).map(|(bfh, _)| bfh)
+    }
+
+    /// Zero-extend the spilled masks to `words` and re-route them. The
+    /// namespace crosses a word boundary at most a few times per build, so
+    /// this runs on the calling thread.
+    fn widen(&mut self, words: usize) {
+        for p in &mut self.pieces {
+            p.widen(self.words, words);
+            if self.shards > 1 {
+                p.route(words, self.shards);
+            }
+        }
+        self.words = words;
+    }
+
+    /// Extract one chunk's splits into new pieces. Its trees may be dropped
+    /// afterwards. The spill is widened to `taxa` first, even for an empty
+    /// chunk: a source may grow the namespace without yielding a tree.
+    fn push(&mut self, chunk: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
+        let n_taxa = taxa.len();
+        let words = words_for(n_taxa);
+        if words > self.words {
+            self.widen(words);
+        }
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        let first = self.n_trees;
+        self.n_trees += chunk.len();
+        let guard = self.guard;
+        guard.checkpoint("BFH build")?;
+        // Every split is spilled once as raw words: the whole spill is
+        // bounded by r × (n − 3) splits of `words` u64s. The sequential
+        // one-shard build is not budgeted; the others refuse as soon as the
+        // trees read so far would overflow it, before extracting them.
+        if self.parallel {
+            let spill_bytes = self
+                .n_trees
+                .saturating_mul(n_taxa.saturating_sub(3))
+                .saturating_mul(words * 8);
+            guard.check_alloc("BFH build spill buffers", spill_bytes)?;
+        }
+        let shards = self.shards;
+        let per = if self.parallel {
+            chunk.len().div_ceil(rayon::current_num_threads()).max(1)
+        } else {
+            chunk.len()
+        };
+        let extract = |(ci, trees): (usize, &[Tree])| {
+            isolate("BFH extract worker", || {
+                let mut scratch = BipartitionScratch::new();
+                let bound = trees.len() * n_taxa.saturating_sub(3);
+                let mut piece = Piece {
+                    first: first + ci * per,
+                    masks: Vec::with_capacity(bound * words),
+                    routes: Vec::with_capacity(if shards > 1 { bound } else { 0 }),
+                    splits: Vec::with_capacity(trees.len()),
+                };
+                for (i, tree) in trees.iter().enumerate() {
+                    guard.checkpoint("BFH build")?;
+                    guard.panic_if_injected(piece.first + i);
+                    let mut count = 0u32;
+                    scratch.for_each_split(tree, taxa, |w| {
+                        if shards > 1 {
+                            piece.routes.push(shard_of(split_hash128(w), shards) as u32);
+                        }
+                        piece.masks.extend_from_slice(w);
+                        count += 1;
+                    });
+                    piece.splits.push(count);
+                }
+                piece.masks.shrink_to_fit();
+                piece.routes.shrink_to_fit();
+                Ok(piece)
+            })
+        };
+        let pieces: Vec<Piece> = if self.parallel {
+            chunk
+                .par_chunks(per)
+                .enumerate()
+                .map(extract)
+                .collect::<Result<_, CoreError>>()?
+        } else {
+            chunk
+                .chunks(per)
+                .enumerate()
+                .map(extract)
+                .collect::<Result<_, CoreError>>()?
+        };
+        self.pieces.extend(pieces);
+        Ok(())
+    }
+
+    /// Phase 2: fold each shard's spilled masks, in tree order, into its
+    /// own map. With `keep`, the spill comes back as [`KeptSplits`].
+    fn fold(mut self, n_taxa: usize) -> Result<(Bfh, Option<KeptSplits>), CoreError> {
+        let words = self.words;
+        let (shards, guard) = (self.shards, self.guard);
+        let maps: Vec<BitsMap<u32>> = if self.n_trees == 0 || words == 0 {
+            (0..shards).map(|_| bits_map_with_capacity(0)).collect()
+        } else {
+            debug_assert_eq!(words, words_for(n_taxa), "the last push widened the spill");
+            let pieces = &self.pieces;
+            let fold_shard = |si: usize| {
+                isolate("BFH fold worker", || {
+                    guard.checkpoint("BFH fold")?;
+                    let mine = |p: &'_ Piece| -> usize {
+                        if shards == 1 {
+                            p.masks.len() / words
+                        } else {
+                            p.routes.iter().filter(|&&r| r as usize == si).count()
+                        }
+                    };
+                    // Size for the pessimistic every-split-distinct case
+                    // halved — one rehash at most, none once repeats
+                    // dominate.
+                    let entries: usize = pieces.iter().map(mine).sum();
+                    let mut map: BitsMap<u32> = bits_map_with_capacity(entries / 2 + 8);
+                    let mut bump = |w: &[u64]| match map_get_words_mut(&mut map, w) {
+                        Some(c) => *c += 1,
+                        None => {
+                            map.insert(Bits::from_words(n_taxa, w), 1);
+                        }
+                    };
+                    for p in pieces {
+                        if shards == 1 {
+                            p.masks.chunks_exact(words).for_each(&mut bump);
+                        } else {
+                            p.masks
+                                .chunks_exact(words)
+                                .zip(&p.routes)
+                                .filter(|(_, &r)| r as usize == si)
+                                .for_each(|(w, _)| bump(w));
+                        }
+                    }
+                    Ok(map)
+                })
+            };
+            if self.parallel {
+                let shard_ids: Vec<usize> = (0..shards).collect();
+                shard_ids
+                    .par_iter()
+                    .map(|&si| fold_shard(si))
+                    .collect::<Result<_, CoreError>>()?
+            } else {
+                (0..shards)
+                    .map(fold_shard)
+                    .collect::<Result<_, CoreError>>()?
+            }
+        };
+        let sum = self
+            .pieces
+            .iter()
+            .map(|p| p.splits.iter().map(|&c| u64::from(c)).sum::<u64>())
+            .sum();
+        let bfh = Bfh::from_shard_maps(maps, sum, self.n_trees, n_taxa);
+        let kept = self.keep.then(|| {
+            for p in &mut self.pieces {
+                p.routes = Vec::new();
+            }
+            KeptSplits {
+                n_taxa,
+                words,
+                n_trees: self.n_trees,
+                pieces: self.pieces,
+            }
+        });
+        Ok((bfh, kept))
+    }
+}
+
+/// Every reference tree's canonical split masks, kept from a streamed
+/// build by [`BfhBuilder::from_stream_kept`]: the trees' own answers to
+/// "which splits do I have?", without the trees.
+#[derive(Debug)]
+pub struct KeptSplits {
+    n_taxa: usize,
+    words: usize,
+    n_trees: usize,
+    pieces: Vec<Piece>,
+}
+
+impl KeptSplits {
+    /// Number of trees whose splits are kept.
+    pub fn len(&self) -> usize {
+        self.n_trees
+    }
+
+    /// Whether no tree was kept.
+    pub fn is_empty(&self) -> bool {
+        self.n_trees == 0
+    }
+
+    /// Heap bytes held by the kept masks and split counts.
+    pub fn approx_bytes(&self) -> usize {
+        self.pieces
+            .iter()
+            .map(|p| p.masks.capacity() * 8 + p.splits.capacity() * 4)
+            .sum()
+    }
+
+    /// Average RF of every kept tree against `table`, in stream order:
+    /// the Q = R scores, bitwise-identical to scoring the parsed trees.
+    /// Each tree's masks are hashed and probed as one batch, so a frozen
+    /// table answers through its pipelined probe. `parallel` spreads the
+    /// trees over rayon workers; the guard is polled per tree.
+    pub fn score<H: SplitFrequency + Sync>(
+        &self,
+        table: &H,
+        parallel: bool,
+        guard: &RunGuard,
+    ) -> Result<Vec<QueryScore>, CoreError> {
+        if table.reference_count() == 0 {
+            return Err(CoreError::EmptyReference);
+        }
+        if self.n_trees == 0 {
+            return Err(CoreError::EmptyQuery);
+        }
+        let words = self.words;
+        let score_piece = |p: &Piece| {
+            isolate("bfhrf query worker", || {
+                let mut hashes: Vec<u128> = Vec::new();
+                let mut at = 0usize;
+                p.splits
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &count)| {
+                        guard.checkpoint("bfhrf average_all")?;
+                        guard.panic_if_injected(p.first + i);
+                        let masks = &p.masks[at..at + count as usize * words];
+                        at += masks.len();
+                        hashes.clear();
+                        hashes.extend(masks.chunks_exact(words.max(1)).map(split_hash128));
+                        let batch = SplitBatch::from_parts(words, masks, &hashes);
+                        Ok(QueryScore {
+                            index: p.first + i,
+                            rf: score_batch(table, self.n_taxa, &batch),
+                        })
+                    })
+                    .collect::<Result<Vec<_>, CoreError>>()
+            })
+        };
+        let scored: Vec<Vec<QueryScore>> = if parallel {
+            self.pieces
+                .par_iter()
+                .map(score_piece)
+                .collect::<Result<_, CoreError>>()?
+        } else {
+            self.pieces
+                .iter()
+                .map(score_piece)
+                .collect::<Result<_, CoreError>>()?
+        };
+        Ok(scored.into_iter().flatten().collect())
     }
 }
 
@@ -272,5 +684,192 @@ mod tests {
             .from_newick_reader(text.as_bytes(), &mut known, TaxaPolicy::Require)
             .unwrap_err();
         assert!(matches!(err, CoreError::Phylo(_)));
+    }
+
+    /// 600 trees on 12 taxa: three chunks.
+    fn three_chunks() -> (String, TreeCollection) {
+        let c = phylo_sim::perturb::random_collection(12, 600, 0xc4a2);
+        let text: String = c
+            .trees
+            .iter()
+            .map(|t| phylo::write_newick(t, &c.taxa) + "\n")
+            .collect();
+        (text, c)
+    }
+
+    /// Stream `text` through `builder`, counting the trees it pulls.
+    fn pulled(builder: &BfhBuilder, text: &str) -> (Result<Bfh, CoreError>, usize) {
+        let mut taxa = TaxonSet::new();
+        let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+        let mut n = 0usize;
+        let out = builder.from_stream(&mut taxa, |t| {
+            let tree = stream.next_tree(t)?;
+            n += usize::from(tree.is_some());
+            Ok(tree)
+        });
+        (out, n)
+    }
+
+    #[test]
+    fn spill_budget_is_checked_cumulatively_per_chunk() {
+        let (text, c) = three_chunks();
+        // r × (n − 3) × words × 8, as the whole collection would need.
+        let need = 600 * (12 - 3) * 8;
+        for (budget, ok) in [(need, true), (need - 1, false)] {
+            for builder in [
+                BfhBuilder::new().parallel(true),
+                BfhBuilder::new().shards(3),
+            ] {
+                let builder = builder.budget(RunBudget::with_max_bytes(budget));
+                let (out, _) = pulled(&builder, &text);
+                match out {
+                    Ok(bfh) => assert!(ok, "{budget}: {}", bfh.n_trees()),
+                    Err(CoreError::ResourceLimit(msg)) => {
+                        assert!(!ok);
+                        assert!(msg.contains(&format!("needs {need} bytes")), "{msg}");
+                    }
+                    Err(e) => panic!("{e:?}"),
+                }
+                let sliced = builder.from_trees(&c.trees, &c.taxa);
+                assert_eq!(sliced.is_ok(), ok);
+            }
+        }
+        // A budget the first chunk already overflows refuses before the
+        // stream is read any further.
+        let builder = BfhBuilder::new()
+            .shards(2)
+            .budget(RunBudget::with_max_bytes(CHUNK * 9 * 8 - 1));
+        let (out, n) = pulled(&builder, &text);
+        assert!(matches!(out, Err(CoreError::ResourceLimit(_))), "{out:?}");
+        assert_eq!(n, CHUNK);
+        // The sequential one-shard build is not budgeted.
+        let seq = BfhBuilder::new().budget(RunBudget::with_max_bytes(1));
+        assert_eq!(pulled(&seq, &text).0.unwrap().n_trees(), 600);
+    }
+
+    #[test]
+    fn injected_panic_in_a_later_chunk_is_a_worker_panic() {
+        let (text, c) = three_chunks();
+        for at in [CHUNK + 3, 2 * CHUNK + 80] {
+            let mut guard = RunGuard::default();
+            guard.inject_panic_at(at);
+            for builder in [
+                BfhBuilder::new(),
+                BfhBuilder::new().parallel(true).shards(2),
+            ] {
+                let builder = builder.guard(guard.clone());
+                let (out, _) = pulled(&builder, &text);
+                let Err(CoreError::WorkerPanic(msg)) = out else {
+                    panic!("expected a worker panic, got {out:?}");
+                };
+                assert!(
+                    msg.contains(&format!("injected panic at item {at}")),
+                    "{msg}"
+                );
+                assert!(matches!(
+                    builder.from_trees(&c.trees, &c.taxa),
+                    Err(CoreError::WorkerPanic(_))
+                ));
+            }
+            // The Q = R scorer numbers the kept trees the same way.
+            let mut taxa = TaxonSet::new();
+            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+            let (bfh, kept) = BfhBuilder::new()
+                .shards(2)
+                .from_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .unwrap();
+            let frozen = bfh.freeze();
+            for parallel in [false, true] {
+                let err = kept.score(&frozen, parallel, &guard).unwrap_err();
+                assert!(
+                    matches!(&err, CoreError::WorkerPanic(m) if m.contains(&format!("item {at}"))),
+                    "{err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cancelled_stream_stops_with_a_typed_error() {
+        let (text, _) = three_chunks();
+        let guard = RunGuard::default();
+        guard.cancel.cancel();
+        let (out, n) = pulled(&BfhBuilder::new().guard(guard), &text);
+        assert!(matches!(out, Err(CoreError::Cancelled(_))), "{out:?}");
+        assert_eq!(
+            n, CHUNK,
+            "the first chunk is extracted, or not, before the next is read"
+        );
+    }
+
+    #[test]
+    fn namespace_grown_after_the_last_tree_widens_the_spill() {
+        // A source may intern labels without yielding another tree; the
+        // spill, and the kept masks, must still reach the final width. Two
+        // full chunks: the labels arrive after the last tree was extracted.
+        let (text, _) = three_chunks();
+        let text: String = text
+            .lines()
+            .take(2 * CHUNK)
+            .map(|l| l.to_owned() + "\n")
+            .collect();
+        let mut taxa = TaxonSet::new();
+        let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+        let (bfh, kept) = BfhBuilder::new()
+            .shards(3)
+            .from_stream_kept(&mut taxa, |t| match stream.next_tree(t)? {
+                Some(tree) => Ok(Some(tree)),
+                None => {
+                    for i in 0..70 {
+                        t.intern(&format!("late{i}"));
+                    }
+                    Ok(None)
+                }
+            })
+            .unwrap();
+        assert_eq!(taxa.len(), 82);
+        let whole = phylo::read_trees_from_str(&text, &mut taxa, TaxaPolicy::Require).unwrap();
+        let want = Bfh::build_sharded(&whole, &taxa, 3).freeze();
+        let frozen = bfh.freeze();
+        assert_eq!(frozen.digest(), want.digest());
+        assert_eq!(
+            kept.score(&frozen, true, &RunGuard::default()).unwrap(),
+            crate::rf::bfhrf_all(&whole, &taxa, &bfh).unwrap()
+        );
+    }
+
+    #[test]
+    fn piece_widening_zero_extends_in_place() {
+        let mut p = Piece {
+            first: 0,
+            masks: vec![1, 2, 3],
+            routes: Vec::new(),
+            splits: vec![3],
+        };
+        p.widen(1, 3);
+        assert_eq!(p.masks, [1, 0, 0, 2, 0, 0, 3, 0, 0]);
+        p.widen(3, 4);
+        assert_eq!(p.masks, [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]);
+    }
+
+    #[test]
+    fn kept_splits_score_like_the_parsed_trees() {
+        let text =
+            "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));\n".repeat(100);
+        let c = coll(&text);
+        for builder in [BfhBuilder::new(), BfhBuilder::new().shards(3)] {
+            let mut taxa = TaxonSet::new();
+            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+            let (bfh, kept) = builder
+                .from_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .unwrap();
+            assert_eq!(kept.len(), 300);
+            let frozen = bfh.freeze();
+            let want = crate::rf::bfhrf_all(&c.trees, &c.taxa, &bfh).unwrap();
+            for parallel in [false, true] {
+                let got = kept.score(&frozen, parallel, &RunGuard::default()).unwrap();
+                assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -23,7 +23,7 @@ use crate::bfh::Bfh;
 use crate::error::CoreError;
 use crate::guard::{isolate, RunGuard};
 use crate::hashrf::{HashRf, HashRfConfig};
-use crate::rf::{bfhrf_average_scratch, QueryScore, RfAverage};
+use crate::rf::{bfhrf_average_scratch, score_chunk, QueryScore, RfAverage};
 use phylo::{BipartitionScratch, BipartitionSet, TaxonSet, Tree};
 use phylo_bitset::Bits;
 use rayon::prelude::*;
@@ -77,7 +77,7 @@ pub trait Comparator {
 
 /// Typed-error guard replacing the extraction assert: every leaf taxon of
 /// `tree` must fit the namespace.
-fn check_tree_taxa(tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreError> {
+pub(crate) fn check_tree_taxa(tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreError> {
     for leaf in tree.leaves() {
         if let Some(t) = tree.taxon(leaf) {
             if t.index() >= taxa.len() {
@@ -303,47 +303,17 @@ impl Comparator for FrozenComparator<'_> {
         if queries.is_empty() {
             return Err(CoreError::EmptyQuery);
         }
-        for q in queries {
-            check_tree_taxa(q, self.taxa)?;
-        }
-        if !self.parallel {
-            let mut scratch = BipartitionScratch::new();
-            return queries
-                .iter()
-                .enumerate()
-                .map(|(index, q)| {
-                    guard.checkpoint("bfhrf average_all")?;
-                    Ok(QueryScore {
-                        index,
-                        rf: self.frozen.average_scratch(q, self.taxa, &mut scratch),
-                    })
-                })
-                .collect();
-        }
-        // Mirrors the live parallel path: chunked for scratch reuse,
-        // panic-isolated, guard polled per query.
-        let chunk = queries.len().div_ceil(rayon::current_num_threads()).max(1);
-        let chunks: Vec<Vec<QueryScore>> = queries
-            .par_chunks(chunk)
-            .enumerate()
-            .map(|(ci, qs)| {
-                isolate("bfhrf query worker", || {
-                    let mut scratch = BipartitionScratch::new();
-                    qs.iter()
-                        .enumerate()
-                        .map(|(i, q)| {
-                            guard.checkpoint("bfhrf average_all")?;
-                            guard.panic_if_injected(ci * chunk + i);
-                            Ok(QueryScore {
-                                index: ci * chunk + i,
-                                rf: self.frozen.average_scratch(q, self.taxa, &mut scratch),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, CoreError>>()
-                })
-            })
-            .collect::<Result<_, CoreError>>()?;
-        Ok(chunks.into_iter().flatten().collect())
+        let mut out = Vec::with_capacity(queries.len());
+        score_chunk(
+            &*self.frozen,
+            queries,
+            self.taxa,
+            0,
+            self.parallel,
+            guard,
+            &mut out,
+        )?;
+        Ok(out)
     }
 }
 

@@ -1092,6 +1092,10 @@ impl crate::SplitFrequency for FrozenBfh {
     fn split_frequency_words(&self, _n_bits: usize, words: &[u64]) -> u32 {
         self.frequency_words(words)
     }
+
+    fn batch_frequency_sum(&self, _n_bits: usize, batch: &SplitBatch<'_>) -> u64 {
+        self.frequency_sum_batch(batch)
+    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,13 @@
 //! results are exact and deterministic regardless of parallel scheduling.
 
 use crate::bfh::Bfh;
+use crate::builder::{fill_chunk, CHUNK};
+use crate::comparator::check_tree_taxa;
+use crate::guard::{isolate, RunGuard};
 use crate::CoreError;
-use phylo::{BipartitionScratch, SplitBatch, TaxaPolicy, TaxonSet, Tree};
+use phylo::{BipartitionScratch, PhyloError, SplitBatch, TaxonSet, Tree};
 use phylo_bitset::{bits_map_with_capacity, map_get_words, map_get_words_mut, Bits, BitsMap};
-use std::io::BufRead;
+use rayon::prelude::*;
 
 /// Exact average-RF result for one query tree against a collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +65,29 @@ pub trait SplitFrequency {
     /// queries never allocate.
     fn split_frequency_words(&self, n_bits: usize, words: &[u64]) -> u32 {
         self.split_frequency(&phylo_bitset::Bits::from_words(n_bits, words))
+    }
+    /// Σ frequency over one tree's extracted splits. The default probes
+    /// mask by mask; [`crate::FrozenBfh`] overrides it with its pipelined
+    /// batch probe, which uses the batch's precomputed hashes.
+    fn batch_frequency_sum(&self, n_bits: usize, batch: &SplitBatch<'_>) -> u64 {
+        (0..batch.len())
+            .map(|i| u64::from(self.split_frequency_words(n_bits, batch.mask(i))))
+            .sum()
+    }
+}
+
+/// Algorithm 2's arithmetic for one tree whose splits are `batch`.
+pub(crate) fn score_batch<H: SplitFrequency + ?Sized>(
+    hash: &H,
+    n_bits: usize,
+    batch: &SplitBatch<'_>,
+) -> RfAverage {
+    let r = hash.reference_count() as u64;
+    let freq_sum = hash.batch_frequency_sum(n_bits, batch);
+    RfAverage {
+        left: hash.occurrence_sum() - freq_sum,
+        right: batch.len() as u64 * r - freq_sum,
+        n_refs: hash.reference_count(),
     }
 }
 
@@ -252,25 +278,42 @@ pub fn bfhrf_all(
         .collect())
 }
 
-/// Average RF of every query tree read from a Newick stream, without ever
-/// holding more than one query in memory. Labels must resolve against
-/// `taxa` (the namespace the hash was built over).
-pub fn bfhrf_streaming<R: BufRead>(
-    reader: R,
+/// Average RF of every query tree pulled from `next`, in input order,
+/// holding at most [`CHUNK`] parsed queries at a time: the streamed twin
+/// of [`crate::Comparator::average_all_guarded`], for any split-frequency
+/// store. `next` resolves labels against `taxa`, the namespace the table
+/// was built over, and yields `Ok(None)` at the end; a parse failure
+/// surfaces as [`CoreError::Phylo`]. `parallel` scores each chunk on rayon
+/// workers. The guard is polled per query.
+///
+/// The whole stream is read even when the table holds no trees, so a
+/// malformed query file is reported before [`CoreError::EmptyReference`].
+pub fn bfhrf_streaming<H, F>(
+    hash: &H,
     taxa: &mut TaxonSet,
-    bfh: &Bfh,
-) -> Result<Vec<QueryScore>, CoreError> {
-    if bfh.n_trees() == 0 {
-        return Err(CoreError::EmptyReference);
-    }
-    let mut stream = phylo::newick::NewickStream::new(reader, TaxaPolicy::Require);
-    let mut scratch = BipartitionScratch::new();
+    parallel: bool,
+    guard: &RunGuard,
+    mut next: F,
+) -> Result<Vec<QueryScore>, CoreError>
+where
+    H: SplitFrequency + Sync,
+    F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+{
+    let empty = hash.reference_count() == 0;
     let mut out = Vec::new();
-    while let Some(tree) = stream.next_tree(taxa)? {
-        out.push(QueryScore {
-            index: out.len(),
-            rf: bfhrf_average_scratch(&tree, taxa, bfh, &mut scratch),
-        });
+    let mut chunk = Vec::with_capacity(CHUNK);
+    loop {
+        let more = fill_chunk(&mut chunk, taxa, &mut next)?;
+        if !empty {
+            score_chunk(hash, &chunk, taxa, out.len(), parallel, guard, &mut out)?;
+        }
+        chunk.clear();
+        if !more {
+            break;
+        }
+    }
+    if empty {
+        return Err(CoreError::EmptyReference);
     }
     if out.is_empty() {
         return Err(CoreError::EmptyQuery);
@@ -278,10 +321,66 @@ pub fn bfhrf_streaming<R: BufRead>(
     Ok(out)
 }
 
+/// Score a chunk of queries whose first has index `first`, appending to
+/// `out`: each query's splits are extracted with their hashes and probed
+/// as one batch. `parallel` splits the chunk evenly over rayon workers,
+/// each panic-isolated with its own extraction arena.
+pub(crate) fn score_chunk<H: SplitFrequency + Sync>(
+    hash: &H,
+    chunk: &[Tree],
+    taxa: &TaxonSet,
+    first: usize,
+    parallel: bool,
+    guard: &RunGuard,
+    out: &mut Vec<QueryScore>,
+) -> Result<(), CoreError> {
+    for q in chunk {
+        check_tree_taxa(q, taxa)?;
+    }
+    let per = if parallel {
+        chunk.len().div_ceil(rayon::current_num_threads()).max(1)
+    } else {
+        chunk.len().max(1)
+    };
+    let score = |(ci, qs): (usize, &[Tree])| {
+        isolate("bfhrf query worker", || {
+            let mut scratch = BipartitionScratch::new();
+            qs.iter()
+                .enumerate()
+                .map(|(i, q)| {
+                    let index = first + ci * per + i;
+                    guard.checkpoint("bfhrf average_all")?;
+                    guard.panic_if_injected(index);
+                    let batch = scratch.batch_splits(q, taxa);
+                    Ok(QueryScore {
+                        index,
+                        rf: score_batch(hash, taxa.len(), &batch),
+                    })
+                })
+                .collect::<Result<Vec<_>, CoreError>>()
+        })
+    };
+    let scored: Vec<Vec<QueryScore>> = if parallel {
+        chunk
+            .par_chunks(per)
+            .enumerate()
+            .map(score)
+            .collect::<Result<_, CoreError>>()?
+    } else {
+        chunk
+            .chunks(per)
+            .enumerate()
+            .map(score)
+            .collect::<Result<_, CoreError>>()?
+    };
+    out.extend(scored.into_iter().flatten());
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::TreeCollection;
+    use phylo::{TaxaPolicy, TreeCollection};
 
     fn setup(refs: &str, queries: &str) -> (TreeCollection, Vec<Tree>, Bfh) {
         // Parse refs growing the namespace, then queries against it so the
@@ -349,8 +448,19 @@ mod tests {
         let queries = "((A,B),((C,D),(E,F)));\n((A,E),((C,D),(B,F)));";
         let (mut refs_coll, qs, bfh) = setup(refs, queries);
         let batch = bfhrf_all(&qs, &refs_coll.taxa, &bfh).unwrap();
-        let streamed = bfhrf_streaming(queries.as_bytes(), &mut refs_coll.taxa, &bfh).unwrap();
-        assert_eq!(batch, streamed);
+        for parallel in [false, true] {
+            let mut stream =
+                phylo::newick::NewickStream::new(queries.as_bytes(), TaxaPolicy::Require);
+            let streamed = bfhrf_streaming(
+                &bfh.freeze(),
+                &mut refs_coll.taxa,
+                parallel,
+                &RunGuard::default(),
+                |t| stream.next_tree(t),
+            )
+            .unwrap();
+            assert_eq!(batch, streamed);
+        }
     }
 
     #[test]

@@ -676,7 +676,30 @@ proptest! {
             text.push('\n');
         }
         let mut taxa = refs.taxa.clone();
-        let streamed = bfhrf::rf::bfhrf_streaming(text.as_bytes(), &mut taxa, &bfh).unwrap();
+        for (table, parallel) in [(&bfh, false), (&bfh, true)] {
+            let mut stream =
+                phylo::newick::NewickStream::new(text.as_bytes(), phylo::TaxaPolicy::Require);
+            let streamed = bfhrf::rf::bfhrf_streaming(
+                table,
+                &mut taxa,
+                parallel,
+                &bfhrf::RunGuard::default(),
+                |t| stream.next_tree(t),
+            )
+            .unwrap();
+            prop_assert_eq!(&batch, &streamed);
+        }
+        let frozen = bfh.freeze();
+        let mut stream =
+            phylo::newick::NewickStream::new(text.as_bytes(), phylo::TaxaPolicy::Require);
+        let streamed = bfhrf::rf::bfhrf_streaming(
+            &frozen,
+            &mut taxa,
+            true,
+            &bfhrf::RunGuard::default(),
+            |t| stream.next_tree(t),
+        )
+        .unwrap();
         prop_assert_eq!(batch, streamed);
     }
 }

@@ -1,0 +1,182 @@
+//! A streamed build sees the namespace grow while it reads. These files
+//! start with trees on 60 taxa (one mask word) and then add trees whose
+//! labels push the namespace past 64 (two words) and past 128 (three
+//! words). The crossing past 64 falls just before, exactly at, or just
+//! after the first chunk boundary, so masks already spilled must be
+//! zero-extended and re-routed. Every case must give the table a build
+//! over the whole collection, parsed up front, gives, digest for digest,
+//! and the same `avgrf` report as the all-pairs set comparator (`ds`).
+//! The leafsets differ from tree to tree, which is what lets a namespace
+//! grow, so Day's algorithm, which needs one leafset, cannot be the
+//! oracle here.
+
+use bfhrf::{Bfh, BfhBuilder, FrozenBfh, CHUNK};
+use phylo::{IngestPolicy, TaxaPolicy, TaxonSet, TreeCollection};
+use phylo_sim::perturb::random_binary_tree;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+/// Append `count` random binary trees, each on a random subset of most of
+/// the labels `t0 .. t{pool-1}`, so leafsets (and their lowest taxon)
+/// vary from tree to tree.
+fn segment(out: &mut String, count: usize, pool: usize, rng: &mut StdRng) {
+    for _ in 0..count {
+        let k = rng.random_range(pool - 6..=pool);
+        let mut ids: Vec<usize> = (0..pool).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.random_range(0..=i));
+        }
+        let mut labels = TaxonSet::new();
+        for &i in &ids[..k] {
+            labels.intern(&format!("t{i}"));
+        }
+        out.push_str(&phylo::write_newick(&random_binary_tree(k, rng), &labels));
+        out.push('\n');
+    }
+}
+
+/// A file whose namespace crosses 64 taxa at tree `at` and 128 taxa at
+/// tree `at + wide`.
+fn widening_file(at: usize, wide: usize, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut text = String::new();
+    segment(&mut text, at, 60, &mut rng);
+    segment(&mut text, wide, 100, &mut rng);
+    segment(&mut text, 30, 140, &mut rng);
+    text
+}
+
+/// The same trees with malformed records between them, for lenient ingest.
+fn with_bad_records(text: &str) -> String {
+    let mut out = String::new();
+    for (i, line) in text.lines().enumerate() {
+        if i % 97 == 5 {
+            out.push_str("(t3,(t200,;\n");
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Where the namespace crosses 64 taxa, as parsed.
+fn crossing(coll: &TreeCollection, from: usize) -> usize {
+    let mut taxa = TaxonSet::new();
+    for (i, tree) in coll.trees.iter().enumerate() {
+        for leaf in tree.leaves() {
+            if let Some(t) = tree.taxon(leaf) {
+                taxa.intern(coll.taxa.label(t));
+            }
+        }
+        if taxa.len() > from {
+            return i;
+        }
+    }
+    usize::MAX
+}
+
+fn read(bytes: &[u8], policy: IngestPolicy) -> TreeCollection {
+    phylo_wire::read_collection_sniffed(bytes, policy)
+        .unwrap()
+        .0
+}
+
+fn streamed(bytes: &[u8], policy: IngestPolicy, builder: &BfhBuilder) -> (Bfh, TaxonSet) {
+    let mut taxa = TaxonSet::new();
+    let mut stream =
+        phylo_wire::SniffedReader::open(bytes, &mut taxa, TaxaPolicy::Grow, policy).unwrap();
+    let bfh = builder
+        .from_stream(&mut taxa, |t| stream.next_tree(t))
+        .unwrap();
+    (bfh, taxa)
+}
+
+fn avgrf(path: &std::path::Path, extra: &[&str]) -> (String, u8) {
+    let mut argv = vec![
+        "avgrf".to_string(),
+        "--refs".into(),
+        path.display().to_string(),
+    ];
+    argv.extend(extra.iter().map(|s| s.to_string()));
+    let out = bfhrf_cli::run_full(&argv).unwrap();
+    (out.stdout, out.code)
+}
+
+#[test]
+fn widening_mid_stream_matches_the_materialized_build() {
+    let dir = std::env::temp_dir().join(format!("bfhrf-widening-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // (crossing past 64, trees before the crossing past 128): the last
+    // case crosses 128 in the third chunk, so the first chunk widens twice.
+    for (at, wide, seed) in [
+        (CHUNK - 1, 40, 1),
+        (CHUNK, 40, 2),
+        (CHUNK + 1, CHUNK + 40, 3),
+    ] {
+        let text = widening_file(at, wide, seed);
+        let clean = read(text.as_bytes(), IngestPolicy::Strict);
+        assert_eq!(
+            crossing(&clean, 64),
+            at,
+            "the file crosses 64 taxa at tree {at}"
+        );
+        assert_eq!(crossing(&clean, 128), at + wide);
+        assert!(clean.taxa.len() > 128);
+        let binary = phylo_wire::collection_to_vec(&clean).unwrap();
+        let dirty = with_bad_records(&text);
+        let oracle_path = dir.join(format!("clean-{at}.nwk"));
+        std::fs::write(&oracle_path, &text).unwrap();
+        let (oracle, code) = avgrf(&oracle_path, &["--algorithm", "ds"]);
+        assert_eq!(code, bfhrf_cli::EXIT_OK);
+
+        let inputs: [(&str, &[u8], IngestPolicy); 3] = [
+            ("newick", text.as_bytes(), IngestPolicy::Strict),
+            ("lenient", dirty.as_bytes(), IngestPolicy::lenient()),
+            ("bin", &binary, IngestPolicy::Strict),
+        ];
+        for (name, bytes, policy) in inputs {
+            let whole = read(bytes, policy);
+            assert_eq!(whole.trees.len(), clean.trees.len(), "{name}");
+            let path = dir.join(format!("{name}-{at}"));
+            std::fs::write(&path, bytes).unwrap();
+            let lenient: &[&str] = match policy {
+                IngestPolicy::Strict => &[],
+                _ => &["--lenient"],
+            };
+            for shards in [1usize, 2, 3] {
+                let want =
+                    FrozenBfh::freeze(&Bfh::build_sharded(&whole.trees, &whole.taxa, shards));
+                let mut builders = vec![BfhBuilder::new().parallel(true).shards(shards)];
+                if shards == 1 {
+                    builders.push(BfhBuilder::new());
+                }
+                for builder in &builders {
+                    let (bfh, taxa) = streamed(bytes, policy, builder);
+                    assert_eq!(taxa.len(), whole.taxa.len());
+                    assert_eq!(
+                        bfh.freeze().digest(),
+                        want.digest(),
+                        "{name}: crossing at {at}, {shards} shards, {builder:?}"
+                    );
+                }
+                let k = shards.to_string();
+                let (report, code) = avgrf(&path, &[&["--shards", &k][..], lenient].concat());
+                assert_eq!(report, oracle, "{name}: crossing at {at}, {shards} shards");
+                let want_code = if name == "lenient" {
+                    bfhrf_cli::EXIT_PARTIAL
+                } else {
+                    bfhrf_cli::EXIT_OK
+                };
+                assert_eq!(code, want_code);
+            }
+            // Streamed queries over the widened namespace, sequentially.
+            let q = path.display().to_string();
+            let (report, _) = avgrf(
+                &path,
+                &[&["--algorithm", "bfhrf-seq", "--queries", &q][..], lenient].concat(),
+            );
+            assert_eq!(report, oracle, "{name}: --queries, crossing at {at}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -2,18 +2,18 @@
 //!
 //! The paper's headline memory result (Table III: 1.3 GB where baselines
 //! need 27–37 GB) comes from never materializing the collection: the hash
-//! is built from a stream and queries are answered from a stream. This
-//! example writes a 20k-tree collection to disk, then runs the whole
-//! analysis from the file with only the hash resident.
+//! is built from a stream and the queries are answered without the trees.
+//! This example writes a 20k-tree collection to disk, then runs the whole
+//! analysis from the file with only the hash and each tree's splits
+//! resident.
 //!
 //! ```text
 //! cargo run --release --example streaming_large
 //! ```
 
-use bfhrf::rf::bfhrf_streaming;
-use bfhrf::Bfh;
+use bfhrf::{BfhBuilder, RunGuard};
 use phylo::newick::NewickStream;
-use phylo::{BipartitionScratch, TaxaPolicy, TaxonSet};
+use phylo::{TaxaPolicy, TaxonSet};
 use phylo_sim::datasets::{write_collection, DatasetSpec};
 use std::io::BufReader;
 use std::time::Instant;
@@ -34,30 +34,36 @@ fn main() {
     );
     drop(coll); // nothing of the collection stays in memory
 
-    // Phase 1: stream the references into the hash, one tree at a time,
-    // through a single reused extraction arena — only the hash (plus the
-    // current tree) is ever resident.
-    let mut taxa = TaxonSet::with_numbered("t", n_taxa);
+    // Phase 1: stream the references into the hash. The builder parses a
+    // chunk of trees, extracts their splits into its spill and drops them,
+    // so only one chunk of parsed trees is ever resident. Keeping the
+    // spill gives each tree's splits back for scoring Q = R.
+    let mut taxa = TaxonSet::new();
     let t0 = Instant::now();
     let file = std::fs::File::open(&path).expect("open refs");
-    let mut stream = NewickStream::new(BufReader::new(file), TaxaPolicy::Require);
-    let mut bfh = Bfh::empty(n_taxa);
-    let mut scratch = BipartitionScratch::new();
-    while let Some(tree) = stream.next_tree(&mut taxa).expect("parse refs") {
-        bfh.add_tree_with(&tree, &taxa, &mut scratch);
-    }
+    let mut stream = NewickStream::new(BufReader::new(file), TaxaPolicy::Grow);
+    let (bfh, kept) = BfhBuilder::new()
+        .shards(2)
+        .from_stream_kept(&mut taxa, |t| stream.next_tree(t))
+        .expect("build from the stream");
     println!(
-        "hash built in {:.2}s: {} distinct splits from {} trees (approx {:.1} MB resident)",
+        "hash built in {:.2}s: {} distinct splits from {} trees \
+         (approx {:.1} MB hash, {:.1} MB kept splits)",
         t0.elapsed().as_secs_f64(),
         bfh.distinct(),
         bfh.n_trees(),
-        bfh.approx_bytes() as f64 / 1e6
+        bfh.approx_bytes() as f64 / 1e6,
+        kept.approx_bytes() as f64 / 1e6
     );
 
-    // Phase 2: stream the queries (same file — Q is R) against the hash.
+    // Phase 2: Q is R, so score the kept splits against the frozen table —
+    // no tree is parsed or extracted twice.
     let t1 = Instant::now();
-    let file = std::fs::File::open(&path).expect("open queries");
-    let scores = bfhrf_streaming(BufReader::new(file), &mut taxa, &bfh).expect("score queries");
+    let frozen = bfh.freeze();
+    drop(bfh);
+    let scores = kept
+        .score(&frozen, true, &RunGuard::default())
+        .expect("score the references");
     let mean: f64 = scores.iter().map(|s| s.rf.average()).sum::<f64>() / scores.len() as f64;
     println!(
         "scored {} queries in {:.2}s; mean average RF = {:.3}",

@@ -67,10 +67,16 @@ fn streaming_file_analysis_matches_in_memory() {
             TaxaPolicy::Require,
         )
         .unwrap();
-    let streamed = bfhrf::rf::bfhrf_streaming(
+    let mut queries = phylo::newick::NewickStream::new(
         BufReader::new(std::fs::File::open(&path).unwrap()),
-        &mut taxa,
+        TaxaPolicy::Require,
+    );
+    let streamed = bfhrf::rf::bfhrf_streaming(
         &bfh_streamed,
+        &mut taxa,
+        false,
+        &bfhrf::RunGuard::default(),
+        |t| queries.next_tree(t),
     )
     .unwrap();
 
