@@ -3,10 +3,9 @@
 # build + freeze + probe + serve cycle on a reduced insect preset) and a
 # reduced `index_bench`, then validate that the emitted JSON carries the
 # full measurement schema — dataset provenance, warmup/repeats protocol,
-# single- and multi-thread sections with median/CV/speedup, the
-# probe-engine and extraction ablation cells (scalar vs SIMD group scan,
-# scalar vs word-striped extraction), the wire ablation cell (Newick
-# parse vs phylo-wire binary decode), the serve section, and the
+# single- and multi-thread sections with median/CV/speedup, the wire
+# ablation cell (Newick parse vs phylo-wire binary decode), the serve
+# section, and the
 # frozen-sidecar open cells (zero-copy mmap open vs read-and-materialize).
 #
 # The speedup itself is NOT asserted here: CI runners are too noisy for a
@@ -51,18 +50,6 @@ need(st, "probes", int, "single_thread")
 for key in ("live_seconds", "live_cv", "live_mprobes_per_s",
             "frozen_seconds", "frozen_cv", "frozen_mprobes_per_s", "speedup"):
     need(st, key, (int, float), "single_thread")
-pa = need(doc, "probe_ablation", dict, "$")
-need(pa, "engine", str, "probe_ablation")
-need(pa, "simd_available", bool, "probe_ablation")
-for key in ("scalar_seconds", "scalar_cv", "scalar_mprobes_per_s",
-            "simd_seconds", "simd_cv", "simd_mprobes_per_s", "speedup"):
-    need(pa, key, (int, float), "probe_ablation")
-if pa["engine"] not in ("sse2", "neon", "scalar"):
-    sys.exit(f"bench smoke: unknown probe engine {pa['engine']!r}")
-ea = need(doc, "extract_ablation", dict, "$")
-for key in ("scalar_seconds", "scalar_cv",
-            "vectorized_seconds", "vectorized_cv", "speedup"):
-    need(ea, key, (int, float), "extract_ablation")
 wi = need(doc, "wire", dict, "$")
 need(wi, "trees", int, "wire")
 need(wi, "newick_bytes", int, "wire")
@@ -101,8 +88,7 @@ if obs["overhead_ratio"] > obs["max_ratio"]:
     sys.exit(f"bench smoke: obs overhead {obs['overhead_ratio']} exceeds "
              f"the recorded gate {obs['max_ratio']}")
 
-for section, obj in (("single_thread", st), ("probe_ablation", pa),
-                     ("extract_ablation", ea), ("wire", wi),
+for section, obj in (("single_thread", st), ("wire", wi),
                      ("end_to_end", ee),
                      ("multi_thread", mt), ("serve", srv), ("obs", obs)):
     for key, value in obj.items():
@@ -111,9 +97,6 @@ for section, obj in (("single_thread", st), ("probe_ablation", pa),
 if st["speedup"] <= 0 or st["live_mprobes_per_s"] <= 0 \
         or st["frozen_mprobes_per_s"] <= 0:
     sys.exit("bench smoke: degenerate single-thread timings")
-if pa["speedup"] <= 0 or pa["scalar_mprobes_per_s"] <= 0 \
-        or pa["simd_mprobes_per_s"] <= 0 or ea["speedup"] <= 0:
-    sys.exit("bench smoke: degenerate ablation timings")
 if wi["speedup"] <= 0 or wi["parse_us_per_tree"] <= 0 \
         or wi["decode_us_per_tree"] <= 0:
     sys.exit("bench smoke: degenerate wire ablation timings")
@@ -122,8 +105,6 @@ if srv["qps"] <= 0 or srv["pipelined_qps"] <= 0 or srv["batch_qps"] <= 0:
 
 print(f"bench smoke: schema ok "
       f"(single-thread speedup {st['speedup']:.2f}x, "
-      f"probe ablation {pa['speedup']:.2f}x on {pa['engine']}, "
-      f"extraction {ea['speedup']:.2f}x, "
       f"wire decode {wi['speedup']:.2f}x, serve {srv['qps']:.0f} q/s, "
       f"batch {srv['batch_qps']:.0f} q/s, "
       f"obs overhead {obs['overhead_ratio']:.4f}x)")

@@ -5,7 +5,7 @@
 //! query_bench [--fast] [--trees R] [--queries Q] [--repeats K] [--out FILE]
 //! ```
 //!
-//! Eight sections, one file:
+//! Six sections, one file:
 //!
 //! 1. **Single-thread probe path**: the headline. Query splits are
 //!    extracted and hashed once up front (both paths share that cost in
@@ -14,43 +14,28 @@
 //!    split) vs the frozen pipelined kernel
 //!    (`FrozenBfh::frequency_sum_batch`). Target: ≥ 1.5× (measured
 //!    ~2×). Reported as median seconds with CV and probes/second.
-//! 2. **Probe-engine ablation**: the frozen kernel raced against itself
-//!    with the group scan forced scalar (`ProbeMode::Scalar`) vs forced
-//!    vector (`ProbeMode::Simd`), sums asserted bit-identical first.
-//!    The two engines differ by a few ns/probe — inside run-to-run
-//!    noise on a busy host — so rounds alternate scalar/simd and each
-//!    side keeps its best round, the same protocol the obs section
-//!    uses. The cell names the auto-resolved engine
-//!    ("sse2"/"neon"/"scalar") and whether a vector engine is actually
-//!    available, so a reader can tell a genuine SIMD win from a
-//!    scalar-vs-scalar tie on a host without one.
-//! 3. **Extraction ablation**: `batch_splits` (word-striped unions,
-//!    striped popcounts, branchless canonical orientation) vs its
-//!    retained scalar twin `batch_splits_scalar`, masks and hashes
-//!    asserted identical before timing; same interleaved best-of-N
-//!    protocol.
-//! 4. **Wire ablation**: rebuilding a `Tree` per wire item by Newick
+//! 2. **Wire ablation**: rebuilding a `Tree` per wire item by Newick
 //!    parse vs phylo-wire binary decode (`decode_tree_exact`), splits
-//!    asserted bitwise identical (masks and hashes) before timing; same
-//!    interleaved best-of-N protocol. Target: decode ≥ 5× faster per
+//!    asserted bitwise identical (masks and hashes) before timing; rounds
+//!    alternate and each side keeps its best. Target: decode ≥ 5× faster per
 //!    tree. The cell also records the payload sizes of both encodings.
-//! 5. **End-to-end**: full single-thread query scoring — extraction +
+//! 3. **End-to-end**: full single-thread query scoring — extraction +
 //!    hashing + probing + Algorithm 2 — live (`bfhrf_average_scratch`
 //!    over `Bfh`) vs frozen (`FrozenBfh::average_scratch`). Extraction
 //!    dominates here (~70% of a query at n = 144), so this speedup is
 //!    the diluted, whole-pipeline view of the same kernel win.
-//! 6. **Multi-thread**: the same batch through the parallel comparators.
+//! 4. **Multi-thread**: the same batch through the parallel comparators.
 //!    The cell records the detected core count — on a 1-core host the
 //!    rayon pools serialize and the frozen-vs-live ratio collapses
 //!    toward the end-to-end ratio, which is expected, not a regression.
-//! 7. **Serve**: q/s of a real `bfhrf serve` daemon (frozen snapshot
+//! 5. **Serve**: q/s of a real `bfhrf serve` daemon (frozen snapshot
 //!    path) over one connection, three ways — strict request/response
 //!    single-op frames, the same frames pipelined (window of 32 in
 //!    flight), and v2 `batch` frames (64 queries each) — next to an
 //!    in-process emulation of the pre-freeze request path (parse + live
 //!    sequential probe per request) for the before/after contrast. Each
 //!    cell keeps its peak q/s over `repeats` rounds.
-//! 8. **Obs overhead**: the frozen probe loop bare vs wrapped in the
+//! 6. **Obs overhead**: the frozen probe loop bare vs wrapped in the
 //!    same request-boundary instrumentation the serve daemon uses (one
 //!    clock pair + histogram record + counter bump per request, where
 //!    one request covers the whole query batch, as served avgrf does).
@@ -200,129 +185,6 @@ fn main() {
         frozen_probe.cv
     );
 
-    // -------- probe-engine ablation: scalar vs SIMD group scan ---------
-    // Same frozen table, same batches, only the group-scan engine
-    // differs. Bit-identical sums are asserted before any timing so the
-    // ablation can never trade correctness for throughput.
-    let engine_auto = bfhrf::ProbeMode::Auto.engine().name();
-    let simd_real = bfhrf::simd_available();
-    eprintln!(
-        "[query_bench] probe ablation: scalar vs simd group scan (auto engine: {engine_auto}, simd available: {simd_real}) ..."
-    );
-    {
-        let mut scalar_sum = 0u64;
-        let mut simd_sum = 0u64;
-        for (words, masks, hashes) in &batches {
-            let batch = phylo::SplitBatch::from_parts(*words, masks, hashes);
-            scalar_sum += frozen.frequency_sum_batch_with(bfhrf::ProbeMode::Scalar, &batch);
-            simd_sum += frozen.frequency_sum_batch_with(bfhrf::ProbeMode::Simd, &batch);
-        }
-        assert_eq!(scalar_sum, simd_sum, "scalar and simd probes diverged");
-    }
-    // The two engines differ by a handful of ns/probe, well inside this
-    // host's run-to-run noise, so the ablation uses the same protocol as
-    // the obs section below: rounds alternate scalar/simd so a noisy
-    // neighbour taxes both sides equally, and each side is scored by its
-    // best round — additive noise only ever inflates a round, so the
-    // minimum is the closest estimate of the true kernel cost.
-    let probe_round = |mode: bfhrf::ProbeMode| {
-        let t = Instant::now();
-        let mut acc = 0u64;
-        for (words, masks, hashes) in &batches {
-            let batch = phylo::SplitBatch::from_parts(*words, masks, hashes);
-            acc += frozen.frequency_sum_batch_with(mode, &batch);
-        }
-        std::hint::black_box(acc);
-        t.elapsed().as_secs_f64()
-    };
-    let ablation_rounds = repeats.max(5) * 2;
-    let (scalar_probe, simd_probe) = {
-        probe_round(bfhrf::ProbeMode::Scalar); // warmup
-        probe_round(bfhrf::ProbeMode::Simd);
-        let mut scalar_times = Vec::with_capacity(ablation_rounds);
-        let mut simd_times = Vec::with_capacity(ablation_rounds);
-        for _ in 0..ablation_rounds {
-            scalar_times.push(probe_round(bfhrf::ProbeMode::Scalar));
-            simd_times.push(probe_round(bfhrf::ProbeMode::Simd));
-        }
-        let best = |ts: &[f64]| ts.iter().copied().fold(f64::INFINITY, f64::min);
-        let cv = bfhrf_bench::stats::coeff_of_variation;
-        (
-            (best(&scalar_times), cv(&scalar_times)),
-            (best(&simd_times), cv(&simd_times)),
-        )
-    };
-    let probe_ablation_speedup = scalar_probe.0 / simd_probe.0;
-    eprintln!(
-        "[query_bench] probe ablation: scalar {:.1} ns/probe (cv {:.3}), simd {:.1} ns/probe (cv {:.3}) → {probe_ablation_speedup:.2}x",
-        scalar_probe.0 * 1e9 / total_probes as f64,
-        scalar_probe.1,
-        simd_probe.0 * 1e9 / total_probes as f64,
-        simd_probe.1
-    );
-
-    // -------- extraction ablation: vectorized vs scalar batch_splits ----
-    // The word-striped extractor vs its retained scalar twin, over the
-    // same trees with the same arena. Masks and hashes must agree word
-    // for word before either side is timed.
-    eprintln!("[query_bench] extraction ablation: vectorized vs scalar batch_splits ...");
-    {
-        let mut sv = BipartitionScratch::new();
-        let mut ss = BipartitionScratch::new();
-        for tree in &q {
-            let (vw, vm, vh) = {
-                let b = sv.batch_splits(tree, &coll.taxa);
-                let masks: Vec<u64> = (0..b.len())
-                    .flat_map(|i| b.mask(i).iter().copied())
-                    .collect();
-                (b.words(), masks, b.hashes().to_vec())
-            };
-            let b = ss.batch_splits_scalar(tree, &coll.taxa);
-            let sm: Vec<u64> = (0..b.len())
-                .flat_map(|i| b.mask(i).iter().copied())
-                .collect();
-            assert_eq!(vw, b.words(), "extraction word widths diverged");
-            assert_eq!(vm, sm, "extraction masks diverged");
-            assert_eq!(vh, b.hashes(), "extraction hashes diverged");
-        }
-    }
-    // Same interleaved best-of-N protocol as the probe ablation above.
-    let extract_round = |scalar: bool| {
-        let mut scratch = BipartitionScratch::new();
-        let t = Instant::now();
-        let mut acc = 0usize;
-        for tree in &q {
-            acc += if scalar {
-                scratch.batch_splits_scalar(tree, &coll.taxa).len()
-            } else {
-                scratch.batch_splits(tree, &coll.taxa).len()
-            };
-        }
-        std::hint::black_box(acc);
-        t.elapsed().as_secs_f64()
-    };
-    let (extract_scalar, extract_vec) = {
-        extract_round(true); // warmup
-        extract_round(false);
-        let mut scalar_times = Vec::with_capacity(ablation_rounds);
-        let mut vec_times = Vec::with_capacity(ablation_rounds);
-        for _ in 0..ablation_rounds {
-            scalar_times.push(extract_round(true));
-            vec_times.push(extract_round(false));
-        }
-        let best = |ts: &[f64]| ts.iter().copied().fold(f64::INFINITY, f64::min);
-        let cv = bfhrf_bench::stats::coeff_of_variation;
-        (
-            (best(&scalar_times), cv(&scalar_times)),
-            (best(&vec_times), cv(&vec_times)),
-        )
-    };
-    let extract_speedup = extract_scalar.0 / extract_vec.0;
-    eprintln!(
-        "[query_bench] extraction ablation: scalar {:.4}s (cv {:.3}), vectorized {:.4}s (cv {:.3}) → {extract_speedup:.2}x",
-        extract_scalar.0, extract_scalar.1, extract_vec.0, extract_vec.1
-    );
-
     // -------- wire ablation: Newick parse vs binary record decode -------
     // The serve payload path rebuilds a `Tree` per wire item either by
     // parsing Newick text or by decoding a phylo-wire record. Both
@@ -340,6 +202,12 @@ fn main() {
         .collect();
     let wire_newick_bytes: usize = wire_newicks.iter().map(String::len).sum();
     let wire_bin_bytes: usize = wire_records.iter().map(Vec::len).sum();
+    // The two decoders differ by a few µs per tree, inside this host's
+    // run-to-run noise, so rounds alternate parse/decode (a noisy
+    // neighbour taxes both sides equally) and each side is scored by its
+    // best round: additive noise only ever inflates a round, so the
+    // minimum is the closest estimate of the true cost.
+    let ablation_rounds = repeats.max(5) * 2;
     {
         let mut sp = BipartitionScratch::new();
         let mut sd = BipartitionScratch::new();
@@ -360,7 +228,6 @@ fn main() {
             assert_eq!(ph, bd.hashes(), "decoded split hashes diverged");
         }
     }
-    // Same interleaved best-of-N protocol as the other micro-ablations.
     let wire_round = |decode: bool| {
         let t = Instant::now();
         let mut acc = 0usize;
@@ -748,36 +615,6 @@ fn main() {
                     (total_probes as f64 / frozen_probe.median_s / 1e6).into(),
                 ),
                 ("speedup", probe_speedup.into()),
-            ]),
-        ),
-        (
-            "probe_ablation",
-            Json::obj(vec![
-                ("engine", engine_auto.into()),
-                ("simd_available", simd_real.into()),
-                ("scalar_seconds", scalar_probe.0.into()),
-                ("scalar_cv", scalar_probe.1.into()),
-                (
-                    "scalar_mprobes_per_s",
-                    (total_probes as f64 / scalar_probe.0 / 1e6).into(),
-                ),
-                ("simd_seconds", simd_probe.0.into()),
-                ("simd_cv", simd_probe.1.into()),
-                (
-                    "simd_mprobes_per_s",
-                    (total_probes as f64 / simd_probe.0 / 1e6).into(),
-                ),
-                ("speedup", probe_ablation_speedup.into()),
-            ]),
-        ),
-        (
-            "extract_ablation",
-            Json::obj(vec![
-                ("scalar_seconds", extract_scalar.0.into()),
-                ("scalar_cv", extract_scalar.1.into()),
-                ("vectorized_seconds", extract_vec.0.into()),
-                ("vectorized_cv", extract_vec.1.into()),
-                ("speedup", extract_speedup.into()),
             ]),
         ),
         (

@@ -7,6 +7,12 @@
 //! then ask it `average(query)` — the CLI and bench harness dispatch on
 //! the trait and never mention a concrete algorithm again.
 //!
+//! BFHRF has one comparator, [`BfhrfComparator`], generic over the
+//! [`SplitFrequency`] store it scores against; [`FrozenComparator`] is its
+//! alias over a [`FrozenBfh`]. Every one of its entry points runs the same
+//! extract-then-score Algorithm 2 kernel, so the store changes only the
+//! speed of a probe, never an answer.
+//!
 //! ```
 //! use bfhrf::{Bfh, BfhrfComparator, Comparator};
 //! use phylo::TreeCollection;
@@ -21,9 +27,10 @@
 
 use crate::bfh::Bfh;
 use crate::error::CoreError;
+use crate::frozen::FrozenBfh;
 use crate::guard::{isolate, RunGuard};
 use crate::hashrf::{HashRf, HashRfConfig};
-use crate::rf::{bfhrf_average_scratch, score_chunk, QueryScore, RfAverage};
+use crate::rf::{bfhrf_average_scratch, score_chunk, QueryScore, RfAverage, SplitFrequency};
 use phylo::{BipartitionScratch, BipartitionSet, TaxonSet, Tree};
 use phylo_bitset::Bits;
 use rayon::prelude::*;
@@ -92,30 +99,28 @@ pub(crate) fn check_tree_taxa(tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreEr
     Ok(())
 }
 
-/// BFHRF (Algorithm 2): one tree-vs-hash comparison per query.
+/// BFHRF (Algorithm 2) over any split-frequency store: one tree-vs-hash
+/// comparison per query. Every entry point extracts a query's splits with
+/// their hashes into an arena and scores them through one kernel, so
+/// answers are bitwise-identical whatever the store — a live [`Bfh`], a
+/// [`FrozenBfh`] ([`FrozenComparator`]), one patched by a delta, or a
+/// [`crate::CompactBfh`]. `name()` is `"bfhrf"` for all of them.
 #[derive(Debug, Clone)]
-pub struct BfhrfComparator<'a> {
-    bfh: Cow<'a, Bfh>,
+pub struct BfhrfComparator<'a, H: SplitFrequency + Clone> {
+    table: Cow<'a, H>,
     taxa: &'a TaxonSet,
     parallel: bool,
 }
 
-impl<'a> BfhrfComparator<'a> {
-    /// Compare against an already-built frequency hash.
-    pub fn new(bfh: &'a Bfh, taxa: &'a TaxonSet) -> Self {
-        BfhrfComparator {
-            bfh: Cow::Borrowed(bfh),
-            taxa,
-            parallel: false,
-        }
-    }
+/// BFHRF over a [`FrozenBfh`]: what the CLI, the serve daemon and the
+/// benchmark score with.
+pub type FrozenComparator<'a> = BfhrfComparator<'a, FrozenBfh>;
 
-    /// Compare against a hash the comparator owns — what degradation paths
-    /// use when they build the fallback hash themselves and have nowhere
-    /// to park a borrow.
-    pub fn from_owned(bfh: Bfh, taxa: &'a TaxonSet) -> Self {
+impl<'a, H: SplitFrequency + Clone + Sync> BfhrfComparator<'a, H> {
+    /// Compare against an already-built table.
+    pub fn new(table: &'a H, taxa: &'a TaxonSet) -> Self {
         BfhrfComparator {
-            bfh: Cow::Owned(bfh),
+            table: Cow::Borrowed(table),
             taxa,
             parallel: false,
         }
@@ -125,123 +130,6 @@ impl<'a> BfhrfComparator<'a> {
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
-    }
-}
-
-impl Comparator for BfhrfComparator<'_> {
-    fn name(&self) -> &'static str {
-        "bfhrf"
-    }
-
-    fn average(&self, query: &Tree) -> Result<RfAverage, CoreError> {
-        if self.bfh.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        check_tree_taxa(query, self.taxa)?;
-        let mut scratch = BipartitionScratch::new();
-        Ok(bfhrf_average_scratch(
-            query,
-            self.taxa,
-            &*self.bfh,
-            &mut scratch,
-        ))
-    }
-
-    fn average_all_guarded(
-        &self,
-        queries: &[Tree],
-        guard: &RunGuard,
-    ) -> Result<Vec<QueryScore>, CoreError> {
-        if self.bfh.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        if queries.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        for q in queries {
-            check_tree_taxa(q, self.taxa)?;
-        }
-        if !self.parallel {
-            let mut scratch = BipartitionScratch::new();
-            return queries
-                .iter()
-                .enumerate()
-                .map(|(index, q)| {
-                    guard.checkpoint("bfhrf average_all")?;
-                    Ok(QueryScore {
-                        index,
-                        rf: bfhrf_average_scratch(q, self.taxa, &*self.bfh, &mut scratch),
-                    })
-                })
-                .collect();
-        }
-        // Chunked so each worker reuses one extraction arena; each worker
-        // body is panic-isolated and polls the guard per query.
-        let chunk = queries.len().div_ceil(rayon::current_num_threads()).max(1);
-        let chunks: Vec<Vec<QueryScore>> = queries
-            .par_chunks(chunk)
-            .enumerate()
-            .map(|(ci, qs)| {
-                isolate("bfhrf query worker", || {
-                    let mut scratch = BipartitionScratch::new();
-                    qs.iter()
-                        .enumerate()
-                        .map(|(i, q)| {
-                            guard.checkpoint("bfhrf average_all")?;
-                            guard.panic_if_injected(ci * chunk + i);
-                            Ok(QueryScore {
-                                index: ci * chunk + i,
-                                rf: bfhrf_average_scratch(q, self.taxa, &*self.bfh, &mut scratch),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, CoreError>>()
-                })
-            })
-            .collect::<Result<_, CoreError>>()?;
-        Ok(chunks.into_iter().flatten().collect())
-    }
-}
-
-/// BFHRF over a [`FrozenBfh`](crate::FrozenBfh): the same Algorithm 2
-/// arithmetic, probing the frozen struct-of-arrays table through the
-/// batched split-hashing path. Answers are bitwise-identical to
-/// [`BfhrfComparator`] over the source hash; `name()` stays `"bfhrf"` so
-/// reports don't fork on an internal layout choice.
-#[derive(Debug, Clone)]
-pub struct FrozenComparator<'a> {
-    frozen: Cow<'a, crate::FrozenBfh>,
-    taxa: &'a TaxonSet,
-    parallel: bool,
-}
-
-impl<'a> FrozenComparator<'a> {
-    /// Compare against an already-frozen hash.
-    pub fn new(frozen: &'a crate::FrozenBfh, taxa: &'a TaxonSet) -> Self {
-        FrozenComparator {
-            frozen: Cow::Borrowed(frozen),
-            taxa,
-            parallel: false,
-        }
-    }
-
-    /// Compare against a frozen hash the comparator owns.
-    pub fn from_owned(frozen: crate::FrozenBfh, taxa: &'a TaxonSet) -> Self {
-        FrozenComparator {
-            frozen: Cow::Owned(frozen),
-            taxa,
-            parallel: false,
-        }
-    }
-
-    /// Parallelize [`Comparator::average_all`] over query chunks.
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
-    }
-
-    /// The frozen table being probed.
-    pub fn frozen(&self) -> &crate::FrozenBfh {
-        &self.frozen
     }
 
     /// [`Comparator::average_all_guarded`], sequential, through a
@@ -255,49 +143,17 @@ impl<'a> FrozenComparator<'a> {
         guard: &RunGuard,
         scratch: &mut BipartitionScratch,
     ) -> Result<Vec<QueryScore>, CoreError> {
-        if self.frozen.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        if queries.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        for q in queries {
-            check_tree_taxa(q, self.taxa)?;
-        }
-        queries
-            .iter()
-            .enumerate()
-            .map(|(index, q)| {
-                guard.checkpoint("bfhrf average_all")?;
-                Ok(QueryScore {
-                    index,
-                    rf: self.frozen.average_scratch(q, self.taxa, scratch),
-                })
-            })
-            .collect()
-    }
-}
-
-impl Comparator for FrozenComparator<'_> {
-    fn name(&self) -> &'static str {
-        "bfhrf"
+        self.score(queries, false, guard, scratch)
     }
 
-    fn average(&self, query: &Tree) -> Result<RfAverage, CoreError> {
-        if self.frozen.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        check_tree_taxa(query, self.taxa)?;
-        let mut scratch = BipartitionScratch::new();
-        Ok(self.frozen.average_scratch(query, self.taxa, &mut scratch))
-    }
-
-    fn average_all_guarded(
+    fn score(
         &self,
         queries: &[Tree],
+        parallel: bool,
         guard: &RunGuard,
+        scratch: &mut BipartitionScratch,
     ) -> Result<Vec<QueryScore>, CoreError> {
-        if self.frozen.n_trees() == 0 {
+        if self.table.reference_count() == 0 {
             return Err(CoreError::EmptyReference);
         }
         if queries.is_empty() {
@@ -305,15 +161,61 @@ impl Comparator for FrozenComparator<'_> {
         }
         let mut out = Vec::with_capacity(queries.len());
         score_chunk(
-            &*self.frozen,
+            &*self.table,
             queries,
             self.taxa,
-            0,
-            self.parallel,
+            parallel,
             guard,
+            scratch,
             &mut out,
         )?;
         Ok(out)
+    }
+}
+
+impl<'a> BfhrfComparator<'a, Bfh> {
+    /// Compare against a hash the comparator owns — what degradation paths
+    /// use when they build the fallback hash themselves and have nowhere
+    /// to park a borrow.
+    pub fn from_owned(bfh: Bfh, taxa: &'a TaxonSet) -> Self {
+        BfhrfComparator {
+            table: Cow::Owned(bfh),
+            taxa,
+            parallel: false,
+        }
+    }
+}
+
+impl<H: SplitFrequency + Clone + Sync> Comparator for BfhrfComparator<'_, H> {
+    fn name(&self) -> &'static str {
+        "bfhrf"
+    }
+
+    fn average(&self, query: &Tree) -> Result<RfAverage, CoreError> {
+        if self.table.reference_count() == 0 {
+            return Err(CoreError::EmptyReference);
+        }
+        check_tree_taxa(query, self.taxa)?;
+        let mut scratch = BipartitionScratch::new();
+        Ok(bfhrf_average_scratch(
+            query,
+            self.taxa,
+            &*self.table,
+            &mut scratch,
+        ))
+    }
+
+    fn average_all_guarded(
+        &self,
+        queries: &[Tree],
+        guard: &RunGuard,
+    ) -> Result<Vec<QueryScore>, CoreError> {
+        self.score(
+            queries,
+            self.parallel,
+            guard,
+            &mut BipartitionScratch::new(),
+        )
     }
 }
 
@@ -579,7 +481,9 @@ pub fn hashrf_or_degrade<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompactBfh, SplitDelta};
     use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
+    use std::sync::Arc;
 
     fn setup() -> (TreeCollection, Vec<Tree>) {
         let mut refs = TreeCollection::parse(
@@ -595,20 +499,70 @@ mod tests {
         (refs, queries)
     }
 
+    /// Every store the BFHRF comparator scores against, each holding the
+    /// references: the live hash, its freeze, a frozen table patched by a
+    /// delta that adds and removes trees, and the compact hash.
+    struct Stores {
+        bfh: Bfh,
+        frozen: FrozenBfh,
+        patched: FrozenBfh,
+        compact: CompactBfh,
+    }
+
+    impl Stores {
+        fn new(refs: &TreeCollection, extra: &Tree) -> Stores {
+            let bfh = Bfh::build(&refs.trees, &refs.taxa);
+            let (head, tail) = refs.trees.split_at(refs.trees.len() / 2);
+            let mut base_trees = head.to_vec();
+            base_trees.push(extra.clone());
+            let mut delta = SplitDelta::new(refs.taxa.len());
+            let mut scratch = BipartitionScratch::new();
+            for t in tail {
+                delta.record(&scratch.batch_splits(t, &refs.taxa), 1);
+            }
+            delta.record(&scratch.batch_splits(extra, &refs.taxa), -1);
+            let patched = Bfh::build(&base_trees, &refs.taxa)
+                .freeze()
+                .with_delta(Arc::new(delta));
+            Stores {
+                frozen: bfh.freeze(),
+                patched,
+                compact: CompactBfh::from_bfh(&bfh),
+                bfh,
+            }
+        }
+
+        /// One BFHRF comparator per store, sequential then parallel.
+        fn comparators<'a>(&'a self, taxa: &'a TaxonSet) -> Vec<Box<dyn Comparator + 'a>> {
+            let mut out: Vec<Box<dyn Comparator + 'a>> = Vec::new();
+            for par in [false, true] {
+                out.push(Box::new(
+                    BfhrfComparator::new(&self.bfh, taxa).parallel(par),
+                ));
+                out.push(Box::new(
+                    FrozenComparator::new(&self.frozen, taxa).parallel(par),
+                ));
+                out.push(Box::new(
+                    FrozenComparator::new(&self.patched, taxa).parallel(par),
+                ));
+                out.push(Box::new(
+                    BfhrfComparator::new(&self.compact, taxa).parallel(par),
+                ));
+            }
+            out
+        }
+    }
+
     #[test]
     fn all_exact_comparators_agree_field_by_field() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let frozen = bfh.freeze();
-        let engines: Vec<Box<dyn Comparator>> = vec![
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa)),
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa).parallel(true)),
-            Box::new(FrozenComparator::new(&frozen, &refs.taxa)),
-            Box::new(FrozenComparator::new(&frozen, &refs.taxa).parallel(true)),
-            Box::new(SetComparator::new(&refs.trees, &refs.taxa)),
-            Box::new(SetComparator::new(&refs.trees, &refs.taxa).parallel(true)),
-            Box::new(DayComparator::new(&refs.trees, &refs.taxa)),
-        ];
+        let stores = Stores::new(&refs, &queries[1]);
+        let mut engines = stores.comparators(&refs.taxa);
+        engines.push(Box::new(SetComparator::new(&refs.trees, &refs.taxa)));
+        engines.push(Box::new(
+            SetComparator::new(&refs.trees, &refs.taxa).parallel(true),
+        ));
+        engines.push(Box::new(DayComparator::new(&refs.trees, &refs.taxa)));
         let baseline = engines[0].average_all(&queries).unwrap();
         for engine in &engines[1..] {
             assert_eq!(
@@ -618,9 +572,19 @@ mod tests {
                 engine.name()
             );
         }
-        // per-query entry point agrees with the batch
-        for (i, q) in queries.iter().enumerate() {
-            assert_eq!(engines[0].average(q).unwrap(), baseline[i].rf);
+        // per-query entry points agree with the batch
+        for engine in &engines {
+            for (i, q) in queries.iter().enumerate() {
+                assert_eq!(engine.average(q).unwrap(), baseline[i].rf);
+            }
+        }
+        // and so does the caller-arena path the serve daemon takes
+        let mut scratch = BipartitionScratch::new();
+        for table in [&stores.frozen, &stores.patched] {
+            let got = FrozenComparator::new(table, &refs.taxa)
+                .average_all_scratch_guarded(&queries, &RunGuard::default(), &mut scratch)
+                .unwrap();
+            assert_eq!(got, baseline);
         }
     }
 
@@ -671,15 +635,8 @@ mod tests {
     #[test]
     fn guarded_batch_stops_on_cancel() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let frozen = bfh.freeze();
-        let cmps: Vec<Box<dyn Comparator>> = vec![
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa)),
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa).parallel(true)),
-            Box::new(FrozenComparator::new(&frozen, &refs.taxa)),
-            Box::new(FrozenComparator::new(&frozen, &refs.taxa).parallel(true)),
-        ];
-        for cmp in cmps {
+        let stores = Stores::new(&refs, &queries[1]);
+        for cmp in stores.comparators(&refs.taxa) {
             let guard = RunGuard::default();
             guard.cancel.cancel();
             let err = cmp.average_all_guarded(&queries, &guard).unwrap_err();
@@ -690,17 +647,13 @@ mod tests {
     #[test]
     fn injected_query_worker_panic_is_isolated() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let cmp = BfhrfComparator::new(&bfh, &refs.taxa).parallel(true);
+        let stores = Stores::new(&refs, &queries[1]);
         let mut guard = RunGuard::default();
         guard.inject_panic_at(1);
-        let err = cmp.average_all_guarded(&queries, &guard).unwrap_err();
-        assert!(matches!(err, CoreError::WorkerPanic(_)), "{err:?}");
-        // Frozen path too
-        let frozen = bfh.freeze();
-        let fz = FrozenComparator::new(&frozen, &refs.taxa).parallel(true);
-        let err = fz.average_all_guarded(&queries, &guard).unwrap_err();
-        assert!(matches!(err, CoreError::WorkerPanic(_)), "{err:?}");
+        for cmp in stores.comparators(&refs.taxa) {
+            let err = cmp.average_all_guarded(&queries, &guard).unwrap_err();
+            assert!(matches!(err, CoreError::WorkerPanic(_)), "{err:?}");
+        }
         // DSMP path too
         let ds = SetComparator::new(&refs.trees, &refs.taxa).parallel(true);
         let err = ds.average_all_guarded(&queries, &guard).unwrap_err();

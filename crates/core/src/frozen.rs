@@ -12,8 +12,7 @@
 //! * a **control-byte lane** (`u8` per slot, plus a 16-byte wrap mirror):
 //!   [`CTRL_EMPTY`] for empty slots, the 7-bit [`ctrl_h2`] hash tag for
 //!   full ones. Probing scans it [`GROUP_SLOTS`] (16) tags per step with
-//!   one vector compare — SSE2 on x86-64, NEON on aarch64, an exact SWAR
-//!   fallback everywhere else (see [`phylo_bitset::group`]);
+//!   the portable SWAR compare of [`phylo_bitset::group`];
 //! * a parallel **entry lane** of 16-byte [`Entry`] records — the 64-bit
 //!   key word (for one-word namespaces the key *is* the mask, so a key
 //!   match is exact and the pool is never touched; for wider namespaces it
@@ -37,11 +36,6 @@
 //! misses that dominate on collection-scale tables (hundreds of thousands
 //! of distinct splits).
 //!
-//! The scan engine is resolved once per process ([`Engine::auto`]):
-//! `BFHRF_FORCE_SCALAR=1` pins the portable fallback (CI runs the whole
-//! workspace that way), and benchmark ablations pass an explicit
-//! [`ProbeMode`] to race both engines over identical batches.
-//!
 //! The lanes are immutable by construction and shared behind one `Arc`, so
 //! cloning a table is O(1). A mutated hash is answered without refreezing
 //! by [`FrozenBfh::with_delta`]: the same lanes plus a small [`SplitDelta`]
@@ -53,15 +47,13 @@
 
 use crate::bfh::Bfh;
 use phylo::{BipartitionScratch, SplitBatch, TaxonSet, Tree};
-use phylo_bitset::group::{Engine, GroupScan, ScalarScan, SimdScan, CTRL_EMPTY, GROUP_SLOTS};
+use phylo_bitset::group::{match_byte, match_empty, CTRL_EMPTY, GROUP_SLOTS};
 use phylo_bitset::{
     bits_map_with_capacity, ctrl_h2, hash_bucket, hash_tag, map_get_words, map_get_words_mut,
     split_hash128, words_for, Bits, BitsMap, WordsKey,
 };
 use std::ops::Deref;
 use std::sync::Arc;
-
-pub use phylo_bitset::group::{simd_available, ProbeMode};
 
 /// Keeps a memory mapping alive for as long as any [`Lane`] points into
 /// it. The index crate's mmap wrapper implements this; dropping the last
@@ -605,8 +597,10 @@ impl FrozenBfh {
     /// # Errors
     /// Misaligned pointers and layouts the probe loops could not walk
     /// safely (bad lane lengths, non-power-of-two capacity, out-of-range
-    /// pool ranks, a broken mirror group) are rejected, so a corrupt or
-    /// adversarial snapshot cannot cause out-of-bounds reads.
+    /// pool ranks, a broken mirror group) or would probe wrongly (a
+    /// control byte that is neither empty nor a tag) are rejected, so a
+    /// corrupt or adversarial snapshot cannot cause out-of-bounds reads or
+    /// silently wrong answers.
     #[cfg(target_endian = "little")]
     pub unsafe fn from_mapped_le(
         layout: FrozenLayout,
@@ -700,6 +694,14 @@ impl FrozenBfh {
         }
         let mut full = 0usize;
         for i in 0..capacity {
+            if ctrl[i] > CTRL_EMPTY {
+                // The group scan reads every high-bit byte as empty, so a
+                // slot tagged this way would hide its split from probes.
+                return Err(format!(
+                    "slot {i} control byte {:#04x} is neither empty nor a tag",
+                    ctrl[i]
+                ));
+            }
             if ctrl[i] != CTRL_EMPTY {
                 full += 1;
                 let rank = entries[i].offset as usize;
@@ -799,10 +801,11 @@ impl FrozenBfh {
         h
     }
 
-    /// The monomorphized probe loop: scan the control lane one 16-slot
-    /// group at a time from the hash's home slot, confirm candidates
-    /// against the entry key (and the pool for multi-word masks), stop at
-    /// the first group holding an empty slot.
+    /// The frequency the lanes store for `w` (with hash `h`), before any
+    /// delta: scan the control lane one 16-slot group at a time from the
+    /// hash's home slot, confirm candidates against the entry key (and the
+    /// pool for multi-word masks), stop at the first group holding an
+    /// empty slot.
     ///
     /// Correctness with unaligned windows: linear-probe insertion leaves
     /// every slot between a key's home and its final slot full, so the
@@ -811,7 +814,8 @@ impl FrozenBfh {
     /// belonging to other chains inside a window are rejected by the key
     /// compare; h2 never equals [`CTRL_EMPTY`], so candidates are always
     /// full slots.
-    fn frequency_hashed_impl<G: GroupScan>(&self, h: u128, w: &[u64]) -> u32 {
+    #[inline]
+    fn lanes_frequency(&self, h: u128, w: &[u64]) -> u32 {
         let Lanes {
             distinct,
             ctrl,
@@ -828,7 +832,7 @@ impl FrozenBfh {
             let t = w[0];
             loop {
                 let g = &ctrl[i..i + GROUP_SLOTS];
-                let mut m = G::match_byte(g, h2);
+                let mut m = match_byte(g, h2);
                 while m != 0 {
                     let s = (i + m.trailing_zeros() as usize) & self.mask;
                     let e = &entries[s];
@@ -837,7 +841,7 @@ impl FrozenBfh {
                     }
                     m &= m - 1;
                 }
-                if G::match_empty(g) != 0 {
+                if match_empty(g) != 0 {
                     return 0;
                 }
                 i = (i + GROUP_SLOTS) & self.mask;
@@ -846,7 +850,7 @@ impl FrozenBfh {
         let t = hash_tag(h);
         loop {
             let g = &ctrl[i..i + GROUP_SLOTS];
-            let mut m = G::match_byte(g, h2);
+            let mut m = match_byte(g, h2);
             while m != 0 {
                 let s = (i + m.trailing_zeros() as usize) & self.mask;
                 let e = &entries[s];
@@ -858,7 +862,7 @@ impl FrozenBfh {
                 }
                 m &= m - 1;
             }
-            if G::match_empty(g) != 0 {
+            if match_empty(g) != 0 {
                 return 0;
             }
             i = (i + GROUP_SLOTS) & self.mask;
@@ -870,15 +874,6 @@ impl FrozenBfh {
     #[inline]
     pub fn frequency_hashed(&self, h: u128, w: &[u64]) -> u32 {
         self.patched(self.lanes_frequency(h, w), w)
-    }
-
-    /// The frequency the lanes store for `w`, before any delta.
-    #[inline]
-    fn lanes_frequency(&self, h: u128, w: &[u64]) -> u32 {
-        match Engine::auto() {
-            Engine::Simd => self.frequency_hashed_impl::<SimdScan>(h, w),
-            Engine::Scalar => self.frequency_hashed_impl::<ScalarScan>(h, w),
-        }
     }
 
     /// A stored frequency plus the delta's count for `w`. In range by
@@ -896,18 +891,6 @@ impl FrozenBfh {
     #[inline]
     pub fn frequency_words(&self, w: &[u64]) -> u32 {
         self.frequency_hashed(split_hash128(w), w)
-    }
-
-    /// [`Self::frequency_words`] through an explicit probe engine — the
-    /// scalar-vs-SIMD equivalence property tests probe both paths through
-    /// this regardless of the process-wide engine.
-    pub fn frequency_words_with(&self, mode: ProbeMode, w: &[u64]) -> u32 {
-        let h = split_hash128(w);
-        let stored = match mode.engine() {
-            Engine::Simd => self.frequency_hashed_impl::<SimdScan>(h, w),
-            Engine::Scalar => self.frequency_hashed_impl::<ScalarScan>(h, w),
-        };
-        self.patched(stored, w)
     }
 
     /// The cross-check a table from an unverified source (the mapped
@@ -991,24 +974,8 @@ impl FrozenBfh {
     /// Σ frequency over a whole extracted batch — the quantity Algorithm 2
     /// needs — in one pipelined pass with software prefetch
     /// [`PREFETCH_AHEAD`] splits ahead.
-    #[inline]
     pub fn frequency_sum_batch(&self, batch: &SplitBatch<'_>) -> u64 {
-        self.frequency_sum_batch_with(ProbeMode::Auto, batch)
-    }
-
-    /// [`Self::frequency_sum_batch`] through an explicit probe engine.
-    /// `query_bench` races [`ProbeMode::Scalar`] against
-    /// [`ProbeMode::Simd`] over identical batches and asserts the sums
-    /// bit-identical before reporting either timing.
-    pub fn frequency_sum_batch_with(&self, mode: ProbeMode, batch: &SplitBatch<'_>) -> u64 {
-        match mode.engine() {
-            Engine::Simd => self.sum_batch_impl::<SimdScan>(batch),
-            Engine::Scalar => self.sum_batch_impl::<ScalarScan>(batch),
-        }
-    }
-
-    fn sum_batch_impl<G: GroupScan>(&self, batch: &SplitBatch<'_>) -> u64 {
-        let stored = self.lanes_sum_batch::<G>(batch);
+        let stored = self.lanes_sum_batch(batch);
         match &self.delta {
             None => stored,
             Some(d) => {
@@ -1020,7 +987,7 @@ impl FrozenBfh {
 
     /// Σ stored frequency over the batch, before any delta: the pipelined
     /// probe loop.
-    fn lanes_sum_batch<G: GroupScan>(&self, batch: &SplitBatch<'_>) -> u64 {
+    fn lanes_sum_batch(&self, batch: &SplitBatch<'_>) -> u64 {
         if self.lanes.distinct == 0 {
             return 0;
         }
@@ -1034,7 +1001,7 @@ impl FrozenBfh {
             if let Some(&h) = hashes.get(i + PREFETCH_AHEAD) {
                 self.prefetch_bucket(h);
             }
-            total += u64::from(self.frequency_hashed_impl::<G>(hashes[i], batch.mask(i)));
+            total += u64::from(self.lanes_frequency(hashes[i], batch.mask(i)));
         }
         total
     }
@@ -1042,7 +1009,7 @@ impl FrozenBfh {
     /// Average RF of one query tree against the frozen hash through a
     /// caller-owned extraction arena — the batched Algorithm 2: one
     /// post-order pass extracts masks + hashes, one pipelined loop probes
-    /// them.
+    /// them ([`crate::rf::bfhrf_average_scratch`] over this table).
     ///
     /// # Panics
     /// Panics if the frozen hash holds no trees (average undefined).
@@ -1052,19 +1019,7 @@ impl FrozenBfh {
         taxa: &TaxonSet,
         scratch: &mut BipartitionScratch,
     ) -> crate::RfAverage {
-        assert!(
-            self.n_trees > 0,
-            "average RF over an empty reference collection"
-        );
-        let r = self.n_trees as u64;
-        let batch = scratch.batch_splits(query, taxa);
-        let q_splits = batch.len() as u64;
-        let freq_sum = self.frequency_sum_batch(&batch);
-        crate::RfAverage {
-            left: self.sum - freq_sum,
-            right: q_splits * r - freq_sum,
-            n_refs: self.n_trees,
-        }
+        crate::rf::bfhrf_average_scratch(query, taxa, self, scratch)
     }
 }
 
@@ -1125,27 +1080,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_simd_probes_agree_on_hits_and_misses() {
-        let (coll, bfh, frozen) =
-            build("((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));");
-        for (bits, count) in bfh.iter() {
-            assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Scalar, bits.words()),
-                count
-            );
-            assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Simd, bits.words()),
-                count
-            );
-        }
-        let absent = Bits::from_indices(coll.taxa.len(), [0, 3]);
-        assert_eq!(
-            frozen.frequency_words_with(ProbeMode::Scalar, absent.words()),
-            frozen.frequency_words_with(ProbeMode::Simd, absent.words()),
-        );
-    }
-
-    #[test]
     fn absent_splits_read_zero() {
         let (coll, _, frozen) = build("((A,B),(C,D));\n((A,B),(C,D));");
         // {A,C} = 0101 is a valid canonical mask the collection never holds
@@ -1188,8 +1122,7 @@ mod tests {
     fn word_boundary_widths_freeze_and_probe_identically() {
         // n_taxa ∈ {63, 64, 65, 128}: the one-word fast path, its exact
         // upper edge, the first two-word width, and an exact two-word
-        // width. Frozen must equal live on every simulated tree, on both
-        // probe engines.
+        // width. Frozen must equal live on every simulated tree.
         for n in [63usize, 64, 65, 128] {
             let spec = phylo_sim::DatasetSpec::new("widths", n, 12, n as u64);
             let coll = phylo_sim::generate(&spec);
@@ -1198,13 +1131,6 @@ mod tests {
             let mut scratch = BipartitionScratch::new();
             for (bits, count) in bfh.iter() {
                 assert_eq!(frozen.frequency(bits), count, "n={n} {bits}");
-                for mode in [ProbeMode::Scalar, ProbeMode::Simd] {
-                    assert_eq!(
-                        frozen.frequency_words_with(mode, bits.words()),
-                        count,
-                        "n={n} mode={mode:?}"
-                    );
-                }
             }
             for q in &coll.trees {
                 assert_eq!(
@@ -1245,12 +1171,6 @@ mod tests {
         assert_eq!(patched.distinct(), fresh.distinct());
         for (bits, _) in Bfh::build(&coll.trees, &coll.taxa).iter() {
             assert_eq!(patched.frequency(bits), fresh.frequency(bits), "{bits}");
-            for mode in [ProbeMode::Scalar, ProbeMode::Simd] {
-                assert_eq!(
-                    patched.frequency_words_with(mode, bits.words()),
-                    fresh.frequency(bits)
-                );
-            }
         }
         for q in &coll.trees {
             assert_eq!(
@@ -1433,6 +1353,18 @@ mod tests {
         let cap = frozen.capacity();
         bad_ctrl[cap] ^= 0x55;
         assert!(FrozenBfh::from_le_parts(layout, bad_ctrl, &entry_bytes, pool.clone()).is_err());
+        // A high-bit control byte other than CTRL_EMPTY on an occupied
+        // slot (and its mirror): the group scan would read it as empty and
+        // probe the split to 0.
+        for byte in [0x81u8, 0xc0, 0xff] {
+            let mut bad_ctrl = ctrl.clone();
+            bad_ctrl[victim] = byte;
+            if victim < GROUP_SLOTS {
+                bad_ctrl[cap + victim] = byte;
+            }
+            let err = FrozenBfh::from_le_parts(layout, bad_ctrl, &entry_bytes, pool.clone());
+            assert!(err.unwrap_err().contains("control byte"), "{byte:#x}");
+        }
         // Under-provisioned capacity claim.
         let mut bad_layout = layout;
         bad_layout.capacity = GROUP_SLOTS / 2;

@@ -92,9 +92,7 @@ pub use comparator::{
 };
 pub use day::day_rf;
 pub use error::CoreError;
-pub use frozen::{
-    simd_available, FrozenBfh, FrozenLayout, MapGuard, Overlay, ProbeMode, SplitDelta,
-};
+pub use frozen::{FrozenBfh, FrozenLayout, MapGuard, Overlay, SplitDelta};
 pub use guard::{CancelToken, Degradation, EvictFn, RunBudget, RunGuard};
 pub use hashrf::{HashRf, HashRfConfig};
 pub use rf::{bfhrf_all, bfhrf_average, check_remove_batch, QueryScore, RfAverage, SplitFrequency};

@@ -202,13 +202,13 @@ pub fn bfhrf_average_with<H: SplitFrequency>(query: &Tree, taxa: &TaxonSet, hash
 }
 
 /// [`bfhrf_average_with`] through a caller-owned extraction arena: the
-/// query's splits are visited as borrowed word slices and probed via
-/// [`SplitFrequency::split_frequency_words`], so batched callers reuse one
-/// scratch across all queries and the per-query loop allocates nothing.
+/// query's splits are extracted with their hashes into `scratch` and
+/// scored as one batch, so batched callers reuse one arena across all
+/// queries and the per-query loop allocates nothing.
 ///
 /// # Panics
 /// Panics if the store holds no trees (average undefined).
-pub fn bfhrf_average_scratch<H: SplitFrequency>(
+pub fn bfhrf_average_scratch<H: SplitFrequency + ?Sized>(
     query: &Tree,
     taxa: &TaxonSet,
     hash: &H,
@@ -218,18 +218,7 @@ pub fn bfhrf_average_scratch<H: SplitFrequency>(
         hash.reference_count() > 0,
         "average RF over an empty reference collection"
     );
-    let r = hash.reference_count() as u64;
-    let mut freq_sum = 0u64; // Σ_{b′ ∈ B(T′)} BFH[b′]
-    let mut q_splits = 0u64; // |B(T′)|
-    scratch.for_each_split(query, taxa, |w| {
-        freq_sum += u64::from(hash.split_frequency_words(taxa.len(), w));
-        q_splits += 1;
-    });
-    RfAverage {
-        left: hash.occurrence_sum() - freq_sum,
-        right: q_splits * r - freq_sum,
-        n_refs: hash.reference_count(),
-    }
+    score_batch(hash, taxa.len(), &scratch.batch_splits(query, taxa))
 }
 
 /// Average RF of one query tree against the hash (tree-vs-hash comparison).
@@ -249,33 +238,15 @@ pub struct QueryScore {
     pub rf: RfAverage,
 }
 
-fn check_nonempty(queries: &[Tree], bfh: &Bfh) -> Result<(), CoreError> {
-    if bfh.n_trees() == 0 {
-        return Err(CoreError::EmptyReference);
-    }
-    if queries.is_empty() {
-        return Err(CoreError::EmptyQuery);
-    }
-    Ok(())
-}
-
 /// Average RF of every query tree, sequentially, through one reused
-/// extraction arena.
+/// extraction arena: [`crate::Comparator::average_all`] over a
+/// [`crate::BfhrfComparator`].
 pub fn bfhrf_all(
     queries: &[Tree],
     taxa: &TaxonSet,
     bfh: &Bfh,
 ) -> Result<Vec<QueryScore>, CoreError> {
-    check_nonempty(queries, bfh)?;
-    let mut scratch = BipartitionScratch::new();
-    Ok(queries
-        .iter()
-        .enumerate()
-        .map(|(index, q)| QueryScore {
-            index,
-            rf: bfhrf_average_scratch(q, taxa, bfh, &mut scratch),
-        })
-        .collect())
+    crate::Comparator::average_all(&crate::BfhrfComparator::new(bfh, taxa), queries)
 }
 
 /// Average RF of every query tree pulled from `next`, in input order,
@@ -302,10 +273,11 @@ where
     let empty = hash.reference_count() == 0;
     let mut out = Vec::new();
     let mut chunk = Vec::with_capacity(CHUNK);
+    let mut scratch = BipartitionScratch::new();
     loop {
         let more = fill_chunk(&mut chunk, taxa, &mut next)?;
         if !empty {
-            score_chunk(hash, &chunk, taxa, out.len(), parallel, guard, &mut out)?;
+            score_chunk(hash, &chunk, taxa, parallel, guard, &mut scratch, &mut out)?;
         }
         chunk.clear();
         if !more {
@@ -321,59 +293,75 @@ where
     Ok(out)
 }
 
-/// Score a chunk of queries whose first has index `first`, appending to
-/// `out`: each query's splits are extracted with their hashes and probed
-/// as one batch. `parallel` splits the chunk evenly over rayon workers,
-/// each panic-isolated with its own extraction arena.
-pub(crate) fn score_chunk<H: SplitFrequency + Sync>(
+/// Score a chunk of queries, appending to `out` (the chunk's first query
+/// gets index `out.len()`): each query's splits are extracted with their
+/// hashes and scored as one batch ([`score_batch`]). Sequentially the
+/// whole chunk runs through the caller's `scratch`; `parallel` splits it
+/// evenly over rayon workers, each with its own arena. Either way the
+/// work is panic-isolated and the guard is polled per query.
+pub(crate) fn score_chunk<H: SplitFrequency + Sync + ?Sized>(
     hash: &H,
     chunk: &[Tree],
     taxa: &TaxonSet,
-    first: usize,
     parallel: bool,
     guard: &RunGuard,
+    scratch: &mut BipartitionScratch,
     out: &mut Vec<QueryScore>,
 ) -> Result<(), CoreError> {
     for q in chunk {
         check_tree_taxa(q, taxa)?;
     }
-    let per = if parallel {
-        chunk.len().div_ceil(rayon::current_num_threads()).max(1)
-    } else {
-        chunk.len().max(1)
-    };
-    let score = |(ci, qs): (usize, &[Tree])| {
-        isolate("bfhrf query worker", || {
-            let mut scratch = BipartitionScratch::new();
-            qs.iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let index = first + ci * per + i;
-                    guard.checkpoint("bfhrf average_all")?;
-                    guard.panic_if_injected(index);
-                    let batch = scratch.batch_splits(q, taxa);
-                    Ok(QueryScore {
-                        index,
-                        rf: score_batch(hash, taxa.len(), &batch),
-                    })
-                })
-                .collect::<Result<Vec<_>, CoreError>>()
+    let first = out.len();
+    if !parallel {
+        return isolate("bfhrf query worker", || {
+            score_run(hash, chunk, taxa, first, guard, scratch, out)
+        });
+    }
+    let per = chunk.len().div_ceil(rayon::current_num_threads()).max(1);
+    let scored: Vec<Vec<QueryScore>> = chunk
+        .par_chunks(per)
+        .enumerate()
+        .map(|(ci, qs)| {
+            isolate("bfhrf query worker", || {
+                let mut part = Vec::with_capacity(qs.len());
+                let mut scratch = BipartitionScratch::new();
+                score_run(
+                    hash,
+                    qs,
+                    taxa,
+                    first + ci * per,
+                    guard,
+                    &mut scratch,
+                    &mut part,
+                )?;
+                Ok(part)
+            })
         })
-    };
-    let scored: Vec<Vec<QueryScore>> = if parallel {
-        chunk
-            .par_chunks(per)
-            .enumerate()
-            .map(score)
-            .collect::<Result<_, CoreError>>()?
-    } else {
-        chunk
-            .chunks(per)
-            .enumerate()
-            .map(score)
-            .collect::<Result<_, CoreError>>()?
-    };
+        .collect::<Result<_, CoreError>>()?;
     out.extend(scored.into_iter().flatten());
+    Ok(())
+}
+
+/// [`score_chunk`]'s loop over one run of queries, the first at `first`.
+fn score_run<H: SplitFrequency + ?Sized>(
+    hash: &H,
+    queries: &[Tree],
+    taxa: &TaxonSet,
+    first: usize,
+    guard: &RunGuard,
+    scratch: &mut BipartitionScratch,
+    out: &mut Vec<QueryScore>,
+) -> Result<(), CoreError> {
+    for (i, q) in queries.iter().enumerate() {
+        let index = first + i;
+        guard.checkpoint("bfhrf average_all")?;
+        guard.panic_if_injected(index);
+        let batch = scratch.batch_splits(q, taxa);
+        out.push(QueryScore {
+            index,
+            rf: score_batch(hash, taxa.len(), &batch),
+        });
+    }
     Ok(())
 }
 

@@ -10,7 +10,7 @@
 use bfhrf::matrix::rf_matrix_exact;
 use bfhrf::{
     bfhrf_all, day_rf, sequential_rf, Bfh, BfhBuilder, BfhrfComparator, Comparator, DayComparator,
-    FrozenComparator, HashRf, HashRfConfig, ProbeMode, SetComparator, SplitDelta, SplitFrequency,
+    FrozenComparator, HashRf, HashRfConfig, SetComparator, SplitDelta, SplitFrequency,
 };
 use phylo::{BipartitionScratch, TreeCollection};
 use phylo_sim::datasets::DatasetSpec;
@@ -558,39 +558,36 @@ proptest! {
     }
 
     #[test]
-    fn scalar_and_simd_probe_paths_agree_on_arbitrary_collections(
+    fn probes_match_live_oracle_on_arbitrary_collections(
         n in 5usize..24,
         r in 2usize..12,
         q in 1usize..5,
         seed in any::<u64>(),
         coalescent in any::<bool>(),
     ) {
-        // The SIMD group scan and the portable SWAR fallback are two
-        // implementations of one probe contract: identical answers, bit
-        // for bit, on every stored split, every absent probe, and every
-        // whole-batch sum — whatever engine the process default resolved
-        // to.
+        // The group-scan probe against the live hashbrown map: every
+        // stored split probes to its count, and every whole-batch sum over
+        // a query's splits (present and absent alike) equals the sum of
+        // the live map's per-split answers.
         let refs = collection(n, r, seed, coalescent);
         let queries = collection(n, q, seed ^ 33, !coalescent);
         let bfh = Bfh::build(&refs.trees, &refs.taxa);
         let frozen = bfh.freeze();
         for (bits, count) in bfh.iter() {
-            prop_assert_eq!(frozen.frequency_words_with(ProbeMode::Scalar, bits.words()), count);
-            prop_assert_eq!(frozen.frequency_words_with(ProbeMode::Simd, bits.words()), count);
+            prop_assert_eq!(frozen.frequency_words(bits.words()), count);
         }
         let mut scratch = BipartitionScratch::new();
         for qt in &queries.trees {
             let batch = scratch.batch_splits(qt, &refs.taxa);
-            // absent-and-present mix: query splits need not be stored
-            prop_assert_eq!(
-                frozen.frequency_sum_batch_with(ProbeMode::Scalar, &batch),
-                frozen.frequency_sum_batch_with(ProbeMode::Simd, &batch)
-            );
+            let oracle: u64 = (0..batch.len())
+                .map(|i| u64::from(bfh.split_frequency_words(n, batch.mask(i))))
+                .sum();
+            prop_assert_eq!(frozen.frequency_sum_batch(&batch), oracle);
         }
     }
 
     #[test]
-    fn probe_engines_agree_at_word_boundary_widths_and_min_capacity(
+    fn probes_match_live_oracle_at_word_boundary_widths_and_min_capacity(
         wi in 0usize..9,
         seed in any::<u64>(),
         removals in 0usize..3,
@@ -601,60 +598,62 @@ proptest! {
         // capacity (one control group), and removing trees first
         // exercises freezing a hash that has pruned zero-frequency
         // entries — the "deleted splits" shape the live map can hold.
+        // The same removals, recorded as a delta over the unpruned
+        // freeze, must answer alike.
         let widths = [15usize, 16, 17, 63, 64, 65, 127, 128, 129];
         let n = widths[wi];
         let refs = collection(n, 2 + removals, seed, true);
-        let mut bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let full = Bfh::build(&refs.trees, &refs.taxa);
+        let mut bfh = full.clone();
+        let mut delta = SplitDelta::new(n);
+        let mut scratch = BipartitionScratch::new();
         for t in refs.trees.iter().take(removals) {
             bfh.remove_tree(t, &refs.taxa).unwrap();
+            delta.record(&scratch.batch_splits(t, &refs.taxa), -1);
         }
         let frozen = bfh.freeze();
+        let patched = full.freeze().with_delta(std::sync::Arc::new(delta));
         prop_assert!(frozen.capacity() >= 2 * frozen.distinct());
-        for (bits, count) in bfh.iter() {
-            prop_assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Scalar, bits.words()),
-                count,
-                "scalar width {}", n
-            );
-            prop_assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Simd, bits.words()),
-                count,
-                "simd width {}", n
-            );
-        }
-        let mut scratch = BipartitionScratch::new();
-        for qt in &refs.trees {
-            let batch = scratch.batch_splits(qt, &refs.taxa);
-            prop_assert_eq!(
-                frozen.frequency_sum_batch_with(ProbeMode::Scalar, &batch),
-                frozen.frequency_sum_batch_with(ProbeMode::Simd, &batch),
-                "width {}", n
-            );
+        for table in [&frozen, &patched] {
+            prop_assert_eq!(table.distinct(), bfh.distinct(), "width {}", n);
+            for (bits, count) in bfh.iter() {
+                prop_assert_eq!(table.frequency_words(bits.words()), count, "width {}", n);
+            }
+            for qt in &refs.trees {
+                let batch = scratch.batch_splits(qt, &refs.taxa);
+                let oracle: u64 = (0..batch.len())
+                    .map(|i| u64::from(bfh.split_frequency_words(n, batch.mask(i))))
+                    .sum();
+                prop_assert_eq!(table.frequency_sum_batch(&batch), oracle, "width {}", n);
+            }
         }
     }
 
     #[test]
-    fn vectorized_extraction_equals_scalar_extraction(
-        n in 5usize..40,
+    fn batch_extraction_matches_reference_across_word_widths(
+        wi in 0usize..12,
         seed in any::<u64>(),
         coalescent in any::<bool>(),
     ) {
-        // The word-striped fill/orient pass must hand the probe kernel the
-        // exact batch the scalar pass would: same masks, same hashes, same
-        // order, on arbitrary topologies.
-        let coll = collection(n, 3, seed, coalescent);
-        let mut vec_scratch = BipartitionScratch::new();
-        let mut sca_scratch = BipartitionScratch::new();
+        // The word-striped fill/orient pass must hand the probe kernel
+        // exactly the reference extractor's splits — same masks, in the
+        // same order, each with its split_hash128 — at widths on both
+        // sides of the 64-, 128- and 256-taxon seams, where the striped
+        // kernels run their unrolled bodies and their tails.
+        let widths = [5usize, 17, 39, 63, 64, 65, 127, 128, 129, 255, 256, 257];
+        let coll = collection(widths[wi], 3, seed, coalescent);
+        let mut scratch = BipartitionScratch::new();
         for t in &coll.trees {
-            let (vec_masks, vec_hashes): (Vec<Vec<u64>>, Vec<u128>) = {
-                let b = vec_scratch.batch_splits(t, &coll.taxa);
-                ((0..b.len()).map(|i| b.mask(i).to_vec()).collect(), b.hashes().to_vec())
-            };
-            let sca = sca_scratch.batch_splits_scalar(t, &coll.taxa);
-            prop_assert_eq!(sca.len(), vec_masks.len());
-            for (i, m) in vec_masks.iter().enumerate() {
-                prop_assert_eq!(sca.mask(i), &m[..]);
-                prop_assert_eq!(sca.hash(i), vec_hashes[i]);
+            let reference: Vec<_> = t
+                .bipartitions(&coll.taxa)
+                .into_iter()
+                .map(|b| b.into_bits())
+                .collect();
+            let batch = scratch.batch_splits(t, &coll.taxa);
+            prop_assert_eq!(batch.len(), reference.len());
+            for (i, bits) in reference.iter().enumerate() {
+                prop_assert_eq!(batch.mask(i), bits.words());
+                prop_assert_eq!(batch.hash(i), phylo_bitset::split_hash128(bits.words()));
             }
         }
     }

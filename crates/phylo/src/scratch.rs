@@ -13,11 +13,11 @@
 //! popcounts accumulate via the chunked kernels in `phylo_bitset`
 //! ([`union_words`]/[`popcount_words`]), and canonical orientation is a
 //! branch-free conditional flip ([`orient_words`]) instead of a
-//! ~50/50-unpredictable branch per split (the scalar per-word twin is kept
-//! as `for_each_split_scalar` for ablation and equivalence tests). Callers
-//! that need an owned key (a fresh map insert) rebuild a [`Bits`] from the
-//! slice; callers that only probe (queries) pass the slice straight to the
-//! borrowed-key lookups in `phylo_bitset`.
+//! ~50/50-unpredictable branch per split. Callers that need an owned key
+//! (a fresh map insert) rebuild a [`Bits`] from the slice; callers that
+//! only probe (queries) pass the slice straight to the borrowed-key
+//! lookups in `phylo_bitset`, or take the whole tree at once as a
+//! [`SplitBatch`] ([`BipartitionScratch::batch_splits`]).
 //!
 //! # Equivalence with `Tree::bipartitions`
 //!
@@ -158,37 +158,7 @@ impl BipartitionScratch {
     /// # Panics
     /// Panics if a leaf's taxon id is out of range for `taxa` (the same
     /// contract as [`Tree::bipartitions`]).
-    pub fn for_each_split<F: FnMut(&[u64])>(&mut self, tree: &Tree, taxa: &TaxonSet, visit: F) {
-        self.for_each_split_impl(tree, taxa, true, visit);
-    }
-
-    /// The scalar (per-word, branchy-orientation) twin of
-    /// [`Self::for_each_split`]. Visits exactly the same masks in the same
-    /// order; kept callable so the extraction ablation in `query_bench`
-    /// and the vectorized-vs-scalar property tests can race and compare
-    /// the two passes.
-    #[doc(hidden)]
-    pub fn for_each_split_scalar<F: FnMut(&[u64])>(
-        &mut self,
-        tree: &Tree,
-        taxa: &TaxonSet,
-        visit: F,
-    ) {
-        self.for_each_split_impl(tree, taxa, false, visit);
-    }
-
-    /// Shared extraction body. `vectorized` selects the word-striped
-    /// kernels ([`union_words`]/[`popcount_words`]/[`orient_words`]) for
-    /// the subtree-mask fill and the canonical-orientation emit; `false`
-    /// keeps the original per-word loops with a branch per split. Both
-    /// paths visit identical mask values in identical order.
-    fn for_each_split_impl<F: FnMut(&[u64])>(
-        &mut self,
-        tree: &Tree,
-        taxa: &TaxonSet,
-        vectorized: bool,
-        mut visit: F,
-    ) {
+    pub fn for_each_split<F: FnMut(&[u64])>(&mut self, tree: &Tree, taxa: &TaxonSet, mut visit: F) {
         let Some(root) = tree.root() else { return };
         let n_bits = taxa.len();
         let words = words_for(n_bits);
@@ -227,26 +197,13 @@ impl BipartitionScratch {
             }
             for &c in tree.children(n) {
                 let cb = c.index() * words;
-                if vectorized {
-                    let [dst, src] = self
-                        .masks
-                        .get_disjoint_mut([base..base + words, cb..cb + words])
-                        .expect("parent and child arena rows are disjoint");
-                    union_words(dst, src);
-                } else {
-                    for w in 0..words {
-                        self.masks[base + w] |= self.masks[cb + w];
-                    }
-                }
+                let [dst, src] = self
+                    .masks
+                    .get_disjoint_mut([base..base + words, cb..cb + words])
+                    .expect("parent and child arena rows are disjoint");
+                union_words(dst, src);
             }
-            self.ones[ni] = if vectorized {
-                popcount_words(&self.masks[base..base + words])
-            } else {
-                self.masks[base..base + words]
-                    .iter()
-                    .map(|w| w.count_ones())
-                    .sum()
-            };
+            self.ones[ni] = popcount_words(&self.masks[base..base + words]);
         }
 
         let root_base = root.index() * words;
@@ -312,29 +269,20 @@ impl BipartitionScratch {
                 continue; // ancestor-chain duplicate (rule 1)
             }
             let base = ni * words;
-            if vectorized {
-                // Branch-free orientation: anchor bit set → flip = 0 and
-                // the mask copies through; clear → flip = !0 and the mask
-                // complements inside the leafset (root ^ mask, equal to
-                // root & !mask because the mask is a subset of the root's
-                // leafset). The ~50/50 orientation branch becomes a data
-                // dependency, and the copy is word-striped.
-                let flip = ((self.masks[base + aw] >> ab) & 1).wrapping_sub(1);
-                orient_words(
-                    &mut self.canon[..words],
-                    &self.masks[root_base..root_base + words],
-                    &self.masks[base..base + words],
-                    flip,
-                );
-                visit(&self.canon[..words]);
-            } else if (self.masks[base + aw] >> ab) & 1 == 1 {
-                visit(&self.masks[base..base + words]);
-            } else {
-                for w in 0..words {
-                    self.canon[w] = self.masks[root_base + w] & !self.masks[base + w];
-                }
-                visit(&self.canon[..words]);
-            }
+            // Branch-free orientation: anchor bit set → flip = 0 and the
+            // mask copies through; clear → flip = !0 and the mask
+            // complements inside the leafset (root ^ mask, equal to
+            // root & !mask because the mask is a subset of the root's
+            // leafset). The ~50/50 orientation branch becomes a data
+            // dependency, and the copy is word-striped.
+            let flip = ((self.masks[base + aw] >> ab) & 1).wrapping_sub(1);
+            orient_words(
+                &mut self.canon[..words],
+                &self.masks[root_base..root_base + words],
+                &self.masks[base..base + words],
+                flip,
+            );
+            visit(&self.canon[..words]);
         }
     }
 
@@ -347,23 +295,6 @@ impl BipartitionScratch {
     /// its words are still cache-hot. The batch stays valid until the next
     /// extraction call on this scratch.
     pub fn batch_splits(&mut self, tree: &Tree, taxa: &TaxonSet) -> SplitBatch<'_> {
-        self.batch_splits_impl(tree, taxa, true)
-    }
-
-    /// The scalar-extraction twin of [`Self::batch_splits`] — identical
-    /// batch contents through [`Self::for_each_split_scalar`], for the
-    /// `query_bench` extraction ablation and equivalence tests.
-    #[doc(hidden)]
-    pub fn batch_splits_scalar(&mut self, tree: &Tree, taxa: &TaxonSet) -> SplitBatch<'_> {
-        self.batch_splits_impl(tree, taxa, false)
-    }
-
-    fn batch_splits_impl(
-        &mut self,
-        tree: &Tree,
-        taxa: &TaxonSet,
-        vectorized: bool,
-    ) -> SplitBatch<'_> {
         let words = words_for(taxa.len());
         // Move the batch buffers out so the extraction closure can fill
         // them while `self` is mutably borrowed by `for_each_split`.
@@ -371,7 +302,7 @@ impl BipartitionScratch {
         let mut hashes = std::mem::take(&mut self.hashes);
         batch.clear();
         hashes.clear();
-        self.for_each_split_impl(tree, taxa, vectorized, |w| {
+        self.for_each_split(tree, taxa, |w| {
             batch.extend_from_slice(w);
             hashes.push(split_hash128(w));
         });
@@ -406,21 +337,16 @@ mod tests {
     use super::*;
     use crate::newick::{parse_newick, TaxaPolicy};
 
-    /// Sorted owned masks from the reference extractor.
+    /// Owned masks from the reference extractor, in its (postorder) order.
     fn reference(tree: &Tree, taxa: &TaxonSet) -> Vec<Bits> {
-        let mut v: Vec<Bits> = tree
-            .bipartitions(taxa)
+        tree.bipartitions(taxa)
             .into_iter()
             .map(|b| b.bits().clone())
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     fn assert_matches(tree: &Tree, taxa: &TaxonSet, scratch: &mut BipartitionScratch) {
-        let mut got = scratch.splits(tree, taxa);
-        got.sort();
-        assert_eq!(got, reference(tree, taxa));
+        assert_eq!(scratch.splits(tree, taxa), reference(tree, taxa));
     }
 
     #[test]
@@ -583,37 +509,53 @@ mod tests {
         assert!(bad.is_err(), "stride mismatch must panic");
     }
 
+    /// A random binary Newick tree over taxa `t{lo}..t{hi-1}`: join two
+    /// random subtrees until one is left (xorshift64, deterministic).
+    fn random_newick(lo: usize, hi: usize, seed: u64) -> String {
+        let mut s = seed.max(1);
+        let mut next = |n: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n as u64) as usize
+        };
+        let mut parts: Vec<String> = (lo..hi).map(|i| format!("t{i}")).collect();
+        while parts.len() > 2 {
+            let a = parts.swap_remove(next(parts.len()));
+            let b = parts.swap_remove(next(parts.len()));
+            parts.push(format!("({a},{b})"));
+        }
+        format!("({});", parts.join(","))
+    }
+
     #[test]
-    fn scalar_and_vectorized_extraction_are_bit_identical() {
-        // The striped fill/orient kernels must reproduce the scalar pass
-        // exactly: same masks, same hashes, same order — including on
-        // pathological shapes (polytomies, caterpillars, partial
-        // namespaces) where orientation flips cluster.
-        let cases = [
-            "((A,B),(C,D));",
-            "(A,B,(C,D));",
-            "((A,B),(C,D),(E,F));",
-            "(((A,B),C),((D,E),(F,G)));",
-            "((A,B,C,D),(E,F));",
-            "(((((A,B),C),D),E),F);",
-            "((A,(B,(C,(D,E)))),(F,(G,H)));",
-            "(A,B,C);",
-        ];
-        let mut vec_scratch = BipartitionScratch::new();
-        let mut sca_scratch = BipartitionScratch::new();
-        for nwk in cases {
-            let mut taxa = TaxonSet::new();
-            let t = parse_newick(nwk, &mut taxa, TaxaPolicy::Grow).unwrap();
-            let vec_masks: Vec<Vec<u64>> = {
-                let b = vec_scratch.batch_splits(&t, &taxa);
-                (0..b.len()).map(|i| b.mask(i).to_vec()).collect()
-            };
-            let vec_hashes = vec_scratch.batch_splits(&t, &taxa).hashes().to_vec();
-            let sca = sca_scratch.batch_splits_scalar(&t, &taxa);
-            assert_eq!(sca.len(), vec_masks.len(), "{nwk}");
-            for (i, m) in vec_masks.iter().enumerate() {
-                assert_eq!(sca.mask(i), &m[..], "{nwk} split {i}");
-                assert_eq!(sca.hash(i), vec_hashes[i], "{nwk} hash {i}");
+    fn batch_splits_match_reference_across_word_widths() {
+        // Widths on both sides of the 64-, 128- and 256-taxon seams, where
+        // the word-striped union/popcount/orient kernels run their 4-wide
+        // unrolled bodies and their tails. Every batch must hold the
+        // reference extractor's masks in its order, each with its
+        // split_hash128. The trees over the top third of a namespace put
+        // the anchor taxon past the first word once n > 96.
+        let mut scratch = BipartitionScratch::new();
+        for n in [5usize, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300] {
+            for (lo, seed) in [(0, n as u64), (0, 7 * n as u64 + 1), (n * 2 / 3, 3)] {
+                if n - lo < 4 {
+                    continue;
+                }
+                let mut taxa = TaxonSet::new();
+                for i in 0..n {
+                    taxa.intern(&format!("t{i}"));
+                }
+                let nwk = random_newick(lo, n, seed);
+                let t = parse_newick(&nwk, &mut taxa, TaxaPolicy::Require).unwrap();
+                let want = reference(&t, &taxa);
+                let batch = scratch.batch_splits(&t, &taxa);
+                assert_eq!(batch.words(), words_for(n));
+                assert_eq!(batch.len(), want.len(), "n={n} lo={lo}");
+                for (i, bits) in want.iter().enumerate() {
+                    assert_eq!(batch.mask(i), bits.words(), "n={n} lo={lo} split {i}");
+                    assert_eq!(batch.hash(i), split_hash128(bits.words()), "n={n} lo={lo}");
+                }
             }
         }
     }
