@@ -654,8 +654,8 @@ pub fn fold_merge_build(coll: &phylo::TreeCollection) -> Bfh {
 /// rayon fold/merge ([`fold_merge_build`]), and the sharded two-phase
 /// pipeline ([`Bfh::build_sharded`]) — across pool sizes. The fold-merge
 /// baseline allocates one map per worker and pays an `O(distinct)` merge;
-/// the sharded build spills raw mask words into per-shard buckets and
-/// folds each shard exactly once, so it wins even on a single core.
+/// the sharded build spills raw mask words, folds them once into a frozen
+/// table, and routes its entries into the shard maps, with no merge.
 pub fn build_ablation(coll: &phylo::TreeCollection, thread_counts: &[usize]) -> Vec<BuildCell> {
     let mut cells = Vec::new();
     let mut push = |mode, threads, shards, m: &Measurement, bfh: &Bfh| {

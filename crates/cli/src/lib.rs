@@ -593,19 +593,17 @@ impl Streamed<'_> {
             .map_err(|e| format!("{refs_path}: {e}"))?;
             let builder = resolve_builder(build_mode, shards, default_mode)?.guard(guard.clone());
             prof.phase("build");
-            let (bfh, kept) = match self.queries {
+            let (frozen, kept) = match self.queries {
                 None => builder
-                    .from_stream_kept(&mut taxa, |t| refs.next_tree(t))
-                    .map(|(bfh, kept)| (bfh, Some(kept))),
+                    .freeze_stream_kept(&mut taxa, |t| refs.next_tree(t))
+                    .map(|(table, kept)| (table, Some(kept))),
                 Some(_) => builder
-                    .from_stream(&mut taxa, |t| refs.next_tree(t))
-                    .map(|bfh| (bfh, None)),
+                    .freeze_stream(&mut taxa, |t| refs.next_tree(t))
+                    .map(|table| (table, None)),
             }
             .map_err(|e| stream_fail(refs_path, e))?;
             let mut partial = note_ingest(notes, refs_path, &refs.into_report());
-            prof.phase("freeze+query");
-            let frozen = bfh.freeze();
-            drop(bfh);
+            prof.phase("query");
             let scores = match self.queries {
                 None => kept
                     .expect("Q = R keeps the reference splits")
@@ -1018,16 +1016,19 @@ fn cmd_index_build(raw: &[String]) -> Result<CmdOutcome, CliError> {
     check_format(found)?;
     prof.phase("build");
     // The references stream into the builder; no parsed tree outlives
-    // its chunk.
-    let bfh = with_threads(threads, || -> Result<bfhrf::Bfh, CliError> {
-        resolve_builder(build_mode, shards, "sharded")?
-            .guard(guard.clone())
-            .from_stream(&mut taxa, |t| refs.next_tree(t))
-            .map_err(|e| stream_fail(refs_path, e))
+    // its chunk, and the folded table is the index's table. The snapshot
+    // header records the shard count the flags resolve to.
+    let (table, n_shards) = with_threads(threads, || -> Result<_, CliError> {
+        let builder = resolve_builder(build_mode, shards, "sharded")?.guard(guard.clone());
+        let table = builder
+            .freeze_stream(&mut taxa, |t| refs.next_tree(t))
+            .map_err(|e| stream_fail(refs_path, e))?;
+        Ok((table, builder.shard_count()))
     })??;
     let partial = note_ingest(&mut notes, refs_path, &refs.into_report());
     prof.phase("write");
-    let index = phylo_index::Index::create(Path::new(out_dir), bfh, taxa).map_err(index_fail)?;
+    let index = phylo_index::Index::create_table(Path::new(out_dir), table, n_shards, taxa)
+        .map_err(index_fail)?;
     let stats = index.stats();
     notes.extend(prof.render().lines().map(String::from));
     let mut stdout = format!(
@@ -2692,9 +2693,17 @@ mod tests {
         let queries = queries.to_str().unwrap();
         let empty = tmp("streamed_empty.nwk", "");
         let empty = empty.to_str().unwrap();
-        // r × (n − 3) × words × 8 for the whole file.
-        let need = (600 * (12 - 3) * 8).to_string();
-        let under = (600 * (12 - 3) * 8 - 1).to_string();
+        // r × (n − 3) × words × 8 for the whole file: the spill alone.
+        let spill = 600 * (12 - 3) * 8;
+        let mut taxa = phylo::TaxonSet::new();
+        let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+        let table = BfhBuilder::new()
+            .freeze_stream(&mut taxa, |t| stream.next_tree(t))
+            .unwrap();
+        // The table is checked on top of the spill before it doubles; its
+        // last doubling needs under twice the finished table's bytes.
+        let fits = (spill + 2 * table.approx_bytes()).to_string();
+        let under = (spill - 1).to_string();
         for extra in [&[][..], &["--queries", queries][..]] {
             let argv = |budget: &str| {
                 let mut v = vec!["avgrf", "--refs", refs, "--mem-budget"];
@@ -2702,10 +2711,16 @@ mod tests {
                 v.extend_from_slice(extra);
                 runf(&v)
             };
-            assert_eq!(argv(&need).unwrap().code, EXIT_OK, "{extra:?}");
-            let err = argv(&under).unwrap_err();
-            assert_eq!(err.code, EXIT_BUDGET, "{extra:?}");
-            assert!(err.message.contains("resource limit"), "{}", err.message);
+            assert_eq!(argv(&fits).unwrap().code, EXIT_OK, "{extra:?}");
+            for (budget, what) in [
+                (under.clone(), "BFH build spill buffers"),
+                (spill.to_string(), "BFH build table"),
+            ] {
+                let err = argv(&budget).unwrap_err();
+                assert_eq!(err.code, EXIT_BUDGET, "{extra:?}");
+                assert!(err.message.contains("resource limit"), "{}", err.message);
+                assert!(err.message.contains(what), "{}", err.message);
+            }
 
             let mut v = vec!["avgrf", "--refs", refs, "--timeout", "0"];
             v.extend_from_slice(extra);
@@ -3036,6 +3051,61 @@ mod tests {
         } else {
             assert!(out.contains("frozen_sidecar\tabsent"), "{out}");
         }
+    }
+
+    #[test]
+    fn index_build_writes_the_hash_snapshot_and_a_sidecar_open_accepts() {
+        // 300 trees on 70 taxa: two chunks, two-word masks.
+        let c = phylo_sim::perturb::random_collection(70, 300, 0x1d8);
+        let text: String = c
+            .trees
+            .iter()
+            .map(|t| phylo::write_newick(t, &c.taxa) + "\n")
+            .collect();
+        let refs = tmp("refs_index_table.nwk", &text);
+        let refs = refs.to_str().unwrap();
+        let root = std::env::temp_dir().join("bfhrf-cli-tests/index_table");
+        let _ = std::fs::remove_dir_all(&root);
+        let mut taxa = phylo::TaxonSet::new();
+        let trees = phylo::read_trees_from_str(&text, &mut taxa, TaxaPolicy::Grow).unwrap();
+        let mut digest = None;
+        for (flags, shards) in [
+            (&["--shards", "3"][..], 3usize),
+            (&["--build-mode", "seq"][..], 1),
+            (
+                &[
+                    "--build-mode",
+                    "parallel",
+                    "--shards",
+                    "5",
+                    "--threads",
+                    "2",
+                ][..],
+                5,
+            ),
+        ] {
+            let built = root.join(format!("built-{shards}"));
+            let mut argv = vec!["index", "build", "--refs", refs, "--out"];
+            argv.push(built.to_str().unwrap());
+            argv.extend_from_slice(flags);
+            runf(&argv).unwrap();
+            let bfh = BfhBuilder::new()
+                .shards(shards)
+                .from_trees(&trees, &taxa)
+                .unwrap();
+            let hashed = root.join(format!("hashed-{shards}"));
+            drop(phylo_index::Index::create(&hashed, bfh, taxa.clone()).unwrap());
+            let snapshot = |dir: &std::path::Path| std::fs::read(dir.join("snapshot.bfh")).unwrap();
+            assert_eq!(snapshot(&built), snapshot(&hashed), "{flags:?}");
+
+            // The table is the sidecar, and a read-write open takes it as
+            // its base after the cross-check, without a note.
+            let mut index = phylo_index::Index::open(&built).unwrap();
+            assert!(index.notes().is_empty(), "{:?}", index.notes());
+            let d = index.view().frozen.digest();
+            assert_eq!(*digest.get_or_insert(d), d, "{flags:?}");
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

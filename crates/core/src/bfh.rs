@@ -13,17 +13,17 @@
 //! Internally the hash is `k ≥ 1` independent maps ("shards"); a split
 //! lives in shard [`shard_of`]`(`[`split_hash128`]`(mask), k)`. With `k =
 //! 1` (the default for [`Bfh::build`]) there is a single map and routing
-//! is skipped entirely. [`Bfh::build_sharded`] exploits the partition for
-//! construction: splits are extracted into per-worker spill buffers,
-//! each tagged with its shard, and each shard's map is then folded
-//! independently — no cross-thread merge step, unlike a rayon fold/reduce
-//! of per-worker hashes (see [`crate::builder`] for the pipeline).
+//! is skipped entirely. [`Bfh::build_sharded`] runs the
+//! [`crate::builder`] pipeline: workers extract splits from disjoint tree
+//! chunks into spill buffers, the spill is folded in tree order into one
+//! frozen table, and that table's entries are routed into the `k` maps.
 //! Because the router is a pure function of the mask words, the shard
 //! decomposition is deterministic and the resulting frequencies are
 //! bitwise-identical to a sequential build.
 
 use crate::builder::Spill;
 use crate::error::CoreError;
+use crate::frozen::FrozenBfh;
 use crate::guard::RunGuard;
 use phylo::{Bipartition, BipartitionScratch, TaxonSet, Tree};
 use phylo_bitset::{
@@ -122,15 +122,13 @@ impl Bfh {
         bfh
     }
 
-    /// Build a `shards`-way partitioned hash in two phases with **no merge
-    /// step**:
+    /// Build a `shards`-way partitioned hash in two phases:
     ///
-    /// 1. workers extract splits from disjoint tree chunks into per-worker
-    ///    spill buffers, in tree order, tagging each mask with its shard by
-    ///    [`split_hash128`];
-    /// 2. workers fold each shard's masks from every spill buffer — every
-    ///    shard is owned by exactly one fold, so no map is ever merged into
-    ///    another.
+    /// 1. workers extract splits from disjoint tree chunks into spill
+    ///    buffers, in tree order;
+    /// 2. the spill is folded, in tree order, into the lanes of one frozen
+    ///    table, whose entries are then routed into the `shards` maps by
+    ///    [`split_hash128`].
     ///
     /// Frequencies are bitwise-identical to [`Bfh::build`] for any shard or
     /// thread count: routing is a pure function of the mask and counting is
@@ -151,10 +149,11 @@ impl Bfh {
 
     /// [`Bfh::build_sharded`] under a [`RunGuard`]: cancellation and
     /// deadline are polled at tree granularity, the spill-buffer footprint
-    /// is checked against the byte budget *before* each chunk is extracted,
-    /// and every rayon worker body is panic-isolated — a poisoned tree
-    /// yields [`CoreError::WorkerPanic`] instead of aborting the process.
-    /// This is [`crate::BfhBuilder`]'s pipeline over a slice.
+    /// is checked against the byte budget *before* each chunk is extracted
+    /// (and the spill plus the table before each time the table doubles),
+    /// and every worker body is panic-isolated — a poisoned tree yields
+    /// [`CoreError::WorkerPanic`] instead of aborting the process. This is
+    /// [`crate::BfhBuilder`]'s pipeline over a slice.
     ///
     /// With `RunGuard::default()` this is exactly `build_sharded`.
     pub fn try_build_sharded(
@@ -168,24 +167,23 @@ impl Bfh {
                 "a Bfh needs at least one shard".into(),
             ));
         }
-        Spill::new(shards, true, false, guard).slice(trees, taxa)
+        let table = Spill::new(true, false, guard).slice(trees, taxa)?;
+        Bfh::from_table(&table, shards)
     }
 
-    /// Assemble a hash from shard maps routed by `shard_of` over
-    /// `maps.len()` shards.
-    pub(crate) fn from_shard_maps(
-        shards: Vec<BitsMap<u32>>,
-        sum: u64,
-        n_trees: usize,
-        n_taxa: usize,
-    ) -> Self {
-        debug_assert!(!shards.is_empty(), "a Bfh needs at least one shard");
-        Bfh {
-            shards,
-            sum,
-            n_trees,
+    /// The splits `table` answers (its lanes with any delta applied) as a
+    /// `shards`-way hash, every map sized up front.
+    pub fn from_table(table: &FrozenBfh, shards: usize) -> Result<Self, CoreError> {
+        let n_taxa = table.n_taxa();
+        Bfh::fill(
             n_taxa,
-        }
+            shards,
+            table.n_trees(),
+            table.distinct(),
+            table
+                .iter()
+                .map(|(words, freq)| (Bits::from_words(n_taxa, words), freq)),
+        )
     }
 
     /// Reassemble a hash from raw `(mask, frequency)` entries — the
@@ -202,13 +200,25 @@ impl Bfh {
     where
         I: IntoIterator<Item = (Bits, u32)>,
     {
+        let entries = entries.into_iter();
+        let distinct = entries.size_hint().0;
+        Bfh::fill(n_taxa, shards, n_trees, distinct, entries)
+    }
+
+    /// [`Bfh::from_entries`] with room reserved for `distinct` entries.
+    fn fill(
+        n_taxa: usize,
+        shards: usize,
+        n_trees: usize,
+        distinct: usize,
+        entries: impl Iterator<Item = (Bits, u32)>,
+    ) -> Result<Self, CoreError> {
         if shards == 0 {
             return Err(CoreError::Structure(
                 "a Bfh needs at least one shard".into(),
             ));
         }
-        let entries = entries.into_iter();
-        let mut bfh = Bfh::with_capacity_sharded(n_taxa, shards, n_trees, entries.size_hint().0);
+        let mut bfh = Bfh::with_capacity_sharded(n_taxa, shards, n_trees, distinct);
         for (bits, freq) in entries {
             bfh.insert_entry(bits, freq)?;
         }

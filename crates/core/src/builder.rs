@@ -1,10 +1,9 @@
 //! [`BfhBuilder`] — one front door for every way of constructing a
-//! [`Bfh`].
+//! [`Bfh`] or its frozen table.
 //!
 //! The hash once grew a constructor per strategy, each with its own error
 //! behavior. The builder replaces that zoo: pick the knobs, then call one
-//! of the `from_*` terminals, and get a `Result` instead of a panic on bad
-//! input.
+//! of the terminals, and get a `Result` instead of a panic on bad input.
 //!
 //! ```
 //! use bfhrf::BfhBuilder;
@@ -24,38 +23,41 @@
 //!
 //! Every terminal runs the same two phases. The build pulls trees
 //! [`CHUNK`] at a time, from a slice or from a parser, and extracts each
-//! chunk's canonical split masks into spill buffers, in tree order, with
-//! each mask's shard next to it. The chunk's trees are then dropped, so a
-//! streamed build never holds more than one chunk of parsed trees. Once
-//! the source is exhausted, every shard's map is folded from the spill,
-//! independently of the others, with no merge step.
+//! chunk's canonical split masks into spill buffers, in tree order. The
+//! chunk's trees are then dropped, so a streamed build never holds more
+//! than one chunk of parsed trees. Once the source is exhausted, the spill
+//! is folded, in tree order, straight into the lanes of one
+//! [`FrozenBfh`], which double as they fill. No hash map is built: the
+//! `freeze_*` terminals return that table, and the terminals that return a
+//! [`Bfh`] route its entries into the configured shard maps.
 //!
 //! The namespace may grow while the stream is read. A canonical mask is
 //! oriented on its own tree's leafset, so a mask made while the namespace
 //! was narrower is exactly the final mask with zero words appended. When
 //! the namespace crosses a 64-bit word boundary, the spilled masks are
-//! zero-extended in place and re-routed, because the shard hash reads
-//! every word. The finished hash is identical, bit for bit and in layout,
-//! to [`Bfh::build_sharded`] over the whole collection parsed up front.
+//! zero-extended in place. The table is laid out from the masks in the
+//! order they were first seen, so it is identical, bit for bit and in
+//! layout, for any thread count, shard count or build mode, and to a
+//! build over the whole collection parsed up front.
 //!
-//! [`BfhBuilder::from_stream_kept`] also hands the spill back as
+//! [`BfhBuilder::freeze_stream_kept`] also hands the spill back as
 //! [`KeptSplits`]: each reference tree's masks, kept once, so a caller
 //! scoring the references against themselves (Q = R) probes them without
 //! parsing or extracting any tree twice.
 
 use crate::bfh::Bfh;
 use crate::error::CoreError;
+use crate::frozen::{FrozenBfh, LaneWriter};
 use crate::guard::{isolate, CancelToken, RunBudget, RunGuard};
-use crate::rf::{score_batch, QueryScore, SplitFrequency};
+use crate::rf::{score_chunk, QueryScore, SplitFrequency, SplitRun};
 use phylo::{
     BipartitionScratch, IngestPolicy, IngestReport, NewickReader, PhyloError, SplitBatch,
     TaxaPolicy, TaxonSet, Tree,
 };
-use phylo_bitset::{
-    bits_map_with_capacity, map_get_words_mut, shard_of, split_hash128, words_for, Bits, BitsMap,
-};
+use phylo_bitset::{split_hash128, words_for};
 use rayon::prelude::*;
 use std::io::BufRead;
+use std::time::Instant;
 
 /// Trees a streamed build or query pass holds parsed at once. Large enough
 /// that each chunk splits evenly across rayon workers, small enough that
@@ -86,15 +88,17 @@ impl BfhBuilder {
         Self::default()
     }
 
-    /// Extract and fold on rayon workers. A build with more than one
-    /// shard always does; this knob decides the one-shard case.
+    /// Extract on rayon workers. A build with more than one shard always
+    /// does; this knob decides the one-shard case.
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
     }
 
-    /// Partition the hash into `k` independent shard maps. `k = 1` (the
-    /// default) keeps a single map and skips routing on every probe.
+    /// Partition a returned [`Bfh`] into `k` independent shard maps. `k = 1`
+    /// (the default) keeps a single map and skips routing on every probe.
+    /// A frozen table has no shards; for it, `k > 1` only implies
+    /// [`BfhBuilder::parallel`].
     ///
     /// Values land in the terminals' error path rather than panicking:
     /// `k = 0` is rejected there.
@@ -103,8 +107,14 @@ impl BfhBuilder {
         self
     }
 
+    /// The configured shard count.
+    pub fn shard_count(&self) -> usize {
+        self.shards
+    }
+
     /// Run the build under `budget`: the spill-buffer footprint is checked
-    /// before each chunk is extracted and the deadline is polled at tree
+    /// before each chunk is extracted, the spill plus the table before
+    /// each time the table doubles, and the deadline is polled at tree
     /// granularity.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.guard.budget = budget;
@@ -132,58 +142,93 @@ impl BfhBuilder {
                 "shard count must be at least 1".into(),
             ));
         }
-        Ok(Spill::new(self.shards, self.parallel, keep, &self.guard))
+        Ok(Spill::new(
+            self.parallel || self.shards > 1,
+            keep,
+            &self.guard,
+        ))
+    }
+
+    /// The table's entries routed into the configured shard maps, with the
+    /// build's metrics published.
+    fn hash(&self, table: FrozenBfh, start: Instant) -> Result<Bfh, CoreError> {
+        let bfh = Bfh::from_table(&table, self.shards)?;
+        drop(table);
+        record_build_metrics(
+            bfh.n_trees(),
+            bfh.sum(),
+            &bfh.shard_sizes(),
+            start.elapsed(),
+        );
+        Ok(bfh)
     }
 
     /// Build from an in-memory collection encoded over `taxa`, a chunk at
     /// a time like every other terminal.
     pub fn from_trees(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<Bfh, CoreError> {
-        let start = std::time::Instant::now();
-        let spill = self.spill(false)?;
-        validate(trees, taxa)?;
-        let bfh = spill.slice(trees, taxa)?;
-        record_build_metrics(&bfh, start.elapsed());
-        Ok(bfh)
+        let start = Instant::now();
+        let table = self.slice(trees, taxa)?;
+        self.hash(table, start)
     }
 
-    /// Build from a pull source of trees: `next` yields one tree per call,
-    /// resolving labels against (and under a growing policy, into) `taxa`,
-    /// and `Ok(None)` at the end. A parse failure surfaces as
-    /// [`CoreError::Phylo`]. At most [`CHUNK`] parsed trees are held at a
-    /// time.
-    pub fn from_stream<F>(&self, taxa: &mut TaxonSet, next: F) -> Result<Bfh, CoreError>
+    /// [`BfhBuilder::from_trees`], returning the frozen table itself: no
+    /// hash map is built.
+    pub fn freeze_trees(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
+        let start = Instant::now();
+        let table = self.slice(trees, taxa)?;
+        record_build_metrics(table.n_trees(), table.sum(), &[], start.elapsed());
+        Ok(table)
+    }
+
+    fn slice(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
+        let spill = self.spill(false)?;
+        validate(trees, taxa)?;
+        spill.slice(trees, taxa)
+    }
+
+    /// Build the frozen table from a pull source of trees: `next` yields
+    /// one tree per call, resolving labels against (and under a growing
+    /// policy, into) `taxa`, and `Ok(None)` at the end. A parse failure
+    /// surfaces as [`CoreError::Phylo`]. At most [`CHUNK`] parsed trees are
+    /// held at a time, and no hash map is built.
+    pub fn freeze_stream<F>(&self, taxa: &mut TaxonSet, next: F) -> Result<FrozenBfh, CoreError>
     where
         F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
     {
-        self.stream(taxa, false, next).map(|(bfh, _)| bfh)
+        let start = Instant::now();
+        let (table, _) = self.stream(taxa, false, next)?;
+        record_build_metrics(table.n_trees(), table.sum(), &[], start.elapsed());
+        Ok(table)
     }
 
-    /// [`BfhBuilder::from_stream`], also returning every tree's canonical
+    /// [`BfhBuilder::freeze_stream`], also returning every tree's canonical
     /// split masks in stream order, for scoring the references against
     /// themselves with [`KeptSplits::score`]. The masks are the build's own
     /// spill, so keeping them costs no second copy.
-    pub fn from_stream_kept<F>(
+    pub fn freeze_stream_kept<F>(
         &self,
         taxa: &mut TaxonSet,
         next: F,
-    ) -> Result<(Bfh, KeptSplits), CoreError>
+    ) -> Result<(FrozenBfh, KeptSplits), CoreError>
     where
         F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
     {
-        self.stream(taxa, true, next)
-            .map(|(bfh, kept)| (bfh, kept.expect("kept splits were requested")))
+        let start = Instant::now();
+        let (table, kept) = self.stream(taxa, true, next)?;
+        record_build_metrics(table.n_trees(), table.sum(), &[], start.elapsed());
+        Ok((table, kept.expect("kept splits were requested")))
     }
 
+    /// Every streamed terminal: spill the source, then fold it.
     fn stream<F>(
         &self,
         taxa: &mut TaxonSet,
         keep: bool,
         mut next: F,
-    ) -> Result<(Bfh, Option<KeptSplits>), CoreError>
+    ) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError>
     where
         F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
     {
-        let start = std::time::Instant::now();
         let mut spill = self.spill(keep)?;
         let mut chunk = Vec::with_capacity(CHUNK);
         loop {
@@ -195,24 +240,24 @@ impl BfhBuilder {
             }
         }
         drop(chunk);
-        let built = spill.fold(taxa.len())?;
-        record_build_metrics(&built.0, start.elapsed());
-        Ok(built)
+        spill.fold(taxa.len())
     }
 
     /// Parse a Newick stream and build from it. With [`TaxaPolicy::Grow`]
     /// the namespace widens as labels appear; with [`TaxaPolicy::Require`]
-    /// unknown labels are a parse error. The trees are streamed through
-    /// [`BfhBuilder::from_stream`], so the configured strategy applies and
-    /// at most one chunk of parsed trees is held.
+    /// unknown labels are a parse error. The trees are streamed as in
+    /// [`BfhBuilder::freeze_stream`], so at most one chunk of parsed trees
+    /// is held.
     pub fn from_newick_reader<R: BufRead>(
         &self,
         reader: R,
         taxa: &mut TaxonSet,
         policy: TaxaPolicy,
     ) -> Result<Bfh, CoreError> {
+        let start = Instant::now();
         let mut stream = phylo::newick::NewickStream::new(reader, policy);
-        self.from_stream(taxa, |t| stream.next_tree(t))
+        let (table, _) = self.stream(taxa, false, |t| stream.next_tree(t))?;
+        self.hash(table, start)
     }
 
     /// Like [`BfhBuilder::from_newick_reader`] but with error recovery:
@@ -226,9 +271,10 @@ impl BfhBuilder {
         taxa_policy: TaxaPolicy,
         ingest_policy: IngestPolicy,
     ) -> Result<(Bfh, IngestReport), CoreError> {
+        let start = Instant::now();
         let mut stream = NewickReader::new(reader, taxa_policy, ingest_policy);
-        let bfh = self.from_stream(taxa, |t| stream.next_tree(t))?;
-        Ok((bfh, stream.into_report()))
+        let (table, _) = self.stream(taxa, false, |t| stream.next_tree(t))?;
+        Ok((self.hash(table, start)?, stream.into_report()))
     }
 }
 
@@ -271,17 +317,15 @@ fn validate(trees: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
 }
 
 /// One worker's share of one chunk: its trees' canonical masks in tree
-/// order, each mask's shard, and each tree's split count.
+/// order and where each tree's masks end.
 #[derive(Debug)]
 struct Piece {
     /// Global index of the piece's first tree.
     first: usize,
     /// Masks packed at the spill's stride.
     masks: Vec<u64>,
-    /// `shard_of(split_hash128(mask))` per mask; empty with one shard.
-    routes: Vec<u32>,
-    /// Non-trivial split count of each tree.
-    splits: Vec<u32>,
+    /// Per tree, the piece's split count up to and including it.
+    ends: Vec<u32>,
 }
 
 impl Piece {
@@ -295,19 +339,42 @@ impl Piece {
         }
     }
 
-    fn route(&mut self, words: usize, shards: usize) {
-        self.routes.clear();
-        self.routes.extend(
-            self.masks
-                .chunks_exact(words)
-                .map(|w| shard_of(split_hash128(w), shards) as u32),
-        );
+    /// Non-trivial splits across the piece's trees.
+    fn splits(&self) -> u64 {
+        self.ends.last().map_or(0, |&n| u64::from(n))
+    }
+}
+
+/// A kept piece as a run of split batches to score: each tree's masks,
+/// hashed into the arena.
+struct KeptRun<'a> {
+    piece: &'a Piece,
+    words: usize,
+}
+
+impl SplitRun for KeptRun<'_> {
+    type Arena = Vec<u128>;
+
+    fn first(&self) -> usize {
+        self.piece.first
+    }
+
+    fn len(&self) -> usize {
+        self.piece.ends.len()
+    }
+
+    fn batch<'a>(&'a self, i: usize, hashes: &'a mut Vec<u128>) -> SplitBatch<'a> {
+        let ends = &self.piece.ends;
+        let from = if i == 0 { 0 } else { ends[i - 1] as usize };
+        let masks = &self.piece.masks[from * self.words..ends[i] as usize * self.words];
+        hashes.clear();
+        hashes.extend(masks.chunks_exact(self.words.max(1)).map(split_hash128));
+        SplitBatch::from_parts(self.words, masks, hashes)
     }
 }
 
 /// The build's phase-1 state: every spilled chunk's pieces, in order.
 pub(crate) struct Spill<'g> {
-    shards: usize,
     parallel: bool,
     keep: bool,
     guard: &'g RunGuard,
@@ -318,12 +385,11 @@ pub(crate) struct Spill<'g> {
 }
 
 impl<'g> Spill<'g> {
-    /// A build into `shards` maps. More than one shard always extracts and
-    /// folds on rayon workers; `parallel` decides the one-shard case.
-    pub(crate) fn new(shards: usize, parallel: bool, keep: bool, guard: &'g RunGuard) -> Self {
+    /// A build that extracts on rayon workers when `parallel`. Only a
+    /// parallel build is budgeted.
+    pub(crate) fn new(parallel: bool, keep: bool, guard: &'g RunGuard) -> Self {
         Spill {
-            shards,
-            parallel: parallel || shards > 1,
+            parallel,
             keep,
             guard,
             words: 0,
@@ -333,24 +399,29 @@ impl<'g> Spill<'g> {
     }
 
     /// Build from a whole in-memory collection.
-    pub(crate) fn slice(mut self, trees: &[Tree], taxa: &TaxonSet) -> Result<Bfh, CoreError> {
+    pub(crate) fn slice(mut self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
         for chunk in trees.chunks(CHUNK) {
             self.push(chunk, taxa)?;
         }
-        self.fold(taxa.len()).map(|(bfh, _)| bfh)
+        self.fold(taxa.len()).map(|(table, _)| table)
     }
 
-    /// Zero-extend the spilled masks to `words` and re-route them. The
-    /// namespace crosses a word boundary at most a few times per build, so
-    /// this runs on the calling thread.
+    /// Zero-extend the spilled masks to `words`. The namespace crosses a
+    /// word boundary at most a few times per build, so this runs on the
+    /// calling thread.
     fn widen(&mut self, words: usize) {
         for p in &mut self.pieces {
             p.widen(self.words, words);
-            if self.shards > 1 {
-                p.route(words, self.shards);
-            }
         }
         self.words = words;
+    }
+
+    /// The spill's budgeted size: r × (n − 3) splits of `words` u64s, a
+    /// bound on every split the trees read so far can have.
+    fn spill_bytes(&self, n_taxa: usize) -> usize {
+        self.n_trees
+            .saturating_mul(n_taxa.saturating_sub(3))
+            .saturating_mul(words_for(n_taxa) * 8)
     }
 
     /// Extract one chunk's splits into new pieces. Its trees may be dropped
@@ -369,18 +440,12 @@ impl<'g> Spill<'g> {
         self.n_trees += chunk.len();
         let guard = self.guard;
         guard.checkpoint("BFH build")?;
-        // Every split is spilled once as raw words: the whole spill is
-        // bounded by r × (n − 3) splits of `words` u64s. The sequential
-        // one-shard build is not budgeted; the others refuse as soon as the
-        // trees read so far would overflow it, before extracting them.
+        // Every split is spilled once as raw words. The sequential build is
+        // not budgeted; a parallel one refuses as soon as the trees read so
+        // far would overflow the budget, before extracting them.
         if self.parallel {
-            let spill_bytes = self
-                .n_trees
-                .saturating_mul(n_taxa.saturating_sub(3))
-                .saturating_mul(words * 8);
-            guard.check_alloc("BFH build spill buffers", spill_bytes)?;
+            guard.check_alloc("BFH build spill buffers", self.spill_bytes(n_taxa))?;
         }
-        let shards = self.shards;
         let per = if self.parallel {
             chunk.len().div_ceil(rayon::current_num_threads()).max(1)
         } else {
@@ -393,24 +458,19 @@ impl<'g> Spill<'g> {
                 let mut piece = Piece {
                     first: first + ci * per,
                     masks: Vec::with_capacity(bound * words),
-                    routes: Vec::with_capacity(if shards > 1 { bound } else { 0 }),
-                    splits: Vec::with_capacity(trees.len()),
+                    ends: Vec::with_capacity(trees.len()),
                 };
+                let mut count = 0u32;
                 for (i, tree) in trees.iter().enumerate() {
                     guard.checkpoint("BFH build")?;
                     guard.panic_if_injected(piece.first + i);
-                    let mut count = 0u32;
                     scratch.for_each_split(tree, taxa, |w| {
-                        if shards > 1 {
-                            piece.routes.push(shard_of(split_hash128(w), shards) as u32);
-                        }
                         piece.masks.extend_from_slice(w);
                         count += 1;
                     });
-                    piece.splits.push(count);
+                    piece.ends.push(count);
                 }
                 piece.masks.shrink_to_fit();
-                piece.routes.shrink_to_fit();
                 Ok(piece)
             })
         };
@@ -431,86 +491,53 @@ impl<'g> Spill<'g> {
         Ok(())
     }
 
-    /// Phase 2: fold each shard's spilled masks, in tree order, into its
-    /// own map. With `keep`, the spill comes back as [`KeptSplits`].
-    fn fold(mut self, n_taxa: usize) -> Result<(Bfh, Option<KeptSplits>), CoreError> {
+    /// Phase 2: count the spilled masks, in tree order, into growing
+    /// frozen lanes. A parallel build checks the spill plus the doubled
+    /// lanes against the budget before each doubling. Without `keep`, each
+    /// piece is freed once folded; with it, the spill comes back as
+    /// [`KeptSplits`].
+    fn fold(mut self, n_taxa: usize) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError> {
         let words = self.words;
-        let (shards, guard) = (self.shards, self.guard);
-        let maps: Vec<BitsMap<u32>> = if self.n_trees == 0 || words == 0 {
-            (0..shards).map(|_| bits_map_with_capacity(0)).collect()
-        } else {
-            debug_assert_eq!(words, words_for(n_taxa), "the last push widened the spill");
-            let pieces = &self.pieces;
-            let fold_shard = |si: usize| {
-                isolate("BFH fold worker", || {
-                    guard.checkpoint("BFH fold")?;
-                    let mine = |p: &'_ Piece| -> usize {
-                        if shards == 1 {
-                            p.masks.len() / words
-                        } else {
-                            p.routes.iter().filter(|&&r| r as usize == si).count()
-                        }
-                    };
-                    // Size for the pessimistic every-split-distinct case
-                    // halved — one rehash at most, none once repeats
-                    // dominate.
-                    let entries: usize = pieces.iter().map(mine).sum();
-                    let mut map: BitsMap<u32> = bits_map_with_capacity(entries / 2 + 8);
-                    let mut bump = |w: &[u64]| match map_get_words_mut(&mut map, w) {
-                        Some(c) => *c += 1,
-                        None => {
-                            map.insert(Bits::from_words(n_taxa, w), 1);
-                        }
-                    };
-                    for p in pieces {
-                        if shards == 1 {
-                            p.masks.chunks_exact(words).for_each(&mut bump);
-                        } else {
-                            p.masks
-                                .chunks_exact(words)
-                                .zip(&p.routes)
-                                .filter(|(_, &r)| r as usize == si)
-                                .for_each(|(w, _)| bump(w));
-                        }
-                    }
-                    Ok(map)
-                })
-            };
-            if self.parallel {
-                let shard_ids: Vec<usize> = (0..shards).collect();
-                shard_ids
-                    .par_iter()
-                    .map(|&si| fold_shard(si))
-                    .collect::<Result<_, CoreError>>()?
+        debug_assert!(
+            self.pieces.is_empty() || words == words_for(n_taxa),
+            "the last push widened the spill"
+        );
+        let guard = self.guard;
+        let (spill_bytes, parallel, keep) = (self.spill_bytes(n_taxa), self.parallel, self.keep);
+        let sum: u64 = self.pieces.iter().map(Piece::splits).sum();
+        let mut grow = |bytes: usize| {
+            if parallel {
+                guard.check_alloc("BFH build table", spill_bytes.saturating_add(bytes))
             } else {
-                (0..shards)
-                    .map(fold_shard)
-                    .collect::<Result<_, CoreError>>()?
+                Ok(())
             }
         };
-        let sum = self
-            .pieces
-            .iter()
-            .map(|p| p.splits.iter().map(|&c| u64::from(c)).sum::<u64>())
-            .sum();
-        let bfh = Bfh::from_shard_maps(maps, sum, self.n_trees, n_taxa);
-        let kept = self.keep.then(|| {
-            for p in &mut self.pieces {
-                p.routes = Vec::new();
+        let pieces = &mut self.pieces;
+        let table = isolate("BFH fold worker", || {
+            let mut lanes = LaneWriter::growing(n_taxa);
+            for p in pieces.iter_mut() {
+                guard.checkpoint("BFH fold")?;
+                for w in p.masks.chunks_exact(words.max(1)) {
+                    lanes.count(w, &mut grow)?;
+                }
+                if !keep {
+                    p.masks = Vec::new();
+                }
             }
-            KeptSplits {
-                n_taxa,
-                words,
-                n_trees: self.n_trees,
-                pieces: self.pieces,
-            }
+            Ok(lanes.finish(self.n_trees, sum))
+        })?;
+        let kept = keep.then_some(KeptSplits {
+            n_taxa,
+            words,
+            n_trees: self.n_trees,
+            pieces: self.pieces,
         });
-        Ok((bfh, kept))
+        Ok((table, kept))
     }
 }
 
 /// Every reference tree's canonical split masks, kept from a streamed
-/// build by [`BfhBuilder::from_stream_kept`]: the trees' own answers to
+/// build by [`BfhBuilder::freeze_stream_kept`]: the trees' own answers to
 /// "which splits do I have?", without the trees.
 #[derive(Debug)]
 pub struct KeptSplits {
@@ -535,15 +562,16 @@ impl KeptSplits {
     pub fn approx_bytes(&self) -> usize {
         self.pieces
             .iter()
-            .map(|p| p.masks.capacity() * 8 + p.splits.capacity() * 4)
+            .map(|p| p.masks.capacity() * 8 + p.ends.capacity() * 4)
             .sum()
     }
 
     /// Average RF of every kept tree against `table`, in stream order:
     /// the Q = R scores, bitwise-identical to scoring the parsed trees.
-    /// Each tree's masks are hashed and probed as one batch, so a frozen
-    /// table answers through its pipelined probe. `parallel` spreads the
-    /// trees over rayon workers; the guard is polled per tree.
+    /// Each tree's masks are hashed and probed as one batch through the
+    /// scorer parsed queries take ([`crate::rf`]'s `score_chunk`), one
+    /// kept piece per rayon task when `parallel`; the guard is polled per
+    /// tree.
     pub fn score<H: SplitFrequency + Sync>(
         &self,
         table: &H,
@@ -556,67 +584,54 @@ impl KeptSplits {
         if self.n_trees == 0 {
             return Err(CoreError::EmptyQuery);
         }
-        let words = self.words;
-        let score_piece = |p: &Piece| {
-            isolate("bfhrf query worker", || {
-                let mut hashes: Vec<u128> = Vec::new();
-                let mut at = 0usize;
-                p.splits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &count)| {
-                        guard.checkpoint("bfhrf average_all")?;
-                        guard.panic_if_injected(p.first + i);
-                        let masks = &p.masks[at..at + count as usize * words];
-                        at += masks.len();
-                        hashes.clear();
-                        hashes.extend(masks.chunks_exact(words.max(1)).map(split_hash128));
-                        let batch = SplitBatch::from_parts(words, masks, &hashes);
-                        Ok(QueryScore {
-                            index: p.first + i,
-                            rf: score_batch(table, self.n_taxa, &batch),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, CoreError>>()
+        let runs: Vec<KeptRun<'_>> = self
+            .pieces
+            .iter()
+            .map(|piece| KeptRun {
+                piece,
+                words: self.words,
             })
-        };
-        let scored: Vec<Vec<QueryScore>> = if parallel {
-            self.pieces
-                .par_iter()
-                .map(score_piece)
-                .collect::<Result<_, CoreError>>()?
-        } else {
-            self.pieces
-                .iter()
-                .map(score_piece)
-                .collect::<Result<_, CoreError>>()?
-        };
-        Ok(scored.into_iter().flatten().collect())
+            .collect();
+        let mut out = Vec::with_capacity(self.n_trees);
+        score_chunk(
+            table,
+            self.n_taxa,
+            &runs,
+            parallel,
+            guard,
+            &mut Vec::new(),
+            &mut out,
+        )?;
+        Ok(out)
     }
 }
 
-/// Publish one finished build's throughput and balance into the global
-/// registry: duration histogram, tree/split totals, last-build rate gauges,
-/// and the shard skew (max/mean distinct entries, scaled by 1000 — 1000
-/// means perfectly balanced routing).
-fn record_build_metrics(bfh: &Bfh, elapsed: std::time::Duration) {
+/// Publish one finished build's throughput into the global registry:
+/// duration histogram, tree/split totals and last-build rate gauges. A
+/// build that returns a [`Bfh`] also passes its shard sizes, published as
+/// the shard skew (max/mean distinct entries, scaled by 1000 — 1000 means
+/// perfectly balanced routing).
+fn record_build_metrics(
+    n_trees: usize,
+    sum: u64,
+    shard_sizes: &[usize],
+    elapsed: std::time::Duration,
+) {
     let reg = phylo_obs::global();
     reg.histogram("build_ns", &[]).record_duration(elapsed);
-    reg.counter("build_trees_total", &[])
-        .add(bfh.n_trees() as u64);
-    reg.counter("build_splits_total", &[]).add(bfh.sum());
+    reg.counter("build_trees_total", &[]).add(n_trees as u64);
+    reg.counter("build_splits_total", &[]).add(sum);
     let secs = elapsed.as_secs_f64();
     if secs > 0.0 {
         reg.gauge("build_trees_per_s", &[])
-            .set((bfh.n_trees() as f64 / secs) as i64);
+            .set((n_trees as f64 / secs) as i64);
         reg.gauge("build_splits_per_s", &[])
-            .set((bfh.sum() as f64 / secs) as i64);
+            .set((sum as f64 / secs) as i64);
     }
-    let sizes = bfh.shard_sizes();
-    let total: usize = sizes.iter().sum();
-    if sizes.len() > 1 && total > 0 {
-        let mean = total as f64 / sizes.len() as f64;
-        let max = sizes.iter().copied().max().unwrap_or(0) as f64;
+    let total: usize = shard_sizes.iter().sum();
+    if shard_sizes.len() > 1 && total > 0 {
+        let mean = total as f64 / shard_sizes.len() as f64;
+        let max = shard_sizes.iter().copied().max().unwrap_or(0) as f64;
         reg.gauge("build_shard_skew_permille", &[])
             .set((max / mean * 1000.0) as i64);
     }
@@ -676,6 +691,7 @@ mod tests {
             .from_newick_reader(text.as_bytes(), &mut taxa, TaxaPolicy::Grow)
             .unwrap();
         assert_eq!(grown.n_trees(), 2);
+        assert_eq!(grown.n_shards(), 2);
         assert_eq!(taxa.len(), 4);
 
         // Unknown label under Require surfaces as a CoreError (from parse).
@@ -698,11 +714,11 @@ mod tests {
     }
 
     /// Stream `text` through `builder`, counting the trees it pulls.
-    fn pulled(builder: &BfhBuilder, text: &str) -> (Result<Bfh, CoreError>, usize) {
+    fn pulled(builder: &BfhBuilder, text: &str) -> (Result<FrozenBfh, CoreError>, usize) {
         let mut taxa = TaxonSet::new();
         let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
         let mut n = 0usize;
-        let out = builder.from_stream(&mut taxa, |t| {
+        let out = builder.freeze_stream(&mut taxa, |t| {
             let tree = stream.next_tree(t)?;
             n += usize::from(tree.is_some());
             Ok(tree)
@@ -710,30 +726,41 @@ mod tests {
         (out, n)
     }
 
+    /// Stream `text` through parallel and sharded builders and the slice
+    /// terminal under `budget`: each streamed build must give `want`'s
+    /// table, or be refused with a message starting `refused`.
+    fn budgeted(
+        text: &str,
+        c: &TreeCollection,
+        budget: usize,
+        refused: Option<&str>,
+        want: &FrozenBfh,
+    ) {
+        for builder in [
+            BfhBuilder::new().parallel(true),
+            BfhBuilder::new().shards(3),
+        ] {
+            let builder = builder.budget(RunBudget::with_max_bytes(budget));
+            match (pulled(&builder, text).0, refused) {
+                (Ok(got), None) => assert_eq!(got.digest(), want.digest()),
+                (Err(CoreError::ResourceLimit(msg)), Some(what)) => {
+                    assert!(msg.starts_with(what), "{budget}: {msg}");
+                }
+                (out, _) => panic!("{budget}: {out:?}"),
+            }
+            let sliced = builder.from_trees(&c.trees, &c.taxa);
+            assert_eq!(sliced.is_ok(), refused.is_none(), "{budget}");
+        }
+    }
+
     #[test]
     fn spill_budget_is_checked_cumulatively_per_chunk() {
         let (text, c) = three_chunks();
+        let table = pulled(&BfhBuilder::new(), &text).0.unwrap();
         // r × (n − 3) × words × 8, as the whole collection would need.
-        let need = 600 * (12 - 3) * 8;
-        for (budget, ok) in [(need, true), (need - 1, false)] {
-            for builder in [
-                BfhBuilder::new().parallel(true),
-                BfhBuilder::new().shards(3),
-            ] {
-                let builder = builder.budget(RunBudget::with_max_bytes(budget));
-                let (out, _) = pulled(&builder, &text);
-                match out {
-                    Ok(bfh) => assert!(ok, "{budget}: {}", bfh.n_trees()),
-                    Err(CoreError::ResourceLimit(msg)) => {
-                        assert!(!ok);
-                        assert!(msg.contains(&format!("needs {need} bytes")), "{msg}");
-                    }
-                    Err(e) => panic!("{e:?}"),
-                }
-                let sliced = builder.from_trees(&c.trees, &c.taxa);
-                assert_eq!(sliced.is_ok(), ok);
-            }
-        }
+        let spill = 600 * (12 - 3) * 8;
+        let msg = format!("BFH build spill buffers needs {spill} bytes");
+        budgeted(&text, &c, spill - 1, Some(&msg), &table);
         // A budget the first chunk already overflows refuses before the
         // stream is read any further.
         let builder = BfhBuilder::new()
@@ -745,6 +772,25 @@ mod tests {
         // The sequential one-shard build is not budgeted.
         let seq = BfhBuilder::new().budget(RunBudget::with_max_bytes(1));
         assert_eq!(pulled(&seq, &text).0.unwrap().n_trees(), 600);
+    }
+
+    #[test]
+    fn table_budget_is_checked_before_each_doubling() {
+        let (text, c) = three_chunks();
+        let table = pulled(&BfhBuilder::new(), &text).0.unwrap();
+        let spill = 600 * (12 - 3) * 8;
+        // The spill plus the last doubling's lanes at their load bound.
+        let lanes = LaneWriter::bytes_at(1, table.capacity());
+        assert!(lanes >= table.approx_bytes());
+        let need = spill + lanes;
+        let msg = format!("BFH build table needs {need} bytes");
+        // Budgets that fit the spill but not the table are refused, by an
+        // earlier doubling the lower they are.
+        for budget in [spill, spill + table.approx_bytes() - 1] {
+            budgeted(&text, &c, budget, Some("BFH build table needs"), &table);
+        }
+        budgeted(&text, &c, need - 1, Some(&msg), &table);
+        budgeted(&text, &c, need, None, &table);
     }
 
     #[test]
@@ -774,13 +820,12 @@ mod tests {
             // The Q = R scorer numbers the kept trees the same way.
             let mut taxa = TaxonSet::new();
             let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
-            let (bfh, kept) = BfhBuilder::new()
+            let (table, kept) = BfhBuilder::new()
                 .shards(2)
-                .from_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
                 .unwrap();
-            let frozen = bfh.freeze();
             for parallel in [false, true] {
-                let err = kept.score(&frozen, parallel, &guard).unwrap_err();
+                let err = kept.score(&table, parallel, &guard).unwrap_err();
                 assert!(
                     matches!(&err, CoreError::WorkerPanic(m) if m.contains(&format!("item {at}"))),
                     "{err:?}"
@@ -815,9 +860,9 @@ mod tests {
             .collect();
         let mut taxa = TaxonSet::new();
         let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
-        let (bfh, kept) = BfhBuilder::new()
+        let (table, kept) = BfhBuilder::new()
             .shards(3)
-            .from_stream_kept(&mut taxa, |t| match stream.next_tree(t)? {
+            .freeze_stream_kept(&mut taxa, |t| match stream.next_tree(t)? {
                 Some(tree) => Ok(Some(tree)),
                 None => {
                     for i in 0..70 {
@@ -829,11 +874,11 @@ mod tests {
             .unwrap();
         assert_eq!(taxa.len(), 82);
         let whole = phylo::read_trees_from_str(&text, &mut taxa, TaxaPolicy::Require).unwrap();
-        let want = Bfh::build_sharded(&whole, &taxa, 3).freeze();
-        let frozen = bfh.freeze();
-        assert_eq!(frozen.digest(), want.digest());
+        let want = BfhBuilder::new().freeze_trees(&whole, &taxa).unwrap();
+        assert_eq!(table.digest(), want.digest());
+        let bfh = Bfh::build(&whole, &taxa);
         assert_eq!(
-            kept.score(&frozen, true, &RunGuard::default()).unwrap(),
+            kept.score(&table, true, &RunGuard::default()).unwrap(),
             crate::rf::bfhrf_all(&whole, &taxa, &bfh).unwrap()
         );
     }
@@ -843,13 +888,13 @@ mod tests {
         let mut p = Piece {
             first: 0,
             masks: vec![1, 2, 3],
-            routes: Vec::new(),
-            splits: vec![3],
+            ends: vec![3],
         };
         p.widen(1, 3);
         assert_eq!(p.masks, [1, 0, 0, 2, 0, 0, 3, 0, 0]);
         p.widen(3, 4);
         assert_eq!(p.masks, [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]);
+        assert_eq!(p.splits(), 3);
     }
 
     #[test]
@@ -857,17 +902,17 @@ mod tests {
         let text =
             "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));\n".repeat(100);
         let c = coll(&text);
+        let bfh = Bfh::build(&c.trees, &c.taxa);
+        let want = crate::rf::bfhrf_all(&c.trees, &c.taxa, &bfh).unwrap();
         for builder in [BfhBuilder::new(), BfhBuilder::new().shards(3)] {
             let mut taxa = TaxonSet::new();
             let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
-            let (bfh, kept) = builder
-                .from_stream_kept(&mut taxa, |t| stream.next_tree(t))
+            let (table, kept) = builder
+                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
                 .unwrap();
             assert_eq!(kept.len(), 300);
-            let frozen = bfh.freeze();
-            let want = crate::rf::bfhrf_all(&c.trees, &c.taxa, &bfh).unwrap();
             for parallel in [false, true] {
-                let got = kept.score(&frozen, parallel, &RunGuard::default()).unwrap();
+                let got = kept.score(&table, parallel, &RunGuard::default()).unwrap();
                 assert_eq!(got, want);
             }
         }

@@ -30,7 +30,7 @@ use crate::error::CoreError;
 use crate::frozen::FrozenBfh;
 use crate::guard::{isolate, RunGuard};
 use crate::hashrf::{HashRf, HashRfConfig};
-use crate::rf::{bfhrf_average_scratch, score_chunk, QueryScore, RfAverage, SplitFrequency};
+use crate::rf::{bfhrf_average_scratch, score_trees, QueryScore, RfAverage, SplitFrequency};
 use phylo::{BipartitionScratch, BipartitionSet, TaxonSet, Tree};
 use phylo_bitset::Bits;
 use rayon::prelude::*;
@@ -160,7 +160,7 @@ impl<'a, H: SplitFrequency + Clone + Sync> BfhrfComparator<'a, H> {
             return Err(CoreError::EmptyQuery);
         }
         let mut out = Vec::with_capacity(queries.len());
-        score_chunk(
+        score_trees(
             &*self.table,
             queries,
             self.taxa,

@@ -40,8 +40,9 @@
 //! cloning a table is O(1). A mutated hash is answered without refreezing
 //! by [`FrozenBfh::with_delta`]: the same lanes plus a small [`SplitDelta`]
 //! of net per-split count changes, which every probe adds to the stored
-//! frequency. The freeze itself is a single `O(distinct)` pass over
-//! [`Bfh::iter`], cheap next to the build that produced it, and
+//! frequency. Every table's lanes are written by one lane writer: a
+//! build folds its spilled masks straight into growing lanes, a freeze is
+//! a single `O(distinct)` pass over [`Bfh::iter`] into pre-sized ones, and
 //! [`FrozenBfh::folded`] folds a delta into fresh lanes the same way,
 //! straight from the old lanes.
 
@@ -283,6 +284,194 @@ impl crate::SplitFrequency for Overlay<'_> {
     }
 }
 
+/// Fills a frozen table's lanes one split at a time: the one lane writer.
+///
+/// Pre-sized ([`LaneWriter::sized`]), it places splits known to be
+/// distinct; that is how [`FrozenBfh::freeze`] and [`FrozenBfh::folded`]
+/// lay a table out. Growing ([`LaneWriter::growing`]), it counts mask
+/// occurrences and doubles the lanes just before the load would pass one
+/// half; that is how a build folds its spill. Either way a split takes the
+/// first empty slot from its home, in pool order, so the same splits
+/// placed in the same order give the same lanes, and the final capacity is
+/// the smallest power of two ≥ 2 × distinct and ≥ [`GROUP_SLOTS`].
+pub(crate) struct LaneWriter {
+    n_taxa: usize,
+    words: usize,
+    /// `capacity - 1`.
+    mask: usize,
+    distinct: usize,
+    /// `capacity + GROUP_SLOTS` bytes; [`Self::finish`] writes the mirror.
+    ctrl: Vec<u8>,
+    entries: Vec<Entry>,
+    pool: Vec<u64>,
+}
+
+/// Slot count for `distinct` splits: load ≤ 0.5 keeps probe chains short,
+/// and one full group keeps the windowed scan in bounds.
+fn capacity_for(distinct: usize) -> usize {
+    (distinct * 2).max(GROUP_SLOTS).next_power_of_two()
+}
+
+impl LaneWriter {
+    /// Empty lanes sized for exactly `distinct` splits.
+    fn sized(n_taxa: usize, distinct: usize) -> Self {
+        LaneWriter::with_lanes(n_taxa, capacity_for(distinct), distinct)
+    }
+
+    /// Empty lanes of one group, to grow as [`Self::count`] needs.
+    pub(crate) fn growing(n_taxa: usize) -> Self {
+        LaneWriter::with_lanes(n_taxa, GROUP_SLOTS, GROUP_SLOTS / 2)
+    }
+
+    fn with_lanes(n_taxa: usize, capacity: usize, pool_masks: usize) -> Self {
+        let words = words_for(n_taxa);
+        LaneWriter {
+            n_taxa,
+            words,
+            mask: capacity - 1,
+            distinct: 0,
+            ctrl: vec![CTRL_EMPTY; capacity + GROUP_SLOTS],
+            entries: vec![Entry::default(); capacity],
+            pool: Vec::with_capacity(pool_masks * words),
+        }
+    }
+
+    /// Heap bytes of growing lanes at `capacity` slots: control and entry
+    /// lanes, and pool room for the `capacity / 2` masks the load bound
+    /// admits.
+    pub(crate) fn bytes_at(words: usize, capacity: usize) -> usize {
+        capacity + GROUP_SLOTS + capacity * std::mem::size_of::<Entry>() + capacity / 2 * words * 8
+    }
+
+    fn capacity(&self) -> usize {
+        self.mask + 1
+    }
+
+    /// The entry key of `w` (with hash `h`): the mask word itself in a
+    /// one-word namespace, else the hash tag.
+    #[inline]
+    fn key(&self, h: u128, w: &[u64]) -> u64 {
+        if self.words == 1 {
+            w[0]
+        } else {
+            hash_tag(h)
+        }
+    }
+
+    /// Put pool rank `rank` (hash `h`) in the first empty slot from its
+    /// home.
+    #[inline]
+    fn put(&mut self, h: u128, key: u64, rank: usize, freq: u32) {
+        let mut i = hash_bucket(h) as usize & self.mask;
+        while self.ctrl[i] != CTRL_EMPTY {
+            i = (i + 1) & self.mask;
+        }
+        self.ctrl[i] = ctrl_h2(h);
+        self.entries[i] = Entry {
+            key,
+            freq,
+            offset: rank as u32,
+        };
+    }
+
+    /// Append a split the lanes do not hold yet.
+    fn place(&mut self, w: &[u64], freq: u32) {
+        debug_assert!(freq >= 1, "stored frequencies are tree counts");
+        let h = split_hash128(w);
+        self.put(h, self.key(h, w), self.distinct, freq);
+        self.pool.extend_from_slice(w);
+        self.distinct += 1;
+    }
+
+    /// Count one occurrence of the canonical mask `w`: a split already
+    /// held gains one; a new one is appended with count 1, after the lanes
+    /// double if it would take the load past one half. Before doubling,
+    /// `grow` is given the bytes the doubled lanes need
+    /// ([`Self::bytes_at`]) and may refuse them.
+    pub(crate) fn count<E>(
+        &mut self,
+        w: &[u64],
+        grow: &mut impl FnMut(usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let h = split_hash128(w);
+        let (h2, key) = (ctrl_h2(h), self.key(h, w));
+        let mut i = hash_bucket(h) as usize & self.mask;
+        while self.ctrl[i] != CTRL_EMPTY {
+            let e = &mut self.entries[i];
+            if self.ctrl[i] == h2 && e.key == key {
+                let off = e.offset as usize * self.words;
+                if self.words == 1 || self.pool[off..off + self.words] == *w {
+                    e.freq += 1;
+                    return Ok(());
+                }
+            }
+            i = (i + 1) & self.mask;
+        }
+        if 2 * (self.distinct + 1) > self.capacity() {
+            let capacity = 2 * self.capacity();
+            grow(LaneWriter::bytes_at(self.words, capacity))?;
+            self.double(capacity);
+        }
+        self.place(w, 1);
+        Ok(())
+    }
+
+    /// Re-lay the lanes at `capacity` slots, re-placing every split in pool
+    /// order, as a sized writer given the same splits would. The old
+    /// control and entry lanes are freed before the new ones are
+    /// allocated, so besides the pool only a rank-ordered copy of the
+    /// counts outlives them.
+    fn double(&mut self, capacity: usize) {
+        let mut freqs = vec![0u32; self.distinct];
+        for (&c, e) in self.ctrl.iter().zip(&self.entries) {
+            if c != CTRL_EMPTY {
+                freqs[e.offset as usize] = e.freq;
+            }
+        }
+        self.ctrl = Vec::new();
+        self.entries = Vec::new();
+        self.pool
+            .reserve_exact(capacity / 2 * self.words - self.pool.len());
+        self.ctrl = vec![CTRL_EMPTY; capacity + GROUP_SLOTS];
+        self.entries = vec![Entry::default(); capacity];
+        self.mask = capacity - 1;
+        for (rank, freq) in freqs.into_iter().enumerate() {
+            let w = &self.pool[rank * self.words..(rank + 1) * self.words];
+            let h = split_hash128(w);
+            let key = self.key(h, w);
+            self.put(h, key, rank, freq);
+        }
+    }
+
+    /// The finished table: the control lane's first group mirrored past
+    /// its end, and the pool at its exact length.
+    pub(crate) fn finish(mut self, n_trees: usize, sum: u64) -> FrozenBfh {
+        // Mirror the first group past the end so every 16-byte window
+        // starting at a slot index is contiguous.
+        let capacity = self.capacity();
+        let (head, tail) = self.ctrl.split_at_mut(capacity);
+        tail.copy_from_slice(&head[..GROUP_SLOTS]);
+        FrozenBfh {
+            n_taxa: self.n_taxa,
+            words: self.words,
+            n_trees,
+            sum,
+            distinct: self.distinct,
+            mask: self.mask,
+            // The control and entry lanes were allocated at their exact
+            // length, so `into_boxed_slice` moves them; only a growing
+            // pool is shrunk to its length.
+            lanes: Arc::new(Lanes {
+                distinct: self.distinct,
+                ctrl: Lane::Owned(self.ctrl.into_boxed_slice()),
+                entries: Lane::Owned(self.entries.into_boxed_slice()),
+                pool: Lane::Owned(self.pool.into_boxed_slice()),
+            }),
+            delta: None,
+        }
+    }
+}
+
 /// Issue a best-effort prefetch of the cache line holding `*ptr`.
 #[inline(always)]
 #[allow(unused_variables)]
@@ -328,8 +517,8 @@ impl FrozenBfh {
     }
 
     /// Lay `distinct` `(mask words, frequency)` entries out in fresh lanes,
-    /// in the order given — the one table builder behind [`Self::freeze`]
-    /// and [`Self::folded`].
+    /// in the order given — the pre-sized use of [`LaneWriter`] behind
+    /// [`Self::freeze`] and [`Self::folded`].
     fn lay_out<'a>(
         n_taxa: usize,
         n_trees: usize,
@@ -337,51 +526,12 @@ impl FrozenBfh {
         distinct: usize,
         splits: impl Iterator<Item = (&'a [u64], u32)>,
     ) -> FrozenBfh {
-        let words = words_for(n_taxa);
-        // Load factor ≤ 0.5 keeps probe chains short; minimum one full
-        // group so the windowed scan is always in bounds.
-        let capacity = (distinct * 2).max(GROUP_SLOTS).next_power_of_two();
-        let mask = capacity - 1;
-        let mut ctrl = vec![CTRL_EMPTY; capacity + GROUP_SLOTS].into_boxed_slice();
-        let mut entries = vec![Entry::default(); capacity].into_boxed_slice();
-        let mut pool = Vec::with_capacity(distinct * words);
+        let mut lanes = LaneWriter::sized(n_taxa, distinct);
         for (w, freq) in splits {
-            debug_assert!(freq >= 1, "stored frequencies are tree counts");
-            let h = split_hash128(w);
-            let mut i = hash_bucket(h) as usize & mask;
-            while ctrl[i] != CTRL_EMPTY {
-                i = (i + 1) & mask;
-            }
-            ctrl[i] = ctrl_h2(h);
-            entries[i] = Entry {
-                key: if words == 1 { w[0] } else { hash_tag(h) },
-                freq,
-                offset: (pool.len() / words.max(1)) as u32,
-            };
-            pool.extend_from_slice(w);
+            lanes.place(w, freq);
         }
-        debug_assert_eq!(pool.len(), distinct * words, "entry count is `distinct`");
-        // Mirror the first group past the end so every 16-byte window
-        // starting at a slot index is contiguous.
-        let (head, tail) = ctrl.split_at_mut(capacity);
-        tail.copy_from_slice(&head[..GROUP_SLOTS]);
-        FrozenBfh {
-            n_taxa,
-            words,
-            n_trees,
-            sum,
-            distinct,
-            mask,
-            // Moves the boxes; the pool was allocated at its exact length,
-            // so `into_boxed_slice` does not reallocate either.
-            lanes: Arc::new(Lanes {
-                distinct,
-                ctrl: Lane::Owned(ctrl),
-                entries: Lane::Owned(entries),
-                pool: Lane::Owned(pool.into_boxed_slice()),
-            }),
-            delta: None,
-        }
+        debug_assert_eq!(lanes.distinct, distinct, "entry count is `distinct`");
+        lanes.finish(n_trees, sum)
     }
 
     /// Every split the table answers with its frequency: the lanes' entries
@@ -1369,6 +1519,62 @@ mod tests {
         let mut bad_layout = layout;
         bad_layout.capacity = GROUP_SLOTS / 2;
         assert!(FrozenBfh::from_le_parts(bad_layout, ctrl, &entry_bytes, pool).is_err());
+    }
+
+    #[test]
+    fn growing_lanes_are_sized_lanes_in_first_seen_order() {
+        // Counting every mask into growing lanes gives, bit for bit, the
+        // lanes a pre-sized writer gives the distinct masks in the order
+        // they were first seen, and the capacity and bytes of a freeze.
+        for n in [20usize, 64, 70, 150] {
+            let spec = phylo_sim::DatasetSpec::new("grow", n, 60, n as u64);
+            let coll = phylo_sim::generate(&spec);
+            let mut scratch = BipartitionScratch::new();
+            let mut lanes = LaneWriter::growing(n);
+            let mut doublings = Vec::new();
+            let mut first_seen: Vec<(Vec<u64>, u32)> = Vec::new();
+            let mut rank: std::collections::HashMap<Vec<u64>, usize> = Default::default();
+            let mut sum = 0u64;
+            for t in &coll.trees {
+                let batch = scratch.batch_splits(t, &coll.taxa);
+                for i in 0..batch.len() {
+                    let w = batch.mask(i);
+                    lanes
+                        .count(w, &mut |bytes| {
+                            doublings.push(bytes);
+                            Ok::<(), ()>(())
+                        })
+                        .unwrap();
+                    let r = *rank.entry(w.to_vec()).or_insert_with(|| {
+                        first_seen.push((w.to_vec(), 0));
+                        first_seen.len() - 1
+                    });
+                    first_seen[r].1 += 1;
+                    sum += 1;
+                }
+            }
+            let grown = lanes.finish(coll.len(), sum);
+            let sized = FrozenBfh::lay_out(
+                n,
+                coll.len(),
+                sum,
+                first_seen.len(),
+                first_seen.iter().map(|(w, f)| (&w[..], *f)),
+            );
+            assert_eq!(grown.digest(), sized.digest(), "n={n}");
+            let frozen = Bfh::build(&coll.trees, &coll.taxa).freeze();
+            assert_eq!(grown.capacity(), frozen.capacity(), "n={n}");
+            assert_eq!(grown.approx_bytes(), frozen.approx_bytes(), "n={n}");
+            // One doubling per power of two past the first group, each
+            // announced with the bytes of the lanes it makes.
+            let words = words_for(n);
+            let want: Vec<usize> = (1..)
+                .map(|k| GROUP_SLOTS << k)
+                .take_while(|&c| c <= grown.capacity())
+                .map(|c| LaneWriter::bytes_at(words, c))
+                .collect();
+            assert_eq!(doublings, want, "n={n}");
+        }
     }
 
     #[test]

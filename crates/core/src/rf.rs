@@ -277,7 +277,7 @@ where
     loop {
         let more = fill_chunk(&mut chunk, taxa, &mut next)?;
         if !empty {
-            score_chunk(hash, &chunk, taxa, parallel, guard, &mut scratch, &mut out)?;
+            score_trees(hash, &chunk, taxa, parallel, guard, &mut scratch, &mut out)?;
         }
         chunk.clear();
         if !more {
@@ -293,13 +293,49 @@ where
     Ok(out)
 }
 
-/// Score a chunk of queries, appending to `out` (the chunk's first query
-/// gets index `out.len()`): each query's splits are extracted with their
-/// hashes and scored as one batch ([`score_batch`]). Sequentially the
-/// whole chunk runs through the caller's `scratch`; `parallel` splits it
-/// evenly over rayon workers, each with its own arena. Either way the
-/// work is panic-isolated and the guard is polled per query.
-pub(crate) fn score_chunk<H: SplitFrequency + Sync + ?Sized>(
+/// One worker's share of a scoring pass: a run of trees whose split
+/// batches are scored in order, the first numbered [`SplitRun::first`].
+/// Parsed queries ([`TreeRun`]) extract each batch into a
+/// [`BipartitionScratch`]; kept reference splits slice theirs from the
+/// build's spill.
+pub(crate) trait SplitRun: Sync {
+    /// The reusable buffers a batch is made in.
+    type Arena: Default;
+    /// Global index of the run's first tree.
+    fn first(&self) -> usize;
+    /// Trees in the run.
+    fn len(&self) -> usize;
+    /// Tree `i`'s split batch, made in `arena`.
+    fn batch<'a>(&'a self, i: usize, arena: &'a mut Self::Arena) -> SplitBatch<'a>;
+}
+
+/// Parsed query trees over `taxa`, the first numbered `first`.
+struct TreeRun<'a> {
+    first: usize,
+    trees: &'a [Tree],
+    taxa: &'a TaxonSet,
+}
+
+impl SplitRun for TreeRun<'_> {
+    type Arena = BipartitionScratch;
+
+    fn first(&self) -> usize {
+        self.first
+    }
+
+    fn len(&self) -> usize {
+        self.trees.len()
+    }
+
+    fn batch<'a>(&'a self, i: usize, scratch: &'a mut BipartitionScratch) -> SplitBatch<'a> {
+        scratch.batch_splits(&self.trees[i], self.taxa)
+    }
+}
+
+/// Score a chunk of parsed queries, appending to `out` (the chunk's first
+/// query gets index `out.len()`): sequentially through the caller's
+/// `scratch`, or, with `parallel`, split evenly over rayon workers.
+pub(crate) fn score_trees<H: SplitFrequency + Sync + ?Sized>(
     hash: &H,
     chunk: &[Tree],
     taxa: &TaxonSet,
@@ -312,26 +348,57 @@ pub(crate) fn score_chunk<H: SplitFrequency + Sync + ?Sized>(
         check_tree_taxa(q, taxa)?;
     }
     let first = out.len();
+    let per = if parallel {
+        chunk.len().div_ceil(rayon::current_num_threads())
+    } else {
+        chunk.len()
+    };
+    let runs: Vec<TreeRun<'_>> = chunk
+        .chunks(per.max(1))
+        .enumerate()
+        .map(|(ci, trees)| TreeRun {
+            first: first + ci * per,
+            trees,
+            taxa,
+        })
+        .collect();
+    score_chunk(hash, taxa.len(), &runs, parallel, guard, scratch, out)
+}
+
+/// Score every run's split batches ([`score_batch`]), appending to `out`
+/// in run order. Sequentially every run goes through the caller's
+/// `arena`; `parallel` scores one run per rayon task, each with its own.
+/// Either way the work is panic-isolated and the guard is polled per tree.
+pub(crate) fn score_chunk<H, R>(
+    hash: &H,
+    n_bits: usize,
+    runs: &[R],
+    parallel: bool,
+    guard: &RunGuard,
+    arena: &mut R::Arena,
+    out: &mut Vec<QueryScore>,
+) -> Result<(), CoreError>
+where
+    H: SplitFrequency + Sync + ?Sized,
+    R: SplitRun,
+{
     if !parallel {
         return isolate("bfhrf query worker", || {
-            score_run(hash, chunk, taxa, first, guard, scratch, out)
+            runs.iter()
+                .try_for_each(|run| score_run(hash, n_bits, run, guard, arena, out))
         });
     }
-    let per = chunk.len().div_ceil(rayon::current_num_threads()).max(1);
-    let scored: Vec<Vec<QueryScore>> = chunk
-        .par_chunks(per)
-        .enumerate()
-        .map(|(ci, qs)| {
+    let scored: Vec<Vec<QueryScore>> = runs
+        .par_iter()
+        .map(|run| {
             isolate("bfhrf query worker", || {
-                let mut part = Vec::with_capacity(qs.len());
-                let mut scratch = BipartitionScratch::new();
+                let mut part = Vec::with_capacity(run.len());
                 score_run(
                     hash,
-                    qs,
-                    taxa,
-                    first + ci * per,
+                    n_bits,
+                    run,
                     guard,
-                    &mut scratch,
+                    &mut R::Arena::default(),
                     &mut part,
                 )?;
                 Ok(part)
@@ -342,24 +409,23 @@ pub(crate) fn score_chunk<H: SplitFrequency + Sync + ?Sized>(
     Ok(())
 }
 
-/// [`score_chunk`]'s loop over one run of queries, the first at `first`.
-fn score_run<H: SplitFrequency + ?Sized>(
+/// [`score_chunk`]'s loop over one run.
+fn score_run<H: SplitFrequency + ?Sized, R: SplitRun>(
     hash: &H,
-    queries: &[Tree],
-    taxa: &TaxonSet,
-    first: usize,
+    n_bits: usize,
+    run: &R,
     guard: &RunGuard,
-    scratch: &mut BipartitionScratch,
+    arena: &mut R::Arena,
     out: &mut Vec<QueryScore>,
 ) -> Result<(), CoreError> {
-    for (i, q) in queries.iter().enumerate() {
-        let index = first + i;
+    for i in 0..run.len() {
+        let index = run.first() + i;
         guard.checkpoint("bfhrf average_all")?;
         guard.panic_if_injected(index);
-        let batch = scratch.batch_splits(q, taxa);
+        let batch = run.batch(i, arena);
         out.push(QueryScore {
             index,
-            rf: score_batch(hash, taxa.len(), &batch),
+            rf: score_batch(hash, n_bits, &batch),
         });
     }
     Ok(())

@@ -12,10 +12,14 @@ use bfhrf::{
     bfhrf_all, day_rf, sequential_rf, Bfh, BfhBuilder, BfhrfComparator, Comparator, DayComparator,
     FrozenComparator, HashRf, HashRfConfig, SetComparator, SplitDelta, SplitFrequency,
 };
-use phylo::{BipartitionScratch, TreeCollection};
+use bfhrf::{FrozenBfh, CHUNK};
+use phylo::newick::NewickStream;
+use phylo::{BipartitionScratch, TaxaPolicy, TaxonSet, TreeCollection};
 use phylo_sim::datasets::DatasetSpec;
-use phylo_sim::perturb::random_collection;
+use phylo_sim::perturb::{random_binary_tree, random_collection};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// Random collections: either coalescent (correlated splits) or uniform
 /// (near-disjoint splits) — the two regimes stress the hash differently.
@@ -700,6 +704,148 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(batch, streamed);
+    }
+}
+
+/// One random rooted tree on `labels`, with multifurcations: every
+/// internal node splits its labels into 2–4 non-empty groups.
+fn multifurcating(labels: &mut [String], rng: &mut StdRng, out: &mut String) {
+    if labels.len() == 1 {
+        out.push_str(&labels[0]);
+        return;
+    }
+    for i in (1..labels.len()).rev() {
+        labels.swap(i, rng.random_range(0..=i));
+    }
+    let k = rng.random_range(2..=labels.len().min(4));
+    let mut cuts: Vec<usize> = (1..labels.len()).collect();
+    for i in (1..cuts.len()).rev() {
+        cuts.swap(i, rng.random_range(0..=i));
+    }
+    cuts.truncate(k - 1);
+    cuts.sort_unstable();
+    cuts.push(labels.len());
+    out.push('(');
+    let mut from = 0;
+    for (i, &to) in cuts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        multifurcating(&mut labels[from..to], rng, out);
+        from = to;
+    }
+    out.push(')');
+}
+
+/// `r` multifurcating trees, each on a random subset of most of
+/// `t0 .. t{n-1}`. With `grow`, all but the last 8 trees draw only on the
+/// first `max(n / 2, 4)` labels, so a streamed build's namespace grows
+/// mid-stream, across a word boundary from n = 65 up.
+fn multifurcating_file(n: usize, r: usize, seed: u64, grow: bool) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut text = String::new();
+    for i in 0..r {
+        let pool = if grow && i + 8 < r { (n / 2).max(4) } else { n };
+        let mut labels: Vec<String> = (0..pool).map(|t| format!("t{t}")).collect();
+        for j in (1..labels.len()).rev() {
+            labels.swap(j, rng.random_range(0..=j));
+        }
+        labels.truncate(rng.random_range(pool.saturating_sub(3).max(4)..=pool));
+        multifurcating(&mut labels, &mut rng, &mut text);
+        text.push_str(";\n");
+    }
+    text
+}
+
+/// The table `builder` folds from `text`, streamed on `threads` workers.
+fn fold_on(builder: &BfhBuilder, text: &str, threads: usize) -> FrozenBfh {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap();
+    pool.install(|| {
+        let mut taxa = TaxonSet::new();
+        let mut stream = NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+        builder
+            .freeze_stream(&mut taxa, |t| stream.next_tree(t))
+            .unwrap()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn folded_table_answers_like_a_freeze_of_the_hash(
+        wi in 0usize..8,
+        few in 1usize..48,
+        past_a_chunk in any::<bool>(),
+        seed in any::<u64>(),
+        grow in any::<bool>(),
+    ) {
+        // The build folds its spill straight into growing lanes. Whatever
+        // the width, the tree shapes or a namespace that widens while the
+        // stream is read, that table must hold exactly what a freeze of
+        // the sequentially built hash holds, in lanes of the same size,
+        // and be the same table for any thread count, shard count or
+        // build mode.
+        let widths = [4usize, 63, 64, 65, 127, 128, 129, 200];
+        let n = widths[wi];
+        // Past a chunk, a growing namespace widens masks already spilled.
+        let r = if past_a_chunk { CHUNK + few } else { few };
+        let text = multifurcating_file(n, r, seed, grow);
+        let whole = TreeCollection::parse(&text).unwrap();
+        let bfh = Bfh::build(&whole.trees, &whole.taxa);
+        let want = bfh.freeze();
+        let table = fold_on(&BfhBuilder::new(), &text, 1);
+        prop_assert_eq!(
+            (table.n_taxa(), table.n_trees(), table.sum(), table.distinct()),
+            (want.n_taxa(), want.n_trees(), want.sum(), want.distinct())
+        );
+        prop_assert_eq!(table.capacity(), want.capacity());
+        prop_assert_eq!(table.approx_bytes(), want.approx_bytes());
+        for (bits, count) in bfh.iter() {
+            prop_assert_eq!(table.frequency(bits), count, "width {}: {}", n, bits);
+        }
+        prop_assert_eq!(table.iter().count(), bfh.distinct());
+        // Splits of random trees over the whole namespace that the hash
+        // lacks read 0.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xab5e);
+        let mut scratch = BipartitionScratch::new();
+        for _ in 0..4 {
+            let other = random_binary_tree(whole.taxa.len(), &mut rng);
+            let batch = scratch.batch_splits(&other, &whole.taxa);
+            for i in 0..batch.len() {
+                let w = batch.mask(i);
+                if bfh.frequency_words(w) == 0 {
+                    prop_assert_eq!(table.frequency_words(w), 0);
+                }
+            }
+        }
+        for threads in [1usize, 2, 4] {
+            for builder in [
+                BfhBuilder::new(),
+                BfhBuilder::new().parallel(true),
+                BfhBuilder::new().shards(3),
+                BfhBuilder::new().parallel(true).shards(8),
+            ] {
+                let again = fold_on(&builder, &text, threads);
+                prop_assert_eq!(again.digest(), table.digest(), "{} threads, {:?}", threads, builder);
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_stream_folds_to_the_empty_hash_frozen() {
+    for n in [4usize, 63, 64, 65, 127, 128, 129, 200] {
+        let want = Bfh::empty(n).freeze();
+        for builder in [BfhBuilder::new(), BfhBuilder::new().shards(3)] {
+            let mut taxa = TaxonSet::with_numbered("t", n);
+            let table = builder.freeze_stream(&mut taxa, |_| Ok(None)).unwrap();
+            assert_eq!(table.digest(), want.digest(), "n={n}");
+            assert_eq!(table.approx_bytes(), want.approx_bytes(), "n={n}");
+        }
     }
 }
 

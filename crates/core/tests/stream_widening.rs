@@ -3,12 +3,13 @@
 //! labels push the namespace past 64 (two words) and past 128 (three
 //! words). The crossing past 64 falls just before, exactly at, or just
 //! after the first chunk boundary, so masks already spilled must be
-//! zero-extended and re-routed. Every case must give the table a build
-//! over the whole collection, parsed up front, gives, digest for digest,
-//! and the same `avgrf` report as the all-pairs set comparator (`ds`).
-//! The leafsets differ from tree to tree, which is what lets a namespace
-//! grow, so Day's algorithm, which needs one leafset, cannot be the
-//! oracle here.
+//! zero-extended. Every case must give, digest for digest, the table a
+//! build over the whole collection parsed up front gives, for any shard
+//! count or build mode; that table must answer like a freeze of the hash
+//! built sequentially; and `avgrf` must give the all-pairs set
+//! comparator's (`ds`) report. The leafsets differ from tree to tree, which is what
+//! lets a namespace grow, so Day's algorithm, which needs one leafset,
+//! cannot be the oracle here.
 
 use bfhrf::{Bfh, BfhBuilder, FrozenBfh, CHUNK};
 use phylo::{IngestPolicy, TaxaPolicy, TaxonSet, TreeCollection};
@@ -81,14 +82,29 @@ fn read(bytes: &[u8], policy: IngestPolicy) -> TreeCollection {
         .0
 }
 
-fn streamed(bytes: &[u8], policy: IngestPolicy, builder: &BfhBuilder) -> (Bfh, TaxonSet) {
+fn streamed(bytes: &[u8], policy: IngestPolicy, builder: &BfhBuilder) -> (FrozenBfh, TaxonSet) {
     let mut taxa = TaxonSet::new();
     let mut stream =
         phylo_wire::SniffedReader::open(bytes, &mut taxa, TaxaPolicy::Grow, policy).unwrap();
-    let bfh = builder
-        .from_stream(&mut taxa, |t| stream.next_tree(t))
+    let table = builder
+        .freeze_stream(&mut taxa, |t| stream.next_tree(t))
         .unwrap();
-    (bfh, taxa)
+    (table, taxa)
+}
+
+/// `table` answers every question a freeze of `bfh` answers, alike.
+fn assert_answers_like(table: &FrozenBfh, bfh: &Bfh, what: &str) {
+    let want = bfh.freeze();
+    assert_eq!(
+        (table.n_trees(), table.sum(), table.distinct()),
+        (want.n_trees(), want.sum(), want.distinct()),
+        "{what}"
+    );
+    assert_eq!(table.capacity(), want.capacity(), "{what}");
+    assert_eq!(table.approx_bytes(), want.approx_bytes(), "{what}");
+    for (bits, count) in bfh.iter() {
+        assert_eq!(table.frequency(bits), count, "{what}: {bits}");
+    }
 }
 
 fn avgrf(path: &std::path::Path, extra: &[&str]) -> (String, u8) {
@@ -143,19 +159,22 @@ fn widening_mid_stream_matches_the_materialized_build() {
                 IngestPolicy::Strict => &[],
                 _ => &["--lenient"],
             };
+            let first = BfhBuilder::new()
+                .freeze_trees(&whole.trees, &whole.taxa)
+                .unwrap();
+            let oracle_table = Bfh::build(&whole.trees, &whole.taxa);
+            assert_answers_like(&first, &oracle_table, &format!("{name}: crossing at {at}"));
             for shards in [1usize, 2, 3] {
-                let want =
-                    FrozenBfh::freeze(&Bfh::build_sharded(&whole.trees, &whole.taxa, shards));
                 let mut builders = vec![BfhBuilder::new().parallel(true).shards(shards)];
                 if shards == 1 {
                     builders.push(BfhBuilder::new());
                 }
                 for builder in &builders {
-                    let (bfh, taxa) = streamed(bytes, policy, builder);
+                    let (table, taxa) = streamed(bytes, policy, builder);
                     assert_eq!(taxa.len(), whole.taxa.len());
                     assert_eq!(
-                        bfh.freeze().digest(),
-                        want.digest(),
+                        table.digest(),
+                        first.digest(),
                         "{name}: crossing at {at}, {shards} shards, {builder:?}"
                     );
                 }

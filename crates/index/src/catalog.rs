@@ -66,8 +66,8 @@ use crate::format::Digest;
 use crate::index::{Index, IndexStats, QueryView, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE};
 use crate::snapshot::{read_taxa_with, SnapshotMeta};
 use crate::vfs::{real_vfs, Vfs, VfsFile};
-use crate::wal::{scan_wal, WalOp, WalPayload, WalRecord, WalTail};
-use bfhrf::{Bfh, RunBudget, RunGuard};
+use crate::wal::{scan_wal, WalOp, WalPayload, WalPolicy, WalRecord, WalTail};
+use bfhrf::{BfhBuilder, RunBudget, RunGuard};
 use phylo::{parse_newick, write_newick, TaxaPolicy, TaxonSet, Tree, TreeCollection};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
@@ -1119,9 +1119,16 @@ impl Catalog {
             TreeCollection::parse(trees_text)?
         };
         let lines: Vec<String> = tc.trees.iter().map(|t| write_newick(t, &tc.taxa)).collect();
-        let bfh = Bfh::build(&tc.trees, &tc.taxa);
+        let table = BfhBuilder::new().freeze_trees(&tc.trees, &tc.taxa)?;
         let n = tc.trees.len();
-        Index::create_with(self.vfs.clone(), &dir, bfh, tc.taxa.clone())?;
+        Index::create_table_policy_with(
+            self.vfs.clone(),
+            &dir,
+            table,
+            1,
+            tc.taxa.clone(),
+            WalPolicy::Strict,
+        )?;
         write_sidecar(&*self.vfs, &dir, 0, 0, &lines)?;
 
         // The manifest append is the commit point; on failure the orphan

@@ -56,14 +56,13 @@
 use crate::error::IndexError;
 use crate::frozen_file;
 use crate::snapshot::{
-    read_meta_with, read_snapshot_with, read_taxa_with, scan_snapshot_with, write_snapshot_with,
+    read_meta_with, read_snapshot_with, read_taxa_with, scan_snapshot_with,
     write_table_snapshot_with, Snapshot, SnapshotMeta,
 };
 use crate::vfs::{real_vfs, Vfs};
 use crate::wal::{scan_wal, Wal, WalOp, WalOpen, WalPolicy, WalRecord, WalTail};
 use bfhrf::{check_remove_batch, Bfh, FrozenBfh, RunGuard, SplitDelta};
 use phylo::{parse_newick, write_newick, BipartitionScratch, TaxaPolicy, TaxonSet, Tree};
-use phylo_bitset::Bits;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -413,6 +412,37 @@ impl Index {
         taxa: TaxonSet,
         policy: WalPolicy,
     ) -> Result<Index, IndexError> {
+        let table = freeze_timed(&bfh);
+        let n_shards = bfh.n_shards();
+        drop(bfh);
+        Index::create_table_policy_with(vfs, dir, table, n_shards, taxa, policy)
+    }
+
+    /// Create a fresh index at `dir` from a frozen table, with `n_shards`
+    /// in the snapshot header: the snapshot is byte-identical to the one
+    /// [`Index::create`] writes for an `n_shards`-way [`Bfh`] holding the
+    /// same splits, and the table itself becomes the base and the sidecar,
+    /// so no hash is built and nothing is frozen.
+    pub fn create_table(
+        dir: &Path,
+        table: FrozenBfh,
+        n_shards: usize,
+        taxa: TaxonSet,
+    ) -> Result<Index, IndexError> {
+        Index::create_table_policy_with(real_vfs(), dir, table, n_shards, taxa, WalPolicy::Strict)
+    }
+
+    /// [`Index::create_table`] routed through an explicit [`Vfs`], with an
+    /// explicit WAL replay policy. A table carrying a delta is folded into
+    /// fresh lanes first, since only lanes have a sidecar form.
+    pub fn create_table_policy_with(
+        vfs: Arc<dyn Vfs>,
+        dir: &Path,
+        table: FrozenBfh,
+        n_shards: usize,
+        taxa: TaxonSet,
+        policy: WalPolicy,
+    ) -> Result<Index, IndexError> {
         vfs.create_dir_all(dir)
             .map_err(|e| IndexError::io(dir, e))?;
         let snap_path = dir.join(SNAPSHOT_FILE);
@@ -426,30 +456,33 @@ impl Index {
             ));
         }
         let tmp = dir.join(SNAPSHOT_TMP);
-        if let Err(e) = write_snapshot_with(&*vfs, &tmp, &bfh, &taxa, 0) {
+        if let Err(e) = write_table_snapshot_with(&*vfs, &tmp, &table, n_shards, &taxa, 0) {
             let _ = vfs.remove_file(&tmp);
             return Err(e);
         }
         vfs.rename(&tmp, &snap_path)
             .map_err(|e| IndexError::io(&snap_path, e))?;
         let wal = Wal::create_policy_with(vfs.clone(), &dir.join(WAL_FILE), 0, policy)?;
-        let base = Arc::new(freeze_timed(&bfh));
+        let base = Arc::new(if table.has_delta() {
+            table.folded()
+        } else {
+            table
+        });
         let mut index = Index {
             dir: dir.to_path_buf(),
             vfs,
             taxa: std::sync::Arc::new(taxa),
             generation: 0,
-            n_shards: bfh.n_shards(),
+            n_shards,
             wal: Some(wal),
             wal_pending: 0,
             policy,
             notes: Vec::new(),
-            delta: Arc::new(SplitDelta::new(bfh.n_taxa())),
+            delta: Arc::new(SplitDelta::new(base.n_taxa())),
             base: Arc::clone(&base),
             frozen: Some(Arc::clone(&base)),
             bfh: OnceLock::new(),
         };
-        drop(bfh);
         index.write_frozen_sidecar(&base);
         Ok(index)
     }
@@ -701,18 +734,7 @@ impl Index {
     pub fn bfh(&self) -> &Bfh {
         self.bfh.get_or_init(|| {
             let table = self.base.with_delta(Arc::clone(&self.delta));
-            let n_taxa = table.n_taxa();
-            let mut bfh = Bfh::with_capacity_sharded(
-                n_taxa,
-                self.n_shards,
-                table.n_trees(),
-                table.distinct(),
-            );
-            for (words, freq) in table.iter() {
-                bfh.insert_entry(Bits::from_words(n_taxa, words), freq)
-                    .expect("a table's splits form a valid hash");
-            }
-            bfh
+            Bfh::from_table(&table, self.n_shards).expect("a table's splits form a valid hash")
         })
     }
 

@@ -1,11 +1,11 @@
 //! Streaming BFHRF over a large on-disk collection — the memory story.
 //!
 //! The paper's headline memory result (Table III: 1.3 GB where baselines
-//! need 27–37 GB) comes from never materializing the collection: the hash
-//! is built from a stream and the queries are answered without the trees.
-//! This example writes a 20k-tree collection to disk, then runs the whole
-//! analysis from the file with only the hash and each tree's splits
-//! resident.
+//! need 27–37 GB) comes from never materializing the collection: the
+//! frequency table is built from a stream and the queries are answered
+//! without the trees. This example writes a 20k-tree collection to disk,
+//! then runs the whole analysis from the file with only the table and each
+//! tree's splits resident.
 //!
 //! ```text
 //! cargo run --release --example streaming_large
@@ -34,35 +34,34 @@ fn main() {
     );
     drop(coll); // nothing of the collection stays in memory
 
-    // Phase 1: stream the references into the hash. The builder parses a
-    // chunk of trees, extracts their splits into its spill and drops them,
-    // so only one chunk of parsed trees is ever resident. Keeping the
+    // Phase 1: stream the references into the frozen table. The builder
+    // parses a chunk of trees, extracts their splits into its spill and
+    // drops them, so only one chunk of parsed trees is ever resident; the
+    // spill is then folded straight into the table's lanes. Keeping the
     // spill gives each tree's splits back for scoring Q = R.
     let mut taxa = TaxonSet::new();
     let t0 = Instant::now();
     let file = std::fs::File::open(&path).expect("open refs");
     let mut stream = NewickStream::new(BufReader::new(file), TaxaPolicy::Grow);
-    let (bfh, kept) = BfhBuilder::new()
-        .shards(2)
-        .from_stream_kept(&mut taxa, |t| stream.next_tree(t))
+    let (table, kept) = BfhBuilder::new()
+        .parallel(true)
+        .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
         .expect("build from the stream");
     println!(
-        "hash built in {:.2}s: {} distinct splits from {} trees \
-         (approx {:.1} MB hash, {:.1} MB kept splits)",
+        "table built in {:.2}s: {} distinct splits from {} trees \
+         (approx {:.1} MB table, {:.1} MB kept splits)",
         t0.elapsed().as_secs_f64(),
-        bfh.distinct(),
-        bfh.n_trees(),
-        bfh.approx_bytes() as f64 / 1e6,
+        table.distinct(),
+        table.n_trees(),
+        table.approx_bytes() as f64 / 1e6,
         kept.approx_bytes() as f64 / 1e6
     );
 
-    // Phase 2: Q is R, so score the kept splits against the frozen table —
-    // no tree is parsed or extracted twice.
+    // Phase 2: Q is R, so score the kept splits against the table — no
+    // tree is parsed or extracted twice.
     let t1 = Instant::now();
-    let frozen = bfh.freeze();
-    drop(bfh);
     let scores = kept
-        .score(&frozen, true, &RunGuard::default())
+        .score(&table, true, &RunGuard::default())
         .expect("score the references");
     let mean: f64 = scores.iter().map(|s| s.rf.average()).sum::<f64>() / scores.len() as f64;
     println!(
