@@ -20,8 +20,15 @@
 //! bfhrf query     --addr HOST:PORT --op avgrf|best-query|stats|... [--queries F]
 //!                 [--batch N]   (pipelined wire-protocol-v2 batch frames)
 //! ```
+//!
+//! The daemon's clients (`query`, `catalog`, `stats`) live in the
+//! `client` module: each builds one typed [`proto::Envelope`] from argv,
+//! sends it over a `Session` (one connection, with the optional `hello`
+//! and `taxa` exchanges) and renders the typed [`proto::Response`];
+//! `Retry::run` is their one reconnect loop.
 
 pub mod args;
+mod client;
 pub mod proto;
 pub mod server;
 
@@ -124,9 +131,9 @@ pub fn run_full(argv: &[String]) -> Result<CmdOutcome, CliError> {
         "index" => cmd_index(rest),
         "convert" => cmd_convert(rest),
         "serve" => cmd_serve(rest),
-        "query" => cmd_query(rest),
-        "stats" => cmd_stats(rest),
-        "catalog" => cmd_catalog(rest),
+        "query" => client::cmd_query(rest),
+        "stats" => client::cmd_stats(rest),
+        "catalog" => client::cmd_catalog(rest),
         "help" | "--help" | "-h" => Ok(CmdOutcome::clean(usage())),
         other => Err(format!("unknown subcommand {other:?}\n\n{}", usage()).into()),
     }
@@ -829,47 +836,6 @@ fn payload_from_file(path: &str) -> Result<Vec<String>, CliError> {
         .collect())
 }
 
-/// Encode trees as base64 binary records in the *server's* taxon
-/// namespace: map every local taxon id to the server id with the same
-/// label (from the `taxa` exchange), remap, encode. A label the server
-/// has never seen is a client-side error — the server's Newick parser
-/// would have rejected the same tree, just later and per record.
-fn encode_payload_bin(coll: &TreeCollection, labels: &[String]) -> Result<Vec<String>, CliError> {
-    let mut server_ids: std::collections::HashMap<&str, phylo::TaxonId> =
-        std::collections::HashMap::with_capacity(labels.len());
-    for (i, label) in labels.iter().enumerate() {
-        server_ids.insert(label.as_str(), phylo::TaxonId(i as u32));
-    }
-    let map: Vec<phylo::TaxonId> = (0..coll.taxa.len())
-        .map(|i| {
-            let label = coll.taxa.label(phylo::TaxonId(i as u32));
-            server_ids.get(label).copied().ok_or_else(|| {
-                CliError::from(format!(
-                    "taxon {label:?} is not in the server's namespace; \
-                     binary payloads cannot introduce new taxa"
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let start = Instant::now();
-    let payload = coll
-        .trees
-        .iter()
-        .enumerate()
-        .map(|(i, tree)| {
-            let mut tree = tree.clone();
-            phylo_wire::remap_leaf_taxa(&mut tree, &map);
-            phylo_wire::encode_tree_vec(&tree)
-                .map(|bytes| phylo_wire::b64::encode(&bytes))
-                .map_err(|e| CliError::from(format!("tree {i}: {e}")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    phylo_obs::global()
-        .histogram("wire_encode_ns", &[("encoding", "bin")])
-        .record_duration(start.elapsed());
-    Ok(payload)
-}
-
 /// `bfhrf convert`: re-encode a tree file between Newick text and the
 /// `phylo-wire` binary container. The input encoding is sniffed, so
 /// converting a file to the format it already carries is a (lossy-free)
@@ -1215,1139 +1181,6 @@ fn cmd_serve(raw: &[String]) -> Result<CmdOutcome, CliError> {
     }
     let served = srv.run()?;
     Ok(CmdOutcome::clean(format!("served\t{served}\n")))
-}
-
-/// Resolve `--addr` / `--port-file` to the server address.
-fn query_addr(a: &Args) -> Result<String, CliError> {
-    if let Some(addr) = a.get("addr") {
-        return Ok(addr.to_string());
-    }
-    if let Some(pf) = a.get("port-file") {
-        let text = std::fs::read_to_string(pf)
-            .map_err(|e| CliError::from(format!("cannot read {pf}: {e}")))?;
-        return Ok(text.trim().to_string());
-    }
-    Err("query needs --addr HOST:PORT or --port-file FILE"
-        .to_string()
-        .into())
-}
-
-/// Client-side retry budget for idempotent query ops: exponential backoff
-/// with jitter between attempts, reset whenever a request actually
-/// succeeds (so a long batch session is allowed `retries` consecutive
-/// failures, not `retries` over its whole life).
-///
-/// Only reads (`avgrf`, `best-query`, `stats`, `ping`) may carry a retry
-/// budget — re-sending an `add` after an ambiguous failure could apply it
-/// twice, so mutations keep the old fail-fast contract.
-struct Retry {
-    /// Remaining consecutive failures before giving up.
-    left: u32,
-    /// Configured budget (for the reset).
-    budget: u32,
-    /// Base delay; doubles per consecutive failure.
-    backoff_ms: u64,
-    /// Consecutive failures so far (drives the exponent).
-    streak: u32,
-    /// xorshift64 state for jitter.
-    rng: u64,
-}
-
-impl Retry {
-    fn new(retries: u32, backoff_ms: u64) -> Retry {
-        Retry {
-            left: retries,
-            budget: retries,
-            backoff_ms: backoff_ms.max(1),
-            streak: 0,
-            rng: u64::from(std::process::id()) | 1,
-        }
-    }
-
-    /// Account one failure. When budget remains: sleep the backoff (with
-    /// jitter), report the retry on stderr, and return `true` so the
-    /// caller loops. When exhausted: return `false` — the caller surfaces
-    /// the underlying error with its usual exit code.
-    fn pause(&mut self, why: &str) -> bool {
-        if self.left == 0 {
-            return false;
-        }
-        self.left -= 1;
-        // Exponential backoff, capped at 10 s per wait.
-        let base = self
-            .backoff_ms
-            .saturating_mul(1u64 << self.streak.min(16))
-            .min(10_000);
-        self.streak += 1;
-        // xorshift64 jitter in [0, base/2]: concurrent clients retrying
-        // the same outage spread out instead of reconnecting in lockstep.
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let jitter = if base >= 2 {
-            self.rng % (base / 2 + 1)
-        } else {
-            0
-        };
-        let wait = base + jitter;
-        eprintln!(
-            "bfhrf: {why}; retrying in {wait} ms ({} retr{} left)",
-            self.left,
-            if self.left == 1 { "y" } else { "ies" }
-        );
-        std::thread::sleep(Duration::from_millis(wait));
-        true
-    }
-
-    /// A request went through: restore the budget for the next failure.
-    fn reset(&mut self) {
-        self.left = self.budget;
-        self.streak = 0;
-    }
-}
-
-/// Whether a failed *response* (ok=false) is safe to retry: only the
-/// `busy` shed, which the server sends before running anything.
-fn is_busy_response(resp: &json::Json) -> bool {
-    resp.get("ok").and_then(json::Json::as_bool) == Some(false)
-        && resp.get("code").and_then(json::Json::as_str) == Some("busy")
-}
-
-/// One request/response round trip with a retry budget: transport
-/// failures (connect, send, read, malformed or truncated response) and
-/// `busy` sheds back off and reconnect; typed server failures other than
-/// `busy` return immediately — they would fail identically on a resend.
-fn send_request_retry(
-    addr: &str,
-    request: &json::Json,
-    retry: &mut Retry,
-) -> Result<json::Json, CliError> {
-    loop {
-        match send_request(addr, request) {
-            Ok(resp) if is_busy_response(&resp) => {
-                if retry.pause("server is busy") {
-                    continue;
-                }
-                return Ok(resp); // exhausted: caller maps busy → exit 1
-            }
-            Ok(resp) => {
-                retry.reset();
-                return Ok(resp);
-            }
-            Err(e) => {
-                if retry.pause(&e.message) {
-                    continue;
-                }
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// One request/response round trip against a running server.
-fn send_request(addr: &str, request: &json::Json) -> Result<json::Json, CliError> {
-    use std::io::{BufRead as _, Write as _};
-
-    let mut stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| CliError::from(format!("cannot connect to {addr}: {e}")))?;
-    stream.set_read_timeout(Some(Duration::from_secs(120))).ok();
-    stream
-        .write_all(format!("{request}\n").as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| CliError::from(format!("cannot send request to {addr}: {e}")))?;
-    let mut line = String::new();
-    std::io::BufReader::new(&stream)
-        .read_line(&mut line)
-        .map_err(|e| CliError::from(format!("no response from {addr}: {e}")))?;
-    if line.trim().is_empty() {
-        return Err(format!("server at {addr} closed the connection without answering").into());
-    }
-    json::parse(line.trim()).map_err(|e| format!("malformed response: {e}").into())
-}
-
-/// Ops a retry budget may apply to: pure reads, where re-sending after an
-/// ambiguous failure cannot double-apply anything.
-const IDEMPOTENT_OPS: [&str; 7] = [
-    "avgrf",
-    "best-query",
-    "stats",
-    "ping",
-    "taxa",
-    "xavgrf",
-    "catalog-list",
-];
-
-/// Ops that accept a `--collection` routing field.
-const ROUTED_OPS: [&str; 8] = [
-    "avgrf",
-    "best-query",
-    "ping",
-    "stats",
-    "taxa",
-    "add",
-    "remove",
-    "compact",
-];
-
-/// Ops whose payload is a list of trees — the only ones `--format bin`
-/// can re-encode.
-const TREE_PAYLOAD_OPS: [&str; 4] = ["avgrf", "best-query", "add", "remove"];
-
-fn cmd_query(raw: &[String]) -> Result<CmdOutcome, CliError> {
-    let a = Args::parse(raw, &["normalized", "halved"])?;
-    a.reject_unknown(
-        &[
-            "addr",
-            "port-file",
-            "op",
-            "format",
-            "queries",
-            "trees",
-            "batch",
-            "retries",
-            "backoff-ms",
-            "collection",
-            "refs-collection",
-            "queries-collection",
-            "name",
-        ],
-        &["normalized", "halved"],
-    )?;
-    let addr = query_addr(&a)?;
-    let op = a.get("op").unwrap_or("avgrf");
-    let collection = a.get("collection").map(str::to_string);
-    if collection.is_some() && !ROUTED_OPS.contains(&op) {
-        return Err(format!(
-            "--collection only applies to collection-routed ops ({}); got {op:?}",
-            ROUTED_OPS.join(", ")
-        )
-        .into());
-    }
-    let format = match a.get("format") {
-        None => phylo_wire::WireFormat::Newick,
-        Some(s) => phylo_wire::WireFormat::parse(s)
-            .ok_or_else(|| format!("unknown format {s:?} (expected newick or bin)"))?,
-    };
-    if format == phylo_wire::WireFormat::Bin && !TREE_PAYLOAD_OPS.contains(&op) {
-        return Err(format!(
-            "--format bin only applies to ops that carry trees ({}); got {op:?}",
-            TREE_PAYLOAD_OPS.join(", ")
-        )
-        .into());
-    }
-
-    let retries: u32 = a.get_parsed("retries")?.unwrap_or(0);
-    let backoff_ms: u64 = a.get_parsed("backoff-ms")?.unwrap_or(100);
-    if a.get("backoff-ms").is_some() && a.get("retries").is_none() {
-        return Err("--backoff-ms only applies together with --retries"
-            .to_string()
-            .into());
-    }
-    if retries > 0 && !IDEMPOTENT_OPS.contains(&op) {
-        return Err(format!(
-            "--retries only applies to idempotent ops ({}); a resent {op:?} could apply twice",
-            IDEMPOTENT_OPS.join(", ")
-        )
-        .into());
-    }
-    let mut retry = Retry::new(retries, backoff_ms);
-
-    if let Some(batch) = a.get_parsed::<usize>("batch")? {
-        if op != "avgrf" {
-            return Err(format!("--batch only applies to --op avgrf (got {op:?})").into());
-        }
-        if batch == 0 {
-            return Err("--batch must be at least 1".to_string().into());
-        }
-        let coll = payload_collection(a.require("queries")?)?;
-        let flags = proto::QueryFlags {
-            normalized: a.flag("normalized"),
-            halved: a.flag("halved"),
-        };
-        return batched_avgrf(&addr, batch, &coll, format, flags, collection, retry);
-    }
-
-    if format == phylo_wire::WireFormat::Bin {
-        // Binary payloads need one persistent session: negotiate the
-        // encoding in the hello, learn the server's taxon namespace, then
-        // send the op on the same connection.
-        let payload_key: &'static str = if matches!(op, "avgrf" | "best-query") {
-            "queries"
-        } else {
-            "trees"
-        };
-        let coll = payload_collection(a.require(payload_key)?)?;
-        let mut extra: Vec<(&'static str, json::Json)> = Vec::new();
-        if matches!(op, "avgrf" | "best-query") {
-            if a.flag("normalized") {
-                extra.push(("normalized", true.into()));
-            }
-            if a.flag("halved") {
-                extra.push(("halved", true.into()));
-            }
-        }
-        let resp = send_request_bin_retry(
-            &addr,
-            op,
-            &coll,
-            payload_key,
-            &extra,
-            collection.as_deref(),
-            &mut retry,
-        )?;
-        return finish_query_response(op, &resp);
-    }
-
-    let mut fields: Vec<(&str, json::Json)> = vec![("op", op.into())];
-    match op {
-        "avgrf" | "best-query" => {
-            let payload = payload_from_file(a.require("queries")?)?;
-            fields.push((
-                "queries",
-                json::Json::Arr(payload.into_iter().map(Into::into).collect()),
-            ));
-            if a.flag("normalized") {
-                fields.push(("normalized", true.into()));
-            }
-            if a.flag("halved") {
-                fields.push(("halved", true.into()));
-            }
-        }
-        "add" | "remove" => {
-            let payload = payload_from_file(a.require("trees")?)?;
-            fields.push((
-                "trees",
-                json::Json::Arr(payload.into_iter().map(Into::into).collect()),
-            ));
-        }
-        "ping" => fields.insert(0, ("v", 2u64.into())),
-        "stats" | "compact" | "taxa" | "shutdown" => {}
-        "xavgrf" => {
-            fields.push(("refs", a.require("refs-collection")?.into()));
-            fields.push(("queries", a.require("queries-collection")?.into()));
-            if a.flag("normalized") {
-                fields.push(("normalized", true.into()));
-            }
-            if a.flag("halved") {
-                fields.push(("halved", true.into()));
-            }
-        }
-        "catalog-create" => {
-            fields.push(("name", a.require("name")?.into()));
-            if let Some(trees_path) = a.get("trees") {
-                let payload = payload_from_file(trees_path)?;
-                fields.push((
-                    "trees",
-                    json::Json::Arr(payload.into_iter().map(Into::into).collect()),
-                ));
-            }
-        }
-        "catalog-drop" => fields.push(("name", a.require("name")?.into())),
-        "catalog-list" => {}
-        other => {
-            return Err(format!(
-                "unknown op {other:?} (expected avgrf, best-query, ping, stats, taxa, add, \
-                 remove, compact, xavgrf, catalog-create, catalog-drop, catalog-list, shutdown)"
-            )
-            .into())
-        }
-    }
-    // Collection routing and the catalog/cross-collection ops are a v2
-    // vocabulary: frame them explicitly so an old server fails loudly
-    // instead of guessing. Collection-less legacy ops keep their exact
-    // pre-catalog frames.
-    if let Some(name) = &collection {
-        fields.push(("collection", name.as_str().into()));
-    }
-    let needs_v2 = collection.is_some()
-        || matches!(
-            op,
-            "taxa" | "xavgrf" | "catalog-create" | "catalog-drop" | "catalog-list"
-        );
-    if needs_v2 && op != "ping" {
-        fields.insert(0, ("v", 2u64.into()));
-    }
-    let request = json::Json::obj(fields);
-    let resp = send_request_retry(&addr, &request, &mut retry)?;
-    finish_query_response(op, &resp)
-}
-
-/// Shared tail of `query`: map a failed response to its exit code, relay
-/// server notes to stderr, render the table.
-fn finish_query_response(op: &str, resp: &json::Json) -> Result<CmdOutcome, CliError> {
-    if resp.get("ok").and_then(json::Json::as_bool) != Some(true) {
-        let code = resp
-            .get("code")
-            .and_then(json::Json::as_str)
-            .unwrap_or("error");
-        // The finer outcome label (budget vs cancelled) when the server
-        // sends one; older servers only send the code.
-        let outcome = resp
-            .get("outcome")
-            .and_then(json::Json::as_str)
-            .unwrap_or(code);
-        let message = resp
-            .get("error")
-            .and_then(json::Json::as_str)
-            .unwrap_or("server reported an unspecified failure");
-        return Err(CliError {
-            message: format!("server: [{outcome}] {message}"),
-            code: server::protocol_code_to_exit(code),
-        });
-    }
-    // Degradation notes travel with successful responses; relay them to
-    // stderr so `query` matches the offline commands' reporting.
-    let notes: Vec<String> = resp
-        .get("notes")
-        .and_then(json::Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|n| n.as_str().map(|s| format!("server: {s}")))
-        .collect();
-    let stdout = render_response(op, resp)?;
-    Ok(CmdOutcome {
-        stdout,
-        notes,
-        code: EXIT_OK,
-    })
-}
-
-/// A batch-session failure, tagged with whether an idempotent retry can
-/// absorb it. Transport failures (connect, send, read, truncated or
-/// malformed lines) and `busy` sheds are retryable; typed server errors
-/// are not — resending the same frame would fail the same way.
-struct SessionError {
-    retryable: bool,
-    err: CliError,
-}
-
-impl SessionError {
-    fn transport(err: CliError) -> SessionError {
-        SessionError {
-            retryable: true,
-            err,
-        }
-    }
-
-    fn fatal(err: CliError) -> SessionError {
-        SessionError {
-            retryable: false,
-            err,
-        }
-    }
-}
-
-/// One connected, hello-handshaken batch session.
-struct BatchSession {
-    reader: std::io::BufReader<std::net::TcpStream>,
-    writer: std::io::BufWriter<std::net::TcpStream>,
-    max_batch: usize,
-}
-
-/// Connect and run the `hello` handshake: learn the server's batch
-/// ceiling before committing to a frame size (an old server that cannot
-/// answer `hello` fails loudly here instead of mis-parsing v2 frames
-/// later). When `encoding` asks for a non-default tree encoding, the
-/// server must echo it back — a hello answer without the echo means the
-/// server does not speak that encoding, and the session fails instead of
-/// sending payloads the server would mis-read as Newick.
-fn open_batch_session(
-    addr: &str,
-    encoding: Option<proto::WireEncoding>,
-) -> Result<BatchSession, SessionError> {
-    use proto::{Envelope, Request, Response};
-    use std::io::Write as _;
-
-    let stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| SessionError::transport(format!("cannot connect to {addr}: {e}").into()))?;
-    stream.set_read_timeout(Some(Duration::from_secs(120))).ok();
-    stream.set_nodelay(true).ok();
-    let writer_stream = stream.try_clone().map_err(|e| {
-        SessionError::transport(format!("cannot clone connection to {addr}: {e}").into())
-    })?;
-    // Batch frames run large (a 64-query frame on real trees is hundreds
-    // of kilobytes); a roomy write buffer keeps each frame to a few
-    // syscalls instead of dozens of 8 KB slices.
-    let mut writer = std::io::BufWriter::with_capacity(128 << 10, writer_stream);
-    let mut reader = std::io::BufReader::with_capacity(64 << 10, stream);
-    let hello = Envelope::v2(Request::Hello { encoding }, None);
-    writer
-        .write_all(format!("{}\n", hello.to_json()).as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|e| {
-            SessionError::transport(format!("cannot send request to {addr}: {e}").into())
-        })?;
-    let max_batch = match read_batch_response(&mut reader, addr)?.0 {
-        Response::Hello {
-            max_batch,
-            encoding: echoed,
-            ..
-        } => {
-            if let Some(wanted) = encoding {
-                if echoed != Some(wanted) {
-                    return Err(SessionError::fatal(
-                        format!(
-                            "server at {addr} did not accept the {:?} tree encoding \
-                             (no echo in its hello answer); upgrade the server or \
-                             drop --format {}",
-                            wanted.as_str(),
-                            wanted.as_str()
-                        )
-                        .into(),
-                    ));
-                }
-            }
-            max_batch
-        }
-        Response::Error { code, message, .. } => {
-            let err = CliError::from(format!("server rejected the hello handshake: {message}"));
-            return Err(if code == proto::ErrorCode::Busy {
-                SessionError::transport(err)
-            } else {
-                SessionError::fatal(err)
-            });
-        }
-        _ => {
-            return Err(SessionError::fatal(
-                format!(
-                    "server at {addr} answered the hello handshake with an unexpected shape \
-                     (not a v2 server?)"
-                )
-                .into(),
-            ))
-        }
-    };
-    Ok(BatchSession {
-        reader,
-        writer,
-        max_batch,
-    })
-}
-
-fn read_batch_response(
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
-    addr: &str,
-) -> Result<(proto::Response, Option<u64>), SessionError> {
-    use std::io::BufRead as _;
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| SessionError::transport(format!("no response from {addr}: {e}").into()))?;
-    if line.trim().is_empty() {
-        return Err(SessionError::transport(
-            format!("server at {addr} closed the connection mid-session").into(),
-        ));
-    }
-    let doc = json::parse(line.trim())
-        .map_err(|e| SessionError::transport(format!("malformed response: {e}").into()))?;
-    proto::Response::from_json(&doc)
-        .map_err(|e| SessionError::transport(format!("malformed response: {e}").into()))
-}
-
-/// Fetch the server's taxon labels over an open session — the namespace
-/// binary payloads must be encoded in. Label order *is* id order.
-fn fetch_server_taxa(
-    session: &mut BatchSession,
-    addr: &str,
-    collection: Option<&str>,
-) -> Result<Vec<String>, SessionError> {
-    use proto::{Envelope, Request, Response};
-    use std::io::Write as _;
-
-    let env = Envelope::v2(
-        Request::Taxa {
-            collection: collection.map(str::to_string),
-        },
-        None,
-    );
-    session
-        .writer
-        .write_all(format!("{}\n", env.to_json()).as_bytes())
-        .and_then(|()| session.writer.flush())
-        .map_err(|e| {
-            SessionError::transport(format!("cannot send request to {addr}: {e}").into())
-        })?;
-    match read_batch_response(&mut session.reader, addr)?.0 {
-        Response::Taxa { labels, .. } => Ok(labels),
-        Response::Error { code, message, .. } => {
-            let err = CliError::from(format!("server cannot list its taxa: {message}"));
-            Err(if code == proto::ErrorCode::Busy {
-                SessionError::transport(err)
-            } else {
-                SessionError::fatal(err)
-            })
-        }
-        _ => Err(SessionError::fatal(
-            format!("server at {addr} answered the taxa request with an unexpected shape").into(),
-        )),
-    }
-}
-
-/// Send one raw-JSON request over an open session and read the raw
-/// response document (the single-op path renders raw documents, not
-/// typed [`proto::Response`] values).
-fn session_round_trip(
-    session: &mut BatchSession,
-    addr: &str,
-    request: &json::Json,
-) -> Result<json::Json, SessionError> {
-    use std::io::{BufRead as _, Write as _};
-
-    session
-        .writer
-        .write_all(format!("{request}\n").as_bytes())
-        .and_then(|()| session.writer.flush())
-        .map_err(|e| {
-            SessionError::transport(format!("cannot send request to {addr}: {e}").into())
-        })?;
-    let mut line = String::new();
-    session
-        .reader
-        .read_line(&mut line)
-        .map_err(|e| SessionError::transport(format!("no response from {addr}: {e}").into()))?;
-    if line.trim().is_empty() {
-        return Err(SessionError::transport(
-            format!("server at {addr} closed the connection mid-session").into(),
-        ));
-    }
-    json::parse(line.trim())
-        .map_err(|e| SessionError::transport(format!("malformed response: {e}").into()))
-}
-
-/// One binary-encoded request with a retry budget: each attempt opens a
-/// fresh session (hello negotiating `bin`, then the taxa exchange), so a
-/// reconnect re-learns the namespace before re-encoding the payload.
-fn send_request_bin_retry(
-    addr: &str,
-    op: &str,
-    coll: &TreeCollection,
-    payload_key: &'static str,
-    extra: &[(&'static str, json::Json)],
-    collection: Option<&str>,
-    retry: &mut Retry,
-) -> Result<json::Json, CliError> {
-    let attempt = |addr: &str| -> Result<json::Json, SessionError> {
-        let mut session = open_batch_session(addr, Some(proto::WireEncoding::Bin))?;
-        let labels = fetch_server_taxa(&mut session, addr, collection)?;
-        let payload = encode_payload_bin(coll, &labels).map_err(SessionError::fatal)?;
-        let mut fields: Vec<(&str, json::Json)> = vec![("v", 2u64.into()), ("op", op.into())];
-        fields.push((
-            payload_key,
-            json::Json::Arr(payload.into_iter().map(Into::into).collect()),
-        ));
-        for (key, value) in extra {
-            fields.push((key, value.clone()));
-        }
-        if let Some(name) = collection {
-            fields.push(("collection", name.into()));
-        }
-        session_round_trip(&mut session, addr, &json::Json::obj(fields))
-    };
-    loop {
-        match attempt(addr) {
-            Ok(resp) if is_busy_response(&resp) => {
-                if retry.pause("server is busy") {
-                    continue;
-                }
-                return Ok(resp); // exhausted: caller maps busy → exit 1
-            }
-            Ok(resp) => {
-                retry.reset();
-                return Ok(resp);
-            }
-            Err(e) => {
-                if e.retryable && retry.pause(&e.err.message) {
-                    continue;
-                }
-                return Err(e.err);
-            }
-        }
-    }
-}
-
-/// `bfhrf query --batch N`: one persistent wire-protocol-v2 session that
-/// packs the query file into `batch`-sized frames and keeps up to
-/// [`PIPELINE_WINDOW`] frames in flight. The output is the same
-/// `query\tavg_rf` table single-query mode prints (indices renumbered
-/// across frames), so it diffs cleanly against offline `bfhrf avgrf`; the
-/// 0/1/3 exit-code contract is unchanged, with the first failing frame
-/// aborting the session.
-///
-/// With a retry budget, a dropped connection (daemon restart, network
-/// blip) or a `busy` shed reconnects after a backoff, re-runs the
-/// handshake, and resends every unanswered frame. Frame sizing is fixed
-/// by the **first** handshake, so rows land in the output exactly once
-/// and the final table is byte-identical to an uninterrupted run. Each
-/// answered frame restores the budget.
-///
-/// `--format bin` sessions negotiate the binary tree encoding in the
-/// hello and run the taxa exchange before the first frame; the payload is
-/// re-encoded per session because the server's namespace is only known
-/// once connected (and could differ after a restart).
-fn batched_avgrf(
-    addr: &str,
-    batch: usize,
-    source: &TreeCollection,
-    format: phylo_wire::WireFormat,
-    flags: proto::QueryFlags,
-    collection: Option<String>,
-    mut retry: Retry,
-) -> Result<CmdOutcome, CliError> {
-    use phylo_wire::WireFormat;
-    use proto::{Envelope, Request, Response, WireEncoding};
-    use std::io::Write as _;
-
-    /// Frames in flight at once: deep enough to hide a round trip, shallow
-    /// enough that neither side buffers unboundedly.
-    const PIPELINE_WINDOW: usize = 32;
-
-    // Newick payloads never change between sessions; render them once.
-    let newick_payload: Vec<String> = match format {
-        WireFormat::Newick => source
-            .trees
-            .iter()
-            .map(|t| phylo::write_newick(t, &source.taxa))
-            .collect(),
-        WireFormat::Bin => Vec::new(),
-    };
-    let encoding = match format {
-        WireFormat::Newick => None,
-        WireFormat::Bin => Some(WireEncoding::Bin),
-    };
-    let total = source.trees.len();
-
-    let mut out = String::from("query\tavg_rf\n");
-    let mut notes: Vec<String> = Vec::new();
-    // Fixed after the first handshake; `None` until then.
-    let mut plan: Option<(usize, usize)> = None; // (frame_size, n_frames)
-    let mut read = 0usize; // frames fully answered and rendered
-
-    'session: loop {
-        let mut session = match open_batch_session(addr, encoding) {
-            Ok(s) => s,
-            Err(e) => {
-                if e.retryable && retry.pause(&e.err.message) {
-                    continue 'session;
-                }
-                return Err(e.err);
-            }
-        };
-        let bin_payload: Vec<String>;
-        let items: &[String] = match format {
-            WireFormat::Newick => &newick_payload,
-            WireFormat::Bin => {
-                let labels = match fetch_server_taxa(&mut session, addr, collection.as_deref()) {
-                    Ok(labels) => labels,
-                    Err(e) => {
-                        if e.retryable && retry.pause(&e.err.message) {
-                            continue 'session;
-                        }
-                        return Err(e.err);
-                    }
-                };
-                bin_payload = encode_payload_bin(source, &labels)?;
-                &bin_payload
-            }
-        };
-        let BatchSession {
-            mut reader,
-            mut writer,
-            max_batch,
-        } = session;
-        let (frame_size, n_frames) = match plan {
-            None => {
-                let fs = batch.min(max_batch).max(1);
-                let p = (fs, total.div_ceil(fs));
-                plan = Some(p);
-                p
-            }
-            Some((fs, _)) if fs > max_batch.max(1) => {
-                // The replacement server advertises a smaller ceiling than
-                // the frames we already rendered rows from; re-chunking
-                // would renumber rows, so fail instead of emitting a table
-                // that no uninterrupted run could produce.
-                return Err(format!(
-                    "server at {addr} restarted with a smaller batch ceiling ({max_batch} < \
-                     {fs}); rerun the query"
-                )
-                .into());
-            }
-            Some(p) => p,
-        };
-        if read >= n_frames {
-            break 'session;
-        }
-        let mut sent = read; // everything past `read` is unanswered: resend
-        let failure: SessionError = loop {
-            let mut send_err: Option<std::io::Error> = None;
-            while sent < n_frames && sent - read < PIPELINE_WINDOW {
-                let lo = sent * frame_size;
-                let hi = total.min(lo + frame_size);
-                let env = Envelope::v2(
-                    Request::Batch {
-                        queries: items[lo..hi].to_vec(),
-                        flags,
-                        collection: collection.clone(),
-                    },
-                    Some(sent as u64),
-                );
-                if let Err(e) = writer.write_all(format!("{}\n", env.to_json()).as_bytes()) {
-                    send_err = Some(e);
-                    break;
-                }
-                sent += 1;
-            }
-            if let Some(e) = send_err.or_else(|| writer.flush().err()) {
-                break SessionError::transport(
-                    format!("cannot send request to {addr}: {e}").into(),
-                );
-            }
-            let (resp, id) = match read_batch_response(&mut reader, addr) {
-                Ok(r) => r,
-                Err(e) => break e,
-            };
-            match resp {
-                Response::Scores {
-                    scores,
-                    notes: frame_notes,
-                    ..
-                } => {
-                    if id != Some(read as u64) {
-                        break SessionError::transport(
-                            format!("server answered frame {id:?} where frame {read} was expected")
-                                .into(),
-                        );
-                    }
-                    let base = read * frame_size;
-                    for row in &scores {
-                        let _ = writeln!(out, "{}\t{:.6}", base + row.index, row.avg);
-                    }
-                    for n in frame_notes {
-                        let n = format!("server: {n}");
-                        if !notes.contains(&n) {
-                            notes.push(n);
-                        }
-                    }
-                    read += 1;
-                    retry.reset();
-                    if read >= n_frames {
-                        break 'session;
-                    }
-                }
-                Response::Error {
-                    code,
-                    outcome,
-                    message,
-                } => {
-                    let err = CliError {
-                        message: format!("server: [{}] {message}", outcome.as_str()),
-                        code: server::protocol_code_to_exit(code.as_str()),
-                    };
-                    break if code == proto::ErrorCode::Busy {
-                        SessionError::transport(err)
-                    } else {
-                        SessionError::fatal(err)
-                    };
-                }
-                _ => {
-                    break SessionError::transport(
-                        "server answered a batch frame with an unexpected shape"
-                            .to_string()
-                            .into(),
-                    )
-                }
-            }
-        };
-        if failure.retryable && retry.pause(&failure.err.message) {
-            continue 'session;
-        }
-        return Err(failure.err);
-    }
-    Ok(CmdOutcome {
-        stdout: out,
-        notes,
-        code: EXIT_OK,
-    })
-}
-
-/// Render a successful server response in the same tab-separated shapes
-/// the offline subcommands print, so outputs diff cleanly against
-/// `bfhrf avgrf` / `bfhrf best`.
-fn render_response(op: &str, resp: &json::Json) -> Result<String, CliError> {
-    let field = |key: &str| -> Result<&json::Json, CliError> {
-        resp.get(key)
-            .ok_or_else(|| CliError::from(format!("response is missing {key:?}")))
-    };
-    match op {
-        "avgrf" => {
-            let mut out = String::from("query\tavg_rf\n");
-            for row in field("scores")?.as_arr().unwrap_or(&[]) {
-                let idx = row.get("index").and_then(json::Json::as_u64).unwrap_or(0);
-                let avg = row
-                    .get("avg")
-                    .and_then(json::Json::as_f64)
-                    .unwrap_or(f64::NAN);
-                let _ = writeln!(out, "{idx}\t{avg:.6}");
-            }
-            Ok(out)
-        }
-        "best-query" => Ok(format!(
-            "best_query\t{}\navg_rf\t{:.6}\ntotal_rf\t{}\n",
-            field("best_index")?.as_u64().unwrap_or(0),
-            field("avg")?.as_f64().unwrap_or(f64::NAN),
-            field("total")?.as_u64().unwrap_or(0),
-        )),
-        "stats" => {
-            let mut out = String::new();
-            for key in [
-                "generation",
-                "n_trees",
-                "n_taxa",
-                "distinct",
-                "sum",
-                "wal_pending",
-                "served",
-            ] {
-                let _ = writeln!(out, "{key}\t{}", field(key)?.as_u64().unwrap_or(0));
-            }
-            Ok(out)
-        }
-        "add" | "remove" => Ok(format!(
-            "applied\t{}\nn_trees\t{}\n",
-            field("applied")?.as_u64().unwrap_or(0),
-            field("n_trees")?.as_u64().unwrap_or(0),
-        )),
-        "compact" => Ok(format!(
-            "generation\t{}\ndistinct\t{}\n",
-            field("generation")?.as_u64().unwrap_or(0),
-            field("distinct")?.as_u64().unwrap_or(0),
-        )),
-        "ping" => {
-            let mut out = String::new();
-            for key in ["generation", "wal_pending", "uptime_ms"] {
-                let _ = writeln!(out, "{key}\t{}", field(key)?.as_u64().unwrap_or(0));
-            }
-            // Catalog-aware daemons add the collection counts on v2 pongs;
-            // rows appear only when present so pre-catalog servers render
-            // byte-identically.
-            for key in ["collections", "open_collections"] {
-                if let Some(v) = resp.get(key).and_then(json::Json::as_u64) {
-                    let _ = writeln!(out, "{key}\t{v}");
-                }
-            }
-            Ok(out)
-        }
-        "xavgrf" => {
-            let mut out = format!(
-                "common_taxa\t{}\nquery\tavg_rf\n",
-                field("common_taxa")?.as_u64().unwrap_or(0)
-            );
-            for row in field("scores")?.as_arr().unwrap_or(&[]) {
-                let idx = row.get("index").and_then(json::Json::as_u64).unwrap_or(0);
-                let avg = row
-                    .get("avg")
-                    .and_then(json::Json::as_f64)
-                    .unwrap_or(f64::NAN);
-                let _ = writeln!(out, "{idx}\t{avg:.6}");
-            }
-            Ok(out)
-        }
-        "catalog-create" => Ok(format!(
-            "created\t{}\nn_trees\t{}\n",
-            field("created")?.as_str().unwrap_or("?"),
-            field("n_trees")?.as_u64().unwrap_or(0),
-        )),
-        "catalog-drop" => Ok(format!(
-            "dropped\t{}\n",
-            field("dropped")?.as_str().unwrap_or("?"),
-        )),
-        "catalog-list" => {
-            let mut out = String::from("name\topen\tresident_bytes\n");
-            for row in field("catalog")?.as_arr().unwrap_or(&[]) {
-                let _ = writeln!(
-                    out,
-                    "{}\t{}\t{}",
-                    row.get("name").and_then(json::Json::as_str).unwrap_or("?"),
-                    row.get("open")
-                        .and_then(json::Json::as_bool)
-                        .unwrap_or(false),
-                    row.get("resident_bytes")
-                        .and_then(json::Json::as_u64)
-                        .unwrap_or(0),
-                );
-            }
-            Ok(out)
-        }
-        "taxa" => {
-            let mut out = format!(
-                "generation\t{}\ntaxon\tlabel\n",
-                field("generation")?.as_u64().unwrap_or(0)
-            );
-            for (i, label) in field("taxa")?.as_arr().unwrap_or(&[]).iter().enumerate() {
-                let _ = writeln!(out, "{i}\t{}", label.as_str().unwrap_or("?"));
-            }
-            Ok(out)
-        }
-        "shutdown" => Ok("shutdown\tok\n".to_string()),
-        _ => unreachable!("ops are validated before the request is sent"),
-    }
-}
-
-/// `bfhrf catalog <create|drop|list>`: administer a running daemon's
-/// collection catalog over the v2 wire ops — verb-shaped sugar over
-/// `query --op catalog-*` so scripts read like the operations they
-/// perform.
-fn cmd_catalog(raw: &[String]) -> Result<CmdOutcome, CliError> {
-    let Some(verb) = raw.first() else {
-        return Err("catalog needs a verb: create, drop, list"
-            .to_string()
-            .into());
-    };
-    let rest = &raw[1..];
-    let (op, knowns): (&str, &[&str]) = match verb.as_str() {
-        "create" => ("catalog-create", &["addr", "port-file", "name", "trees"]),
-        "drop" => ("catalog-drop", &["addr", "port-file", "name"]),
-        "list" => ("catalog-list", &["addr", "port-file"]),
-        other => {
-            return Err(
-                format!("unknown catalog verb {other:?} (expected create, drop, list)").into(),
-            )
-        }
-    };
-    let a = Args::parse(rest, &[])?;
-    a.reject_unknown(knowns, &[])?;
-    let addr = query_addr(&a)?;
-    let mut fields: Vec<(&str, json::Json)> = vec![("v", 2u64.into()), ("op", op.into())];
-    match verb.as_str() {
-        "create" => {
-            fields.push(("name", a.require("name")?.into()));
-            if let Some(trees_path) = a.get("trees") {
-                let payload = payload_from_file(trees_path)?;
-                fields.push((
-                    "trees",
-                    json::Json::Arr(payload.into_iter().map(Into::into).collect()),
-                ));
-            }
-        }
-        "drop" => fields.push(("name", a.require("name")?.into())),
-        _ => {}
-    }
-    let request = json::Json::obj(fields);
-    let resp = send_request(&addr, &request)?;
-    if resp.get("ok").and_then(json::Json::as_bool) != Some(true) {
-        let code = resp
-            .get("code")
-            .and_then(json::Json::as_str)
-            .unwrap_or("error");
-        let outcome = resp
-            .get("outcome")
-            .and_then(json::Json::as_str)
-            .unwrap_or(code);
-        let message = resp
-            .get("error")
-            .and_then(json::Json::as_str)
-            .unwrap_or("server reported an unspecified failure");
-        return Err(CliError {
-            message: format!("server: [{outcome}] {message}"),
-            code: server::protocol_code_to_exit(code),
-        });
-    }
-    let notes: Vec<String> = resp
-        .get("notes")
-        .and_then(json::Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|n| n.as_str().map(|s| format!("server: {s}")))
-        .collect();
-    let stdout = render_response(op, &resp)?;
-    Ok(CmdOutcome {
-        stdout,
-        notes,
-        code: EXIT_OK,
-    })
-}
-
-/// `bfhrf stats`: fetch one `stats` snapshot from a running daemon and
-/// render it for operators — the index header, then every metric series
-/// (with scaled latency quantiles). `--json` prints the raw wire response
-/// for scripts instead.
-fn cmd_stats(raw: &[String]) -> Result<CmdOutcome, CliError> {
-    let a = Args::parse(raw, &["json"])?;
-    a.reject_unknown(&["addr", "port-file"], &["json"])?;
-    let addr = query_addr(&a)?;
-    let request = json::Json::obj(vec![("op", "stats".into())]);
-    let resp = send_request(&addr, &request)?;
-    if resp.get("ok").and_then(json::Json::as_bool) != Some(true) {
-        let message = resp
-            .get("error")
-            .and_then(json::Json::as_str)
-            .unwrap_or("server reported an unspecified failure");
-        return Err(format!("server: {message}").into());
-    }
-    if a.flag("json") {
-        return Ok(CmdOutcome::clean(format!("{resp}\n")));
-    }
-    let mut out = render_response("stats", &resp)?;
-    if let Some(metrics) = resp.get("metrics") {
-        out.push('\n');
-        out.push_str(&render_metrics_text(metrics));
-    }
-    Ok(CmdOutcome::clean(out))
-}
-
-/// Render the `metrics` member of a `stats` response as the aligned text
-/// table `phylo_obs::expose::to_text` produces server-side — recomputed
-/// here from the wire JSON because the client only has the document.
-fn render_metrics_text(metrics: &json::Json) -> String {
-    let series = metrics
-        .get("series")
-        .and_then(json::Json::as_arr)
-        .unwrap_or(&[]);
-    let mut rows: Vec<(String, String)> = Vec::with_capacity(series.len());
-    for s in series {
-        let name = s.get("name").and_then(json::Json::as_str).unwrap_or("?");
-        let mut key = name.to_string();
-        if let Some(json::Json::Obj(pairs)) = s.get("labels") {
-            if !pairs.is_empty() {
-                let inner: Vec<String> = pairs
-                    .iter()
-                    .map(|(k, v)| format!("{k}={}", v.as_str().unwrap_or("?")))
-                    .collect();
-                key.push_str(&format!("{{{}}}", inner.join(",")));
-            }
-        }
-        let num = |field: &str| s.get(field).and_then(json::Json::as_f64).unwrap_or(0.0);
-        let value = match s.get("kind").and_then(json::Json::as_str) {
-            Some("histogram") => {
-                let count = num("count");
-                if count == 0.0 {
-                    "count=0".to_string()
-                } else {
-                    let show: fn(f64) -> String = if name.ends_with("_ns") {
-                        phylo_obs::expose::fmt_ns
-                    } else {
-                        |v: f64| format!("{v:.0}")
-                    };
-                    format!(
-                        "count={count} mean={} p50={} p90={} p99={} max={}",
-                        show(num("mean")),
-                        show(num("p50")),
-                        show(num("p90")),
-                        show(num("p99")),
-                        show(num("max")),
-                    )
-                }
-            }
-            _ => format!("{}", num("value")),
-        };
-        rows.push((key, value));
-    }
-    let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (key, value) in rows {
-        let _ = writeln!(out, "{key:width$}  {value}");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -3130,5 +1963,51 @@ mod tests {
         let err = runf(&["query", "--addr", "127.0.0.1:1", "--format", "tsv"])
             .expect_err("unknown format must fail");
         assert!(err.message.contains("unknown format"), "{}", err.message);
+    }
+
+    #[test]
+    fn query_flags_are_refused_on_ops_that_ignore_them() {
+        // best-query, ping, stats, add, ... carry no presentation flags on
+        // the wire, so --normalized/--halved would be dropped silently; the
+        // client refuses them before dialing (the addr is never dialed).
+        let q = tmp("flags_q.nwk", "((A,B),(C,D));\n");
+        let q = q.to_str().unwrap();
+        for (op, flag) in [
+            ("best-query", "--normalized"),
+            ("best-query", "--halved"),
+            ("ping", "--normalized"),
+            ("stats", "--halved"),
+            ("add", "--normalized"),
+        ] {
+            let mut argv = vec!["query", "--addr", "127.0.0.1:1", "--op", op, flag];
+            argv.extend(["--queries", q, "--trees", q]);
+            let err = runf(&argv).expect_err("flag must be refused");
+            assert_eq!(err.code, EXIT_ERROR);
+            assert!(
+                err.message.contains("only apply to the ops that take them")
+                    && err.message.contains("avgrf, also with --batch, and xavgrf")
+                    && err.message.contains(&format!("{op:?}")),
+                "{op}: {}",
+                err.message
+            );
+        }
+        // The scoring ops take them: they get as far as dialing.
+        for argv in [
+            vec!["--queries", q],
+            vec!["--queries", q, "--batch", "2"],
+            vec![
+                "--op",
+                "xavgrf",
+                "--refs-collection",
+                "a",
+                "--queries-collection",
+                "b",
+            ],
+        ] {
+            let mut full = vec!["query", "--addr", "127.0.0.1:1", "--normalized", "--halved"];
+            full.extend(argv);
+            let err = runf(&full).expect_err("nothing listens on port 1");
+            assert!(err.message.contains("cannot connect"), "{}", err.message);
+        }
     }
 }

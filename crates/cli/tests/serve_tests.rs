@@ -2057,10 +2057,13 @@ fn index_changed_behind_a_lazy_daemon_refuses_writes() {
         assert!(msg.contains("changed since the daemon bound it"), "{msg}");
     }
 
+    // The raw requests above can still hold all three slots when the
+    // query connects; wait for them to be released.
+    settled_stats(&addr);
     let served = runv(&["query", "--addr", &addr, "--queries", &queries_path]).unwrap();
     let offline = runv(&["avgrf", "--refs", &refs_path, "--queries", &queries_path]).unwrap();
     assert_eq!(served.stdout, offline.stdout);
-    let stats = raw_request(&addr, r#"{"op":"stats"}"#);
+    let stats = settled_stats(&addr);
     for key in ["generation", "n_trees", "distinct", "sum", "wal_pending"] {
         assert_eq!(stats.get(key), stats_before.get(key), "{key}");
     }
@@ -2168,6 +2171,7 @@ impl ChildDaemon {
 
     /// Shut the daemon down and return what it wrote to stderr.
     fn stop(mut self) -> String {
+        settled_stats(&self.addr);
         let resp = raw_request(&self.addr, r#"{"op":"shutdown"}"#);
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
         let out = self.child.take().unwrap().wait_with_output().unwrap();
@@ -2185,10 +2189,42 @@ impl Drop for ChildDaemon {
     }
 }
 
+/// The daemon's `stats` frame once it has released the slots of this
+/// test's earlier connections. A slot frees only when its handler thread
+/// sees the client's EOF, so a connection opened right after a few short
+/// ones can find every slot still held and be shed as `busy`: the
+/// daemon's overload contract, not a fault. A busy answer to the probe
+/// means slots are still held; `serve_connections_active` counting only
+/// the probe means the earlier connections are gone. The gauge is
+/// process-global, so an in-process daemon also counts parallel tests'
+/// connections: the wait is bounded, and by its end this test's own
+/// connections are long closed. The probe's own slot may still be held
+/// when this returns, which leaves every daemon here at least one free.
+fn settled_stats(addr: &str) -> json::Json {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let resp = raw_request(addr, r#"{"op":"stats"}"#);
+        let active = resp
+            .get("metrics")
+            .and_then(|m| find_series(m, "serve_connections_active", &[]))
+            .and_then(|s| s.get("value"))
+            .and_then(json::Json::as_u64);
+        match active {
+            Some(n) if n <= 1 || std::time::Instant::now() >= deadline => return resp,
+            Some(_) => {}
+            None => assert!(
+                std::time::Instant::now() < deadline + std::time::Duration::from_secs(10),
+                "stats kept failing: {resp}"
+            ),
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
 /// `field` (a histogram's `count`, a counter's or gauge's `value`) of the
 /// daemon's pre-registered, unlabelled series `name`.
 fn metric(addr: &str, name: &str, field: &str) -> u64 {
-    let resp = raw_request(addr, r#"{"op":"stats"}"#);
+    let resp = settled_stats(addr);
     find_series(resp.get("metrics").unwrap(), name, &[])
         .unwrap_or_else(|| panic!("{name} is pre-registered at bind"))
         .get(field)
@@ -2280,7 +2316,9 @@ fn writes_publish_a_delta_without_refreezing() {
 
     let daemon = ChildDaemon::spawn(&index_dir, &dir);
     let addr = daemon.addr.clone();
+    // Each connection waits for the earlier ones' slots (two here).
     let served = || {
+        settled_stats(&addr);
         runv(&["query", "--addr", &addr, "--queries", &queries_path])
             .unwrap()
             .stdout
@@ -2291,6 +2329,7 @@ fn writes_publish_a_delta_without_refreezing() {
             .stdout
     };
     let write_op = |op: &str| {
+        settled_stats(&addr);
         runv(&["query", "--addr", &addr, "--op", op, "--trees", &extra_path]).unwrap();
     };
     let freezes = || metric(&addr, "index_freeze_ns", "count");
@@ -2313,6 +2352,7 @@ fn writes_publish_a_delta_without_refreezing() {
         r#"{{"op":"remove","trees":[{}]}}"#,
         vec![tree; 50].join(",")
     );
+    settled_stats(&addr);
     let resp = raw_request(&addr, &frame);
     assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
     let error = resp.get("error").unwrap().as_str().unwrap().to_string();
