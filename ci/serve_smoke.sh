@@ -16,6 +16,17 @@ cleanup() {
 }
 trap cleanup EXIT
 
+wait_port() {
+    local file=$1 pid=$2
+    for _ in $(seq 1 100); do
+        [ -s "$file" ] && return 0
+        kill -0 "$pid" 2>/dev/null || { echo "serve smoke: daemon died" >&2; exit 1; }
+        sleep 0.1
+    done
+    echo "serve smoke: port file never appeared" >&2
+    exit 1
+}
+
 echo "== simulate a reference collection"
 "$BIN" simulate --taxa 24 --trees 40 --out "$WORK/refs.nwk" --seed 4077
 head -n 5 "$WORK/refs.nwk" >"$WORK/queries.nwk"
@@ -23,6 +34,9 @@ head -n 5 "$WORK/refs.nwk" >"$WORK/queries.nwk"
 echo "== build and verify the on-disk index"
 "$BIN" index build --refs "$WORK/refs.nwk" --out "$WORK/index"
 "$BIN" index inspect --index "$WORK/index" --check
+# A copy without the frozen sidecar, served by a second daemon below.
+cp -r "$WORK/index" "$WORK/index_nosidecar"
+rm "$WORK/index_nosidecar/frozen.bfh"
 
 echo "== start the daemon on an OS-assigned port"
 "$BIN" serve --index "$WORK/index" --addr 127.0.0.1:0 --threads 2 \
@@ -273,6 +287,18 @@ echo "== clean shutdown"
 wait "$SERVER_PID"
 SERVER_PID=""
 
+echo "== no sidecar: the daemon lays the snapshot into the table, answers unchanged"
+"$BIN" serve --index "$WORK/index_nosidecar" --addr 127.0.0.1:0 --threads 2 \
+    --port-file "$WORK/port_nosidecar" &
+SERVER_PID=$!
+wait_port "$WORK/port_nosidecar" "$SERVER_PID"
+"$BIN" query --port-file "$WORK/port_nosidecar" --queries "$WORK/queries.nwk" \
+    >"$WORK/served_nosidecar.tsv"
+diff -u "$WORK/offline.tsv" "$WORK/served_nosidecar.tsv"
+"$BIN" query --port-file "$WORK/port_nosidecar" --op shutdown
+wait "$SERVER_PID"
+SERVER_PID=""
+
 # ---------------------------------------------------------------------------
 # Multi-collection catalog: one daemon, many indexes, LRU-managed under a
 # global memory budget. Phase 1 creates three collections unbudgeted and
@@ -281,17 +307,6 @@ SERVER_PID=""
 # only possible by evicting — and every routed answer must still match the
 # offline report byte-for-byte.
 # ---------------------------------------------------------------------------
-
-wait_port() {
-    local file=$1 pid=$2
-    for _ in $(seq 1 100); do
-        [ -s "$file" ] && return 0
-        kill -0 "$pid" 2>/dev/null || { echo "serve smoke: daemon died" >&2; exit 1; }
-        sleep 0.1
-    done
-    echo "serve smoke: port file never appeared" >&2
-    exit 1
-}
 
 echo "== catalog: simulate three collections on a shared taxon set"
 "$BIN" simulate --taxa 32 --trees 30 --out "$WORK/c1.nwk" --seed 101

@@ -2,15 +2,17 @@
 //! the sidecar, plus a delta of the writes since it froze. Opening it for
 //! writing, adding and removing a tree, publishing a view and reading the
 //! counters must not build a hash. This counts the heap across those steps,
-//! on an index directly and through a catalog collection. The table here
-//! is ~7 MB, so a hash built anywhere on the path shows as megabytes.
+//! on an index directly and through a catalog collection. Opening the index
+//! without its sidecar must not build one either: the snapshot's records go
+//! straight into the table's lanes. The table here is ~7 MB, so a hash
+//! built anywhere on the path shows as megabytes.
 //!
 //! One test per binary: the counting allocator sees every thread.
 
 use bfhrf::Bfh;
 use bfhrf_bench::peak_alloc::{InstallPeakAlloc, GLOBAL};
 use phylo::write_newick;
-use phylo_index::{Catalog, Index};
+use phylo_index::{Catalog, Index, FROZEN_FILE};
 use phylo_sim::datasets::{generate, DatasetSpec};
 
 #[global_allocator]
@@ -21,6 +23,9 @@ const R: usize = 2_000;
 /// What the write path may grow the heap by: one tree's splits, parse and
 /// render buffers, the WAL's record.
 const LIMIT: usize = 1 << 20;
+/// What an open without the sidecar may peak at, in tables: the table, its
+/// read buffers and the WAL replay. A hash beside the table reads ~2.6.
+const NO_SIDECAR_LIMIT: f64 = 1.25;
 
 /// Run `f`, returning its result, the peak heap above the live bytes at
 /// the start, and the live bytes it left behind.
@@ -43,7 +48,8 @@ fn writes_do_not_build_a_hash() {
 
     let dir = root.join("index");
     let bfh = Bfh::build(refs, &coll.taxa);
-    let table_mb = bfh.freeze().approx_bytes() as f64 / 1e6;
+    let table_bytes = bfh.freeze().approx_bytes();
+    let table_mb = table_bytes as f64 / 1e6;
     drop(Index::create(&dir, bfh, coll.taxa.clone()).unwrap());
     let ((), peak, _) = measured(|| {
         let mut index = Index::open(&dir).unwrap();
@@ -57,6 +63,17 @@ fn writes_do_not_build_a_hash() {
         peak < LIMIT,
         "index open + add + remove + view + stats peaked {peak} bytes above the start \
          ({table_mb:.1} MB table)"
+    );
+
+    // Without the sidecar, the open reads the snapshot into the table.
+    std::fs::remove_file(dir.join(FROZEN_FILE)).unwrap();
+    let (index, peak, _) = measured(|| Index::open(&dir).unwrap());
+    assert_eq!(index.stats().n_trees, R);
+    drop(index);
+    assert!(
+        peak as f64 <= NO_SIDECAR_LIMIT * table_bytes as f64,
+        "index open without the sidecar peaked {peak} bytes above the start \
+         ({table_bytes} bytes of table)"
     );
 
     // The same through a catalog collection. Opening one also reads its

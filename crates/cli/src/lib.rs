@@ -741,9 +741,11 @@ fn cmd_support(raw: &[String]) -> Result<CmdOutcome, CliError> {
     let Some(focal) = focal_trees.first() else {
         return Err("the --tree file contains no tree".to_string().into());
     };
-    let bfh = bfhrf::Bfh::build(&refs.trees, &refs.taxa);
-    let annotated = bfhrf::support::write_newick_with_support(focal, &refs.taxa, &bfh);
-    let supports = bfhrf::support::edge_support(focal, &refs.taxa, &bfh);
+    let table = bfhrf::BfhBuilder::new()
+        .freeze_trees(&refs.trees, &refs.taxa)
+        .map_err(core_fail)?;
+    let annotated = bfhrf::support::write_newick_with_support(focal, &refs.taxa, &table);
+    let supports = bfhrf::support::edge_support(focal, &refs.taxa, &table);
     let mut out = format!("{annotated}\n");
     let _ = writeln!(out, "edge\tcount\tfraction");
     for (i, s) in supports.iter().enumerate() {

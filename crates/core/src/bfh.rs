@@ -172,114 +172,36 @@ impl Bfh {
     }
 
     /// The splits `table` answers (its lanes with any delta applied) as a
-    /// `shards`-way hash, every map sized up front.
+    /// `shards`-way hash. The table holds each split once, so its entries
+    /// go straight into maps sized up front: multi-shard maps get four
+    /// standard deviations of headroom over an even split, so uneven
+    /// routing regrows none of them.
     pub fn from_table(table: &FrozenBfh, shards: usize) -> Result<Self, CoreError> {
-        let n_taxa = table.n_taxa();
-        Bfh::fill(
-            n_taxa,
-            shards,
-            table.n_trees(),
-            table.distinct(),
-            table
-                .iter()
-                .map(|(words, freq)| (Bits::from_words(n_taxa, words), freq)),
-        )
-    }
-
-    /// Reassemble a hash from raw `(mask, frequency)` entries — the
-    /// validating reconstruction path. Entries are routed into the
-    /// `shards`-way layout exactly as an in-memory build would route them,
-    /// so the result is bitwise-identical to the hash the entries were
-    /// exported from. Every entry is validated as in [`Bfh::insert_entry`].
-    pub fn from_entries<I>(
-        n_taxa: usize,
-        shards: usize,
-        n_trees: usize,
-        entries: I,
-    ) -> Result<Self, CoreError>
-    where
-        I: IntoIterator<Item = (Bits, u32)>,
-    {
-        let entries = entries.into_iter();
-        let distinct = entries.size_hint().0;
-        Bfh::fill(n_taxa, shards, n_trees, distinct, entries)
-    }
-
-    /// [`Bfh::from_entries`] with room reserved for `distinct` entries.
-    fn fill(
-        n_taxa: usize,
-        shards: usize,
-        n_trees: usize,
-        distinct: usize,
-        entries: impl Iterator<Item = (Bits, u32)>,
-    ) -> Result<Self, CoreError> {
         if shards == 0 {
             return Err(CoreError::Structure(
                 "a Bfh needs at least one shard".into(),
             ));
         }
-        let mut bfh = Bfh::with_capacity_sharded(n_taxa, shards, n_trees, distinct);
-        for (bits, freq) in entries {
-            bfh.insert_entry(bits, freq)?;
-        }
-        Ok(bfh)
-    }
-
-    /// An empty `shards`-way hash that declares `n_trees` reference trees
-    /// and reserves room for `distinct` splits in total, so a loader that
-    /// knows the final size (the on-disk snapshot reader, `phylo-index`)
-    /// fills it through [`Bfh::insert_entry`] without ever regrowing a
-    /// shard map. Multi-shard maps get four standard deviations of headroom
-    /// over an even split, so uneven routing does not regrow them either.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn with_capacity_sharded(
-        n_taxa: usize,
-        shards: usize,
-        n_trees: usize,
-        distinct: usize,
-    ) -> Self {
-        assert!(shards > 0, "a Bfh needs at least one shard");
+        let (n_taxa, distinct) = (table.n_taxa(), table.distinct());
         let per_shard = if shards == 1 {
             distinct
         } else {
             let mean = distinct / shards;
             mean + 4 * mean.isqrt()
         };
-        Bfh {
+        let mut bfh = Bfh {
             shards: (0..shards)
                 .map(|_| bits_map_with_capacity(per_shard))
                 .collect(),
-            sum: 0,
-            n_trees,
+            sum: table.sum(),
+            n_trees: table.n_trees(),
             n_taxa,
+        };
+        for (words, freq) in table.iter() {
+            let si = bfh.shard_index(words);
+            bfh.shards[si].insert(Bits::from_words(n_taxa, words), freq);
         }
-    }
-
-    /// Insert one reassembled `(mask, frequency)` entry. The mask width
-    /// must match the namespace, the frequency must be in `1..=n_trees`,
-    /// and a mask may appear once — a corrupted snapshot surfaces as
-    /// [`CoreError::Structure`], never as silently wrong frequencies.
-    pub fn insert_entry(&mut self, bits: Bits, freq: u32) -> Result<(), CoreError> {
-        let (n_taxa, n_trees) = (self.n_taxa, self.n_trees);
-        if bits.len() != n_taxa {
-            return Err(CoreError::Structure(format!(
-                "entry mask is {} bits wide, namespace has {n_taxa} taxa",
-                bits.len()
-            )));
-        }
-        if freq == 0 || freq as usize > n_trees {
-            return Err(CoreError::Structure(format!(
-                "entry {bits} has frequency {freq}, expected 1..={n_trees}"
-            )));
-        }
-        let si = self.shard_index(bits.words());
-        if self.shards[si].insert(bits, freq).is_some() {
-            return Err(CoreError::Structure("duplicate mask among entries".into()));
-        }
-        self.sum += u64::from(freq);
-        Ok(())
+        Ok(bfh)
     }
 
     /// Add one reference tree's bipartitions (incremental update).
@@ -515,48 +437,19 @@ mod tests {
     }
 
     #[test]
-    fn from_entries_round_trips_any_build() {
+    fn from_table_routes_into_any_shard_layout() {
         let c = coll(&"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(10));
         let built = Bfh::build_sharded(&c.trees, &c.taxa, 3);
-        let entries: Vec<(Bits, u32)> = built.iter().map(|(b, f)| (b.clone(), f)).collect();
-        // Reassemble under a different shard layout: same frequencies.
+        let table = built.freeze();
         for shards in [1usize, 2, 8] {
-            let back = Bfh::from_entries(
-                c.taxa.len(),
-                shards,
-                built.n_trees(),
-                entries.iter().cloned(),
-            )
-            .unwrap();
+            let back = Bfh::from_table(&table, shards).unwrap();
             assert_eq!(back.n_shards(), shards);
             assert_same_counts(&built, &back);
         }
-    }
-
-    #[test]
-    fn from_entries_rejects_corrupt_input() {
-        let c = coll("((A,B),((C,D),(E,F)));");
-        let built = Bfh::build(&c.trees, &c.taxa);
-        let entries: Vec<(Bits, u32)> = built.iter().map(|(b, f)| (b.clone(), f)).collect();
-        // zero shards
         assert!(matches!(
-            Bfh::from_entries(6, 0, 1, entries.iter().cloned()),
+            Bfh::from_table(&table, 0),
             Err(CoreError::Structure(_))
         ));
-        // wrong mask width
-        let wrong = vec![(Bits::from_bitstring("0011").unwrap(), 1u32)];
-        assert!(matches!(
-            Bfh::from_entries(6, 1, 1, wrong),
-            Err(CoreError::Structure(_))
-        ));
-        // frequency out of range (0, and > n_trees)
-        let (mask, _) = entries[0].clone();
-        assert!(Bfh::from_entries(6, 1, 1, vec![(mask.clone(), 0u32)]).is_err());
-        assert!(Bfh::from_entries(6, 1, 1, vec![(mask.clone(), 2u32)]).is_err());
-        // duplicate mask
-        let dup = vec![(mask.clone(), 1u32), (mask, 1u32)];
-        let err = Bfh::from_entries(6, 1, 1, dup).unwrap_err();
-        assert!(err.to_string().contains("duplicate"));
     }
 
     #[test]

@@ -50,13 +50,9 @@ use crate::error::CoreError;
 use crate::frozen::{FrozenBfh, LaneWriter};
 use crate::guard::{isolate, CancelToken, RunBudget, RunGuard};
 use crate::rf::{score_chunk, QueryScore, SplitFrequency, SplitRun};
-use phylo::{
-    BipartitionScratch, IngestPolicy, IngestReport, NewickReader, PhyloError, SplitBatch,
-    TaxaPolicy, TaxonSet, Tree,
-};
+use phylo::{BipartitionScratch, PhyloError, SplitBatch, TaxonSet, Tree};
 use phylo_bitset::{split_hash128, words_for};
 use rayon::prelude::*;
-use std::io::BufRead;
 use std::time::Instant;
 
 /// Trees a streamed build or query pass holds parsed at once. Large enough
@@ -241,40 +237,6 @@ impl BfhBuilder {
         }
         drop(chunk);
         spill.fold(taxa.len())
-    }
-
-    /// Parse a Newick stream and build from it. With [`TaxaPolicy::Grow`]
-    /// the namespace widens as labels appear; with [`TaxaPolicy::Require`]
-    /// unknown labels are a parse error. The trees are streamed as in
-    /// [`BfhBuilder::freeze_stream`], so at most one chunk of parsed trees
-    /// is held.
-    pub fn from_newick_reader<R: BufRead>(
-        &self,
-        reader: R,
-        taxa: &mut TaxonSet,
-        policy: TaxaPolicy,
-    ) -> Result<Bfh, CoreError> {
-        let start = Instant::now();
-        let mut stream = phylo::newick::NewickStream::new(reader, policy);
-        let (table, _) = self.stream(taxa, false, |t| stream.next_tree(t))?;
-        self.hash(table, start)
-    }
-
-    /// Like [`BfhBuilder::from_newick_reader`] but with error recovery:
-    /// malformed records are skipped under [`IngestPolicy::Lenient`] and
-    /// described in the returned [`IngestReport`] instead of aborting the
-    /// build.
-    pub fn from_ingest<R: BufRead>(
-        &self,
-        reader: R,
-        taxa: &mut TaxonSet,
-        taxa_policy: TaxaPolicy,
-        ingest_policy: IngestPolicy,
-    ) -> Result<(Bfh, IngestReport), CoreError> {
-        let start = Instant::now();
-        let mut stream = NewickReader::new(reader, taxa_policy, ingest_policy);
-        let (table, _) = self.stream(taxa, false, |t| stream.next_tree(t))?;
-        Ok((self.hash(table, start)?, stream.into_report()))
     }
 }
 
@@ -640,7 +602,7 @@ fn record_build_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::TreeCollection;
+    use phylo::{TaxaPolicy, TreeCollection};
 
     fn coll(text: &str) -> TreeCollection {
         TreeCollection::parse(text).unwrap()
@@ -683,23 +645,23 @@ mod tests {
     }
 
     #[test]
-    fn from_newick_reader_grows_and_requires() {
+    fn freeze_stream_grows_and_requires() {
         let text = "((A,B),(C,D));\n((A,C),(B,D));\n";
-        let mut taxa = TaxonSet::new();
-        let grown = BfhBuilder::new()
-            .shards(2)
-            .from_newick_reader(text.as_bytes(), &mut taxa, TaxaPolicy::Grow)
-            .unwrap();
-        assert_eq!(grown.n_trees(), 2);
-        assert_eq!(grown.n_shards(), 2);
-        assert_eq!(taxa.len(), 4);
+        let stream = |policy| {
+            let mut taxa = TaxonSet::new();
+            let mut newick = phylo::newick::NewickStream::new(text.as_bytes(), policy);
+            let table = BfhBuilder::new()
+                .shards(2)
+                .freeze_stream(&mut taxa, |t| newick.next_tree(t));
+            (table, taxa.len())
+        };
+        let (grown, n_taxa) = stream(TaxaPolicy::Grow);
+        assert_eq!(grown.unwrap().n_trees(), 2);
+        assert_eq!(n_taxa, 4);
 
         // Unknown label under Require surfaces as a CoreError (from parse).
-        let mut known = TaxonSet::new();
-        let err = BfhBuilder::new()
-            .from_newick_reader(text.as_bytes(), &mut known, TaxaPolicy::Require)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Phylo(_)));
+        let (err, _) = stream(TaxaPolicy::Require);
+        assert!(matches!(err.unwrap_err(), CoreError::Phylo(_)));
     }
 
     /// 600 trees on 12 taxa: three chunks.

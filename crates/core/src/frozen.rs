@@ -42,16 +42,18 @@
 //! of net per-split count changes, which every probe adds to the stored
 //! frequency. Every table's lanes are written by one lane writer: a
 //! build folds its spilled masks straight into growing lanes, a freeze is
-//! a single `O(distinct)` pass over [`Bfh::iter`] into pre-sized ones, and
+//! a single `O(distinct)` pass over [`Bfh::iter`] into pre-sized ones,
 //! [`FrozenBfh::folded`] folds a delta into fresh lanes the same way,
-//! straight from the old lanes.
+//! straight from the old lanes, and [`FrozenBfh::from_ascending`] places a
+//! snapshot's records into pre-sized lanes as they are read.
 
 use crate::bfh::Bfh;
+use crate::error::CoreError;
 use phylo::{BipartitionScratch, SplitBatch, TaxonSet, Tree};
 use phylo_bitset::group::{match_byte, match_empty, CTRL_EMPTY, GROUP_SLOTS};
 use phylo_bitset::{
     bits_map_with_capacity, ctrl_h2, hash_bucket, hash_tag, map_get_words, map_get_words_mut,
-    split_hash128, words_for, Bits, BitsMap, WordsKey,
+    split_hash128, words_for, Bits, BitsMap, WordsKey, WORD_BITS,
 };
 use std::ops::Deref;
 use std::sync::Arc;
@@ -287,13 +289,14 @@ impl crate::SplitFrequency for Overlay<'_> {
 /// Fills a frozen table's lanes one split at a time: the one lane writer.
 ///
 /// Pre-sized ([`LaneWriter::sized`]), it places splits known to be
-/// distinct; that is how [`FrozenBfh::freeze`] and [`FrozenBfh::folded`]
-/// lay a table out. Growing ([`LaneWriter::growing`]), it counts mask
-/// occurrences and doubles the lanes just before the load would pass one
-/// half; that is how a build folds its spill. Either way a split takes the
-/// first empty slot from its home, in pool order, so the same splits
-/// placed in the same order give the same lanes, and the final capacity is
-/// the smallest power of two ≥ 2 × distinct and ≥ [`GROUP_SLOTS`].
+/// distinct; that is how [`FrozenBfh::freeze`], [`FrozenBfh::folded`] and
+/// [`FrozenBfh::from_ascending`] lay a table out. Growing
+/// ([`LaneWriter::growing`]), it counts mask occurrences and doubles the
+/// lanes just before the load would pass one half; that is how a build
+/// folds its spill. Either way a split takes the first empty slot from its
+/// home, in pool order, so the same splits placed in the same order give
+/// the same lanes, and the final capacity is the smallest power of two
+/// ≥ 2 × distinct and ≥ [`GROUP_SLOTS`].
 pub(crate) struct LaneWriter {
     n_taxa: usize,
     words: usize,
@@ -310,6 +313,13 @@ pub(crate) struct LaneWriter {
 /// and one full group keeps the windowed scan in bounds.
 fn capacity_for(distinct: usize) -> usize {
     (distinct * 2).max(GROUP_SLOTS).next_power_of_two()
+}
+
+/// Heap bytes of lanes with `capacity` slots and pool room for `masks`
+/// masks of `words` words: the control lane with its mirror group, the
+/// entry lane, and the pool.
+fn lane_bytes(words: usize, capacity: usize, masks: usize) -> usize {
+    capacity + GROUP_SLOTS + capacity * std::mem::size_of::<Entry>() + masks * words * 8
 }
 
 impl LaneWriter {
@@ -340,7 +350,7 @@ impl LaneWriter {
     /// lanes, and pool room for the `capacity / 2` masks the load bound
     /// admits.
     pub(crate) fn bytes_at(words: usize, capacity: usize) -> usize {
-        capacity + GROUP_SLOTS + capacity * std::mem::size_of::<Entry>() + capacity / 2 * words * 8
+        lane_bytes(words, capacity, capacity / 2)
     }
 
     fn capacity(&self) -> usize {
@@ -532,6 +542,64 @@ impl FrozenBfh {
         }
         debug_assert_eq!(lanes.distinct, distinct, "entry count is `distinct`");
         lanes.finish(n_trees, sum)
+    }
+
+    /// Lay out `distinct` splits that arrive in strictly ascending mask
+    /// order (a snapshot's splits section) straight into lanes sized for
+    /// them, with no hash map in between. `fill` is handed a `place`
+    /// callback to call once per split with its mask words and frequency.
+    /// `place` refuses, with [`CoreError::Structure`], a mask that is not an
+    /// `n_taxa`-taxon mask, a mask not strictly above the one before it, a
+    /// frequency outside `1..=n_trees`, and a split past the `distinct`-th;
+    /// a split count short of `distinct` is refused once `fill` returns. So
+    /// every split is placed once. The table answers like a
+    /// [`Self::freeze`] of a hash holding the same splits; its lanes are
+    /// laid out in mask order, so their layout may differ.
+    pub fn from_ascending<E: From<CoreError>>(
+        n_taxa: usize,
+        n_trees: usize,
+        distinct: usize,
+        fill: impl FnOnce(&mut dyn FnMut(&[u64], u32) -> Result<(), CoreError>) -> Result<(), E>,
+    ) -> Result<FrozenBfh, E> {
+        let words = words_for(n_taxa);
+        let tail = n_taxa % WORD_BITS;
+        let mut lanes = LaneWriter::sized(n_taxa, distinct);
+        let mut sum = 0u64;
+        fill(&mut |w, freq| {
+            let i = lanes.distinct;
+            let refuse = |why: String| Err(CoreError::Structure(format!("split {i} {why}")));
+            if w.len() != words || (tail != 0 && w.last().is_some_and(|&l| l >> tail != 0)) {
+                return refuse(format!("is not a {n_taxa}-taxon mask"));
+            }
+            if i == distinct {
+                return refuse(format!("is past the {distinct} declared"));
+            }
+            if i > 0 && w <= &lanes.pool[(i - 1) * words..i * words] {
+                return refuse("is not strictly above the mask before it".into());
+            }
+            if freq == 0 || freq as usize > n_trees {
+                return refuse(format!("has frequency {freq}, expected 1..={n_trees}"));
+            }
+            sum += u64::from(freq);
+            lanes.place(w, freq);
+            Ok(())
+        })?;
+        if lanes.distinct != distinct {
+            return Err(CoreError::Structure(format!(
+                "{} splits placed, {distinct} declared",
+                lanes.distinct
+            ))
+            .into());
+        }
+        Ok(lanes.finish(n_trees, sum))
+    }
+
+    /// Heap bytes of a table of `distinct` splits over `n_taxa` taxa laid
+    /// out in sized lanes ([`Self::from_ascending`], [`Self::freeze`]):
+    /// what its [`Self::approx_bytes`] reports, and what a loader checks
+    /// against its budget before laying one out.
+    pub fn sized_bytes(n_taxa: usize, distinct: usize) -> usize {
+        lane_bytes(words_for(n_taxa), capacity_for(distinct), distinct)
     }
 
     /// Every split the table answers with its frequency: the lanes' entries
@@ -1584,5 +1652,89 @@ mod tests {
         let frozen = Bfh::build(&coll.trees, &coll.taxa).freeze();
         let cap = frozen.capacity();
         assert_eq!(&frozen.lanes.ctrl[cap..], &frozen.lanes.ctrl[..GROUP_SLOTS]);
+    }
+
+    /// Every split `bfh` holds as `(mask words, frequency)`, in ascending
+    /// mask order: a snapshot's splits section.
+    fn ascending(bfh: &Bfh) -> Vec<(Vec<u64>, u32)> {
+        let mut records: Vec<_> = bfh.iter().map(|(b, f)| (b.words().to_vec(), f)).collect();
+        records.sort();
+        records
+    }
+
+    /// Lay `records` out through [`FrozenBfh::from_ascending`].
+    fn from_records(
+        n_taxa: usize,
+        n_trees: usize,
+        distinct: usize,
+        records: &[(Vec<u64>, u32)],
+    ) -> Result<FrozenBfh, CoreError> {
+        FrozenBfh::from_ascending(n_taxa, n_trees, distinct, |place| {
+            records.iter().try_for_each(|(w, f)| place(w, *f))
+        })
+    }
+
+    #[test]
+    fn ascending_records_answer_like_a_freeze_at_word_boundaries() {
+        for n in [63usize, 64, 65, 128, 129] {
+            let spec = phylo_sim::DatasetSpec::new("ascending", n, 12, n as u64);
+            let coll = phylo_sim::generate(&spec);
+            let bfh = Bfh::build(&coll.trees, &coll.taxa);
+            let frozen = bfh.freeze();
+            let records = ascending(&bfh);
+            let table = from_records(n, bfh.n_trees(), records.len(), &records).unwrap();
+            table.validate_layout().unwrap();
+            assert_eq!(
+                (table.n_trees(), table.sum(), table.distinct()),
+                (frozen.n_trees(), frozen.sum(), frozen.distinct()),
+                "n={n}"
+            );
+            assert_eq!(table.capacity(), frozen.capacity(), "n={n}");
+            assert_eq!(table.approx_bytes(), frozen.approx_bytes(), "n={n}");
+            assert_eq!(
+                table.approx_bytes(),
+                FrozenBfh::sized_bytes(n, records.len())
+            );
+            for (bits, count) in bfh.iter() {
+                assert_eq!(table.frequency(bits), count, "n={n} {bits}");
+            }
+            assert_eq!(table.frequency(&Bits::from_indices(n, [0, 2, 5])), 0);
+            let mut scratch = BipartitionScratch::new();
+            for q in &coll.trees {
+                assert_eq!(
+                    table.average_scratch(q, &coll.taxa, &mut scratch),
+                    frozen.average_scratch(q, &coll.taxa, &mut scratch),
+                    "n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_constructor_refuses_what_is_not_a_snapshot() {
+        let coll = TreeCollection::parse("((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));").unwrap();
+        let records = ascending(&Bfh::build(&coll.trees, &coll.taxa));
+        let d = records.len();
+        assert!(from_records(6, 2, d, &records).is_ok());
+        let refused = |records: &[(Vec<u64>, u32)], distinct: usize| match from_records(
+            6, 2, distinct, records,
+        ) {
+            Err(CoreError::Structure(msg)) => msg,
+            other => panic!("expected a structure error, got {other:?}"),
+        };
+        let mut duplicated = records.clone();
+        duplicated.insert(1, records[0].clone());
+        assert!(refused(&duplicated, d + 1).contains("not strictly above"));
+        let mut descending = records.clone();
+        descending.reverse();
+        assert!(refused(&descending, d).contains("not strictly above"));
+        assert!(refused(&records[..d - 1], d).contains("declared"));
+        assert!(refused(&records, d - 1).contains("past the"));
+        let mask = records[0].0.clone();
+        for freq in [0, 3] {
+            assert!(refused(&[(mask.clone(), freq)], 1).contains("frequency"));
+        }
+        assert!(refused(&[(vec![0b11, 0], 1)], 1).contains("mask"));
+        assert!(refused(&[(vec![1 << 6], 1)], 1).contains("mask"));
     }
 }

@@ -1,13 +1,13 @@
 //! Split-support annotation — "other applications of directly using a
 //! BFH" (paper §IX).
 //!
-//! Given a focal tree (e.g. a species-tree estimate) and a frequency hash
+//! Given a focal tree (e.g. a species-tree estimate) and a frequency table
 //! over gene trees or bootstrap replicates, each internal edge of the
 //! focal tree gets the fraction of reference trees containing its split —
-//! the familiar bootstrap/gene-concordance support value. One hash serves
+//! the familiar bootstrap/gene-concordance support value. One table serves
 //! any number of focal trees; no pairwise comparisons happen at all.
 
-use crate::bfh::Bfh;
+use crate::rf::SplitFrequency;
 use phylo::{Bipartition, NodeId, TaxonSet, Tree};
 
 /// Support of one internal edge.
@@ -24,16 +24,18 @@ pub struct EdgeSupport {
 }
 
 /// Annotate every internal edge of `tree` with its reference-collection
-/// support. Trivial edges (leaves, root) carry no split and are skipped.
+/// support, read from any frequency table (a [`crate::Bfh`] or a
+/// [`crate::FrozenBfh`]). Trivial edges (leaves, root) carry no split and
+/// are skipped.
 ///
 /// # Panics
-/// Panics if the hash is empty.
-pub fn edge_support(tree: &Tree, taxa: &TaxonSet, bfh: &Bfh) -> Vec<EdgeSupport> {
+/// Panics if the table holds no reference trees.
+pub fn edge_support(tree: &Tree, taxa: &TaxonSet, freqs: &impl SplitFrequency) -> Vec<EdgeSupport> {
     assert!(
-        bfh.n_trees() > 0,
+        freqs.reference_count() > 0,
         "support against an empty reference collection"
     );
-    let r = bfh.n_trees() as f64;
+    let r = freqs.reference_count() as f64;
     let n = taxa.len();
     let Some(root) = tree.root() else {
         return Vec::new();
@@ -56,7 +58,7 @@ pub fn edge_support(tree: &Tree, taxa: &TaxonSet, bfh: &Bfh) -> Vec<EdgeSupport>
         if !seen.insert(split.bits().clone()) {
             continue; // the duplicated root edge of a bifurcating root
         }
-        let count = bfh.frequency_of(&split);
+        let count = freqs.split_frequency(split.bits());
         out.push(EdgeSupport {
             node,
             split,
@@ -70,11 +72,15 @@ pub fn edge_support(tree: &Tree, taxa: &TaxonSet, bfh: &Bfh) -> Vec<EdgeSupport>
 /// Serialize `tree` with support fractions as internal node labels, e.g.
 /// `((a,b)0.97,(c,d)0.66);` — the conventional way phylogenetics tools
 /// exchange support values.
-pub fn write_newick_with_support(tree: &Tree, taxa: &TaxonSet, bfh: &Bfh) -> String {
+pub fn write_newick_with_support(
+    tree: &Tree,
+    taxa: &TaxonSet,
+    freqs: &impl SplitFrequency,
+) -> String {
     // Labels indexed by node id: one pass over the supports instead of a
     // per-node linear scan during serialization.
     let mut labels: Vec<Option<String>> = vec![None; tree.num_nodes()];
-    for s in edge_support(tree, taxa, bfh) {
+    for s in edge_support(tree, taxa, freqs) {
         labels[s.node.index()] = Some(format!("{:.2}", s.fraction));
     }
     let mut out = String::new();
@@ -131,6 +137,7 @@ fn write_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Bfh;
     use phylo::TreeCollection;
 
     fn setup() -> (TreeCollection, Bfh) {
@@ -149,6 +156,7 @@ mod tests {
         let focal = &coll.trees[0];
         let supports = edge_support(focal, &coll.taxa, &bfh);
         assert_eq!(supports.len(), 3, "6-leaf binary tree: n-3 internal edges");
+        assert_eq!(edge_support(focal, &coll.taxa, &bfh.freeze()), supports);
         // Keyed by the canonical mask itself, not a rendered string — the
         // same word-level keys every hash in the workspace probes with.
         let mut by_split: phylo_bitset::BitsMap<f64> = phylo_bitset::bits_map_with_capacity(8);

@@ -37,7 +37,8 @@ pub enum IndexError {
         /// What exactly was wrong.
         detail: String,
     },
-    /// A replayed or reconstructed hash violated a core invariant.
+    /// A replayed or loaded table violated a core invariant, or a load
+    /// exceeded its budget.
     Core(bfhrf::CoreError),
     /// A WAL payload failed to parse as Newick against the index taxa.
     Phylo(phylo::PhyloError),

@@ -26,15 +26,14 @@
 //! against that pair and record into the delta; publication patches the
 //! base with the delta, or folds the delta into fresh lanes once it
 //! outgrows [`FOLD_FRACTION`]; compaction writes the snapshot from the
-//! pair. No [`Bfh`] is built unless a caller asks for one
-//! ([`Index::bfh`]).
+//! pair. No hash is built unless a caller asks for one ([`Index::bfh`]).
 //!
 //! The snapshot stays the source of truth. A read-write open takes the
 //! mapped sidecar as its base only after streaming the snapshot past it —
 //! every record must probe to its own count — so a sidecar that
 //! disagrees (a flipped pool bit the lazy mapping never checksums) is
-//! refused with a note and the snapshot is frozen instead; compaction can
-//! then never re-seal a bad sidecar.
+//! refused with a note and the snapshot's records are laid out into fresh
+//! lanes instead; compaction can then never re-seal a bad sidecar.
 //!
 //! # Crash safety
 //!
@@ -56,8 +55,8 @@
 use crate::error::IndexError;
 use crate::frozen_file;
 use crate::snapshot::{
-    read_meta_with, read_snapshot_with, read_taxa_with, scan_snapshot_with,
-    write_table_snapshot_with, Snapshot, SnapshotMeta,
+    read_meta_with, read_snapshot_with, read_taxa_with, scan_snapshot_with, write_snapshot_with,
+    Snapshot, SnapshotMeta,
 };
 use crate::vfs::{real_vfs, Vfs};
 use crate::wal::{scan_wal, Wal, WalOp, WalOpen, WalPolicy, WalRecord, WalTail};
@@ -65,6 +64,7 @@ use bfhrf::{check_remove_batch, Bfh, FrozenBfh, RunGuard, SplitDelta};
 use phylo::{parse_newick, write_newick, BipartitionScratch, TaxaPolicy, TaxonSet, Tree};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// File name of the snapshot inside an index directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bfh";
@@ -83,7 +83,8 @@ pub(crate) const FROZEN_TMP: &str = "frozen.bfh.tmp";
 const FOLD_FRACTION: usize = 8;
 
 /// Pre-register the index series a daemon reports — `index_freeze_ns`
-/// (every freeze of a hash or fold of a delta into fresh lanes),
+/// (every table laid out in fresh lanes: a freeze, a snapshot load or a
+/// fold of a delta),
 /// `index_folds_total` (the folds) and `index_delta_splits` (distinct
 /// splits the published table answers from its delta) — so they read 0
 /// from the first scrape instead of appearing at the first write.
@@ -163,8 +164,8 @@ pub struct Index {
     /// stale log discarded, ...). Surfaced by the CLI and the daemon.
     notes: Vec<String>,
     /// The frozen table `delta` is relative to: the sidecar once the open
-    /// cross-checked it against the snapshot, a freeze of the snapshot, or
-    /// the last fold.
+    /// cross-checked it against the snapshot, the snapshot's records laid
+    /// into fresh lanes, or the last fold.
     base: Arc<FrozenBfh>,
     /// Net split counts written since `base` froze; `base` plus `delta` is
     /// the index's only resident table.
@@ -241,14 +242,12 @@ fn wal_unavailable() -> IndexError {
     }
 }
 
-/// Freeze `bfh`, timed into `index_freeze_ns`.
-fn freeze_timed(bfh: &Bfh) -> FrozenBfh {
-    let start = std::time::Instant::now();
-    let frozen = bfh.freeze();
+/// Record a table laid out in fresh lanes since `start` in
+/// `index_freeze_ns`.
+fn record_lay_out(start: Instant) {
     phylo_obs::global()
         .histogram("index_freeze_ns", &[])
         .record_duration(start.elapsed());
-    frozen
 }
 
 /// The frozen sidecar as a candidate base for a fresh open, when it is
@@ -351,8 +350,10 @@ impl<'a> CrossCheck<'a> {
 /// through every snapshot check, with each record probing to its own count
 /// ([`FrozenBfh::first_inexact`], which compares the pooled mask too)
 /// and the distinct counts equal — so every lane of the base holds exactly
-/// the snapshot's splits. Without a sidecar, or with one refused (and noted),
-/// the snapshot is read, frozen, and its hash dropped.
+/// the snapshot's splits. Without a sidecar, or with one refused (and
+/// noted), the base is the snapshot's records laid into lanes sized from
+/// its header as they are read ([`read_snapshot_with`]); no hash is built,
+/// and the read is timed into `index_freeze_ns` as the lay-out.
 fn open_base(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -379,50 +380,31 @@ fn open_base(
             ),
         }
     }
-    let Snapshot { bfh, taxa, meta } = read_snapshot_with(vfs, &snap_path, guard)?;
-    Ok((Arc::new(freeze_timed(&bfh)), taxa, meta))
+    let start = Instant::now();
+    let Snapshot { table, taxa, meta } = read_snapshot_with(vfs, &snap_path, guard)?;
+    record_lay_out(start);
+    Ok((Arc::new(table), taxa, meta))
 }
 
 impl Index {
     /// Create a fresh index at `dir` (created if missing) from an
-    /// in-memory hash, writing a generation-0 snapshot and an empty WAL.
-    /// Refuses to overwrite an existing snapshot.
+    /// in-memory hash, writing a generation-0 snapshot and an empty WAL:
+    /// [`Index::create_table`] of the hash's freeze, with its shard count
+    /// in the snapshot header. Refuses to overwrite an existing snapshot.
     pub fn create(dir: &Path, bfh: Bfh, taxa: TaxonSet) -> Result<Index, IndexError> {
-        Index::create_with(real_vfs(), dir, bfh, taxa)
-    }
-
-    /// [`Index::create`] routed through an explicit [`Vfs`].
-    pub fn create_with(
-        vfs: Arc<dyn Vfs>,
-        dir: &Path,
-        bfh: Bfh,
-        taxa: TaxonSet,
-    ) -> Result<Index, IndexError> {
-        Index::create_policy_with(vfs, dir, bfh, taxa, WalPolicy::Strict)
-    }
-
-    /// [`Index::create_with`] with an explicit WAL replay policy. An index
-    /// created [`WalPolicy::Lenient`] skips (and notes) undecodable WAL
-    /// records on replay instead of refusing to open — the persistent
-    /// counterpart of a lenient ingest.
-    pub fn create_policy_with(
-        vfs: Arc<dyn Vfs>,
-        dir: &Path,
-        bfh: Bfh,
-        taxa: TaxonSet,
-        policy: WalPolicy,
-    ) -> Result<Index, IndexError> {
-        let table = freeze_timed(&bfh);
         let n_shards = bfh.n_shards();
+        let start = Instant::now();
+        let table = bfh.freeze();
+        record_lay_out(start);
         drop(bfh);
-        Index::create_table_policy_with(vfs, dir, table, n_shards, taxa, policy)
+        Index::create_table(dir, table, n_shards, taxa)
     }
 
     /// Create a fresh index at `dir` from a frozen table, with `n_shards`
     /// in the snapshot header: the snapshot is byte-identical to the one
-    /// [`Index::create`] writes for an `n_shards`-way [`Bfh`] holding the
-    /// same splits, and the table itself becomes the base and the sidecar,
-    /// so no hash is built and nothing is frozen.
+    /// [`Index::create`] writes for an `n_shards`-way hash holding the same
+    /// splits, and the table itself becomes the base and the sidecar, so no
+    /// hash is built and nothing is frozen.
     pub fn create_table(
         dir: &Path,
         table: FrozenBfh,
@@ -433,8 +415,11 @@ impl Index {
     }
 
     /// [`Index::create_table`] routed through an explicit [`Vfs`], with an
-    /// explicit WAL replay policy. A table carrying a delta is folded into
-    /// fresh lanes first, since only lanes have a sidecar form.
+    /// explicit WAL replay policy. An index created [`WalPolicy::Lenient`]
+    /// skips (and notes) undecodable WAL records on replay instead of
+    /// refusing to open — the persistent counterpart of a lenient ingest.
+    /// A table carrying a delta is folded into fresh lanes first, since
+    /// only lanes have a sidecar form.
     pub fn create_table_policy_with(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
@@ -456,7 +441,7 @@ impl Index {
             ));
         }
         let tmp = dir.join(SNAPSHOT_TMP);
-        if let Err(e) = write_table_snapshot_with(&*vfs, &tmp, &table, n_shards, &taxa, 0) {
+        if let Err(e) = write_snapshot_with(&*vfs, &tmp, &table, n_shards, &taxa, 0) {
             let _ = vfs.remove_file(&tmp);
             return Err(e);
         }
@@ -493,7 +478,8 @@ impl Index {
     }
 
     /// Open the index at `dir`: validate the snapshot and take its table
-    /// (the cross-checked sidecar, or a freeze of the snapshot), then
+    /// (the cross-checked sidecar, or the snapshot's records laid into
+    /// fresh lanes), then
     /// replay the WAL into a delta on top of it, checking removals exactly
     /// as the live index does. `guard` bounds the snapshot load.
     pub fn open_guarded(dir: &Path, guard: &RunGuard) -> Result<Index, IndexError> {
@@ -703,12 +689,10 @@ impl Index {
     /// Fold the delta into fresh lanes built from the base's, make them the
     /// new base, and start an empty delta.
     fn fold(&mut self) -> Arc<FrozenBfh> {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let f = Arc::new(self.base.with_delta(Arc::clone(&self.delta)).folded());
-        let reg = phylo_obs::global();
-        reg.histogram("index_freeze_ns", &[])
-            .record_duration(start.elapsed());
-        reg.counter("index_folds_total", &[]).inc();
+        record_lay_out(start);
+        phylo_obs::global().counter("index_folds_total", &[]).inc();
         self.base = f.clone();
         self.delta = Arc::new(SplitDelta::new(f.n_taxa()));
         self.frozen = Some(f.clone());
@@ -919,7 +903,7 @@ impl Index {
             let tmp = self.dir.join(SNAPSHOT_TMP);
             let snap_path = self.dir.join(SNAPSHOT_FILE);
             if let Err(e) =
-                write_table_snapshot_with(&*self.vfs, &tmp, &table, self.n_shards, &self.taxa, next)
+                write_snapshot_with(&*self.vfs, &tmp, &table, self.n_shards, &self.taxa, next)
             {
                 let _ = self.vfs.remove_file(&tmp);
                 return Err(e);
@@ -1057,7 +1041,7 @@ impl Index {
 }
 
 /// A read-only index opened through the frozen sidecar — everything a
-/// query path needs, without a [`Bfh`] ever being materialized.
+/// query path needs, without its splits ever being read.
 #[derive(Debug)]
 pub struct FrozenOpen {
     /// The probe-ready table (possibly borrowing a live memory mapping).

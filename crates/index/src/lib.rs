@@ -1,17 +1,17 @@
 //! Persistent on-disk BFH index.
 //!
-//! The in-memory bipartition frequency hash ([`bfhrf::Bfh`]) is cheap to
-//! query but costs a full Newick parse + split enumeration to rebuild.
+//! The frozen bipartition frequency table ([`bfhrf::FrozenBfh`]) is cheap
+//! to query but costs a full Newick parse + split enumeration to rebuild.
 //! This crate makes it durable:
 //!
-//! * [`snapshot`] — a versioned binary snapshot of a whole hash (taxon
+//! * [`snapshot`] — a versioned binary snapshot of a whole table (taxon
 //!   table + sorted split records, per-section FNV-1a checksums). Loading
-//!   one reconstructs a hash **bitwise-identical** to the one written:
-//!   same frequencies, same `sum`, same shard routing, so every RF answer
+//!   one lays the records into a frozen table that answers exactly what
+//!   the written one did: same frequencies, same `sum`, so every RF answer
 //!   matches an in-memory build exactly.
 //! * [`wal`] — an append-only log of add/remove tree batches, fsynced per
-//!   record, replayed on open through the same incremental
-//!   `add_tree`/`remove_tree` paths the live index uses.
+//!   record, replayed on open into a delta over that table, with removals
+//!   checked exactly as the live index checks them.
 //! * [`Index`] — the directory-level lifecycle tying the two together:
 //!   create, open (snapshot + replay), append, and [`Index::compact`],
 //!   which folds the log into a next-generation snapshot with a

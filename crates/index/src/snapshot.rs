@@ -1,4 +1,4 @@
-//! The versioned on-disk snapshot: a full BFH frozen into one file.
+//! The versioned on-disk snapshot: a full BFH written into one file.
 //!
 //! # Layout (version 1, all integers little-endian)
 //!
@@ -21,19 +21,23 @@
 //! ```
 //!
 //! The reader validates everything **before** acting on it: header fields
-//! are checksum-verified before any allocation they size, mask padding
-//! bits are checked manually before [`Bits::from_words`] (which would
-//! panic), and the reconstructed hash is cross-checked against the header
-//! totals. Corruption is always a typed [`IndexError`], never a panic.
+//! are checksum-verified before any allocation they size (the table's
+//! lanes are checked against the budget at their exact size), and each
+//! split record's padding bits, order and frequency are checked before the
+//! record is placed. Records strictly ascend, so the loader lays each one
+//! straight into the frozen table's sized lanes
+//! ([`bfhrf::FrozenBfh::from_ascending`]); no hash is built, and the
+//! frequency sum is cross-checked against the header once the section is
+//! sealed. Corruption is always a typed [`IndexError`], never a panic.
 //! [`verify_snapshot_with`] runs the same checks while streaming, without
-//! building the hash.
+//! holding the splits.
 
 use crate::error::IndexError;
 use crate::format::{CheckedReader, CheckedWriter};
 use crate::vfs::{RealVfs, Vfs};
-use bfhrf::{Bfh, FrozenBfh, RunGuard};
+use bfhrf::{FrozenBfh, RunGuard};
 use phylo::TaxonSet;
-use phylo_bitset::{words_for, Bits, WORD_BITS};
+use phylo_bitset::{words_for, WORD_BITS};
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
@@ -57,9 +61,10 @@ pub struct SnapshotMeta {
     pub generation: u64,
     /// Number of taxa (bit width of every mask).
     pub n_taxa: usize,
-    /// Number of reference trees folded into the hash.
+    /// Number of reference trees folded into the table.
     pub n_trees: usize,
-    /// Shard count the hash was built with.
+    /// Shard count recorded at creation and carried through every
+    /// compaction; the table itself has no shards.
     pub n_shards: usize,
     /// Sum of all stored frequencies (`sumBFHR`).
     pub sum: u64,
@@ -69,55 +74,32 @@ pub struct SnapshotMeta {
 
 /// A fully validated snapshot loaded back into memory.
 pub struct Snapshot {
-    /// The reconstructed hash — bitwise-identical to the one written.
-    pub bfh: Bfh,
+    /// The splits, laid out in a frozen table in mask order.
+    pub table: FrozenBfh,
     /// The taxon table, in the exact id order used by the masks.
     pub taxa: TaxonSet,
     /// Header fields.
     pub meta: SnapshotMeta,
 }
 
-/// Write `bfh` + `taxa` as a version-1 snapshot at `path`, fsyncing before
-/// returning. The caller owns crash-safety sequencing (write to a temp
-/// name, then rename).
+/// Write what `table` answers (its lanes with any delta applied) and
+/// `taxa` as a version-1 snapshot at `path`, with `n_shards` in the header,
+/// fsyncing before returning. The caller owns crash-safety sequencing
+/// (write to a temp name, then rename).
 pub fn write_snapshot(
     path: &Path,
-    bfh: &Bfh,
+    table: &FrozenBfh,
+    n_shards: usize,
     taxa: &TaxonSet,
     generation: u64,
 ) -> Result<(), IndexError> {
-    write_snapshot_with(&RealVfs, path, bfh, taxa, generation)
+    write_snapshot_with(&RealVfs, path, table, n_shards, taxa, generation)
 }
 
-/// [`write_snapshot`] routed through an explicit [`Vfs`].
+/// [`write_snapshot`] routed through an explicit [`Vfs`]: the one snapshot
+/// writer. Records go out sorted ascending by mask, so the bytes depend
+/// only on the splits, never on the table's layout.
 pub fn write_snapshot_with(
-    vfs: &dyn Vfs,
-    path: &Path,
-    bfh: &Bfh,
-    taxa: &TaxonSet,
-    generation: u64,
-) -> Result<(), IndexError> {
-    let meta = SnapshotMeta {
-        generation,
-        n_taxa: bfh.n_taxa(),
-        n_trees: bfh.n_trees(),
-        n_shards: bfh.n_shards(),
-        sum: bfh.sum(),
-        distinct: bfh.distinct(),
-    };
-    let splits = bfh
-        .iter()
-        .map(|(bits, freq)| (bits.words(), freq))
-        .collect();
-    write_splits_with(vfs, path, &meta, taxa, splits)
-}
-
-/// Write what `table` answers (its lanes with any delta applied) as a
-/// version-1 snapshot with `n_shards` in the header — byte-identical to
-/// [`write_snapshot_with`] of a `n_shards`-way [`Bfh`] holding the same
-/// splits. Compaction writes the index's table this way, so it never
-/// builds a hash.
-pub(crate) fn write_table_snapshot_with(
     vfs: &dyn Vfs,
     path: &Path,
     table: &FrozenBfh,
@@ -133,21 +115,9 @@ pub(crate) fn write_table_snapshot_with(
         sum: table.sum(),
         distinct: table.distinct(),
     };
-    write_splits_with(vfs, path, &meta, taxa, table.iter().collect())
-}
-
-/// The one snapshot writer: header, taxon table, and `splits` sorted
-/// ascending by mask for deterministic output bytes, fsynced.
-fn write_splits_with(
-    vfs: &dyn Vfs,
-    path: &Path,
-    meta: &SnapshotMeta,
-    taxa: &TaxonSet,
-    mut splits: Vec<(&[u64], u32)>,
-) -> Result<(), IndexError> {
     if taxa.len() != meta.n_taxa {
         return Err(IndexError::Core(bfhrf::CoreError::Structure(format!(
-            "taxon table has {} labels but the hash is {}-taxon",
+            "taxon table has {} labels but the table is {}-taxon",
             taxa.len(),
             meta.n_taxa
         ))));
@@ -177,6 +147,7 @@ fn write_splits_with(
 
     // Splits section. Masks share one width, so slice order is `Bits`
     // order.
+    let mut splits: Vec<(&[u64], u32)> = table.iter().collect();
     splits.sort_unstable_by(|a, b| a.0.cmp(b.0));
     for (words, freq) in splits {
         for word in words {
@@ -324,10 +295,10 @@ pub fn read_taxa_with(
 
 /// Load and fully validate the snapshot at `path`.
 ///
-/// The returned [`Bfh`] is bitwise-identical to the hash that was written:
-/// same taxa, same shard routing, same frequencies, same `sum`. `guard`
-/// bounds the load — allocations are pre-checked against the budget and
-/// cancellation is honoured between record batches.
+/// The returned table answers exactly what the written one did: same
+/// taxa, same frequencies, same `sum`. `guard` bounds the load — the
+/// table's bytes are checked against the budget before any is allocated,
+/// and cancellation is honoured between record batches.
 pub fn read_snapshot(path: &Path, guard: &RunGuard) -> Result<Snapshot, IndexError> {
     read_snapshot_with(&RealVfs, path, guard)
 }
@@ -407,10 +378,10 @@ fn read_splits<R: std::io::Read>(
 
 /// Stream the snapshot at `path` through every check [`read_snapshot_with`]
 /// runs — the three section seals, mask padding, strict ascending order,
-/// the frequency range, the header sum, and EOF — without building the
-/// hash. It returns the header when the snapshot would load, and otherwise
+/// the frequency range, the header sum, and EOF — without laying out the
+/// table. It returns the header when the snapshot would load, and otherwise
 /// the error [`read_snapshot_with`] would return (except a refusal of the
-/// split records' memory budget: verifying holds no records). This is how
+/// table's memory budget: verifying holds no records). This is how
 /// a read-only daemon, which serves from the frozen sidecar and never
 /// loads the splits, still refuses a corrupt snapshot at bind.
 pub fn verify_snapshot_with(
@@ -440,7 +411,10 @@ pub(crate) fn scan_snapshot_with(
     Ok((meta, taxa))
 }
 
-/// [`read_snapshot`] routed through an explicit [`Vfs`].
+/// [`read_snapshot`] routed through an explicit [`Vfs`]. Each record goes
+/// into lanes sized from the header as soon as it validates
+/// ([`FrozenBfh::from_ascending`]), so the load holds one copy of the
+/// splits and builds no hash.
 pub fn read_snapshot_with(
     vfs: &dyn Vfs,
     path: &Path,
@@ -450,28 +424,12 @@ pub fn read_snapshot_with(
     let mut r = CheckedReader::new(BufReader::new(file), path);
     let meta = read_header(&mut r)?;
     let taxa = read_taxa_section(&mut r, &meta, guard)?;
-
-    let record_bytes = words_for(meta.n_taxa) * 8 + 4;
     guard.check_alloc(
         "snapshot splits",
-        meta.distinct.saturating_mul(record_bytes + 32),
+        FrozenBfh::sized_bytes(meta.n_taxa, meta.distinct),
     )?;
-    // Records go straight into shard maps sized from the header, so the
-    // load holds one copy of the splits and never regrows a map.
-    let mut bfh =
-        Bfh::with_capacity_sharded(meta.n_taxa, meta.n_shards, meta.n_trees, meta.distinct);
-    read_splits(&mut r, &meta, guard, |words, freq| {
-        Ok(bfh.insert_entry(Bits::from_words(meta.n_taxa, words), freq)?)
+    let table = FrozenBfh::from_ascending(meta.n_taxa, meta.n_trees, meta.distinct, |place| {
+        read_splits(&mut r, &meta, guard, |words, freq| Ok(place(words, freq)?))
     })?;
-    if bfh.distinct() != meta.distinct {
-        return Err(IndexError::Corrupt {
-            section: "splits",
-            detail: format!(
-                "reconstructed {} distinct splits, header says {}",
-                bfh.distinct(),
-                meta.distinct
-            ),
-        });
-    }
-    Ok(Snapshot { bfh, taxa, meta })
+    Ok(Snapshot { table, taxa, meta })
 }

@@ -72,7 +72,7 @@ fn assert_compaction_is_exact(
     let dir = idx.dir().to_path_buf();
     let want = dir.with_extension("want");
     let rebuilt = Bfh::build_sharded(survivors, taxa, shards);
-    write_snapshot(&want, &rebuilt, taxa, idx.generation()).unwrap();
+    write_snapshot(&want, &rebuilt.freeze(), shards, taxa, idx.generation()).unwrap();
     let got = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
     assert!(
         got == std::fs::read(&want).unwrap(),

@@ -6,7 +6,7 @@ use bfhrf::{Bfh, Comparator, RunBudget, RunGuard};
 use phylo::TreeCollection;
 use phylo_index::{
     read_meta, read_snapshot, read_wal, verify_snapshot_with, write_snapshot, Index, IndexError,
-    RealVfs, Snapshot, Wal, WalOp, SNAPSHOT_FILE, WAL_FILE,
+    RealVfs, Snapshot, Wal, WalOp, FROZEN_FILE, SNAPSHOT_FILE, WAL_FILE,
 };
 use phylo_sim::perturb::random_collection;
 use proptest::prelude::*;
@@ -40,9 +40,10 @@ fn assert_bfh_identical(a: &Bfh, b: &Bfh) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The acceptance criterion: a loaded snapshot is bitwise-identical to
-    /// the hash that was written — same frequencies, same shard routing,
-    /// and identical `average_all` answers.
+    /// The acceptance criterion: a loaded snapshot answers exactly what the
+    /// written hash did — same frequencies, the same shard count in its
+    /// header, identical `average_all` answers — and writes back the same
+    /// bytes.
     #[test]
     fn snapshot_round_trip_is_bitwise_exact(
         n in 4usize..40,
@@ -56,7 +57,7 @@ proptest! {
             .join(format!("bfhrf-index-prop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("snap-{seed:x}-{n}-{r}-{shards}.bfh"));
-        write_snapshot(&path, &bfh, &coll.taxa, 3).unwrap();
+        write_snapshot(&path, &bfh.freeze(), shards, &coll.taxa, 3).unwrap();
 
         let snap = read_and_verify(&path).unwrap();
         prop_assert_eq!(snap.meta.generation, 3);
@@ -65,19 +66,23 @@ proptest! {
         for (id, label) in coll.taxa.iter() {
             prop_assert_eq!(snap.taxa.label(id), label);
         }
-        assert_bfh_identical(&snap.bfh, &bfh);
-
-        // Same shard routing → identical per-shard contents.
+        assert_bfh_identical(&Bfh::from_table(&snap.table, shards).unwrap(), &bfh);
         for (bits, freq) in bfh.iter() {
-            prop_assert_eq!(snap.bfh.frequency_words(bits.words()), freq);
+            prop_assert_eq!(snap.table.frequency_words(bits.words()), freq);
         }
+
+        // The loaded table writes the snapshot back byte for byte.
+        let again = path.with_extension("again");
+        write_snapshot(&again, &snap.table, snap.meta.n_shards, &snap.taxa, 3).unwrap();
+        prop_assert!(std::fs::read(&again).unwrap() == std::fs::read(&path).unwrap());
+        std::fs::remove_file(&again).ok();
 
         // Identical average-RF answers on an independent query set.
         let queries = random_collection(n, 3, seed.wrapping_add(99));
         let before = bfhrf::BfhrfComparator::new(&bfh, &coll.taxa)
             .average_all(&queries.trees)
             .unwrap();
-        let after = bfhrf::BfhrfComparator::new(&snap.bfh, &snap.taxa)
+        let after = bfhrf::BfhrfComparator::new(&snap.table, &snap.taxa)
             .average_all(&queries.trees)
             .unwrap();
         for (x, y) in before.iter().zip(after.iter()) {
@@ -115,9 +120,9 @@ fn read_and_verify(path: &std::path::Path) -> Result<Snapshot, IndexError> {
 fn every_flipped_snapshot_byte_is_a_typed_error() {
     let dir = tmp("flip-sweep");
     let coll = random_collection(12, 6, 0xf11b);
-    let bfh = Bfh::build_sharded(&coll.trees, &coll.taxa, 4);
+    let table = Bfh::build_sharded(&coll.trees, &coll.taxa, 4).freeze();
     let path = dir.join("snap.bfh");
-    write_snapshot(&path, &bfh, &coll.taxa, 1).unwrap();
+    write_snapshot(&path, &table, 4, &coll.taxa, 1).unwrap();
     let clean = std::fs::read(&path).unwrap();
     read_and_verify(&path).unwrap();
 
@@ -128,7 +133,7 @@ fn every_flipped_snapshot_byte_is_a_typed_error() {
         match read_and_verify(&path) {
             Ok(snap) => panic!(
                 "flip at byte {at} went undetected (loaded {} splits)",
-                snap.bfh.distinct()
+                snap.table.distinct()
             ),
             Err(e) => assert!(
                 e.is_corruption(),
@@ -143,9 +148,9 @@ fn every_flipped_snapshot_byte_is_a_typed_error() {
 fn every_truncation_is_a_typed_error() {
     let dir = tmp("trunc-sweep");
     let coll = random_collection(10, 4, 0x77);
-    let bfh = Bfh::build(&coll.trees, &coll.taxa);
+    let table = Bfh::build(&coll.trees, &coll.taxa).freeze();
     let path = dir.join("snap.bfh");
-    write_snapshot(&path, &bfh, &coll.taxa, 0).unwrap();
+    write_snapshot(&path, &table, 1, &coll.taxa, 0).unwrap();
     let clean = std::fs::read(&path).unwrap();
 
     for keep in 0..clean.len() {
@@ -310,7 +315,19 @@ fn guarded_open_enforces_budget() {
     assert!(matches!(err, IndexError::Core(_)), "{err}");
 
     // And the same directory opens fine without the budget.
-    Index::open(&dir).unwrap();
+    let lanes = Index::open(&dir).unwrap().frozen().approx_bytes();
+
+    // Without the sidecar the open lays the snapshot's records into sized
+    // lanes, and asks the budget for exactly their bytes first.
+    std::fs::remove_file(dir.join(FROZEN_FILE)).unwrap();
+    let budget = |bytes| RunGuard::with_budget(RunBudget::with_max_bytes(bytes));
+    let err = Index::open_guarded(&dir, &budget(lanes - 1))
+        .err()
+        .expect("one byte short of the lanes must refuse");
+    assert!(matches!(err, IndexError::Core(_)), "{err}");
+    assert!(err.to_string().contains("snapshot splits"), "{err}");
+    let mut idx = Index::open_guarded(&dir, &budget(lanes)).unwrap();
+    assert_eq!(idx.frozen().approx_bytes(), lanes);
 }
 
 /// `TreeCollection::parse` namespaces must survive the round trip with
@@ -460,7 +477,7 @@ fn frozen_open_declines_cleanly_when_it_cannot_prove_parity() {
     assert_eq!(Index::open_frozen(&dir).unwrap().frozen.digest(), want);
 
     // A flipped sidecar byte: fast path refuses, full open falls back to
-    // freezing with a note and still answers.
+    // the snapshot with a note and still answers.
     let side = dir.join(FROZEN_FILE);
     let mut bytes = std::fs::read(&side).unwrap();
     let mid = bytes.len() / 2;
@@ -474,9 +491,9 @@ fn frozen_open_declines_cleanly_when_it_cannot_prove_parity() {
         "corrupt sidecar leaves a note: {:?}",
         full.notes()
     );
-    // The fallback freeze serves the same table contents (its digest may
-    // differ: freezing a reconstructed hash can order pool entries
-    // differently without changing any answer).
+    // The fallback serves the same table contents (its digest may differ:
+    // the snapshot's records are laid out in mask order, which can order
+    // pool entries differently without changing any answer).
     let fallback = full.frozen();
     let truth = Bfh::build(&coll.trees[..7], &coll.taxa).freeze();
     assert_eq!(fallback.n_trees(), 7);
@@ -541,7 +558,7 @@ fn corrupt_sidecar_pool_is_refused_at_open_and_not_resealed() {
         drop(idx);
         verify_frozen_with(&RealVfs, &side).unwrap();
         let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE), &RunGuard::default()).unwrap();
-        assert_bfh_identical(&snapshot.bfh, &truth);
+        assert_bfh_identical(&Bfh::from_table(&snapshot.table, 1).unwrap(), &truth);
         let fast = Index::open_frozen(&dir).unwrap();
         assert_eq!(fast.frozen.distinct(), truth.distinct());
         let (mut masks, mut freqs) = (Vec::new(), Vec::new());
@@ -606,8 +623,11 @@ fn replay_policy_is_recorded_and_honoured() {
 
     for policy in [WalPolicy::Strict, WalPolicy::Lenient] {
         let dir = tmp(&format!("policy-unheld-{}", policy.label()));
-        let bfh = Bfh::build(&coll.trees[..1], &coll.taxa);
-        drop(Index::create_policy_with(real_vfs(), &dir, bfh, coll.taxa.clone(), policy).unwrap());
+        let table = Bfh::build(&coll.trees[..1], &coll.taxa).freeze();
+        drop(
+            Index::create_table_policy_with(real_vfs(), &dir, table, 1, coll.taxa.clone(), policy)
+                .unwrap(),
+        );
         let (mut wal, _) = Wal::open(&dir.join(WAL_FILE)).unwrap();
         let held = phylo::write_newick(&coll.trees[0], &coll.taxa);
         wal.append(WalOp::Remove, &held).unwrap();
@@ -624,9 +644,10 @@ fn replay_policy_is_recorded_and_honoured() {
         );
 
         let dir = tmp(&format!("policy-{}", policy.label()));
-        let bfh = Bfh::build(&coll.trees, &coll.taxa);
+        let table = Bfh::build(&coll.trees, &coll.taxa).freeze();
         let idx =
-            Index::create_policy_with(real_vfs(), &dir, bfh, coll.taxa.clone(), policy).unwrap();
+            Index::create_table_policy_with(real_vfs(), &dir, table, 1, coll.taxa.clone(), policy)
+                .unwrap();
         assert_eq!(idx.policy(), policy);
         drop(idx);
 

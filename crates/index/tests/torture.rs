@@ -21,7 +21,7 @@ use bfhrf::{Bfh, RunGuard};
 use phylo::TreeCollection;
 use phylo_index::{
     read_snapshot_with, scan_wal, seeded_schedule, FaultKind, FaultSite, FaultVfs, Index,
-    IndexError, MemVfs, Vfs, WalTail, SNAPSHOT_FILE, WAL_FILE,
+    IndexError, MemVfs, Vfs, WalPolicy, WalTail, SNAPSHOT_FILE, WAL_FILE,
 };
 use phylo_sim::perturb::random_collection;
 use std::path::Path;
@@ -38,6 +38,20 @@ fn fp(bfh: &Bfh) -> (usize, u64, Vec<(Vec<u64>, u32)>) {
         .collect();
     entries.sort();
     (bfh.n_trees(), bfh.sum(), entries)
+}
+
+/// Create the index on `vfs` from the fixture's first three trees, with
+/// two shards in the snapshot header.
+fn create_on(vfs: Arc<dyn Vfs>, coll: &TreeCollection) -> Result<Index, IndexError> {
+    let table = Bfh::build_sharded(&coll.trees[..3], &coll.taxa, 2).freeze();
+    Index::create_table_policy_with(
+        vfs,
+        Path::new(DIR),
+        table,
+        2,
+        coll.taxa.clone(),
+        WalPolicy::Strict,
+    )
 }
 
 fn fixture() -> TreeCollection {
@@ -75,9 +89,7 @@ fn every_crash_point_reopens_to_a_committed_state() {
     // Record the workload's full write-op sequence.
     let mem = MemVfs::new();
     mem.start_recording();
-    let bfh = Bfh::build_sharded(&coll.trees[..3], &coll.taxa, 2);
-    let mut ix = Index::create_with(Arc::new(mem.clone()), dir, bfh, coll.taxa.clone())
-        .expect("create on MemVfs");
+    let mut ix = create_on(Arc::new(mem.clone()), &coll).expect("create on MemVfs");
 
     // boundaries[j] = journal length once stage j is fully on disk;
     // states[j] / gens[j] = the model state after stage j. Stage 0 is
@@ -179,11 +191,10 @@ fn seeded_fault_schedules_never_lose_acknowledged_data() {
     let dir = Path::new(DIR);
     for seed in 0..48u64 {
         let mem = MemVfs::new();
-        let bfh = Bfh::build_sharded(&coll.trees[..3], &coll.taxa, 2);
         // Create cleanly, then arm the schedule for the workload itself.
         let fault = FaultVfs::new(Arc::new(mem.clone()));
-        let mut ix = Index::create_with(Arc::new(fault.clone()), dir, bfh, coll.taxa.clone())
-            .expect("create precedes the fault schedule");
+        let mut ix =
+            create_on(Arc::new(fault.clone()), &coll).expect("create precedes the fault schedule");
         fault.arm(&seeded_schedule(seed, 4, 30));
 
         let mut errors = 0;
@@ -218,9 +229,7 @@ fn torn_final_wal_record_is_recovered_on_open() {
     let wal_path = dir.join(WAL_FILE);
     for cut in [1usize, 5, 11] {
         let mem = MemVfs::new();
-        let bfh = Bfh::build_sharded(&coll.trees[..3], &coll.taxa, 2);
-        let mut ix =
-            Index::create_with(Arc::new(mem.clone()), dir, bfh, coll.taxa.clone()).unwrap();
+        let mut ix = create_on(Arc::new(mem.clone()), &coll).unwrap();
         ix.append_add(&coll.trees[3]).unwrap();
         let expect = fp(ix.bfh());
         ix.append_add(&coll.trees[4]).unwrap();
@@ -257,8 +266,7 @@ fn flipped_final_wal_record_is_recovered_on_open() {
     let dir = Path::new(DIR);
     let wal_path = dir.join(WAL_FILE);
     let mem = MemVfs::new();
-    let bfh = Bfh::build_sharded(&coll.trees[..3], &coll.taxa, 2);
-    let mut ix = Index::create_with(Arc::new(mem.clone()), dir, bfh, coll.taxa.clone()).unwrap();
+    let mut ix = create_on(Arc::new(mem.clone()), &coll).unwrap();
     ix.append_add(&coll.trees[3]).unwrap();
     let expect = fp(ix.bfh());
     ix.append_add(&coll.trees[4]).unwrap();
@@ -293,9 +301,7 @@ fn enospc_during_compaction_preserves_old_snapshot_and_wal() {
     for (what, site, at) in cases {
         let mem = MemVfs::new();
         let fault = FaultVfs::new(Arc::new(mem.clone()));
-        let bfh = Bfh::build_sharded(&coll.trees[..3], &coll.taxa, 2);
-        let mut ix =
-            Index::create_with(Arc::new(fault.clone()), dir, bfh, coll.taxa.clone()).unwrap();
+        let mut ix = create_on(Arc::new(fault.clone()), &coll).unwrap();
         ix.append_add(&coll.trees[3]).unwrap();
         ix.append_remove(&coll.trees[0]).unwrap();
         let expect = fp(ix.bfh());
@@ -340,8 +346,7 @@ fn wal_reset_failure_after_commit_blocks_mutations_until_healed() {
     let dir = Path::new(DIR);
     let mem = MemVfs::new();
     let fault = FaultVfs::new(Arc::new(mem.clone()));
-    let bfh = Bfh::build_sharded(&coll.trees[..3], &coll.taxa, 2);
-    let mut ix = Index::create_with(Arc::new(fault.clone()), dir, bfh, coll.taxa.clone()).unwrap();
+    let mut ix = create_on(Arc::new(fault.clone()), &coll).unwrap();
     ix.append_add(&coll.trees[3]).unwrap();
     let expect = fp(ix.bfh());
     let gen_before = ix.stats().generation;

@@ -59,13 +59,13 @@ fn streaming_file_analysis_matches_in_memory() {
 
     // streaming build + streaming queries against the file
     let mut taxa = TaxonSet::with_numbered("t", 16);
+    let mut refs = phylo::newick::NewickStream::new(
+        BufReader::new(std::fs::File::open(&path).unwrap()),
+        TaxaPolicy::Require,
+    );
     let bfh_streamed = BfhBuilder::new()
         .shards(2)
-        .from_newick_reader(
-            BufReader::new(std::fs::File::open(&path).unwrap()),
-            &mut taxa,
-            TaxaPolicy::Require,
-        )
+        .freeze_stream(&mut taxa, |t| refs.next_tree(t))
         .unwrap();
     let mut queries = phylo::newick::NewickStream::new(
         BufReader::new(std::fs::File::open(&path).unwrap()),
