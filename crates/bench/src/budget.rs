@@ -2,70 +2,15 @@
 //!
 //! The paper's baseline runs died two ways: OOM-killed by the kernel
 //! (HashRF at large `r`) or simply never finishing (DS at large `r`). The
-//! harness reproduces both failure modes *deterministically* by running
-//! each (algorithm, dataset) cell under a [`RunGuard`] and classifying the
-//! result instead of letting the process die:
-//!
-//! * over the byte ceiling → [`CellOutcome::Refused`] (the paper's `-`
-//!   table entries);
-//! * past the wall-clock deadline or cancelled → [`CellOutcome::Cancelled`]
-//!   (the paper's "did not finish" cells);
-//! * a worker panic → [`CellOutcome::Panicked`] — the cell is lost, the
-//!   sweep continues.
+//! harness refuses the first deterministically instead of letting the
+//! process die: a cell whose footprint the [`CellBudget`]'s [`RunGuard`]
+//! refuses is reported as the paper's `-` table entry. DS cells past their
+//! budget are rate-extrapolated instead (see `runner`).
 
-use bfhrf::guard::isolate;
-use bfhrf::{CoreError, RunBudget, RunGuard};
-use std::time::{Duration, Instant};
+use bfhrf::{RunBudget, RunGuard};
 
-/// How one budgeted cell ended.
-#[derive(Debug)]
-pub enum CellOutcome<T> {
-    /// The cell ran to completion.
-    Done(T),
-    /// Refused up front or mid-run by the byte ceiling.
-    Refused(String),
-    /// Stopped by the deadline or a cancellation request.
-    Cancelled(String),
-    /// A worker panicked; the panic was isolated to this cell.
-    Panicked(String),
-    /// Any other typed failure (bad input, structure error).
-    Failed(String),
-}
-
-impl<T> CellOutcome<T> {
-    /// The completed value, if any.
-    pub fn done(self) -> Option<T> {
-        match self {
-            CellOutcome::Done(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The paper-table rendering of a non-result: `-` for refusals (the
-    /// paper's notation for killed jobs), `dnf` for deadline/cancel.
-    pub fn table_cell(&self) -> &'static str {
-        match self {
-            CellOutcome::Done(_) => "ok",
-            CellOutcome::Refused(_) => "-",
-            CellOutcome::Cancelled(_) => "dnf",
-            CellOutcome::Panicked(_) | CellOutcome::Failed(_) => "err",
-        }
-    }
-
-    /// The failure description, if the cell did not complete.
-    pub fn reason(&self) -> Option<&str> {
-        match self {
-            CellOutcome::Done(_) => None,
-            CellOutcome::Refused(r)
-            | CellOutcome::Cancelled(r)
-            | CellOutcome::Panicked(r)
-            | CellOutcome::Failed(r) => Some(r),
-        }
-    }
-}
-
-/// One cell's resource envelope: a [`RunGuard`] plus the classification
-/// logic from [`CoreError`] to [`CellOutcome`].
+/// One cell's resource envelope: the [`RunGuard`] its guarded allocations
+/// and builds are checked against.
 #[derive(Debug, Clone, Default)]
 pub struct CellBudget {
     /// The guard handed to the cell body.
@@ -73,44 +18,10 @@ pub struct CellBudget {
 }
 
 impl CellBudget {
-    /// No limits — every cell completes or fails on its own terms.
-    pub fn unlimited() -> Self {
-        CellBudget::default()
-    }
-
     /// Cap the cell's guarded allocations at `max_bytes`.
     pub fn with_max_bytes(max_bytes: usize) -> Self {
         CellBudget {
             guard: RunGuard::with_budget(RunBudget::with_max_bytes(max_bytes)),
-        }
-    }
-
-    /// Cancel the cell `limit` from now.
-    pub fn with_deadline(limit: Duration) -> Self {
-        CellBudget {
-            guard: RunGuard::with_budget(RunBudget {
-                max_bytes: None,
-                deadline: Some(Instant::now() + limit),
-            }),
-        }
-    }
-
-    /// Run one cell body under the guard with panic isolation, classifying
-    /// the outcome. The body receives the guard to thread into the guarded
-    /// core APIs (`try_build_sharded`, `rf_matrix_exact_guarded`, ...).
-    pub fn run<T>(
-        &self,
-        what: &str,
-        body: impl FnOnce(&RunGuard) -> Result<T, CoreError>,
-    ) -> CellOutcome<T> {
-        match isolate(what, || body(&self.guard)) {
-            Ok(v) => CellOutcome::Done(v),
-            Err(CoreError::ResourceLimit(msg)) => {
-                CellOutcome::Refused(format!("resource limit: {msg}"))
-            }
-            Err(e @ CoreError::Cancelled(_)) => CellOutcome::Cancelled(e.to_string()),
-            Err(e @ CoreError::WorkerPanic(_)) => CellOutcome::Panicked(e.to_string()),
-            Err(e) => CellOutcome::Failed(e.to_string()),
         }
     }
 }
@@ -118,58 +29,65 @@ impl CellBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfhrf::{Bfh, CancelToken};
+    use bfhrf::{BfhBuilder, CoreError};
     use phylo::TreeCollection;
+    use std::time::{Duration, Instant};
 
     fn coll() -> TreeCollection {
         TreeCollection::parse("((A,B),(C,D));\n((A,C),(B,D));\n((A,D),(B,C));").unwrap()
     }
 
+    /// The sharded build under `cell`'s guard: the sequential one-shard
+    /// build allocates no spill, so it has nothing to refuse.
+    fn build(cell: &CellBudget) -> Result<bfhrf::FrozenBfh, CoreError> {
+        let c = coll();
+        BfhBuilder::new()
+            .shards(2)
+            .guard(cell.guard.clone())
+            .freeze_trees(&c.trees, &c.taxa)
+    }
+
     #[test]
     fn unlimited_cell_completes() {
-        let c = coll();
-        let out = CellBudget::unlimited()
-            .run("build", |g| Bfh::try_build_sharded(&c.trees, &c.taxa, 2, g));
-        let bfh = out.done().expect("cell completes");
-        assert_eq!(bfh.n_trees(), 3);
+        let table = build(&CellBudget::default()).expect("cell completes");
+        assert_eq!(table.n_trees(), 3);
     }
 
     #[test]
     fn byte_ceiling_refuses_with_dash() {
-        let c = coll();
-        let out = CellBudget::with_max_bytes(1)
-            .run("build", |g| Bfh::try_build_sharded(&c.trees, &c.taxa, 2, g));
-        assert_eq!(out.table_cell(), "-");
-        assert!(out.reason().unwrap().contains("resource limit"));
+        let err = build(&CellBudget::with_max_bytes(1)).unwrap_err();
+        assert!(matches!(err, CoreError::ResourceLimit(_)), "{err:?}");
+        assert!(err.to_string().contains("resource limit"), "{err}");
     }
 
     #[test]
     fn elapsed_deadline_is_dnf() {
-        let c = coll();
-        let out = CellBudget::with_deadline(Duration::from_secs(0))
-            .run("build", |g| Bfh::try_build_sharded(&c.trees, &c.taxa, 2, g));
-        assert_eq!(out.table_cell(), "dnf");
-        assert!(out.reason().unwrap().contains("deadline"));
+        let cell = CellBudget {
+            guard: RunGuard::with_budget(RunBudget {
+                max_bytes: None,
+                deadline: Some(Instant::now() - Duration::from_secs(1)),
+            }),
+        };
+        let err = build(&cell).unwrap_err();
+        assert!(matches!(err, CoreError::Cancelled(_)), "{err:?}");
+        assert!(err.to_string().contains("deadline"), "{err}");
     }
 
     #[test]
     fn cancellation_is_dnf() {
-        let c = coll();
-        let budget = CellBudget::unlimited();
-        let token: CancelToken = budget.guard.cancel.clone();
-        token.cancel();
-        let out = budget.run("build", |g| Bfh::try_build_sharded(&c.trees, &c.taxa, 2, g));
-        assert_eq!(out.table_cell(), "dnf");
+        let cell = CellBudget::default();
+        cell.guard.cancel.cancel();
+        let err = build(&cell).unwrap_err();
+        assert!(matches!(err, CoreError::Cancelled(_)), "{err:?}");
     }
 
     #[test]
     fn panics_are_isolated_to_the_cell() {
-        let out: CellOutcome<()> =
-            CellBudget::unlimited().run("poisoned cell", |_| panic!("poisoned tree"));
-        assert_eq!(out.table_cell(), "err");
-        assert!(out.reason().unwrap().contains("poisoned"));
+        let mut guard = RunGuard::default();
+        guard.inject_panic_at(1);
+        let err = build(&CellBudget { guard }).unwrap_err();
+        assert!(matches!(err, CoreError::WorkerPanic(_)), "{err:?}");
         // and the harness thread is still alive to run the next cell
-        let next = CellBudget::unlimited().run("next", |_| Ok(1u32));
-        assert!(matches!(next, CellOutcome::Done(1)));
+        assert_eq!(build(&CellBudget::default()).unwrap().n_trees(), 3);
     }
 }

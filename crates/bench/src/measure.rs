@@ -67,64 +67,9 @@ pub fn measured<T>(f: impl FnOnce() -> T) -> (T, Measurement) {
     )
 }
 
-/// Summary of a warmed-up, repeated measurement: the robust center plus
-/// the dispersion that tells a reader whether to trust it.
-#[derive(Debug, Clone, Copy)]
-pub struct RepeatStats {
-    /// Median wall-clock seconds across the measured repeats.
-    pub median_s: f64,
-    /// Coefficient of variation of the repeat times (0 for one repeat).
-    pub cv: f64,
-    /// Measured repeats (warmup excluded).
-    pub repeats: usize,
-    /// Warmup runs discarded before measuring.
-    pub warmup: usize,
-    /// Peak heap bytes of the last measured repeat.
-    pub peak_bytes: usize,
-}
-
-/// Run `f` `warmup` times unmeasured (fault the page cache, settle the
-/// allocator, finish lazy init), then `repeats` measured times; report the
-/// median and CV of the measured runs. `repeats` is clamped to ≥ 1.
-pub fn measured_repeats<T>(warmup: usize, repeats: usize, mut f: impl FnMut() -> T) -> RepeatStats {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let repeats = repeats.max(1);
-    let mut times = Vec::with_capacity(repeats);
-    let mut peak_bytes = 0;
-    for _ in 0..repeats {
-        let (value, m) = measured(&mut f);
-        std::hint::black_box(value);
-        times.push(m.elapsed.as_secs_f64());
-        peak_bytes = m.peak_bytes;
-    }
-    RepeatStats {
-        median_s: crate::stats::median(&times),
-        cv: crate::stats::coeff_of_variation(&times),
-        repeats,
-        warmup,
-        peak_bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn repeats_take_the_median_and_count_runs() {
-        let mut calls = 0usize;
-        let stats = measured_repeats(2, 3, || {
-            calls += 1;
-            std::thread::sleep(Duration::from_millis(5));
-        });
-        assert_eq!(calls, 5, "2 warmup + 3 measured");
-        assert_eq!(stats.repeats, 3);
-        assert_eq!(stats.warmup, 2);
-        assert!(stats.median_s >= 0.004, "{stats:?}");
-        assert!(stats.cv >= 0.0);
-    }
 
     #[test]
     fn measures_time() {

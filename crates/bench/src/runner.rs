@@ -3,18 +3,20 @@
 //! Every algorithm is measured **from Newick text to result**, because
 //! that is what the paper timed and because the memory story depends on
 //! it: DS must materialize all reference bipartition sets, HashRF its
-//! `r × r` matrix, while BFHRF streams both collections and only ever
-//! holds the hash. `Q` is `R` throughout, as in the paper's runs.
+//! `r × r` matrix, while BFHRF is `bfhrf avgrf` itself, which streams the
+//! references into the frozen table and scores their kept splits against
+//! it. `Q` is `R` throughout, as in the paper's runs.
 
 use crate::datasets::{prefix, prepare, PreparedDataset};
 use crate::measure::{measured, Measurement};
 use crate::stats;
-use bfhrf::{bfhrf_average, Bfh, HashRf, HashRfConfig};
+use bfhrf::{BfhBuilder, Comparator, FrozenComparator, HashRf, HashRfConfig};
 use phylo::newick::NewickStream;
-use phylo::{BipartitionSet, TaxaPolicy, TaxonSet, Tree};
+use phylo::{BipartitionScratch, BipartitionSet, TaxaPolicy, TaxonSet, Tree};
 use phylo_sim::DatasetSpec;
 use rayon::prelude::*;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Experiment sizing: `Default` finishes on a laptop in minutes, `Full`
 /// uses the paper's exact `n`/`r` values.
@@ -177,80 +179,54 @@ fn combine(
     }
 }
 
-/// BFHRF: stream references into the hash, stream queries against it.
-/// `threads = None` is the fully sequential variant; `Some(k)` processes
-/// parsed chunks on a `k`-thread pool (the paper's tree-level
-/// parallelism).
+/// BFHRF: the call a user makes, `bfhrf avgrf --refs F` with Q = R,
+/// through [`bfhrf_cli::run_full`]. `threads = None` is `--algorithm
+/// bfhrf-seq`; `Some(k)` is the default engine on `--threads k`. The refs
+/// file is written before the cell starts, so reading it, the build, the
+/// scoring and the report all fall inside the measurement.
 fn run_bfhrf(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
-    let body = || {
-        let mut taxa = numbered_taxa(ds.n_taxa);
-        let (result, m) = measured(|| {
-            // Phase 1: build the hash from the reference stream.
-            let mut bfh = Bfh::empty(taxa.len());
-            let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
-            let mut chunk: Vec<Tree> = Vec::with_capacity(CHUNK);
-            loop {
-                chunk.clear();
-                while chunk.len() < CHUNK {
-                    match stream.next_tree(&mut taxa).expect("parses") {
-                        Some(t) => chunk.push(t),
-                        None => break,
-                    }
-                }
-                if chunk.is_empty() {
-                    break;
-                }
-                match threads {
-                    None => {
-                        for t in &chunk {
-                            bfh.add_tree(t, &taxa);
-                        }
-                    }
-                    Some(_) => {
-                        // extract split lists in parallel, fold sequentially
-                        let split_lists: Vec<Vec<phylo::Bipartition>> =
-                            chunk.par_iter().map(|t| t.bipartitions(&taxa)).collect();
-                        for splits in split_lists {
-                            bfh.add_splits(splits);
-                        }
-                    }
-                }
-            }
-            // Phase 2: stream queries against the hash.
-            let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
-            let mut total_avg = 0.0f64;
-            let mut q_count = 0usize;
-            loop {
-                chunk.clear();
-                while chunk.len() < CHUNK {
-                    match stream.next_tree(&mut taxa).expect("parses") {
-                        Some(t) => chunk.push(t),
-                        None => break,
-                    }
-                }
-                if chunk.is_empty() {
-                    break;
-                }
-                total_avg += match threads {
-                    None => chunk
-                        .iter()
-                        .map(|q| bfhrf_average(q, &taxa, &bfh).average())
-                        .sum::<f64>(),
-                    Some(_) => chunk
-                        .par_iter()
-                        .map(|q| bfhrf_average(q, &taxa, &bfh).average())
-                        .sum::<f64>(),
-                };
-                q_count += chunk.len();
-            }
-            total_avg / q_count as f64
-        });
-        Outcome::Ran(m, result)
-    };
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "repro-{}-{}.nwk",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, &ds.newick).expect("write the refs file");
+    let mut argv = vec![
+        "avgrf".to_string(),
+        "--refs".into(),
+        path.display().to_string(),
+    ];
     match threads {
-        None => body(),
-        Some(k) => pool(k).install(body),
+        None => argv.extend(["--algorithm".into(), "bfhrf-seq".into()]),
+        Some(k) => argv.extend(["--threads".into(), k.to_string()]),
     }
+    let (out, m) = measured(|| bfhrf_cli::run_full(&argv));
+    std::fs::remove_file(&path).ok();
+    let out = out.unwrap_or_else(|e| panic!("bfhrf avgrf failed: {}", e.message));
+    Outcome::Ran(m, exact_mean(report_averages(&out.stdout), ds.n_trees))
+}
+
+/// The mean of per-query average RFs over `r` references, computed from
+/// their integer sums. Each average is `sum_i / r`, possibly printed to six
+/// decimals, so `round(avg × r)` recovers `sum_i` exactly for `r < 10⁶`:
+/// the mean is exact, not a mean of rounded values, and engines that agree
+/// on every sum print the same checksum.
+fn exact_mean(averages: impl Iterator<Item = f64>, r: usize) -> f64 {
+    let (total, q) = averages.fold((0u64, 0usize), |(total, q), avg| {
+        (total + (avg * r as f64).round() as u64, q + 1)
+    });
+    total as f64 / (q * r) as f64
+}
+
+/// The averages of an `avgrf` report, one per row.
+fn report_averages(report: &str) -> impl Iterator<Item = f64> + '_ {
+    report.lines().skip(1).map(|row| {
+        row.split('\t')
+            .nth(1)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("not an avgrf row: {row:?}"))
+    })
 }
 
 /// HashRF: materialize the collection (it computes all-vs-all) and run the
@@ -277,10 +253,8 @@ fn run_hashrf(ds: &PreparedDataset, mem_budget: usize) -> Outcome {
         while let Some(t) = stream.next_tree(&mut taxa).expect("parses") {
             trees.push(t);
         }
-        HashRf::compute(&trees, &taxa, &cfg).map(|h| {
-            let avgs = h.averages();
-            avgs.iter().sum::<f64>() / avgs.len() as f64
-        })
+        HashRf::compute(&trees, &taxa, &cfg)
+            .map(|h| exact_mean(h.averages().into_iter(), trees.len()))
     });
     match out {
         Ok(mean) => Outcome::Ran(m, mean),
@@ -509,8 +483,8 @@ impl Experiment {
         render("Table V / Figure 2 — variable trees (n=100)", &rows)
     }
 
-    /// Ablations on the design choices: parallel hash build, thread
-    /// scaling, HashRF ID width vs error, size-filter overhead.
+    /// Ablations on the design choices: thread scaling, HashRF ID width
+    /// vs error, the compressed-key hash, size-filter overhead.
     pub fn ablations(&self) -> String {
         let mut out = String::from("## Ablations\n");
         let (n, r) = match self.scale {
@@ -519,29 +493,14 @@ impl Experiment {
         };
         let ds = prepare(&DatasetSpec::new("ablation", n, r, 99));
         let coll = phylo::TreeCollection::parse(&ds.newick).unwrap();
+        let table = BfhBuilder::new()
+            .freeze_trees(&coll.trees, &coll.taxa)
+            .expect("ablation table builds");
 
-        // 1. hash build: sequential vs fold-merge vs sharded, across pool
-        // sizes (the build_bench binary runs the same grid on the Insect
-        // preset and emits BENCH_build.json)
-        for cell in build_ablation(&coll, &[1, 2, 4, 8]) {
-            let _ = writeln!(
-                out,
-                "hash build (n={n}, r={r}): {:<10} threads={:<2} shards={:<2} {:.3}s (distinct {})",
-                cell.mode, cell.threads, cell.shards, cell.seconds, cell.distinct
-            );
-        }
-
-        // 2. thread scaling of the query phase
-        let bfh = Bfh::build(&coll.trees, &coll.taxa);
+        // 1. thread scaling of the query phase
         for threads in [1usize, 2, 4, 8, 16] {
-            let (_, m) = pool(threads).install(|| {
-                measured(|| {
-                    coll.trees
-                        .par_iter()
-                        .map(|q| bfhrf_average(q, &coll.taxa, &bfh).average())
-                        .sum::<f64>()
-                })
-            });
+            let cmp = FrozenComparator::new(&table, &coll.taxa).parallel(true);
+            let (_, m) = pool(threads).install(|| measured(|| cmp.average_all(&coll.trees)));
             let _ = writeln!(
                 out,
                 "query phase, {threads:>2} threads: {:.3}s",
@@ -549,7 +508,7 @@ impl Experiment {
             );
         }
 
-        // 3. HashRF ID width vs collision error rate
+        // 2. HashRF ID width vs collision error rate
         let small = phylo::TreeCollection::parse(
             &crate::datasets::prepare(&DatasetSpec::new("idw", 32, 200, 5)).newick,
         )
@@ -568,34 +527,35 @@ impl Experiment {
             );
         }
 
-        // 4. compressed-key hash: memory vs the plain hash (§IX extension)
+        // 3. compressed-key hash: memory vs the frozen table (§IX extension)
         let wide = prepare(&DatasetSpec::new("compact", 500, 200, 12));
         let wide_coll = phylo::TreeCollection::parse(&wide.newick).unwrap();
-        let (plain, plain_m) = measured(|| Bfh::build(&wide_coll.trees, &wide_coll.taxa));
-        let (compact, compact_m) = measured(|| bfhrf::CompactBfh::from_bfh(&plain));
+        let (frozen, frozen_m) = measured(|| {
+            BfhBuilder::new()
+                .freeze_trees(&wide_coll.trees, &wide_coll.taxa)
+                .expect("wide table builds")
+        });
+        let (compact, compact_m) =
+            measured(|| bfhrf::CompactBfh::build(&wide_coll.trees, &wide_coll.taxa));
         let _ = writeln!(
             out,
-            "compact hash (n=500, r=200): plain build {:.1} MB peak, compact conversion {:.1} MB peak, key bytes {:.2} MB compressed",
-            plain_m.memory_mb(),
+            "compact hash (n=500, r=200): frozen table {:.1} MB peak, compact build {:.1} MB peak, key bytes {:.2} MB compressed",
+            frozen_m.memory_mb(),
             compact_m.memory_mb(),
             compact.key_bytes() as f64 / 1e6,
         );
-        let checks: Vec<_> = wide_coll.trees.iter().take(3).collect();
-        for q in checks {
+        let mut scratch = BipartitionScratch::new();
+        for q in &wide_coll.trees {
             assert_eq!(
-                bfhrf_average(q, &wide_coll.taxa, &plain),
+                frozen.average_scratch(q, &wide_coll.taxa, &mut scratch),
                 compact.average_rf(q, &wide_coll.taxa),
-                "compact hash must answer identically"
+                "compact hash must answer like the frozen table"
             );
         }
 
-        // 5. bipartition-size filter overhead
-        let (_, unfiltered) = measured(|| {
-            coll.trees
-                .iter()
-                .map(|q| bfhrf_average(q, &coll.taxa, &bfh).average())
-                .sum::<f64>()
-        });
+        // 4. bipartition-size filter overhead
+        let cmp = FrozenComparator::new(&table, &coll.taxa);
+        let (_, unfiltered) = measured(|| cmp.average_all(&coll.trees).expect("scores"));
         let filt = bfhrf::variants::SizeFilteredRf::new(&coll.trees, &coll.taxa, 2, 10);
         let (_, filtered) = measured(|| {
             coll.trees
@@ -614,120 +574,6 @@ impl Experiment {
     }
 }
 
-/// One cell of the hash-build ablation grid (see [`build_ablation`]).
-#[derive(Debug, Clone)]
-pub struct BuildCell {
-    /// `"sequential"`, `"fold-merge"`, or `"sharded"`.
-    pub mode: &'static str,
-    /// Pool size the build ran on.
-    pub threads: usize,
-    /// Shard count (1 unless sharded).
-    pub shards: usize,
-    /// Wall-clock build time.
-    pub seconds: f64,
-    /// Distinct bipartitions in the resulting hash — identical across
-    /// modes by construction, recorded as the correctness checksum.
-    pub distinct: usize,
-    /// `Bfh::sum` — second checksum (total split occurrences).
-    pub sum: u64,
-}
-
-/// The rayon fold/merge baseline under measurement: per-worker hashes
-/// folded over disjoint tree chunks, then merged pairwise. This WAS
-/// `Bfh::build_parallel` before the sharded pipeline replaced it; the
-/// bench keeps a local copy because the strategy itself is the thing
-/// being compared against.
-pub fn fold_merge_build(coll: &phylo::TreeCollection) -> Bfh {
-    coll.trees
-        .par_iter()
-        .fold(
-            || Bfh::empty(coll.taxa.len()),
-            |mut acc, tree| {
-                acc.add_tree(tree, &coll.taxa);
-                acc
-            },
-        )
-        .reduce(|| Bfh::empty(coll.taxa.len()), |a, b| a.merged(b))
-}
-
-/// The tentpole ablation: build the same hash three ways — sequential,
-/// rayon fold/merge ([`fold_merge_build`]), and the sharded two-phase
-/// pipeline ([`Bfh::build_sharded`]) — across pool sizes. The fold-merge
-/// baseline allocates one map per worker and pays an `O(distinct)` merge;
-/// the sharded build spills raw mask words, folds them once into a frozen
-/// table, and routes its entries into the shard maps, with no merge.
-pub fn build_ablation(coll: &phylo::TreeCollection, thread_counts: &[usize]) -> Vec<BuildCell> {
-    let mut cells = Vec::new();
-    let mut push = |mode, threads, shards, m: &Measurement, bfh: &Bfh| {
-        cells.push(BuildCell {
-            mode,
-            threads,
-            shards,
-            seconds: m.elapsed.as_secs_f64(),
-            distinct: bfh.distinct(),
-            sum: bfh.sum(),
-        });
-    };
-    let (bfh, m) = measured(|| Bfh::build(&coll.trees, &coll.taxa));
-    push("sequential", 1, 1, &m, &bfh);
-    for &t in thread_counts {
-        let p = pool(t);
-        let (bfh, m) = p.install(|| measured(|| fold_merge_build(coll)));
-        push("fold-merge", t, 1, &m, &bfh);
-        let shards = t.max(2);
-        let (bfh, m) =
-            p.install(|| measured(|| Bfh::build_sharded(&coll.trees, &coll.taxa, shards)));
-        push("sharded", t, shards, &m, &bfh);
-    }
-    cells
-}
-
-/// Expose the per-algorithm runners for the criterion benches: each bench
-/// wants one algorithm on one prepared dataset without the table plumbing.
-pub mod algorithms {
-    use super::*;
-
-    /// BFHRF text-to-result; returns the mean average RF.
-    pub fn bfhrf_mean(ds: &PreparedDataset, threads: Option<usize>) -> f64 {
-        match run_bfhrf(ds, threads) {
-            Outcome::Ran(_, mean) => mean,
-            Outcome::Refused(w) => panic!("bfhrf refused: {w}"),
-        }
-    }
-
-    /// DS/DSMP text-to-result (no extrapolation guard — keep datasets
-    /// small in benches); returns the mean average RF of the measured
-    /// prefix.
-    pub fn ds_mean(ds: &PreparedDataset, threads: Option<usize>) -> f64 {
-        match run_ds(ds, threads) {
-            Outcome::Ran(_, mean) => mean,
-            Outcome::Refused(w) => panic!("ds refused: {w}"),
-        }
-    }
-
-    /// HashRF text-to-result; returns the mean of the matrix row averages.
-    pub fn hashrf_mean(ds: &PreparedDataset, mem_budget: usize) -> f64 {
-        match run_hashrf(ds, mem_budget) {
-            Outcome::Ran(_, mean) => mean,
-            Outcome::Refused(w) => panic!("hashrf refused: {w}"),
-        }
-    }
-
-    /// Day's algorithm summed over all pairs of the first `k` trees
-    /// (pairwise-oracle bench).
-    pub fn day_pairs(ds: &PreparedDataset, k: usize) -> u64 {
-        let coll = phylo::TreeCollection::parse(&ds.newick).unwrap();
-        let k = k.min(coll.len());
-        let mut total = 0u64;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                total += bfhrf::day_rf(&coll.trees[i], &coll.trees[j], &coll.taxa) as u64;
-            }
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,18 +582,37 @@ mod tests {
         prepare(&DatasetSpec::new("tiny", 10, 40, 7))
     }
 
+    fn mean(outcome: Outcome) -> f64 {
+        match outcome {
+            Outcome::Ran(_, mean) => mean,
+            Outcome::Refused(w) => panic!("refused: {w}"),
+        }
+    }
+
     #[test]
     fn all_runners_agree_on_checksum() {
         let ds = tiny();
-        let a = algorithms::bfhrf_mean(&ds, None);
-        let b = algorithms::bfhrf_mean(&ds, Some(2));
-        let c = algorithms::ds_mean(&ds, None);
-        let d = algorithms::ds_mean(&ds, Some(2));
-        let e = algorithms::hashrf_mean(&ds, usize::MAX);
-        assert!((a - b).abs() < 1e-9);
+        let a = mean(run_bfhrf(&ds, None));
+        let b = mean(run_bfhrf(&ds, Some(2)));
+        let c = mean(run_ds(&ds, None));
+        let d = mean(run_ds(&ds, Some(2)));
+        let e = mean(run_hashrf(&ds, usize::MAX));
+        assert_eq!(a, b);
         assert!((a - c).abs() < 1e-9, "bfhrf {a} vs ds {c}");
         assert!((a - d).abs() < 1e-9);
-        assert!((a - e).abs() < 1e-9, "bfhrf {a} vs hashrf {e}");
+        assert_eq!(a, e, "bfhrf vs hashrf");
+        // 70 taxa: every split mask spans two 64-bit words.
+        let wide = prepare(&DatasetSpec::new("wide", 70, 30, 11));
+        let a = mean(run_bfhrf(&wide, None));
+        assert_eq!(a, mean(run_bfhrf(&wide, Some(2))));
+        assert_eq!(a, mean(run_hashrf(&wide, usize::MAX)));
+    }
+
+    #[test]
+    fn report_mean_is_exact() {
+        // Three queries against r = 3: sums 2, 3 and 4 print rounded.
+        let report = "query\tavg_rf\n0\t0.666667\n1\t1.000000\n2\t1.333333\n";
+        assert_eq!(exact_mean(report_averages(report), 3), 1.0);
     }
 
     #[test]
@@ -783,13 +648,5 @@ mod tests {
         for name in ["avian", "insect", "var-trees", "var-taxa"] {
             assert!(t.contains(name), "{t}");
         }
-    }
-
-    #[test]
-    fn day_pairs_runs() {
-        let ds = tiny();
-        let total = algorithms::day_pairs(&ds, 5);
-        // 10-leaf random coalescent trees: some pairs must differ
-        assert!(total > 0);
     }
 }

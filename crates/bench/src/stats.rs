@@ -1,6 +1,6 @@
-//! Small statistics helpers for the paper's §VI.C linearity analysis:
-//! least-squares R² and the Pearson correlation coefficient of runtime
-//! series against `n` or `r`.
+//! Small statistics helpers: the paper's §VI.C linearity analysis
+//! (least-squares R² and the Pearson correlation coefficient of runtime
+//! series against `n` or `r`), and the sample median rfbench reports.
 
 /// Pearson correlation coefficient of paired samples.
 ///
@@ -70,22 +70,6 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Coefficient of variation (population std-dev / mean) — the dispersion
-/// figure every BENCH_*.json records next to its median so a noisy run is
-/// visible in the artifact. Zero for a single sample or a zero mean.
-pub fn coeff_of_variation(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
-    var.sqrt() / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,14 +79,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[7.0]), 7.0);
-    }
-
-    #[test]
-    fn cv_of_constant_sample_is_zero() {
-        assert_eq!(coeff_of_variation(&[5.0, 5.0, 5.0]), 0.0);
-        assert_eq!(coeff_of_variation(&[5.0]), 0.0);
-        let cv = coeff_of_variation(&[9.0, 11.0]);
-        assert!((cv - 0.1).abs() < 1e-12, "{cv}");
     }
 
     #[test]

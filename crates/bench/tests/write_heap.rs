@@ -1,15 +1,17 @@
 //! An opened index holds one resident table: the frozen base, mapped from
-//! the sidecar, plus a delta of the writes since it froze. Opening it for
-//! writing, adding and removing a tree, publishing a view and reading the
-//! counters must not build a hash. This counts the heap across those steps,
-//! on an index directly and through a catalog collection. Opening the index
-//! without its sidecar must not build one either: the snapshot's records go
-//! straight into the table's lanes. The table here is ~7 MB, so a hash
-//! built anywhere on the path shows as megabytes.
+//! the sidecar, plus a delta of the writes since it froze. Opening it
+//! read-only maps the sidecar and reads none of it onto the heap. Opening
+//! it for writing, adding and removing a tree, publishing a view and
+//! reading the counters must not build a hash. This counts the heap across
+//! those steps, on an index directly and through a catalog collection.
+//! Opening the index without its sidecar must not build one either: the
+//! snapshot's records go straight into the table's lanes. The table here
+//! is ~7 MB, so a hash built, or the sidecar read, anywhere on the path
+//! shows as megabytes.
 //!
 //! One test per binary: the counting allocator sees every thread.
 
-use bfhrf::Bfh;
+use bfhrf::BfhBuilder;
 use bfhrf_bench::peak_alloc::{InstallPeakAlloc, GLOBAL};
 use phylo::write_newick;
 use phylo_index::{Catalog, Index, FROZEN_FILE};
@@ -47,10 +49,22 @@ fn writes_do_not_build_a_hash() {
     let extra = &extra[0];
 
     let dir = root.join("index");
-    let bfh = Bfh::build(refs, &coll.taxa);
-    let table_bytes = bfh.freeze().approx_bytes();
+    let table = BfhBuilder::new().freeze_trees(refs, &coll.taxa).unwrap();
+    let table_bytes = table.approx_bytes();
     let table_mb = table_bytes as f64 / 1e6;
-    drop(Index::create(&dir, bfh, coll.taxa.clone()).unwrap());
+    drop(Index::create_table(&dir, table, 1, coll.taxa.clone()).unwrap());
+
+    // The read-only open maps the sidecar: a read-and-materialize open
+    // would copy the whole table onto the heap.
+    let (open, peak, _) = measured(|| Index::open_frozen(&dir).unwrap());
+    assert!(open.mapped, "the sidecar was read, not mapped");
+    assert_eq!(open.frozen.n_trees(), R);
+    drop(open);
+    assert!(
+        peak < LIMIT,
+        "read-only index open peaked {peak} bytes above the start ({table_mb:.1} MB table)"
+    );
+
     let ((), peak, _) = measured(|| {
         let mut index = Index::open(&dir).unwrap();
         assert!(index.notes().is_empty(), "{:?}", index.notes());

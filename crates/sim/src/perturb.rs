@@ -46,9 +46,10 @@ pub fn nni_forest(
     }
 }
 
-/// A collection of `count` independent uniform-attachment random binary
-/// trees on `n` taxa (`t0..t{n-1}`): maximal discordance, the stress case
-/// for hash growth (every tree contributes mostly unique bipartitions).
+/// A collection of `count` independent random binary trees on `n` taxa
+/// (`t0..t{n-1}`) drawn by [`random_binary_tree`]: maximal discordance,
+/// the stress case for hash growth (every tree contributes mostly unique
+/// bipartitions).
 pub fn random_collection(n: usize, count: usize, seed: u64) -> TreeCollection {
     let taxa = TaxonSet::with_numbered("t", n);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -58,7 +59,16 @@ pub fn random_collection(n: usize, count: usize, seed: u64) -> TreeCollection {
     TreeCollection { taxa, trees }
 }
 
-/// One uniform-attachment random binary tree on `n` taxa.
+/// One random binary tree on `n` taxa, grown by attaching each next leaf
+/// to an edge drawn uniformly from the rooted tree's edges.
+///
+/// The draw is not uniform over unrooted topologies. The tree starts from
+/// a degree-2 root, whose two rooted edges are one unrooted edge, so that
+/// edge is drawn twice as often as any other: a tree on `i` leaves offers
+/// `2i − 2` slots for its `2i − 3` unrooted edges. At `n = 4` the three
+/// topologies come out ⅜, ⅜ and ¼ (`t2` and `t3` are siblings with
+/// probability ¼), not ⅓ each.
+/// Seeded collections depend on this exact draw, so it stays as it is.
 pub fn random_binary_tree(n: usize, rng: &mut StdRng) -> Tree {
     assert!(n >= 2);
     let (mut t, root) = Tree::with_root();

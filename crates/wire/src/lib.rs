@@ -13,8 +13,8 @@
 //!   optional edge lengths behind a presence bitmap, the whole record
 //!   sealed by a truncated FNV-1a checksum. Decode builds straight into
 //!   the [`phylo::Tree`] arena — no lexer, no label interning, no float
-//!   parsing — which is what makes the parse-vs-decode ablation in
-//!   `query_bench` a fair fight;
+//!   parsing — so rfbench's `newick.parse_us` and `wire.decode_us` layers
+//!   time the same tree built two ways;
 //! * a **collection container** ([`write_collection`]/[`BinReader`]):
 //!   `PHYLOWIR` magic, version, an FNV-sealed header and taxa table, then
 //!   length-prefixed tree records under a section seal. The embedded taxa

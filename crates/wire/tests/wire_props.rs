@@ -254,6 +254,21 @@ fn container_round_trips_taxa_and_trees() {
     for (a, b) in coll.trees.iter().zip(&twin.trees) {
         assert_trees_bitwise_equal(a, b, &coll.taxa);
     }
+    // A container of insect-preset trees, edge lengths included, is
+    // smaller than their Newick text.
+    let insect = phylo_sim::generate(&phylo_sim::DatasetSpec::insect().with_trees(50));
+    let text: String = insect
+        .trees
+        .iter()
+        .map(|t| write_newick(t, &insect.taxa) + "\n")
+        .collect();
+    assert!(text.contains(':'), "the trees carry edge lengths");
+    let bin = collection_to_vec(&insect).unwrap().len();
+    assert!(
+        bin < text.len(),
+        "container {bin} B, Newick {} B",
+        text.len()
+    );
 }
 
 #[test]
