@@ -38,7 +38,7 @@ mod tests {
     }
 
     /// The sharded build under `cell`'s guard: the sequential one-shard
-    /// build allocates no spill, so it has nothing to refuse.
+    /// build is not budgeted, so it has nothing to refuse.
     fn build(cell: &CellBudget) -> Result<bfhrf::FrozenBfh, CoreError> {
         let c = coll();
         BfhBuilder::new()

@@ -174,6 +174,8 @@ pub fn usage() -> String {
      \x20                               of aborting (report on stderr)\n\
      \x20          --max-errors N       abort a --lenient run after N skips\n\
      \x20          --mem-budget BYTES   refuse allocations over the budget;\n\
+     \x20                               a bfhrf build counts its two chunk\n\
+     \x20                               buffers, kept ranks and table;\n\
      \x20                               hashrf degrades to bfhrf when over\n\
      \x20          --timeout SECS       cancel the run at the deadline\n\
      \n\
@@ -555,10 +557,10 @@ fn cmd_best(raw: &[String]) -> Result<CmdOutcome, CliError> {
     )))
 }
 
-/// A BFHRF run that never holds the parsed trees: the references stream
-/// into the builder a chunk at a time, then either their kept split masks
-/// are scored against the frozen table (Q = R) or the query file streams
-/// through it.
+/// A BFHRF run that never holds the parsed trees: each reference tree is
+/// folded into the frozen table as it is read, then either the kept pool
+/// ranks of its splits are scored against that table (Q = R) or the query
+/// file streams through it.
 struct Streamed<'a> {
     refs: &'a str,
     queries: Option<&'a str>,
@@ -1528,33 +1530,44 @@ mod tests {
         let queries = queries.to_str().unwrap();
         let empty = tmp("streamed_empty.nwk", "");
         let empty = empty.to_str().unwrap();
-        // r × (n − 3) × words × 8 for the whole file: the spill alone.
-        let spill = 600 * (12 - 3) * 8;
+        // Before the second chunk is read: both chunk buffers, room for
+        // CHUNK trees of n − 3 one-word masks each, and the lanes' first
+        // group. Q = R also holds the first chunk's ranks and split counts.
+        let buffers = 2 * bfhrf::CHUNK * (12 - 3) * 8;
+        let lanes = 16 + 16 + 16 * 16 + 8 * 8;
+        let ranks = bfhrf::CHUNK * (9 + 1) * 4;
         let mut taxa = phylo::TaxonSet::new();
         let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
         let table = BfhBuilder::new()
             .freeze_stream(&mut taxa, |t| stream.next_tree(t))
             .unwrap();
-        // The table is checked on top of the spill before it doubles; its
-        // last doubling needs under twice the finished table's bytes.
-        let fits = (spill + 2 * table.approx_bytes()).to_string();
-        let under = (spill - 1).to_string();
-        for extra in [&[][..], &["--queries", queries][..]] {
-            let argv = |budget: &str| {
-                let mut v = vec!["avgrf", "--refs", refs, "--mem-budget"];
-                v.push(budget);
+        // The table is checked on top of the buffers and ranks before it
+        // doubles; its last doubling needs under twice the finished table's
+        // bytes.
+        let under = (buffers + lanes - 1).to_string();
+        for (extra, need) in [
+            (&[][..], buffers + ranks + lanes),
+            (&["--queries", queries][..], buffers + lanes),
+        ] {
+            let argv = |budget: usize| {
+                let budget = budget.to_string();
+                let mut v = vec!["avgrf", "--refs", refs, "--mem-budget", &budget];
                 v.extend_from_slice(extra);
                 runf(&v)
             };
-            assert_eq!(argv(&fits).unwrap().code, EXIT_OK, "{extra:?}");
+            let fits = need + 2 * table.approx_bytes();
+            assert_eq!(argv(fits).unwrap().code, EXIT_OK, "{extra:?}");
             for (budget, what) in [
-                (under.clone(), "BFH build spill buffers"),
-                (spill.to_string(), "BFH build table"),
+                (
+                    need - 1,
+                    format!("BFH build chunk buffers needs {need} bytes"),
+                ),
+                (need, "BFH build table".to_string()),
             ] {
-                let err = argv(&budget).unwrap_err();
+                let err = argv(budget).unwrap_err();
                 assert_eq!(err.code, EXIT_BUDGET, "{extra:?}");
                 assert!(err.message.contains("resource limit"), "{}", err.message);
-                assert!(err.message.contains(what), "{}", err.message);
+                assert!(err.message.contains(&what), "{}", err.message);
             }
 
             let mut v = vec!["avgrf", "--refs", refs, "--timeout", "0"];
@@ -1621,7 +1634,7 @@ mod tests {
         );
         let want = runf(&["avgrf", "--refs", refs.to_str().unwrap()]).unwrap();
         // A budget below HashRF's bucket-table estimate but comfortably
-        // above the fallback BFH spill: hashrf degrades, answers match.
+        // above the fallback BFH build: hashrf degrades, answers match.
         let got = runf(&[
             "avgrf",
             "--refs",

@@ -14,14 +14,15 @@
 //! lives in shard [`shard_of`]`(`[`split_hash128`]`(mask), k)`. With `k =
 //! 1` (the default for [`Bfh::build`]) there is a single map and routing
 //! is skipped entirely. [`Bfh::build_sharded`] runs the
-//! [`crate::builder`] pipeline: workers extract splits from disjoint tree
-//! chunks into spill buffers, the spill is folded in tree order into one
-//! frozen table, and that table's entries are routed into the `k` maps.
+//! [`crate::builder`] pipeline: each tree's splits are extracted into a
+//! chunk buffer, each full buffer is folded in tree order into one frozen
+//! table on a rayon worker while the next fills, and that table's entries
+//! are routed into the `k` maps.
 //! Because the router is a pure function of the mask words, the shard
 //! decomposition is deterministic and the resulting frequencies are
 //! bitwise-identical to a sequential build.
 
-use crate::builder::Spill;
+use crate::builder::freeze_slice;
 use crate::error::CoreError;
 use crate::frozen::FrozenBfh;
 use crate::guard::RunGuard;
@@ -124,10 +125,10 @@ impl Bfh {
 
     /// Build a `shards`-way partitioned hash in two phases:
     ///
-    /// 1. workers extract splits from disjoint tree chunks into spill
-    ///    buffers, in tree order;
-    /// 2. the spill is folded, in tree order, into the lanes of one frozen
-    ///    table, whose entries are then routed into the `shards` maps by
+    /// 1. each tree's splits are extracted into a chunk buffer, and each
+    ///    full buffer is folded, in tree order, into the lanes of one
+    ///    frozen table while the next buffer fills;
+    /// 2. the table's entries are routed into the `shards` maps by
     ///    [`split_hash128`].
     ///
     /// Frequencies are bitwise-identical to [`Bfh::build`] for any shard or
@@ -148,10 +149,10 @@ impl Bfh {
     }
 
     /// [`Bfh::build_sharded`] under a [`RunGuard`]: cancellation and
-    /// deadline are polled at tree granularity, the spill-buffer footprint
-    /// is checked against the byte budget *before* each chunk is extracted
-    /// (and the spill plus the table before each time the table doubles),
-    /// and every worker body is panic-isolated — a poisoned tree yields
+    /// deadline are polled at tree granularity, the chunk buffers and the
+    /// lanes are checked against the byte budget *before* each chunk is
+    /// read (and with the grown lanes before each time the table doubles),
+    /// and every extraction and fold is panic-isolated — a poisoned tree yields
     /// [`CoreError::WorkerPanic`] instead of aborting the process. This is
     /// [`crate::BfhBuilder`]'s pipeline over a slice.
     ///
@@ -167,7 +168,7 @@ impl Bfh {
                 "a Bfh needs at least one shard".into(),
             ));
         }
-        let table = Spill::new(true, false, guard).slice(trees, taxa)?;
+        let table = freeze_slice(true, guard, trees, taxa)?;
         Bfh::from_table(&table, shards)
     }
 

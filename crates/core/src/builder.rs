@@ -21,43 +21,46 @@
 //!
 //! # One pipeline
 //!
-//! Every terminal runs the same two phases. The build pulls trees
-//! [`CHUNK`] at a time, from a slice or from a parser, and extracts each
-//! chunk's canonical split masks into spill buffers, in tree order. The
-//! chunk's trees are then dropped, so a streamed build never holds more
-//! than one chunk of parsed trees. Once the source is exhausted, the spill
-//! is folded, in tree order, straight into the lanes of one
-//! [`FrozenBfh`], which double as they fill. No hash map is built: the
-//! `freeze_*` terminals return that table, and the terminals that return a
-//! [`Bfh`] route its entries into the configured shard maps.
+//! Every terminal runs the same pipeline over its source, a slice or a
+//! parser. The calling thread pulls one tree at a time, extracts its
+//! canonical split masks into a chunk buffer and drops the tree, so a
+//! streamed build never holds more than one parsed tree. Each full buffer
+//! ([`CHUNK`] trees) is folded, in tree order, straight into the lanes of
+//! one [`FrozenBfh`], which double as they fill; a parallel build folds it
+//! on a rayon worker while the calling thread fills the other buffer. No
+//! hash map is built: the `freeze_*` terminals return that table, and the
+//! terminals that return a [`Bfh`] route its entries into the configured
+//! shard maps.
 //!
 //! The namespace may grow while the stream is read. A canonical mask is
 //! oriented on its own tree's leafset, so a mask made while the namespace
 //! was narrower is exactly the final mask with zero words appended. When
-//! the namespace crosses a 64-bit word boundary, the spilled masks are
-//! zero-extended in place. The table is laid out from the masks in the
-//! order they were first seen, so it is identical, bit for bit and in
-//! layout, for any thread count, shard count or build mode, and to a
-//! build over the whole collection parsed up front.
+//! the namespace crosses a 64-bit word boundary, the buffer being filled
+//! is zero-extended in place, and the lanes are re-laid at the new stride
+//! before the next fold. The lanes hold the masks in the order they were
+//! first seen and every re-lay places them in that order, so the table is
+//! identical, bit for bit and in layout, for any thread count, shard count
+//! or build mode, and to a build over the whole collection parsed up
+//! front.
 //!
-//! [`BfhBuilder::freeze_stream_kept`] also hands the spill back as
-//! [`KeptSplits`]: each reference tree's masks, kept once, so a caller
-//! scoring the references against themselves (Q = R) probes them without
-//! parsing or extracting any tree twice.
+//! [`BfhBuilder::freeze_stream_kept`] also keeps [`KeptSplits`]: each
+//! reference tree's splits as the 4-byte pool ranks the fold gave them, so
+//! a caller scoring the references against themselves (Q = R) reads their
+//! frequencies without parsing, extracting or probing any tree twice.
 
 use crate::bfh::Bfh;
 use crate::error::CoreError;
-use crate::frozen::{FrozenBfh, LaneWriter};
+use crate::frozen::{zero_extend, FrozenBfh, LaneWriter, LanesId};
 use crate::guard::{isolate, CancelToken, RunBudget, RunGuard};
 use crate::rf::{score_chunk, QueryScore, SplitFrequency, SplitRun};
-use phylo::{BipartitionScratch, PhyloError, SplitBatch, TaxonSet, Tree};
-use phylo_bitset::{split_hash128, words_for};
-use rayon::prelude::*;
+use phylo::{BipartitionScratch, PhyloError, TaxonSet, Tree};
+use phylo_bitset::words_for;
 use std::time::Instant;
 
-/// Trees a streamed build or query pass holds parsed at once. Large enough
-/// that each chunk splits evenly across rayon workers, small enough that
-/// its parsed trees are a few megabytes at insect scale (n = 144).
+/// Trees a build folds, and a streamed query pass holds parsed, at once.
+/// Large enough that each fold outlasts a rayon hand-off and each query
+/// chunk splits evenly across workers, small enough that a chunk buffer
+/// of masks is under a megabyte at insect scale (n = 144).
 pub const CHUNK: usize = 256;
 
 /// Configurable [`Bfh`] construction. See the module docs for an example.
@@ -84,8 +87,9 @@ impl BfhBuilder {
         Self::default()
     }
 
-    /// Extract on rayon workers. A build with more than one shard always
-    /// does; this knob decides the one-shard case.
+    /// Fold each chunk on a rayon worker while the next one is read. A
+    /// build with more than one shard always does; this knob decides the
+    /// one-shard case.
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
@@ -108,10 +112,10 @@ impl BfhBuilder {
         self.shards
     }
 
-    /// Run the build under `budget`: the spill-buffer footprint is checked
-    /// before each chunk is extracted, the spill plus the table before
-    /// each time the table doubles, and the deadline is polled at tree
-    /// granularity.
+    /// Run the build under `budget`: both chunk buffers, the kept ranks and
+    /// the lanes are checked before each chunk is read, the same with the
+    /// grown lanes before each time the table doubles or widens, and the
+    /// deadline is polled at tree granularity.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.guard.budget = budget;
         self
@@ -130,19 +134,6 @@ impl BfhBuilder {
     pub fn guard(mut self, guard: RunGuard) -> Self {
         self.guard = guard;
         self
-    }
-
-    fn spill(&self, keep: bool) -> Result<Spill<'_>, CoreError> {
-        if self.shards == 0 {
-            return Err(CoreError::Structure(
-                "shard count must be at least 1".into(),
-            ));
-        }
-        Ok(Spill::new(
-            self.parallel || self.shards > 1,
-            keep,
-            &self.guard,
-        ))
     }
 
     /// The table's entries routed into the configured shard maps, with the
@@ -177,16 +168,14 @@ impl BfhBuilder {
     }
 
     fn slice(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
-        let spill = self.spill(false)?;
-        validate(trees, taxa)?;
-        spill.slice(trees, taxa)
+        freeze_slice(self.folds_in_parallel()?, &self.guard, trees, taxa)
     }
 
     /// Build the frozen table from a pull source of trees: `next` yields
     /// one tree per call, resolving labels against (and under a growing
     /// policy, into) `taxa`, and `Ok(None)` at the end. A parse failure
-    /// surfaces as [`CoreError::Phylo`]. At most [`CHUNK`] parsed trees are
-    /// held at a time, and no hash map is built.
+    /// surfaces as [`CoreError::Phylo`]. Each tree is dropped once its
+    /// masks are extracted, and no hash map is built.
     pub fn freeze_stream<F>(&self, taxa: &mut TaxonSet, next: F) -> Result<FrozenBfh, CoreError>
     where
         F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
@@ -197,10 +186,10 @@ impl BfhBuilder {
         Ok(table)
     }
 
-    /// [`BfhBuilder::freeze_stream`], also returning every tree's canonical
-    /// split masks in stream order, for scoring the references against
-    /// themselves with [`KeptSplits::score`]. The masks are the build's own
-    /// spill, so keeping them costs no second copy.
+    /// [`BfhBuilder::freeze_stream`], also keeping every tree's splits in
+    /// stream order, as the pool ranks the table gave them, for scoring the
+    /// references against themselves with [`KeptSplits::score`]. A split
+    /// costs 4 bytes kept instead of its mask.
     pub fn freeze_stream_kept<F>(
         &self,
         taxa: &mut TaxonSet,
@@ -215,29 +204,46 @@ impl BfhBuilder {
         Ok((table, kept.expect("kept splits were requested")))
     }
 
-    /// Every streamed terminal: spill the source, then fold it.
+    /// The pipeline over a parser.
     fn stream<F>(
         &self,
         taxa: &mut TaxonSet,
         keep: bool,
-        mut next: F,
+        next: F,
     ) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError>
     where
         F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
     {
-        let mut spill = self.spill(keep)?;
-        let mut chunk = Vec::with_capacity(CHUNK);
-        loop {
-            let more = fill_chunk(&mut chunk, taxa, &mut next)?;
-            spill.push(&chunk, taxa)?;
-            chunk.clear();
-            if !more {
-                break;
-            }
-        }
-        drop(chunk);
-        spill.fold(taxa.len())
+        let parallel = self.folds_in_parallel()?;
+        build(parallel, keep, &self.guard, &mut Parsed { taxa, next })
     }
+
+    /// Whether the build folds on a rayon worker; a zero shard count is
+    /// refused here.
+    fn folds_in_parallel(&self) -> Result<bool, CoreError> {
+        if self.shards == 0 {
+            return Err(CoreError::Structure(
+                "shard count must be at least 1".into(),
+            ));
+        }
+        Ok(self.parallel || self.shards > 1)
+    }
+}
+
+/// The pipeline over borrowed trees, after their taxa are checked against
+/// `taxa`.
+pub(crate) fn freeze_slice(
+    parallel: bool,
+    guard: &RunGuard,
+    trees: &[Tree],
+    taxa: &TaxonSet,
+) -> Result<FrozenBfh, CoreError> {
+    validate(trees, taxa)?;
+    let mut src = Borrowed {
+        trees: trees.iter(),
+        taxa,
+    };
+    build(parallel, false, guard, &mut src).map(|(table, _)| table)
 }
 
 /// Pull up to [`CHUNK`] trees into `chunk`; `false` once the source is
@@ -278,235 +284,390 @@ fn validate(trees: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// One worker's share of one chunk: its trees' canonical masks in tree
-/// order and where each tree's masks end.
-#[derive(Debug)]
+/// Where a build's trees come from, one at a time.
+trait TreeSource {
+    /// Pull the next tree and hand it, with the namespace it was read
+    /// over, to `visit`; `None` once the source is exhausted.
+    fn pull<R>(
+        &mut self,
+        visit: impl FnOnce(&Tree, &TaxonSet) -> R,
+    ) -> Result<Option<R>, CoreError>;
+
+    /// The namespace's width now.
+    fn n_taxa(&self) -> usize;
+
+    /// How many trees are left to pull, when the source knows.
+    fn remaining(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// A parser that resolves labels against, and may grow, `taxa`.
+struct Parsed<'t, F> {
+    taxa: &'t mut TaxonSet,
+    next: F,
+}
+
+impl<F> TreeSource for Parsed<'_, F>
+where
+    F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+{
+    fn pull<R>(
+        &mut self,
+        visit: impl FnOnce(&Tree, &TaxonSet) -> R,
+    ) -> Result<Option<R>, CoreError> {
+        Ok((self.next)(self.taxa)?.map(|tree| visit(&tree, self.taxa)))
+    }
+
+    fn n_taxa(&self) -> usize {
+        self.taxa.len()
+    }
+}
+
+/// An in-memory collection over a fixed namespace.
+struct Borrowed<'a> {
+    trees: std::slice::Iter<'a, Tree>,
+    taxa: &'a TaxonSet,
+}
+
+impl TreeSource for Borrowed<'_> {
+    fn pull<R>(
+        &mut self,
+        visit: impl FnOnce(&Tree, &TaxonSet) -> R,
+    ) -> Result<Option<R>, CoreError> {
+        Ok(self.trees.next().map(|tree| visit(tree, self.taxa)))
+    }
+
+    fn n_taxa(&self) -> usize {
+        self.taxa.len()
+    }
+
+    fn remaining(&self) -> Option<usize> {
+        Some(self.trees.len())
+    }
+}
+
+/// A chunk buffer: up to [`CHUNK`] trees' canonical masks in tree order
+/// and where each tree's masks end.
+#[derive(Debug, Default)]
 struct Piece {
     /// Global index of the piece's first tree.
     first: usize,
-    /// Masks packed at the spill's stride.
+    /// Trees the buffer makes room for: [`CHUNK`], or fewer when the
+    /// source knows it has fewer left.
+    room: usize,
+    /// The namespace's width after the piece's last tree was read.
+    n_taxa: usize,
+    /// Words per mask, `words_for(n_taxa)`.
+    words: usize,
+    /// Masks packed at `words`.
     masks: Vec<u64>,
     /// Per tree, the piece's split count up to and including it.
     ends: Vec<u32>,
 }
 
 impl Piece {
-    /// Zero-extend every mask from `from` to `to` words, in place.
-    fn widen(&mut self, from: usize, to: usize) {
-        let n = self.masks.len().checked_div(from).unwrap_or(0);
-        self.masks.resize(n * to, 0);
-        for i in (0..n).rev() {
-            self.masks.copy_within(i * from..(i + 1) * from, i * to);
-            self.masks[i * to + from..(i + 1) * to].fill(0);
-        }
+    /// Heap bytes of a buffer's masks with room for `trees` trees of
+    /// `n − 3` splits over `n_taxa` taxa.
+    fn bound(n_taxa: usize, trees: usize) -> usize {
+        trees * n_taxa.saturating_sub(3) * words_for(n_taxa) * 8
     }
 
-    /// Non-trivial splits across the piece's trees.
-    fn splits(&self) -> u64 {
-        self.ends.last().map_or(0, |&n| u64::from(n))
-    }
-}
-
-/// A kept piece as a run of split batches to score: each tree's masks,
-/// hashed into the arena.
-struct KeptRun<'a> {
-    piece: &'a Piece,
-    words: usize,
-}
-
-impl SplitRun for KeptRun<'_> {
-    type Arena = Vec<u128>;
-
-    fn first(&self) -> usize {
-        self.piece.first
+    /// Empty the buffer for the chunk whose first tree is `first`, with
+    /// room for `room` trees over a namespace of `n_taxa`, keeping its
+    /// allocations.
+    fn reset(&mut self, first: usize, room: usize, n_taxa: usize) {
+        self.first = first;
+        self.room = room;
+        self.masks.clear();
+        self.ends.clear();
+        self.n_taxa = 0;
+        self.words = 0;
+        self.grow(n_taxa);
     }
 
-    fn len(&self) -> usize {
-        self.piece.ends.len()
-    }
-
-    fn batch<'a>(&'a self, i: usize, hashes: &'a mut Vec<u128>) -> SplitBatch<'a> {
-        let ends = &self.piece.ends;
-        let from = if i == 0 { 0 } else { ends[i - 1] as usize };
-        let masks = &self.piece.masks[from * self.words..ends[i] as usize * self.words];
-        hashes.clear();
-        hashes.extend(masks.chunks_exact(self.words.max(1)).map(split_hash128));
-        SplitBatch::from_parts(self.words, masks, hashes)
-    }
-}
-
-/// The build's phase-1 state: every spilled chunk's pieces, in order.
-pub(crate) struct Spill<'g> {
-    parallel: bool,
-    keep: bool,
-    guard: &'g RunGuard,
-    /// Words per spilled mask; grows with the namespace, never shrinks.
-    words: usize,
-    n_trees: usize,
-    pieces: Vec<Piece>,
-}
-
-impl<'g> Spill<'g> {
-    /// A build that extracts on rayon workers when `parallel`. Only a
-    /// parallel build is budgeted.
-    pub(crate) fn new(parallel: bool, keep: bool, guard: &'g RunGuard) -> Self {
-        Spill {
-            parallel,
-            keep,
-            guard,
-            words: 0,
-            n_trees: 0,
-            pieces: Vec::new(),
-        }
-    }
-
-    /// Build from a whole in-memory collection.
-    pub(crate) fn slice(mut self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
-        for chunk in trees.chunks(CHUNK) {
-            self.push(chunk, taxa)?;
-        }
-        self.fold(taxa.len()).map(|(table, _)| table)
-    }
-
-    /// Zero-extend the spilled masks to `words`. The namespace crosses a
-    /// word boundary at most a few times per build, so this runs on the
-    /// calling thread.
-    fn widen(&mut self, words: usize) {
-        for p in &mut self.pieces {
-            p.widen(self.words, words);
-        }
-        self.words = words;
-    }
-
-    /// The spill's budgeted size: r × (n − 3) splits of `words` u64s, a
-    /// bound on every split the trees read so far can have.
-    fn spill_bytes(&self, n_taxa: usize) -> usize {
-        self.n_trees
-            .saturating_mul(n_taxa.saturating_sub(3))
-            .saturating_mul(words_for(n_taxa) * 8)
-    }
-
-    /// Extract one chunk's splits into new pieces. Its trees may be dropped
-    /// afterwards. The spill is widened to `taxa` first, even for an empty
-    /// chunk: a source may grow the namespace without yielding a tree.
-    fn push(&mut self, chunk: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
-        let n_taxa = taxa.len();
+    /// Take the namespace to `n_taxa`: zero-extend the masks in place if it
+    /// crossed a word boundary, and make the buffer's room over it.
+    fn grow(&mut self, n_taxa: usize) {
         let words = words_for(n_taxa);
         if words > self.words {
             self.widen(words);
         }
-        if chunk.is_empty() {
+        self.n_taxa = self.n_taxa.max(n_taxa);
+        let room = Piece::bound(self.n_taxa, self.room) / 8;
+        self.masks
+            .reserve_exact(room.saturating_sub(self.masks.len()));
+        self.ends
+            .reserve_exact(self.room.saturating_sub(self.ends.len()));
+    }
+
+    /// Zero-extend every mask to `words` words, in place.
+    fn widen(&mut self, words: usize) {
+        zero_extend(&mut self.masks, self.words, words);
+        self.words = words;
+    }
+
+    /// Trees in the piece.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Non-trivial splits across the piece's trees.
+    fn splits(&self) -> usize {
+        self.ends.last().map_or(0, |&n| n as usize)
+    }
+}
+
+/// The one build pipeline: pull trees from `src` into one chunk buffer
+/// while the other is folded into growing lanes, on a rayon worker when
+/// `parallel` (and there is more than one), else alternately on this
+/// thread. Folds run in tree order. With `keep`, each tree's pool ranks
+/// come back as [`KeptSplits`]. Only a parallel build is budgeted.
+fn build(
+    parallel: bool,
+    keep: bool,
+    guard: &RunGuard,
+    src: &mut impl TreeSource,
+) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError> {
+    let overlap = parallel && rayon::current_num_threads() > 1;
+    let mut fold = Fold {
+        parallel,
+        guard,
+        lanes: LaneWriter::growing(src.n_taxa()),
+        n_trees: 0,
+        sum: 0,
+        kept: keep.then(Vec::new),
+    };
+    let mut scratch = BipartitionScratch::new();
+    let (mut full, mut next) = (Piece::default(), Piece::default());
+    let first_room = room(src);
+    let n_taxa = src.n_taxa();
+    fold.check(Piece::bound(n_taxa, first_room), &Piece::default(), n_taxa)?;
+    full.reset(0, first_room, n_taxa);
+    let mut more = fill(&mut full, guard, &mut scratch, src)?;
+    loop {
+        let next_room = if more { room(src) } else { 0 };
+        let n_taxa = full.n_taxa;
+        let buffers = Piece::bound(n_taxa, full.room) + Piece::bound(n_taxa, next_room);
+        fold.check(buffers, &full, n_taxa)?;
+        fold.lanes.widen(n_taxa);
+        if !more {
+            fold.fold(&full, buffers)?;
+            break;
+        }
+        next.reset(full.first + full.len(), next_room, n_taxa);
+        if overlap {
+            let mut folded = Ok(());
+            let filled = rayon::in_place_scope(|s| {
+                s.spawn(|_| folded = fold.fold(&full, buffers));
+                fill(&mut next, guard, &mut scratch, src)
+            });
+            folded?;
+            more = filled?;
+        } else {
+            fold.fold(&full, buffers)?;
+            more = fill(&mut next, guard, &mut scratch, src)?;
+        }
+        std::mem::swap(&mut full, &mut next);
+    }
+    drop((full, next));
+    fold.finish(src.n_taxa())
+}
+
+/// The room the next chunk buffer makes: [`CHUNK`] trees, or what is left
+/// of a source that knows.
+fn room(src: &impl TreeSource) -> usize {
+    src.remaining().map_or(CHUNK, |left| left.min(CHUNK))
+}
+
+/// Pull trees into `piece` until it holds [`CHUNK`] of them; `false` once
+/// the source is exhausted. Each tree's masks are extracted as it is
+/// pulled, and the tree is dropped; the guard is polled per tree.
+fn fill(
+    piece: &mut Piece,
+    guard: &RunGuard,
+    scratch: &mut BipartitionScratch,
+    src: &mut impl TreeSource,
+) -> Result<bool, CoreError> {
+    while piece.len() < CHUNK {
+        guard.checkpoint("BFH build")?;
+        let index = piece.first + piece.len();
+        let pulled = src.pull(|tree, taxa| {
+            piece.grow(taxa.len());
+            isolate("BFH extract", || {
+                guard.panic_if_injected(index);
+                scratch.for_each_split(tree, taxa, |w| piece.masks.extend_from_slice(w));
+                Ok(())
+            })?;
+            let splits = piece.masks.len().checked_div(piece.words).unwrap_or(0);
+            piece.ends.push(splits as u32);
+            Ok::<_, CoreError>(())
+        })?;
+        match pulled {
+            Some(extracted) => extracted?,
+            None => return Ok(false),
+        }
+    }
+    Ok(true)
+}
+
+/// The fold side of a build: the growing lanes and the kept ranks.
+struct Fold<'g> {
+    parallel: bool,
+    guard: &'g RunGuard,
+    lanes: LaneWriter,
+    n_trees: usize,
+    sum: u64,
+    kept: Option<Vec<KeptChunk>>,
+}
+
+impl Fold<'_> {
+    /// Bytes the build holds besides the lanes while `pending` is folded:
+    /// `buffers` for both chunk buffers, and the kept ranks with
+    /// `pending`'s.
+    fn held(&self, buffers: usize, pending: &Piece) -> usize {
+        let ranks = self.kept.as_ref().map_or(0, |kept| {
+            let have: usize = kept.iter().map(KeptChunk::bytes).sum();
+            have + (pending.splits() + pending.len()) * 4
+        });
+        buffers + ranks
+    }
+
+    /// Refuse to fold `pending` and read the next chunk if `buffers`, the
+    /// ranks and the lanes, widened to `n_taxa`, overflow the budget. Only
+    /// a parallel build is budgeted.
+    fn check(&self, buffers: usize, pending: &Piece, n_taxa: usize) -> Result<(), CoreError> {
+        if !self.parallel {
             return Ok(());
         }
-        let first = self.n_trees;
-        self.n_trees += chunk.len();
-        let guard = self.guard;
-        guard.checkpoint("BFH build")?;
-        // Every split is spilled once as raw words. The sequential build is
-        // not budgeted; a parallel one refuses as soon as the trees read so
-        // far would overflow the budget, before extracting them.
-        if self.parallel {
-            guard.check_alloc("BFH build spill buffers", self.spill_bytes(n_taxa))?;
-        }
-        let per = if self.parallel {
-            chunk.len().div_ceil(rayon::current_num_threads()).max(1)
-        } else {
-            chunk.len()
-        };
-        let extract = |(ci, trees): (usize, &[Tree])| {
-            isolate("BFH extract worker", || {
-                let mut scratch = BipartitionScratch::new();
-                let bound = trees.len() * n_taxa.saturating_sub(3);
-                let mut piece = Piece {
-                    first: first + ci * per,
-                    masks: Vec::with_capacity(bound * words),
-                    ends: Vec::with_capacity(trees.len()),
-                };
-                let mut count = 0u32;
-                for (i, tree) in trees.iter().enumerate() {
-                    guard.checkpoint("BFH build")?;
-                    guard.panic_if_injected(piece.first + i);
-                    scratch.for_each_split(tree, taxa, |w| {
-                        piece.masks.extend_from_slice(w);
-                        count += 1;
-                    });
-                    piece.ends.push(count);
+        let need = self.held(buffers, pending) + self.lanes.bytes_over(n_taxa);
+        self.guard.check_alloc("BFH build chunk buffers", need)
+    }
+
+    /// Count `piece`'s masks, in tree order, into the lanes, keeping their
+    /// ranks when asked; each doubling is checked with `buffers` held
+    /// beside the lanes. The lanes must be as wide as the piece.
+    fn fold(&mut self, piece: &Piece, buffers: usize) -> Result<(), CoreError> {
+        debug_assert!(piece.masks.is_empty() || piece.words == self.lanes.words());
+        let held = self.held(buffers, piece);
+        let (guard, parallel) = (self.guard, self.parallel);
+        let lanes = &mut self.lanes;
+        let mut ranks = self
+            .kept
+            .is_some()
+            .then(|| Vec::with_capacity(piece.splits()));
+        isolate("BFH fold", || {
+            guard.checkpoint("BFH fold")?;
+            let mut grow = |bytes: usize| table_check(parallel, guard, held + bytes);
+            for w in piece.masks.chunks_exact(piece.words.max(1)) {
+                let rank = lanes.count(w, &mut grow)?;
+                if let Some(ranks) = &mut ranks {
+                    ranks.push(rank);
                 }
-                piece.masks.shrink_to_fit();
-                Ok(piece)
-            })
-        };
-        let pieces: Vec<Piece> = if self.parallel {
-            chunk
-                .par_chunks(per)
-                .enumerate()
-                .map(extract)
-                .collect::<Result<_, CoreError>>()?
-        } else {
-            chunk
-                .chunks(per)
-                .enumerate()
-                .map(extract)
-                .collect::<Result<_, CoreError>>()?
-        };
-        self.pieces.extend(pieces);
+            }
+            Ok(())
+        })?;
+        if let (Some(kept), Some(ranks)) = (&mut self.kept, ranks) {
+            kept.push(KeptChunk {
+                first: piece.first,
+                ranks,
+                ends: piece.ends.to_vec(),
+            });
+        }
+        self.n_trees += piece.len();
+        self.sum += piece.splits() as u64;
         Ok(())
     }
 
-    /// Phase 2: count the spilled masks, in tree order, into growing
-    /// frozen lanes. A parallel build checks the spill plus the doubled
-    /// lanes against the budget before each doubling. Without `keep`, each
-    /// piece is freed once folded; with it, the spill comes back as
-    /// [`KeptSplits`].
-    fn fold(mut self, n_taxa: usize) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError> {
-        let words = self.words;
-        debug_assert!(
-            self.pieces.is_empty() || words == words_for(n_taxa),
-            "the last push widened the spill"
-        );
-        let guard = self.guard;
-        let (spill_bytes, parallel, keep) = (self.spill_bytes(n_taxa), self.parallel, self.keep);
-        let sum: u64 = self.pieces.iter().map(Piece::splits).sum();
-        let mut grow = |bytes: usize| {
-            if parallel {
-                guard.check_alloc("BFH build table", spill_bytes.saturating_add(bytes))
-            } else {
-                Ok(())
-            }
-        };
-        let pieces = &mut self.pieces;
-        let table = isolate("BFH fold worker", || {
-            let mut lanes = LaneWriter::growing(n_taxa);
-            for p in pieces.iter_mut() {
-                guard.checkpoint("BFH fold")?;
-                for w in p.masks.chunks_exact(words.max(1)) {
-                    lanes.count(w, &mut grow)?;
-                }
-                if !keep {
-                    p.masks = Vec::new();
-                }
-            }
-            Ok(lanes.finish(self.n_trees, sum))
-        })?;
-        let kept = keep.then_some(KeptSplits {
-            n_taxa,
-            words,
+    /// The finished table over `n_taxa` taxa, and the kept ranks naming it.
+    /// The lanes are widened to `n_taxa` first: a source may grow the
+    /// namespace after its last tree.
+    fn finish(mut self, n_taxa: usize) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError> {
+        let need = self.held(0, &Piece::default()) + self.lanes.bytes_over(n_taxa);
+        table_check(self.parallel, self.guard, need)?;
+        self.lanes.widen(n_taxa);
+        let table = self.lanes.finish(self.n_trees, self.sum);
+        let kept = self.kept.map(|chunks| KeptSplits {
             n_trees: self.n_trees,
-            pieces: self.pieces,
+            chunks,
+            lanes: table.lanes_id(),
         });
         Ok((table, kept))
     }
 }
 
-/// Every reference tree's canonical split masks, kept from a streamed
-/// build by [`BfhBuilder::freeze_stream_kept`]: the trees' own answers to
-/// "which splits do I have?", without the trees.
+/// Refuse lanes that would take a parallel build's `bytes` over budget.
+fn table_check(parallel: bool, guard: &RunGuard, bytes: usize) -> Result<(), CoreError> {
+    if parallel {
+        guard.check_alloc("BFH build table", bytes)
+    } else {
+        Ok(())
+    }
+}
+
+/// One folded chunk's kept splits: each tree's pool ranks.
+#[derive(Debug)]
+struct KeptChunk {
+    /// Global index of the chunk's first tree.
+    first: usize,
+    /// Every split's pool rank, in tree order.
+    ranks: Vec<u32>,
+    /// Per tree, the chunk's split count up to and including it.
+    ends: Vec<u32>,
+}
+
+impl KeptChunk {
+    fn bytes(&self) -> usize {
+        (self.ranks.capacity() + self.ends.capacity()) * 4
+    }
+}
+
+/// A kept chunk as a run of trees to score: each tree's frequency sum is
+/// its ranks' entries in the table's rank-ordered frequency lane.
+struct RankRun<'a> {
+    chunk: &'a KeptChunk,
+    freqs: &'a [u32],
+}
+
+impl SplitRun for RankRun<'_> {
+    type Arena = ();
+
+    fn first(&self) -> usize {
+        self.chunk.first
+    }
+
+    fn len(&self) -> usize {
+        self.chunk.ends.len()
+    }
+
+    fn tally<H: SplitFrequency + ?Sized>(
+        &self,
+        i: usize,
+        _table: &H,
+        _n_bits: usize,
+        _arena: &mut (),
+    ) -> (u64, usize) {
+        let ends = &self.chunk.ends;
+        let from = if i == 0 { 0 } else { ends[i - 1] as usize };
+        let ranks = &self.chunk.ranks[from..ends[i] as usize];
+        let sum = ranks
+            .iter()
+            .map(|&r| u64::from(self.freqs[r as usize]))
+            .sum();
+        (sum, ranks.len())
+    }
+}
+
+/// Every reference tree's splits, kept from a streamed build by
+/// [`BfhBuilder::freeze_stream_kept`] as the pool ranks of the table it
+/// returned: the trees' own answers to "which splits do I have?", without
+/// the trees or their masks.
 #[derive(Debug)]
 pub struct KeptSplits {
-    n_taxa: usize,
-    words: usize,
     n_trees: usize,
-    pieces: Vec<Piece>,
+    chunks: Vec<KeptChunk>,
+    /// The lanes the ranks index.
+    lanes: LanesId,
 }
 
 impl KeptSplits {
@@ -520,48 +681,52 @@ impl KeptSplits {
         self.n_trees == 0
     }
 
-    /// Heap bytes held by the kept masks and split counts.
+    /// Heap bytes held by the kept ranks and split counts.
     pub fn approx_bytes(&self) -> usize {
-        self.pieces
-            .iter()
-            .map(|p| p.masks.capacity() * 8 + p.ends.capacity() * 4)
-            .sum()
+        self.chunks.iter().map(KeptChunk::bytes).sum()
     }
 
     /// Average RF of every kept tree against `table`, in stream order:
     /// the Q = R scores, bitwise-identical to scoring the parsed trees.
-    /// Each tree's masks are hashed and probed as one batch through the
-    /// scorer parsed queries take ([`crate::rf`]'s `score_chunk`), one
-    /// kept piece per rayon task when `parallel`; the guard is polled per
-    /// tree.
-    pub fn score<H: SplitFrequency + Sync>(
+    /// The table's frequencies are read once into a rank-ordered lane, and
+    /// each tree's frequency sum is its ranks' entries there, through the
+    /// scorer parsed queries take ([`crate::rf`]'s `score_chunk`), one kept
+    /// chunk per rayon task when `parallel`; the guard is polled per tree.
+    ///
+    /// The ranks name the lanes they were folded into, so any other table,
+    /// or that table with a delta, is refused with
+    /// [`CoreError::Structure`].
+    pub fn score(
         &self,
-        table: &H,
+        table: &FrozenBfh,
         parallel: bool,
         guard: &RunGuard,
     ) -> Result<Vec<QueryScore>, CoreError> {
+        if !table.has_lanes(&self.lanes) || table.has_delta() {
+            return Err(CoreError::Structure(
+                "kept splits score only against the table they were folded into".into(),
+            ));
+        }
         if table.reference_count() == 0 {
             return Err(CoreError::EmptyReference);
         }
-        if self.n_trees == 0 {
-            return Err(CoreError::EmptyQuery);
-        }
-        let runs: Vec<KeptRun<'_>> = self
-            .pieces
+        let freqs = table.rank_frequencies();
+        let runs: Vec<RankRun<'_>> = self
+            .chunks
             .iter()
-            .map(|piece| KeptRun {
-                piece,
-                words: self.words,
+            .map(|chunk| RankRun {
+                chunk,
+                freqs: &freqs,
             })
             .collect();
         let mut out = Vec::with_capacity(self.n_trees);
         score_chunk(
             table,
-            self.n_taxa,
+            table.n_taxa(),
             &runs,
             parallel,
             guard,
-            &mut Vec::new(),
+            &mut (),
             &mut out,
         )?;
         Ok(out)
@@ -690,7 +855,9 @@ mod tests {
 
     /// Stream `text` through parallel and sharded builders and the slice
     /// terminal under `budget`: each streamed build must give `want`'s
-    /// table, or be refused with a message starting `refused`.
+    /// table, or be refused with a message starting `refused`. A slice
+    /// sizes its last buffers to the trees left, so it fits wherever a
+    /// stream does.
     fn budgeted(
         text: &str,
         c: &TreeCollection,
@@ -710,24 +877,44 @@ mod tests {
                 }
                 (out, _) => panic!("{budget}: {out:?}"),
             }
-            let sliced = builder.from_trees(&c.trees, &c.taxa);
-            assert_eq!(sliced.is_ok(), refused.is_none(), "{budget}");
+            if refused.is_none() {
+                let sliced = builder.freeze_trees(&c.trees, &c.taxa).unwrap();
+                assert_eq!(
+                    (sliced.n_trees(), sliced.sum(), sliced.distinct()),
+                    (want.n_trees(), want.sum(), want.distinct())
+                );
+            }
         }
     }
 
+    /// Both chunk buffers' bound over 12 taxa: CHUNK × (n − 3) masks of
+    /// one word, twice.
+    const BUFFERS: usize = 2 * CHUNK * (12 - 3) * 8;
+
     #[test]
-    fn spill_budget_is_checked_cumulatively_per_chunk() {
+    fn chunk_budget_is_checked_before_each_chunk() {
         let (text, c) = three_chunks();
         let table = pulled(&BfhBuilder::new(), &text).0.unwrap();
-        // r × (n − 3) × words × 8, as the whole collection would need.
-        let spill = 600 * (12 - 3) * 8;
-        let msg = format!("BFH build spill buffers needs {spill} bytes");
-        budgeted(&text, &c, spill - 1, Some(&msg), &table);
+        // Before the second chunk is read: both buffers and the first
+        // group of lanes. A slice is checked for the same before its first
+        // chunk, as its namespace is known from the start.
+        let need = BUFFERS + LaneWriter::bytes_at(1, 16);
+        let msg = format!("BFH build chunk buffers needs {need} bytes");
+        budgeted(&text, &c, need - 1, Some(&msg), &table);
+        let slice = BfhBuilder::new()
+            .parallel(true)
+            .budget(RunBudget::with_max_bytes(need - 1));
+        match slice.freeze_trees(&c.trees, &c.taxa) {
+            Err(CoreError::ResourceLimit(m)) => assert!(m.starts_with(&msg), "{m}"),
+            out => panic!("{out:?}"),
+        }
+        // At `need` the buffers fit; the first doubling does not.
+        budgeted(&text, &c, need, Some("BFH build table needs"), &table);
         // A budget the first chunk already overflows refuses before the
         // stream is read any further.
         let builder = BfhBuilder::new()
             .shards(2)
-            .budget(RunBudget::with_max_bytes(CHUNK * 9 * 8 - 1));
+            .budget(RunBudget::with_max_bytes(need - 1));
         let (out, n) = pulled(&builder, &text);
         assert!(matches!(out, Err(CoreError::ResourceLimit(_))), "{out:?}");
         assert_eq!(n, CHUNK);
@@ -740,19 +927,48 @@ mod tests {
     fn table_budget_is_checked_before_each_doubling() {
         let (text, c) = three_chunks();
         let table = pulled(&BfhBuilder::new(), &text).0.unwrap();
-        let spill = 600 * (12 - 3) * 8;
-        // The spill plus the last doubling's lanes at their load bound.
+        // Both buffers plus the last doubling's lanes at their load bound.
         let lanes = LaneWriter::bytes_at(1, table.capacity());
         assert!(lanes >= table.approx_bytes());
-        let need = spill + lanes;
+        let need = BUFFERS + lanes;
         let msg = format!("BFH build table needs {need} bytes");
-        // Budgets that fit the spill but not the table are refused, by an
+        // Budgets that fit the buffers but not the table are refused, by an
         // earlier doubling the lower they are.
-        for budget in [spill, spill + table.approx_bytes() - 1] {
+        let first = BUFFERS + LaneWriter::bytes_at(1, 16);
+        for budget in [first, BUFFERS + table.approx_bytes() - 1] {
             budgeted(&text, &c, budget, Some("BFH build table needs"), &table);
         }
         budgeted(&text, &c, need - 1, Some(&msg), &table);
         budgeted(&text, &c, need, None, &table);
+    }
+
+    #[test]
+    fn kept_ranks_are_budgeted_with_the_buffers() {
+        let (text, _) = three_chunks();
+        let kept = |budget: usize| {
+            let mut taxa = TaxonSet::new();
+            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+            BfhBuilder::new()
+                .shards(2)
+                .budget(RunBudget::with_max_bytes(budget))
+                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
+        };
+        // Before the second chunk: the first chunk's ranks (9 per tree) and
+        // split counts join the buffers and the first group of lanes.
+        let need = BUFFERS + CHUNK * (9 + 1) * 4 + LaneWriter::bytes_at(1, 16);
+        let msg = format!("BFH build chunk buffers needs {need} bytes");
+        match kept(need - 1) {
+            Err(CoreError::ResourceLimit(m)) => assert!(m.starts_with(&msg), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        match kept(need) {
+            Err(CoreError::ResourceLimit(m)) => assert!(m.starts_with("BFH build table"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        let (table, kept) = kept(usize::MAX).unwrap();
+        // Each chunk's ranks and counts are held at their exact length.
+        assert_eq!(kept.approx_bytes(), 600 * (9 + 1) * 4);
+        assert_eq!(table.n_trees(), 600);
     }
 
     #[test]
@@ -803,17 +1019,15 @@ mod tests {
         guard.cancel.cancel();
         let (out, n) = pulled(&BfhBuilder::new().guard(guard), &text);
         assert!(matches!(out, Err(CoreError::Cancelled(_))), "{out:?}");
-        assert_eq!(
-            n, CHUNK,
-            "the first chunk is extracted, or not, before the next is read"
-        );
+        assert_eq!(n, 0, "the guard is polled before each tree is read");
     }
 
     #[test]
-    fn namespace_grown_after_the_last_tree_widens_the_spill() {
+    fn namespace_grown_after_the_last_tree_widens_the_lanes() {
         // A source may intern labels without yielding another tree; the
-        // spill, and the kept masks, must still reach the final width. Two
-        // full chunks: the labels arrive after the last tree was extracted.
+        // lanes must still reach the final width, and the kept ranks still
+        // name their splits. Two full chunks: the labels arrive after the
+        // last tree was folded.
         let (text, _) = three_chunks();
         let text: String = text
             .lines()
@@ -848,15 +1062,69 @@ mod tests {
     #[test]
     fn piece_widening_zero_extends_in_place() {
         let mut p = Piece {
-            first: 0,
+            words: 1,
             masks: vec![1, 2, 3],
             ends: vec![3],
+            ..Piece::default()
         };
-        p.widen(1, 3);
+        p.widen(3);
         assert_eq!(p.masks, [1, 0, 0, 2, 0, 0, 3, 0, 0]);
-        p.widen(3, 4);
+        p.widen(4);
         assert_eq!(p.masks, [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]);
         assert_eq!(p.splits(), 3);
+    }
+
+    #[test]
+    fn kept_ranks_refuse_a_table_they_were_not_folded_into() {
+        let text = "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(3);
+        let kept_build = |text: &str| {
+            let mut taxa = TaxonSet::new();
+            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+            BfhBuilder::new()
+                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .unwrap()
+        };
+        let (table, kept) = kept_build(&text);
+        let guard = RunGuard::default();
+        let want = kept.score(&table, false, &guard).unwrap();
+        // A clone shares the lanes the ranks index.
+        assert_eq!(kept.score(&table.clone(), true, &guard).unwrap(), want);
+        // The same trees in another order: same counts, other ranks.
+        let reversed: String = text.lines().rev().map(|l| l.to_owned() + "\n").collect();
+        let (other, _) = kept_build(&reversed);
+        assert_eq!(
+            (other.n_trees(), other.sum(), other.distinct()),
+            (table.n_trees(), table.sum(), table.distinct())
+        );
+        let (empty, _) = kept_build("");
+        let c = coll(&text);
+        let mut delta = crate::SplitDelta::new(table.n_taxa());
+        delta.record(
+            &BipartitionScratch::new().batch_splits(&c.trees[0], &c.taxa),
+            1,
+        );
+        let patched = table.with_delta(std::sync::Arc::new(delta));
+        let rebuilt = BfhBuilder::new().freeze_trees(&c.trees, &c.taxa).unwrap();
+        assert_eq!(rebuilt.digest(), table.digest());
+        for (what, foreign) in [
+            ("another build", &other),
+            ("a rebuild", &rebuilt),
+            ("a delta", &patched),
+            ("an empty table", &empty),
+        ] {
+            for parallel in [false, true] {
+                match kept.score(foreign, parallel, &guard) {
+                    Err(CoreError::Structure(m)) => assert!(m.contains("folded into"), "{m}"),
+                    out => panic!("{what}: {out:?}"),
+                }
+            }
+        }
+        // An empty build's ranks score its own table as before.
+        let (empty, none) = kept_build("");
+        assert_eq!(
+            none.score(&empty, false, &guard).unwrap_err(),
+            CoreError::EmptyReference
+        );
     }
 
     #[test]

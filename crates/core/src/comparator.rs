@@ -676,7 +676,7 @@ mod tests {
     fn hashrf_degrades_to_bfhrf_when_over_budget() {
         let (refs, queries) = setup();
         // A budget below HashRF's ~24 KB bucket-table estimate but above
-        // the fallback BFH's ~100-byte spill footprint: HashRF is refused,
+        // the fallback BFH build's ~800-byte footprint: HashRF is refused,
         // BFHRF builds fine under the same guard.
         let guard = RunGuard::with_budget(crate::guard::RunBudget::with_max_bytes(1000));
         let engine =

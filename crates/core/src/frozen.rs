@@ -41,7 +41,8 @@
 //! by [`FrozenBfh::with_delta`]: the same lanes plus a small [`SplitDelta`]
 //! of net per-split count changes, which every probe adds to the stored
 //! frequency. Every table's lanes are written by one lane writer: a
-//! build folds its spilled masks straight into growing lanes, a freeze is
+//! build folds each chunk of trees' masks straight into growing lanes as
+//! the trees are read, a freeze is
 //! a single `O(distinct)` pass over [`Bfh::iter`] into pre-sized ones,
 //! [`FrozenBfh::folded`] folds a delta into fresh lanes the same way,
 //! straight from the old lanes, and [`FrozenBfh::from_ascending`] places a
@@ -56,7 +57,7 @@ use phylo_bitset::{
     split_hash128, words_for, Bits, BitsMap, WordsKey, WORD_BITS,
 };
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Keeps a memory mapping alive for as long as any [`Lane`] points into
 /// it. The index crate's mmap wrapper implements this; dropping the last
@@ -181,6 +182,12 @@ struct Lanes {
     pool: Lane<u64>,
 }
 
+/// Names one table's lanes without keeping them alive
+/// ([`FrozenBfh::lanes_id`]). The weak reference pins the allocation's
+/// address, so no other table's lanes can take it.
+#[derive(Debug)]
+pub(crate) struct LanesId(Weak<Lanes>);
+
 /// Net per-split count changes since a frozen table was built: what a
 /// [`FrozenBfh::with_delta`] table adds to its lanes' answers. Masks whose
 /// net count returns to zero are dropped, so an add followed by the
@@ -291,9 +298,10 @@ impl crate::SplitFrequency for Overlay<'_> {
 /// Pre-sized ([`LaneWriter::sized`]), it places splits known to be
 /// distinct; that is how [`FrozenBfh::freeze`], [`FrozenBfh::folded`] and
 /// [`FrozenBfh::from_ascending`] lay a table out. Growing
-/// ([`LaneWriter::growing`]), it counts mask occurrences and doubles the
-/// lanes just before the load would pass one half; that is how a build
-/// folds its spill. Either way a split takes the first empty slot from its
+/// ([`LaneWriter::growing`]), it counts mask occurrences, doubles the
+/// lanes just before the load would pass one half, and widens them when
+/// the namespace crosses a word boundary; that is how a build folds its
+/// trees' masks. Either way a split takes the first empty slot from its
 /// home, in pool order, so the same splits placed in the same order give
 /// the same lanes, and the final capacity is the smallest power of two
 /// ≥ 2 × distinct and ≥ [`GROUP_SLOTS`].
@@ -320,6 +328,29 @@ fn capacity_for(distinct: usize) -> usize {
 /// entry lane, and the pool.
 fn lane_bytes(words: usize, capacity: usize, masks: usize) -> usize {
     capacity + GROUP_SLOTS + capacity * std::mem::size_of::<Entry>() + masks * words * 8
+}
+
+/// The stored frequency of every full slot, indexed by its pool rank.
+fn rank_frequencies(ctrl: &[u8], entries: &[Entry], distinct: usize) -> Vec<u32> {
+    let mut freqs = vec![0u32; distinct];
+    for (&c, e) in ctrl.iter().zip(entries) {
+        if c != CTRL_EMPTY {
+            freqs[e.offset as usize] = e.freq;
+        }
+    }
+    freqs
+}
+
+/// Zero-extend every `from`-word mask in `masks` to `to` words, in place.
+/// A canonical mask made over a narrower namespace is exactly the wider
+/// mask with zero words appended.
+pub(crate) fn zero_extend(masks: &mut Vec<u64>, from: usize, to: usize) {
+    let n = masks.len().checked_div(from).unwrap_or(0);
+    masks.resize(n * to, 0);
+    for i in (0..n).rev() {
+        masks.copy_within(i * from..(i + 1) * from, i * to);
+        masks[i * to + from..(i + 1) * to].fill(0);
+    }
 }
 
 impl LaneWriter {
@@ -351,6 +382,17 @@ impl LaneWriter {
     /// admits.
     pub(crate) fn bytes_at(words: usize, capacity: usize) -> usize {
         lane_bytes(words, capacity, capacity / 2)
+    }
+
+    /// Heap bytes of these growing lanes ([`Self::bytes_at`]) once
+    /// [widened](Self::widen) to `n_taxa` taxa.
+    pub(crate) fn bytes_over(&self, n_taxa: usize) -> usize {
+        LaneWriter::bytes_at(self.words.max(words_for(n_taxa)), self.capacity())
+    }
+
+    /// Words per mask.
+    pub(crate) fn words(&self) -> usize {
+        self.words
     }
 
     fn capacity(&self) -> usize {
@@ -393,16 +435,17 @@ impl LaneWriter {
         self.distinct += 1;
     }
 
-    /// Count one occurrence of the canonical mask `w`: a split already
-    /// held gains one; a new one is appended with count 1, after the lanes
-    /// double if it would take the load past one half. Before doubling,
-    /// `grow` is given the bytes the doubled lanes need
-    /// ([`Self::bytes_at`]) and may refuse them.
+    /// Count one occurrence of the canonical mask `w` and return its pool
+    /// rank: a split already held gains one; a new one is appended with
+    /// count 1 and the next rank, after the lanes double if it would take
+    /// the load past one half. Before doubling, `grow` is given the bytes
+    /// the doubled lanes need ([`Self::bytes_at`]) and may refuse them.
+    /// Ranks never change once given, whatever the lanes do later.
     pub(crate) fn count<E>(
         &mut self,
         w: &[u64],
         grow: &mut impl FnMut(usize) -> Result<(), E>,
-    ) -> Result<(), E> {
+    ) -> Result<u32, E> {
         let h = split_hash128(w);
         let (h2, key) = (ctrl_h2(h), self.key(h, w));
         let mut i = hash_bucket(h) as usize & self.mask;
@@ -412,7 +455,7 @@ impl LaneWriter {
                 let off = e.offset as usize * self.words;
                 if self.words == 1 || self.pool[off..off + self.words] == *w {
                     e.freq += 1;
-                    return Ok(());
+                    return Ok(e.offset);
                 }
             }
             i = (i + 1) & self.mask;
@@ -420,28 +463,41 @@ impl LaneWriter {
         if 2 * (self.distinct + 1) > self.capacity() {
             let capacity = 2 * self.capacity();
             grow(LaneWriter::bytes_at(self.words, capacity))?;
-            self.double(capacity);
+            self.relay(self.words, capacity);
         }
+        let rank = self.distinct as u32;
         self.place(w, 1);
-        Ok(())
+        Ok(rank)
     }
 
-    /// Re-lay the lanes at `capacity` slots, re-placing every split in pool
-    /// order, as a sized writer given the same splits would. The old
-    /// control and entry lanes are freed before the new ones are
+    /// Grow the namespace to `n_taxa` taxa. When that takes a mask past a
+    /// word boundary, the pool is zero-extended in place and the lanes are
+    /// re-laid at the new stride ([`Self::bytes_over`] gives their bytes).
+    /// Ranks do not change.
+    pub(crate) fn widen(&mut self, n_taxa: usize) {
+        let words = words_for(n_taxa);
+        if words > self.words {
+            self.relay(words, self.capacity());
+        }
+        self.n_taxa = self.n_taxa.max(n_taxa);
+    }
+
+    /// Re-lay the lanes at `capacity` slots and `words` words per mask,
+    /// re-placing every split in pool order, as a sized writer given the
+    /// same splits would: the one loop behind doubling and widening. The
+    /// old control and entry lanes are freed before the new ones are
     /// allocated, so besides the pool only a rank-ordered copy of the
     /// counts outlives them.
-    fn double(&mut self, capacity: usize) {
-        let mut freqs = vec![0u32; self.distinct];
-        for (&c, e) in self.ctrl.iter().zip(&self.entries) {
-            if c != CTRL_EMPTY {
-                freqs[e.offset as usize] = e.freq;
-            }
-        }
+    fn relay(&mut self, words: usize, capacity: usize) {
+        let freqs = rank_frequencies(&self.ctrl, &self.entries, self.distinct);
         self.ctrl = Vec::new();
         self.entries = Vec::new();
         self.pool
-            .reserve_exact(capacity / 2 * self.words - self.pool.len());
+            .reserve_exact(capacity / 2 * words - self.pool.len());
+        if words != self.words {
+            zero_extend(&mut self.pool, self.words, words);
+            self.words = words;
+        }
         self.ctrl = vec![CTRL_EMPTY; capacity + GROUP_SLOTS];
         self.entries = vec![Entry::default(); capacity];
         self.mask = capacity - 1;
@@ -695,6 +751,24 @@ impl FrozenBfh {
     /// no serialized form).
     pub fn has_delta(&self) -> bool {
         self.delta.is_some()
+    }
+
+    /// A name for this table's lanes that does not keep them alive.
+    pub(crate) fn lanes_id(&self) -> LanesId {
+        LanesId(Arc::downgrade(&self.lanes))
+    }
+
+    /// Whether this table answers from the lanes `id` names: the table
+    /// they were laid out for, or a clone of it.
+    pub(crate) fn has_lanes(&self, id: &LanesId) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.lanes), id.0.as_ptr())
+    }
+
+    /// The frequency each split's lanes store, before any delta, indexed by
+    /// its pool rank: the rank [`LaneWriter::count`] gave it while these
+    /// lanes were built.
+    pub(crate) fn rank_frequencies(&self) -> Vec<u32> {
+        rank_frequencies(&self.lanes.ctrl, &self.lanes.entries, self.lanes.distinct)
     }
 
     /// Words per pooled mask (`words_for(n_taxa)`).
@@ -1607,7 +1681,7 @@ mod tests {
                 let batch = scratch.batch_splits(t, &coll.taxa);
                 for i in 0..batch.len() {
                     let w = batch.mask(i);
-                    lanes
+                    let got = lanes
                         .count(w, &mut |bytes| {
                             doublings.push(bytes);
                             Ok::<(), ()>(())
@@ -1617,6 +1691,8 @@ mod tests {
                         first_seen.push((w.to_vec(), 0));
                         first_seen.len() - 1
                     });
+                    // The rank is the split's place in first-seen order.
+                    assert_eq!(got as usize, r, "n={n}");
                     first_seen[r].1 += 1;
                     sum += 1;
                 }
@@ -1642,6 +1718,43 @@ mod tests {
                 .map(|c| LaneWriter::bytes_at(words, c))
                 .collect();
             assert_eq!(doublings, want, "n={n}");
+        }
+    }
+
+    #[test]
+    fn widened_lanes_are_lanes_counted_at_the_final_width() {
+        // Counting masks over a narrow namespace and widening the lanes
+        // part way through gives, bit for bit, the lanes counted at the
+        // final width from the start, and hands out the same ranks. The
+        // widths cross one word (with the one-word key giving way to the
+        // hash tag), two words, and a boundary by one taxon.
+        for (from, to) in [(20usize, 70usize), (60, 130), (64, 65), (100, 200)] {
+            let spec = phylo_sim::DatasetSpec::new("widen", from, 80, to as u64);
+            let coll = phylo_sim::generate(&spec);
+            let mut scratch = BipartitionScratch::new();
+            let mut narrow = LaneWriter::growing(from);
+            let mut wide = LaneWriter::growing(to);
+            let mut sum = 0u64;
+            let ok = &mut |_: usize| Ok::<(), ()>(());
+            for (t, tree) in coll.trees.iter().enumerate() {
+                if t == 50 {
+                    narrow.widen(to);
+                }
+                let batch = scratch.batch_splits(tree, &coll.taxa);
+                for i in 0..batch.len() {
+                    let mut w = batch.mask(i).to_vec();
+                    let mut extended = w.clone();
+                    extended.resize(words_for(to), 0);
+                    if t >= 50 {
+                        w = extended.clone();
+                    }
+                    let rank = narrow.count(&w, ok).unwrap();
+                    assert_eq!(rank, wide.count(&extended, ok).unwrap());
+                    sum += 1;
+                }
+            }
+            let (narrow, wide) = (narrow.finish(coll.len(), sum), wide.finish(coll.len(), sum));
+            assert_eq!(narrow.digest(), wide.digest(), "{from} -> {to} taxa");
         }
     }
 

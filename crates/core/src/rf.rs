@@ -82,11 +82,16 @@ pub(crate) fn score_batch<H: SplitFrequency + ?Sized>(
     n_bits: usize,
     batch: &SplitBatch<'_>,
 ) -> RfAverage {
+    rf_average(hash, hash.batch_frequency_sum(n_bits, batch), batch.len())
+}
+
+/// Algorithm 2's arithmetic for one tree of `splits` splits whose
+/// frequencies in `hash` sum to `freq_sum`.
+fn rf_average<H: SplitFrequency + ?Sized>(hash: &H, freq_sum: u64, splits: usize) -> RfAverage {
     let r = hash.reference_count() as u64;
-    let freq_sum = hash.batch_frequency_sum(n_bits, batch);
     RfAverage {
         left: hash.occurrence_sum() - freq_sum,
-        right: batch.len() as u64 * r - freq_sum,
+        right: splits as u64 * r - freq_sum,
         n_refs: hash.reference_count(),
     }
 }
@@ -293,20 +298,26 @@ where
     Ok(out)
 }
 
-/// One worker's share of a scoring pass: a run of trees whose split
-/// batches are scored in order, the first numbered [`SplitRun::first`].
-/// Parsed queries ([`TreeRun`]) extract each batch into a
-/// [`BipartitionScratch`]; kept reference splits slice theirs from the
-/// build's spill.
+/// One worker's share of a scoring pass: a run of trees scored in order,
+/// the first numbered [`SplitRun::first`]. Parsed queries ([`TreeRun`])
+/// extract each tree's split batch into a [`BipartitionScratch`] and probe
+/// it; kept reference splits read their frequencies by pool rank.
 pub(crate) trait SplitRun: Sync {
-    /// The reusable buffers a batch is made in.
+    /// The reusable buffers a tree is tallied in.
     type Arena: Default;
     /// Global index of the run's first tree.
     fn first(&self) -> usize;
     /// Trees in the run.
     fn len(&self) -> usize;
-    /// Tree `i`'s split batch, made in `arena`.
-    fn batch<'a>(&'a self, i: usize, arena: &'a mut Self::Arena) -> SplitBatch<'a>;
+    /// Tree `i`'s frequency sum in `hash` and its split count, made in
+    /// `arena`.
+    fn tally<H: SplitFrequency + ?Sized>(
+        &self,
+        i: usize,
+        hash: &H,
+        n_bits: usize,
+        arena: &mut Self::Arena,
+    ) -> (u64, usize);
 }
 
 /// Parsed query trees over `taxa`, the first numbered `first`.
@@ -327,8 +338,15 @@ impl SplitRun for TreeRun<'_> {
         self.trees.len()
     }
 
-    fn batch<'a>(&'a self, i: usize, scratch: &'a mut BipartitionScratch) -> SplitBatch<'a> {
-        scratch.batch_splits(&self.trees[i], self.taxa)
+    fn tally<H: SplitFrequency + ?Sized>(
+        &self,
+        i: usize,
+        hash: &H,
+        n_bits: usize,
+        scratch: &mut BipartitionScratch,
+    ) -> (u64, usize) {
+        let batch = scratch.batch_splits(&self.trees[i], self.taxa);
+        (hash.batch_frequency_sum(n_bits, &batch), batch.len())
     }
 }
 
@@ -365,7 +383,7 @@ pub(crate) fn score_trees<H: SplitFrequency + Sync + ?Sized>(
     score_chunk(hash, taxa.len(), &runs, parallel, guard, scratch, out)
 }
 
-/// Score every run's split batches ([`score_batch`]), appending to `out`
+/// Score every run's trees ([`rf_average`]), appending to `out`
 /// in run order. Sequentially every run goes through the caller's
 /// `arena`; `parallel` scores one run per rayon task, each with its own.
 /// Either way the work is panic-isolated and the guard is polled per tree.
@@ -422,10 +440,10 @@ fn score_run<H: SplitFrequency + ?Sized, R: SplitRun>(
         let index = run.first() + i;
         guard.checkpoint("bfhrf average_all")?;
         guard.panic_if_injected(index);
-        let batch = run.batch(i, arena);
+        let (freq_sum, splits) = run.tally(i, hash, n_bits, arena);
         out.push(QueryScore {
             index,
-            rf: score_batch(hash, n_bits, &batch),
+            rf: rf_average(hash, freq_sum, splits),
         });
     }
     Ok(())

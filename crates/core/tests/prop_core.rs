@@ -783,7 +783,7 @@ proptest! {
         seed in any::<u64>(),
         grow in any::<bool>(),
     ) {
-        // The build folds its spill straight into growing lanes. Whatever
+        // The build folds each chunk straight into growing lanes. Whatever
         // the width, the tree shapes or a namespace that widens while the
         // stream is read, that table must hold exactly what a freeze of
         // the sequentially built hash holds, in lanes of the same size,
@@ -791,7 +791,7 @@ proptest! {
         // build mode.
         let widths = [4usize, 63, 64, 65, 127, 128, 129, 200];
         let n = widths[wi];
-        // Past a chunk, a growing namespace widens masks already spilled.
+        // Past a chunk, a growing namespace widens lanes already folded.
         let r = if past_a_chunk { CHUNK + few } else { few };
         let text = multifurcating_file(n, r, seed, grow);
         let whole = TreeCollection::parse(&text).unwrap();

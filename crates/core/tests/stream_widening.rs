@@ -2,16 +2,18 @@
 //! start with trees on 60 taxa (one mask word) and then add trees whose
 //! labels push the namespace past 64 (two words) and past 128 (three
 //! words). The crossing past 64 falls just before, exactly at, or just
-//! after the first chunk boundary, so masks already spilled must be
-//! zero-extended. Every case must give, digest for digest, the table a
-//! build over the whole collection parsed up front gives, for any shard
-//! count or build mode; that table must answer like a freeze of the hash
-//! built sequentially; and `avgrf` must give the all-pairs set
-//! comparator's (`ds`) report. The leafsets differ from tree to tree, which is what
-//! lets a namespace grow, so Day's algorithm, which needs one leafset,
-//! cannot be the oracle here.
+//! after the first chunk boundary, or inside a chunk while the chunk
+//! before it folds, so the chunk buffer being filled is zero-extended and
+//! lanes already holding masks are re-laid wider. Every case must give,
+//! digest for digest, the table a build over the whole collection parsed
+//! up front gives, for any thread count, shard count or build mode; that
+//! table must answer like a freeze of the hash built sequentially; the
+//! kept Q = R scores must equal the streamed query scorer's; and `avgrf`
+//! must give the all-pairs set comparator's (`ds`) report. The leafsets
+//! differ from tree to tree, which is what lets a namespace grow, so
+//! Day's algorithm, which needs one leafset, cannot be the oracle here.
 
-use bfhrf::{Bfh, BfhBuilder, FrozenBfh, CHUNK};
+use bfhrf::{Bfh, BfhBuilder, FrozenBfh, RunGuard, CHUNK};
 use phylo::{IngestPolicy, TaxaPolicy, TaxonSet, TreeCollection};
 use phylo_sim::perturb::random_binary_tree;
 use rand::rngs::StdRng;
@@ -198,4 +200,98 @@ fn widening_mid_stream_matches_the_materialized_build() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file whose namespace crosses 64 taxa at tree `at64` and 128 taxa at
+/// tree `at128`, then stays at 140 taxa for `tail` trees.
+fn crossing_file(at64: usize, at128: usize, tail: usize, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut text = String::new();
+    segment(&mut text, at64, 60, &mut rng);
+    segment(&mut text, at128 - at64, 100, &mut rng);
+    segment(&mut text, tail, 140, &mut rng);
+    text
+}
+
+/// Labels a source interns after its last tree: enough to take a
+/// namespace of at most 60 taxa past 64 and past 128.
+const LATE: usize = 80;
+
+#[test]
+fn widening_inside_a_pipelined_chunk_matches_the_whole_build_and_its_scores() {
+    // (crossing past 64, crossing past 128, trees after): both crossings
+    // inside the first chunk, both inside the second, and one in each;
+    // none on a chunk edge.
+    let cases = [
+        (30, 90, 200, 11),
+        (CHUNK + 100, CHUNK + 180, 150, 12),
+        (CHUNK - 50, 2 * CHUNK + 20, 60, 13),
+    ];
+    let modes = [
+        ("seq", BfhBuilder::new()),
+        ("parallel", BfhBuilder::new().parallel(true)),
+        ("sharded", BfhBuilder::new().shards(3)),
+    ];
+    let guard = RunGuard::default();
+    for (at64, at128, tail, seed) in cases {
+        let text = crossing_file(at64, at128, tail, seed);
+        let whole = read(text.as_bytes(), IngestPolicy::Strict);
+        assert_eq!(crossing(&whole, 64), at64);
+        assert_eq!(crossing(&whole, 128), at128);
+        assert!(at64 % CHUNK != 0 && at128 % CHUNK != 0);
+        // Also only the first segment, from a source that interns labels
+        // after its last tree: the late labels alone cross 64 and 128.
+        let head: String = text
+            .lines()
+            .take(at64)
+            .map(|l| l.to_owned() + "\n")
+            .collect();
+        for (label, body, late) in [("whole", &text, 0), ("late", &head, LATE)] {
+            let mut all = TaxonSet::new();
+            let trees = phylo::read_trees_from_str(body, &mut all, TaxaPolicy::Grow).unwrap();
+            for i in 0..late {
+                all.intern(&format!("late{i}"));
+            }
+            let want = BfhBuilder::new().freeze_trees(&trees, &all).unwrap();
+            for threads in [1, 2] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                for (mode, builder) in &modes {
+                    let what = format!("{label} {at64}/{at128}, {threads} threads, {mode}");
+                    let (table, kept, taxa) = pool.install(|| {
+                        let mut taxa = TaxonSet::new();
+                        let mut stream =
+                            phylo::newick::NewickStream::new(body.as_bytes(), TaxaPolicy::Grow);
+                        let (table, kept) = builder
+                            .freeze_stream_kept(&mut taxa, |t| match stream.next_tree(t)? {
+                                Some(tree) => Ok(Some(tree)),
+                                None => {
+                                    for i in 0..late {
+                                        t.intern(&format!("late{i}"));
+                                    }
+                                    Ok(None)
+                                }
+                            })
+                            .unwrap();
+                        (table, kept, taxa)
+                    });
+                    assert_eq!(taxa.len(), all.len(), "{what}");
+                    assert_eq!(table.digest(), want.digest(), "{what}");
+                    let parallel = threads > 1;
+                    let got = pool.install(|| kept.score(&table, parallel, &guard).unwrap());
+                    let mut again = taxa.clone();
+                    let mut queries =
+                        phylo::newick::NewickStream::new(body.as_bytes(), TaxaPolicy::Require);
+                    let streamed =
+                        bfhrf::rf::bfhrf_streaming(&table, &mut again, parallel, &guard, |t| {
+                            queries.next_tree(t)
+                        })
+                        .unwrap();
+                    assert_eq!(got, streamed, "{what}");
+                }
+            }
+        }
+    }
 }

@@ -35,10 +35,11 @@ fn main() {
     drop(coll); // nothing of the collection stays in memory
 
     // Phase 1: stream the references into the frozen table. The builder
-    // parses a chunk of trees, extracts their splits into its spill and
-    // drops them, so only one chunk of parsed trees is ever resident; the
-    // spill is then folded straight into the table's lanes. Keeping the
-    // spill gives each tree's splits back for scoring Q = R.
+    // parses one tree, extracts its splits into a chunk buffer and drops
+    // it, so only one parsed tree is ever resident; each full buffer is
+    // folded straight into the table's lanes while the next one fills.
+    // Keeping the splits gives each tree's pool ranks back for scoring
+    // Q = R.
     let mut taxa = TaxonSet::new();
     let t0 = Instant::now();
     let file = std::fs::File::open(&path).expect("open refs");
@@ -58,7 +59,7 @@ fn main() {
     );
 
     // Phase 2: Q is R, so score the kept splits against the table — no
-    // tree is parsed or extracted twice.
+    // tree is parsed, extracted or probed twice.
     let t1 = Instant::now();
     let scores = kept
         .score(&table, true, &RunGuard::default())

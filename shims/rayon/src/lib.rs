@@ -2,7 +2,8 @@
 //!
 //! Covers the surface this workspace uses: `par_iter()` on slices with
 //! `map`/`enumerate`/`fold`/`reduce`/`sum`/`collect` chains, `par_chunks`,
-//! and `ThreadPoolBuilder`/`ThreadPool::install`. Adapters execute eagerly
+//! `in_place_scope` with `Scope::spawn`, and
+//! `ThreadPoolBuilder`/`ThreadPool::install`. Adapters execute eagerly
 //! at the terminal operation by splitting the input into contiguous chunks
 //! and running them on `std::thread::scope` workers; results are always
 //! concatenated in input order, so `collect` is order-identical to the
@@ -143,6 +144,36 @@ where
         }
         out
     })
+}
+
+/// A scope whose spawned jobs all finish before [`in_place_scope`]
+/// returns, mirroring `rayon::Scope`. Each job runs on its own scoped
+/// thread.
+pub struct Scope<'scope, 'env: 'scope> {
+    inner: &'scope std::thread::Scope<'scope, 'env>,
+}
+
+impl<'scope, 'env> Scope<'scope, 'env> {
+    /// Run `body` on another thread; it may borrow anything that outlives
+    /// the scope.
+    pub fn spawn<BODY>(&self, body: BODY)
+    where
+        BODY: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
+    {
+        let inner = self.inner;
+        inner.spawn(move || body(&Scope { inner }));
+    }
+}
+
+/// Run `op` on the calling thread with a [`Scope`] to spawn jobs into,
+/// and return once `op` and every spawned job have finished, as
+/// `rayon::in_place_scope` does. `op` itself needs no `Send` bound. A
+/// panicking job panics the caller once all jobs have joined.
+pub fn in_place_scope<'env, OP, R>(op: OP) -> R
+where
+    OP: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
+{
+    std::thread::scope(|s| op(&Scope { inner: s }))
 }
 
 /// Parallel iterator over `&[T]`, produced by [`par_iter`].
@@ -477,6 +508,19 @@ mod tests {
         let inside = pool.install(current_num_threads);
         assert_eq!(inside, 5);
         assert_eq!(current_num_threads(), outside);
+    }
+
+    #[test]
+    fn in_place_scope_joins_spawned_jobs_before_returning() {
+        let mut spawned = 0u64;
+        let local = std::rc::Rc::new(7u64);
+        let here = in_place_scope(|s| {
+            s.spawn(|_| spawned = (1..=100).sum());
+            // The scope body runs on the calling thread, so it may use
+            // what is not `Send`.
+            *local + 1
+        });
+        assert_eq!((spawned, here), (5050, 8));
     }
 
     #[test]
