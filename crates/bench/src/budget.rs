@@ -37,12 +37,12 @@ mod tests {
         TreeCollection::parse("((A,B),(C,D));\n((A,C),(B,D));\n((A,D),(B,C));").unwrap()
     }
 
-    /// The sharded build under `cell`'s guard: the sequential one-shard
-    /// build is not budgeted, so it has nothing to refuse.
+    /// The parallel build under `cell`'s guard: the sequential build is
+    /// not budgeted, so it has nothing to refuse.
     fn build(cell: &CellBudget) -> Result<bfhrf::FrozenBfh, CoreError> {
         let c = coll();
         BfhBuilder::new()
-            .shards(2)
+            .parallel(true)
             .guard(cell.guard.clone())
             .freeze_trees(&c.trees, &c.taxa)
     }

@@ -42,7 +42,7 @@ pub use hasher::{BuildWordHasher, WordHasher};
 pub use iter::Ones;
 pub use ops::{orient_words, popcount_words, union_words};
 pub use splithash::{
-    ctrl_h2, hash_bucket, hash_tag, map_get_words, map_get_words_mut, set_contains_words, shard_of,
+    ctrl_h2, hash_bucket, hash_tag, map_get_words, map_get_words_mut, set_contains_words,
     split_hash128, WordsKey,
 };
 

@@ -1,16 +1,13 @@
-//! Stable canonical split hashing and shard routing.
+//! Stable canonical split hashing.
 //!
-//! The sharded BFH build partitions canonical bipartition masks across `k`
-//! independent maps. The router must be a pure function of the mask words —
-//! stable across runs, platforms, and thread counts — so that (a) the same
-//! split always lands in the same shard and (b) shard contents are
-//! reproducible for tests. [`split_hash128`] provides that function: two
-//! independent 64-bit multiply–xorshift lanes over the words, concatenated.
-//! It is deliberately *not* tied to [`crate::WordHasher`] (the in-map
-//! hasher), so either can evolve without invalidating the other.
-//!
-//! [`shard_of`] maps a hash to a shard index with Lemire's fastrange on the
-//! high lane — no modulo, and an even spread for any shard count.
+//! The frozen BFH table places and probes canonical bipartition masks by a
+//! hash that must be a pure function of the mask words — stable across
+//! runs, platforms, and thread counts — so that a table's layout is
+//! reproducible and a persisted one stays valid. [`split_hash128`]
+//! provides that function: two independent 64-bit multiply–xorshift lanes
+//! over the words, concatenated. It is deliberately *not* tied to
+//! [`crate::WordHasher`] (the in-map hasher), so either can evolve without
+//! invalidating the other.
 
 use crate::{BitsMap, BitsSet};
 use std::borrow::Borrow;
@@ -47,17 +44,7 @@ pub fn split_hash128(words: &[u64]) -> u128 {
     ((h1 as u128) << 64) | h2 as u128
 }
 
-/// Route a split hash to one of `shards` buckets (fastrange on the high
-/// lane). `shards` must be non-zero.
-#[inline]
-pub fn shard_of(hash: u128, shards: usize) -> usize {
-    debug_assert!(shards > 0, "shard_of: zero shards");
-    (((hash_bucket(hash) as u128) * (shards as u128)) >> 64) as usize
-}
-
-/// The bucket-selection lane of a split hash: the high 64 bits — the same
-/// lane [`shard_of`] routes on, so an open-addressing table indexed by this
-/// lane stays balanced whether or not the hash was sharded first.
+/// The bucket-selection lane of a split hash: the high 64 bits.
 #[inline]
 pub fn hash_bucket(hash: u128) -> u64 {
     (hash >> 64) as u64
@@ -166,28 +153,9 @@ mod tests {
         assert_eq!(a, split_hash128(&[0b1011, 0]), "must be deterministic");
         assert_ne!(a, split_hash128(&[0b1011]), "length must matter");
         assert_ne!(a, split_hash128(&[0b1010, 0]), "words must matter");
-        // Regression anchor: the constant below is the contract that the
-        // routing is stable across releases (changing it would reshard
-        // persisted layouts).
+        // Regression anchor: the hash is stable across releases (changing
+        // it would invalidate persisted frozen layouts).
         assert_eq!(split_hash128(&[]), split_hash128(&[]));
-    }
-
-    #[test]
-    fn shard_of_spreads_and_bounds() {
-        for k in [1usize, 2, 3, 7, 8, 64] {
-            let mut seen = vec![0usize; k];
-            for i in 0..10_000u64 {
-                let h = split_hash128(&[i, i ^ 0xdead_beef]);
-                let s = shard_of(h, k);
-                assert!(s < k);
-                seen[s] += 1;
-            }
-            if k > 1 {
-                let min = *seen.iter().min().unwrap();
-                let max = *seen.iter().max().unwrap();
-                assert!(min * 2 > max, "shard skew too high for k={k}: {seen:?}");
-            }
-        }
     }
 
     #[test]
@@ -205,13 +173,6 @@ mod tests {
         set.insert(key.clone());
         assert!(set_contains_words(&set, key.words()));
         assert!(!set_contains_words(&set, miss.words()));
-    }
-
-    #[test]
-    fn single_shard_routes_everything_to_zero() {
-        for i in 0..100u64 {
-            assert_eq!(shard_of(split_hash128(&[i]), 1), 0);
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!                 [--build-mode seq|parallel|sharded] [--shards K]
 //!                 [--threads N] [--halved] [--normalized] [--common-taxa]
 //! bfhrf best      --refs refs.nwk --queries q.nwk
-//! bfhrf consensus --refs refs.nwk [--threshold 0.5 | --strict]
+//! bfhrf consensus --refs refs.nwk [--threshold 0.5 | --strict | --greedy]
 //! bfhrf matrix    --refs refs.nwk [--budget-mb M]
 //! bfhrf simulate  --taxa N --trees R --out file.nwk [--seed S] [--pop-scale P]
 //! bfhrf index     build|inspect|compact|add|remove   (persistent BFH index)
@@ -155,8 +155,10 @@ pub fn usage() -> String {
      \x20          --refs FILE          reference trees (Newick, ';' separated)\n\
      \x20          --queries FILE       query trees (default: the references)\n\
      \x20          --algorithm NAME     bfhrf (default) | bfhrf-seq | ds | dsmp | hashrf | day\n\
-     \x20          --build-mode MODE    hash build: seq | parallel | sharded\n\
-     \x20          --shards K           shard count for the sharded build\n\
+     \x20          --build-mode MODE    seq | parallel | sharded: seq folds\n\
+     \x20                               the table on one thread, the others\n\
+     \x20                               on a worker while trees are read\n\
+     \x20          --shards K           K > 1 also means a parallel fold\n\
      \x20                               (default: thread count, min 2)\n\
      \x20          --threads N          rayon thread count (default: all cores)\n\
      \x20          --halved             report the divide-by-2 RF convention\n\
@@ -194,6 +196,8 @@ pub fn usage() -> String {
      \x20          --refs FILE --k K [--budget-mb M]\n\
      index      persistent on-disk BFH index (snapshot + WAL)\n\
      \x20          build    --refs FILE --out DIR [--shards K] [--lenient]\n\
+     \x20                   (--shards as for avgrf; K is recorded in\n\
+     \x20                   the snapshot header)\n\
      \x20                   [--format newick|bin]  pin the expected input\n\
      \x20                   encoding (the file is sniffed either way)\n\
      \x20                   or --refs FILE --catalog DIR --collection NAME\n\
@@ -358,16 +362,19 @@ fn with_threads<T: Send>(
     }
 }
 
-/// Resolve `--build-mode` / `--shards` into a configured [`BfhBuilder`].
+/// Resolve `--build-mode` / `--shards` into a configured [`BfhBuilder`]
+/// and the shard count `index build` records in its snapshot header.
 ///
-/// Defaults are per-algorithm: `bfhrf` builds sharded (the fast path),
-/// `bfhrf-seq` builds sequentially. An explicit `--build-mode` or
-/// `--shards` overrides either.
+/// Both flags only choose a sequential or a parallel fold: the build folds
+/// in parallel unless the mode is `seq` and the shard count is 1. Defaults
+/// are per-algorithm: `bfhrf` builds `sharded` (the shard count defaults to
+/// the thread count, at least 2), `bfhrf-seq` builds `seq`. An explicit
+/// `--build-mode` or `--shards` overrides either.
 fn resolve_builder(
     mode: Option<&str>,
     shards: Option<usize>,
     default_mode: &str,
-) -> Result<BfhBuilder, String> {
+) -> Result<(BfhBuilder, usize), String> {
     let mode = mode.unwrap_or(default_mode);
     let default_shards = match mode {
         "seq" | "parallel" => 1,
@@ -378,9 +385,12 @@ fn resolve_builder(
             ))
         }
     };
-    Ok(BfhBuilder::new()
-        .parallel(mode != "seq")
-        .shards(shards.unwrap_or(default_shards)))
+    let shards = shards.unwrap_or(default_shards);
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
+    let parallel = mode != "seq" || shards > 1;
+    Ok((BfhBuilder::new().parallel(parallel), shards))
 }
 
 fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
@@ -565,9 +575,9 @@ struct Streamed<'a> {
     refs: &'a str,
     queries: Option<&'a str>,
     policy: IngestPolicy,
-    /// `bfhrf-seq`: build sequentially unless `--build-mode` says
-    /// otherwise, and score on one thread. Otherwise the build is sharded
-    /// and scoring parallel.
+    /// `bfhrf-seq`: build sequentially unless `--build-mode`/`--shards` say
+    /// otherwise, and score on one thread. Otherwise both the fold and the
+    /// scoring are parallel.
     sequential: bool,
 }
 
@@ -600,7 +610,9 @@ impl Streamed<'_> {
                 self.policy,
             )
             .map_err(|e| format!("{refs_path}: {e}"))?;
-            let builder = resolve_builder(build_mode, shards, default_mode)?.guard(guard.clone());
+            let builder = resolve_builder(build_mode, shards, default_mode)?
+                .0
+                .guard(guard.clone());
             prof.phase("build");
             let (frozen, kept) = match self.queries {
                 None => builder
@@ -656,6 +668,8 @@ fn stream_fail(path: &str, e: CoreError) -> CliError {
     }
 }
 
+/// `bfhrf consensus`: the references stream into the frozen table, one
+/// parsed tree at a time, and the consensus is read from that table.
 fn cmd_consensus(raw: &[String]) -> Result<CmdOutcome, CliError> {
     let a = Args::parse(raw, &["strict", "greedy", "lenient"])?;
     a.reject_unknown(
@@ -667,27 +681,43 @@ fn cmd_consensus(raw: &[String]) -> Result<CmdOutcome, CliError> {
             .to_string()
             .into());
     }
+    let threshold: Option<f64> = a.get_parsed("threshold")?;
+    if let Some(other) = ["strict", "greedy"].into_iter().find(|&f| a.flag(f)) {
+        if threshold.is_some() {
+            return Err(format!("--threshold and --{other} are mutually exclusive").into());
+        }
+    }
+    let threshold = threshold.unwrap_or(0.5);
+    if !(0.5..1.0).contains(&threshold) {
+        return Err(format!("--threshold must be in [0.5, 1.0), got {threshold}").into());
+    }
     let policy = ingest_policy(&a)?;
     let guard = run_guard(&a)?;
     let mut notes = Vec::new();
     let refs_path = a.require("refs")?;
-    let (refs, report) = load_with(refs_path, policy)?;
-    let partial = note_ingest(&mut notes, refs_path, &report);
-    let bfh = BfhBuilder::new()
-        .guard(guard.clone())
-        .from_trees(&refs.trees, &refs.taxa)
-        .map_err(core_fail)?;
+    let mut taxa = phylo::TaxonSet::new();
+    let mut refs = phylo_wire::SniffedReader::open(
+        open_input(refs_path)?,
+        &mut taxa,
+        TaxaPolicy::Grow,
+        policy,
+    )
+    .map_err(|e| format!("{refs_path}: {e}"))?;
+    let table = BfhBuilder::new()
+        .guard(guard)
+        .freeze_stream(&mut taxa, |t| refs.next_tree(t))
+        .map_err(|e| stream_fail(refs_path, e))?;
+    let partial = note_ingest(&mut notes, refs_path, &refs.into_report());
     let tree = if a.flag("strict") {
-        bfhrf::consensus::strict_consensus(&bfh, &refs.taxa)
+        bfhrf::consensus::strict_consensus(&table, &taxa)
     } else if a.flag("greedy") {
-        bfhrf::consensus::greedy_consensus(&bfh, &refs.taxa)
+        bfhrf::consensus::greedy_consensus(&table, &taxa)
     } else {
-        let threshold: f64 = a.get_parsed("threshold")?.unwrap_or(0.5);
-        bfhrf::consensus::majority_consensus(&bfh, &refs.taxa, threshold)
+        bfhrf::consensus::majority_consensus(&table, &taxa, threshold)
     }
     .map_err(core_fail)?;
     Ok(CmdOutcome {
-        stdout: format!("{}\n", phylo::write_newick(&tree, &refs.taxa)),
+        stdout: format!("{}\n", phylo::write_newick(&tree, &taxa)),
         notes,
         code: if partial { EXIT_PARTIAL } else { EXIT_OK },
     })
@@ -989,11 +1019,12 @@ fn cmd_index_build(raw: &[String]) -> Result<CmdOutcome, CliError> {
     // its chunk, and the folded table is the index's table. The snapshot
     // header records the shard count the flags resolve to.
     let (table, n_shards) = with_threads(threads, || -> Result<_, CliError> {
-        let builder = resolve_builder(build_mode, shards, "sharded")?.guard(guard.clone());
+        let (builder, n_shards) = resolve_builder(build_mode, shards, "sharded")?;
         let table = builder
+            .guard(guard.clone())
             .freeze_stream(&mut taxa, |t| refs.next_tree(t))
             .map_err(|e| stream_fail(refs_path, e))?;
-        Ok((table, builder.shard_count()))
+        Ok((table, n_shards))
     })??;
     let partial = note_ingest(&mut notes, refs_path, &refs.into_report());
     prof.phase("write");
@@ -1390,6 +1421,38 @@ mod tests {
             "0.2"
         ])
         .is_err());
+        // --threshold is checked before the references are opened: a
+        // missing file is never reached.
+        let missing = "/no/such/refs.nwk";
+        for (flags, want) in [
+            (
+                &["--threshold", "0.3"][..],
+                "--threshold must be in [0.5, 1.0), got 0.3",
+            ),
+            (
+                &["--threshold", "1"][..],
+                "--threshold must be in [0.5, 1.0), got 1",
+            ),
+            (
+                &["--threshold", "0.6", "--strict"][..],
+                "--threshold and --strict are mutually exclusive",
+            ),
+            (
+                &["--greedy", "--threshold", "0.6"][..],
+                "--threshold and --greedy are mutually exclusive",
+            ),
+        ] {
+            let mut argv = vec!["consensus", "--refs", missing];
+            argv.extend_from_slice(flags);
+            let err = runf(&argv).unwrap_err();
+            assert_eq!(err.message, want, "{flags:?}");
+            assert_eq!(err.code, EXIT_ERROR);
+        }
+        assert!(
+            runv(&["consensus", "--refs", missing, "--threshold", "0.6"])
+                .unwrap_err()
+                .contains("cannot read")
+        );
         assert!(
             runv(&["simulate", "--taxa", "3", "--trees", "5", "--out", "/tmp/x"])
                 .unwrap_err()
@@ -1937,12 +2000,10 @@ mod tests {
             argv.push(built.to_str().unwrap());
             argv.extend_from_slice(flags);
             runf(&argv).unwrap();
-            let bfh = BfhBuilder::new()
-                .shards(shards)
-                .from_trees(&trees, &taxa)
-                .unwrap();
+            let table = BfhBuilder::new().freeze_trees(&trees, &taxa).unwrap();
             let hashed = root.join(format!("hashed-{shards}"));
-            drop(phylo_index::Index::create(&hashed, bfh, taxa.clone()).unwrap());
+            let index = phylo_index::Index::create_table(&hashed, table, shards, taxa.clone());
+            drop(index.unwrap());
             let snapshot = |dir: &std::path::Path| std::fs::read(dir.join("snapshot.bfh")).unwrap();
             assert_eq!(snapshot(&built), snapshot(&hashed), "{flags:?}");
 

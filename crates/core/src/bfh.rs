@@ -8,28 +8,22 @@
 //! number of reference trees containing the split; the running total
 //! `sum()` is the paper's `sumBFHR`.
 //!
-//! # Sharding
+//! # Where it is used
 //!
-//! Internally the hash is `k ≥ 1` independent maps ("shards"); a split
-//! lives in shard [`shard_of`]`(`[`split_hash128`]`(mask), k)`. With `k =
-//! 1` (the default for [`Bfh::build`]) there is a single map and routing
-//! is skipped entirely. [`Bfh::build_sharded`] runs the
-//! [`crate::builder`] pipeline: each tree's splits are extracted into a
-//! chunk buffer, each full buffer is folded in tree order into one frozen
-//! table on a rayon worker while the next fills, and that table's entries
-//! are routed into the `k` maps.
-//! Because the router is a pure function of the mask words, the shard
-//! decomposition is deterministic and the resulting frequencies are
-//! bitwise-identical to a sequential build.
+//! No production path builds one: every build, load, query and write
+//! path, consensus and the RF variants run on the frozen table
+//! ([`FrozenBfh`]), which holds the same splits in flat lanes. The live
+//! hash stays as one plain map: tests use it for incremental add/remove
+//! and as the oracle frozen tables are checked against, and the benchmark
+//! still compiles against it.
 
 use crate::builder::freeze_slice;
 use crate::error::CoreError;
 use crate::frozen::FrozenBfh;
 use crate::guard::RunGuard;
-use phylo::{Bipartition, BipartitionScratch, TaxonSet, Tree};
+use phylo::{BipartitionScratch, TaxonSet, Tree};
 use phylo_bitset::{
-    bits_map_with_capacity, map_get_words, map_get_words_mut, shard_of, split_hash128, Bits,
-    BitsMap, WordsKey,
+    bits_map_with_capacity, map_get_words, map_get_words_mut, Bits, BitsMap, WordsKey,
 };
 
 /// Bipartition frequency hash over a reference collection.
@@ -50,61 +44,42 @@ use phylo_bitset::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bfh {
-    /// Shard maps; a split's home is `shard_of(split_hash128(words), k)`.
-    /// Always at least one entry.
-    shards: Vec<BitsMap<u32>>,
+    map: BitsMap<u32>,
     sum: u64,
     n_trees: usize,
     n_taxa: usize,
 }
 
 impl Bfh {
-    /// An empty single-shard hash over an `n_taxa`-wide namespace.
+    /// An empty hash over an `n_taxa`-wide namespace.
     pub fn empty(n_taxa: usize) -> Self {
-        Bfh::empty_sharded(n_taxa, 1)
-    }
-
-    /// An empty hash partitioned into `shards` maps.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn empty_sharded(n_taxa: usize, shards: usize) -> Self {
-        assert!(shards > 0, "a Bfh needs at least one shard");
         Bfh {
-            shards: (0..shards).map(|_| bits_map_with_capacity(0)).collect(),
+            map: bits_map_with_capacity(0),
             sum: 0,
             n_trees: 0,
             n_taxa,
         }
     }
 
-    /// Shard housing the split with these mask words.
-    #[inline]
-    fn shard_index(&self, words: &[u64]) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            shard_of(split_hash128(words), self.shards.len())
-        }
-    }
-
-    /// Count one occurrence of an owned canonical mask.
-    #[inline]
-    fn bump(&mut self, bits: Bits) {
-        let si = self.shard_index(bits.words());
-        *self.shards[si].entry(bits).or_insert(0) += 1;
-        self.sum += 1;
+    /// [`Bfh::empty`]. The hash is one map: `shards` is checked and
+    /// otherwise unused. The signature stays because the benchmark calls
+    /// it; it goes with the live hash (ROADMAP item 2).
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn empty_sharded(n_taxa: usize, shards: usize) -> Self {
+        assert!(shards > 0, "a Bfh needs at least one shard");
+        Bfh::empty(n_taxa)
     }
 
     /// Count one occurrence of a borrowed canonical mask, materializing a
     /// key only on first sighting.
     #[inline]
     fn bump_words(&mut self, words: &[u64]) {
-        let si = self.shard_index(words);
-        match map_get_words_mut(&mut self.shards[si], words) {
+        match map_get_words_mut(&mut self.map, words) {
             Some(c) => *c += 1,
             None => {
-                self.shards[si].insert(Bits::from_words(self.n_taxa, words), 1);
+                self.map.insert(Bits::from_words(self.n_taxa, words), 1);
             }
         }
         self.sum += 1;
@@ -123,24 +98,18 @@ impl Bfh {
         bfh
     }
 
-    /// Build a `shards`-way partitioned hash in two phases:
-    ///
-    /// 1. each tree's splits are extracted into a chunk buffer, and each
-    ///    full buffer is folded, in tree order, into the lanes of one
-    ///    frozen table while the next buffer fills;
-    /// 2. the table's entries are routed into the `shards` maps by
-    ///    [`split_hash128`].
-    ///
-    /// Frequencies are bitwise-identical to [`Bfh::build`] for any shard or
-    /// thread count: routing is a pure function of the mask and counting is
-    /// additive.
+    /// The frozen table a parallel [`crate::BfhBuilder`] folds from
+    /// `trees`, copied into a hash. Frequencies are bitwise-identical to
+    /// [`Bfh::build`]. `shards` is checked and otherwise unused: the
+    /// signature stays because the benchmark calls it, and goes with the
+    /// live hash (ROADMAP item 2).
     ///
     /// # Panics
     /// Panics if `shards` is zero.
     pub fn build_sharded(trees: &[Tree], taxa: &TaxonSet, shards: usize) -> Self {
         assert!(shards > 0, "a Bfh needs at least one shard");
-        match Bfh::try_build_sharded(trees, taxa, shards, &RunGuard::default()) {
-            Ok(bfh) => bfh,
+        match freeze_slice(true, &RunGuard::default(), trees, taxa) {
+            Ok(table) => Bfh::from_table(&table),
             // A default guard never cancels, never refuses an allocation,
             // and never injects a panic — this arm is unreachable, but the
             // compat contract of this entry point is infallible.
@@ -148,63 +117,22 @@ impl Bfh {
         }
     }
 
-    /// [`Bfh::build_sharded`] under a [`RunGuard`]: cancellation and
-    /// deadline are polled at tree granularity, the chunk buffers and the
-    /// lanes are checked against the byte budget *before* each chunk is
-    /// read (and with the grown lanes before each time the table doubles),
-    /// and every extraction and fold is panic-isolated — a poisoned tree yields
-    /// [`CoreError::WorkerPanic`] instead of aborting the process. This is
-    /// [`crate::BfhBuilder`]'s pipeline over a slice.
-    ///
-    /// With `RunGuard::default()` this is exactly `build_sharded`.
-    pub fn try_build_sharded(
-        trees: &[Tree],
-        taxa: &TaxonSet,
-        shards: usize,
-        guard: &RunGuard,
-    ) -> Result<Self, CoreError> {
-        if shards == 0 {
-            return Err(CoreError::Structure(
-                "a Bfh needs at least one shard".into(),
-            ));
-        }
-        let table = freeze_slice(true, guard, trees, taxa)?;
-        Bfh::from_table(&table, shards)
-    }
-
     /// The splits `table` answers (its lanes with any delta applied) as a
-    /// `shards`-way hash. The table holds each split once, so its entries
-    /// go straight into maps sized up front: multi-shard maps get four
-    /// standard deviations of headroom over an even split, so uneven
-    /// routing regrows none of them.
-    pub fn from_table(table: &FrozenBfh, shards: usize) -> Result<Self, CoreError> {
-        if shards == 0 {
-            return Err(CoreError::Structure(
-                "a Bfh needs at least one shard".into(),
-            ));
+    /// hash. The table holds each split once, so its entries go straight
+    /// into a map sized up front.
+    pub fn from_table(table: &FrozenBfh) -> Self {
+        let n_taxa = table.n_taxa();
+        let mut map = bits_map_with_capacity(table.distinct());
+        for (words, freq) in table.iter() {
+            map.insert(Bits::from_words(n_taxa, words), freq);
         }
-        let (n_taxa, distinct) = (table.n_taxa(), table.distinct());
-        let per_shard = if shards == 1 {
-            distinct
-        } else {
-            let mean = distinct / shards;
-            mean + 4 * mean.isqrt()
-        };
-        let mut bfh = Bfh {
-            shards: (0..shards)
-                .map(|_| bits_map_with_capacity(per_shard))
-                .collect(),
+        Bfh {
+            map,
             sum: table.sum(),
             n_trees: table.n_trees(),
             n_taxa,
-        };
-        for (words, freq) in table.iter() {
-            let si = bfh.shard_index(words);
-            bfh.shards[si].insert(Bits::from_words(n_taxa, words), freq);
         }
-        Ok(bfh)
     }
-
     /// Add one reference tree's bipartitions (incremental update).
     pub fn add_tree(&mut self, tree: &Tree, taxa: &TaxonSet) {
         let mut scratch = BipartitionScratch::new();
@@ -224,16 +152,6 @@ impl Bfh {
         self.n_trees += 1;
     }
 
-    /// Add one tree's pre-extracted splits. Useful when extraction runs on
-    /// another thread (pipelined builds): extraction parallelizes, the
-    /// fold stays sequential and deterministic.
-    pub fn add_splits<I: IntoIterator<Item = Bipartition>>(&mut self, splits: I) {
-        for bp in splits {
-            self.bump(bp.into_bits());
-        }
-        self.n_trees += 1;
-    }
-
     /// Remove a previously added reference tree (incremental downdate).
     ///
     /// Counts reaching zero are evicted so memory tracks the live
@@ -249,12 +167,10 @@ impl Bfh {
         crate::rf::check_removal(self, self.n_taxa, &batch, 0, |_| 0)?;
         for i in 0..batch.len() {
             let w = batch.mask(i);
-            let si = self.shard_index(w);
-            let shard = &mut self.shards[si];
-            match map_get_words_mut(shard, w) {
+            match map_get_words_mut(&mut self.map, w) {
                 Some(c) if *c > 1 => *c -= 1,
                 _ => {
-                    shard.remove(WordsKey::new(w));
+                    self.map.remove(WordsKey::new(w));
                 }
             }
             self.sum -= 1;
@@ -263,68 +179,24 @@ impl Bfh {
         // Long add/remove churn evicts entries but hashbrown never returns
         // bucket memory on its own; give it back once occupancy falls below
         // a quarter so the footprint tracks the live collection.
-        for shard in &mut self.shards {
-            if shard.capacity() > 64 && shard.len() < shard.capacity() / 4 {
-                shard.shrink_to_fit();
-            }
+        if self.map.capacity() > 64 && self.map.len() < self.map.capacity() / 4 {
+            self.map.shrink_to_fit();
         }
         Ok(())
-    }
-
-    /// Merge another hash built over the same namespace into this one.
-    /// Entries are re-routed into this hash's shard layout, so the operands
-    /// may use different shard counts.
-    pub fn merged(self, other: Bfh) -> Bfh {
-        assert_eq!(
-            self.n_taxa, other.n_taxa,
-            "merging hashes over different taxa"
-        );
-        // Fold the smaller hash into the larger one.
-        let (mut big, small) = if self.distinct() >= other.distinct() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let Bfh {
-            shards,
-            sum,
-            n_trees,
-            ..
-        } = small;
-        for shard in shards {
-            for (bits, c) in shard {
-                let si = big.shard_index(bits.words());
-                *big.shards[si].entry(bits).or_insert(0) += c;
-            }
-        }
-        big.sum += sum;
-        big.n_trees += n_trees;
-        big
     }
 
     /// Frequency of a canonical bipartition (0 if absent) — the paper's
     /// `BFHR[b]`.
     #[inline]
     pub fn frequency(&self, bits: &Bits) -> u32 {
-        self.shards[self.shard_index(bits.words())]
-            .get(bits)
-            .copied()
-            .unwrap_or(0)
+        self.map.get(bits).copied().unwrap_or(0)
     }
 
     /// Frequency of a canonical mask given as raw words — the borrowed-key
     /// probe used by scratch-driven queries; no `Bits` is materialized.
     #[inline]
     pub fn frequency_words(&self, words: &[u64]) -> u32 {
-        map_get_words(&self.shards[self.shard_index(words)], words)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Frequency of a [`Bipartition`].
-    #[inline]
-    pub fn frequency_of(&self, bp: &Bipartition) -> u32 {
-        self.frequency(bp.bits())
+        map_get_words(&self.map, words).copied().unwrap_or(0)
     }
 
     /// Total bipartition occurrences — the paper's `sumBFHR`.
@@ -345,59 +217,17 @@ impl Bfh {
         self.n_taxa
     }
 
-    /// Number of shard maps (`k`). 1 for hashes from [`Bfh::build`].
-    #[inline]
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of **distinct** bipartitions stored. The paper's memory
     /// argument (§VII.C): this saturates as `r` grows because repeat
     /// splits only bump counters.
     #[inline]
     pub fn distinct(&self) -> usize {
-        self.shards.iter().map(|m| m.len()).sum()
-    }
-
-    /// Distinct-entry count of each shard map, in shard order. The spread
-    /// across shards is the routing-balance signal the build pipeline
-    /// reports as `build_shard_skew_permille`.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|m| m.len()).collect()
+        self.map.len()
     }
 
     /// Iterate `(bitmask, frequency)` entries in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Bits, u32)> {
-        self.shards
-            .iter()
-            .flat_map(|m| m.iter().map(|(b, &c)| (b, c)))
-    }
-
-    /// Preprocessing hook (paper §III.A: the hash "can still be
-    /// pre-processed according to generalized or variant RF algorithms"):
-    /// drop entries failing the predicate, updating `sum` accordingly.
-    pub fn retain<F: FnMut(&Bits, u32) -> bool>(&mut self, mut keep: F) {
-        let mut removed = 0u64;
-        for shard in &mut self.shards {
-            shard.retain(|bits, count| {
-                let k = keep(bits, *count);
-                if !k {
-                    removed += u64::from(*count);
-                }
-                k
-            });
-        }
-        self.sum -= removed;
-    }
-
-    /// Rough heap footprint in bytes: map buckets plus key payloads. Used
-    /// by the bench harness memory reports.
-    pub fn approx_bytes(&self) -> usize {
-        let key_words = phylo_bitset::words_for(self.n_taxa);
-        // Bits: boxed words + (ptr, len-of-box, bitlen) inline; entry adds
-        // the u32 count and hashbrown's control byte + padding.
-        let per_entry = key_words * 8 + std::mem::size_of::<Bits>() + 8;
-        self.shards.iter().map(|m| m.capacity()).sum::<usize>() * per_entry
+        self.map.iter().map(|(b, &c)| (b, c))
     }
 }
 
@@ -410,7 +240,7 @@ mod tests {
         TreeCollection::parse(text).unwrap()
     }
 
-    /// Frequency-level equality, independent of shard layout.
+    /// Frequency-level equality.
     fn assert_same_counts(a: &Bfh, b: &Bfh) {
         assert_eq!(a.n_trees(), b.n_trees());
         assert_eq!(a.sum(), b.sum());
@@ -427,7 +257,6 @@ mod tests {
         assert_eq!(bfh.n_trees(), 3);
         assert_eq!(bfh.sum(), 3, "each 4-leaf tree has one non-trivial split");
         assert_eq!(bfh.distinct(), 2);
-        assert_eq!(bfh.n_shards(), 1);
         let ab = Bits::from_bitstring("0011").unwrap();
         let ac = Bits::from_bitstring("0101").unwrap();
         assert_eq!(bfh.frequency(&ab), 2);
@@ -438,19 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn from_table_routes_into_any_shard_layout() {
+    fn from_table_holds_the_tables_splits() {
         let c = coll(&"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(10));
-        let built = Bfh::build_sharded(&c.trees, &c.taxa, 3);
-        let table = built.freeze();
-        for shards in [1usize, 2, 8] {
-            let back = Bfh::from_table(&table, shards).unwrap();
-            assert_eq!(back.n_shards(), shards);
-            assert_same_counts(&built, &back);
-        }
-        assert!(matches!(
-            Bfh::from_table(&table, 0),
-            Err(CoreError::Structure(_))
-        ));
+        let built = Bfh::build(&c.trees, &c.taxa);
+        assert_same_counts(&built, &Bfh::from_table(&built.freeze()));
+        let empty = Bfh::from_table(&Bfh::empty(6).freeze());
+        assert_eq!((empty.n_trees(), empty.sum(), empty.distinct()), (0, 0, 0));
     }
 
     #[test]
@@ -459,12 +281,10 @@ mod tests {
             &"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));\n".repeat(25),
         );
         let seq = Bfh::build(&c.trees, &c.taxa);
-        // k = 1, small, larger-than-distinct: all identical frequencies.
         for k in [1usize, 2, 3, 8, 64] {
             let sharded = Bfh::build_sharded(&c.trees, &c.taxa, k);
-            assert_eq!(sharded.n_shards(), k);
             assert_same_counts(&seq, &sharded);
-            // and the reverse direction: nothing extra in the shards
+            // and the reverse direction: nothing extra in the hash
             for (bits, count) in sharded.iter() {
                 assert_eq!(seq.frequency(bits), count);
             }
@@ -486,7 +306,7 @@ mod tests {
         let empty = Bfh::build_sharded(&[], &phylo::TaxonSet::new(), 4);
         assert_eq!(empty.n_trees(), 0);
         assert_eq!(empty.sum(), 0);
-        assert_eq!(empty.n_shards(), 4);
+        assert_eq!(empty.distinct(), 0);
     }
 
     #[test]
@@ -506,7 +326,7 @@ mod tests {
         for t in &c.trees {
             bfh.add_tree(t, &c.taxa);
         }
-        let peak = bfh.shards[0].capacity();
+        let peak = bfh.map.capacity();
         for t in &c.trees {
             bfh.remove_tree(t, &c.taxa).unwrap();
         }
@@ -514,9 +334,9 @@ mod tests {
         assert_eq!(bfh.sum(), 0);
         assert_eq!(bfh.distinct(), 0);
         assert!(
-            bfh.shards[0].capacity() <= 64,
+            bfh.map.capacity() <= 64,
             "capacity {} did not shrink from peak {peak}",
-            bfh.shards[0].capacity()
+            bfh.map.capacity()
         );
         assert!(peak > 64, "test needs enough distinct splits to matter");
     }
@@ -538,6 +358,7 @@ mod tests {
 
     #[test]
     fn incremental_updates_respect_sharding() {
+        // `empty_sharded` is `empty` whatever the shard count.
         let c = coll("((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));");
         let mut sharded = Bfh::empty_sharded(c.taxa.len(), 4);
         for t in &c.trees {
@@ -565,19 +386,22 @@ mod tests {
         }
     }
 
+    /// `Bfh::build_sharded` copies the table `freeze_slice` folds under a
+    /// default guard; the guarded builds below run that pipeline under
+    /// other guards.
     #[test]
     fn guarded_build_matches_unguarded() {
         let c = coll(&"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(20));
         let plain = Bfh::build(&c.trees, &c.taxa);
-        let guarded = Bfh::try_build_sharded(&c.trees, &c.taxa, 4, &RunGuard::default()).unwrap();
-        assert_same_counts(&plain, &guarded);
+        let guarded = freeze_slice(true, &RunGuard::default(), &c.trees, &c.taxa).unwrap();
+        assert_same_counts(&plain, &Bfh::from_table(&guarded));
     }
 
     #[test]
     fn guarded_build_refuses_over_budget_spill() {
         let c = coll(&"((A,B),((C,D),(E,F)));\n".repeat(50));
         let guard = RunGuard::with_budget(crate::guard::RunBudget::with_max_bytes(16));
-        let err = Bfh::try_build_sharded(&c.trees, &c.taxa, 2, &guard).unwrap_err();
+        let err = freeze_slice(true, &guard, &c.trees, &c.taxa).unwrap_err();
         assert!(matches!(err, CoreError::ResourceLimit(_)), "{err:?}");
     }
 
@@ -586,7 +410,7 @@ mod tests {
         let c = coll(&"((A,B),((C,D),(E,F)));\n".repeat(10));
         let guard = RunGuard::default();
         guard.cancel.cancel();
-        let err = Bfh::try_build_sharded(&c.trees, &c.taxa, 1, &guard).unwrap_err();
+        let err = freeze_slice(true, &guard, &c.trees, &c.taxa).unwrap_err();
         assert!(matches!(err, CoreError::Cancelled(_)), "{err:?}");
     }
 
@@ -595,42 +419,13 @@ mod tests {
         let c = coll(&"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(25));
         let mut guard = RunGuard::default();
         guard.inject_panic_at(17);
-        let err = Bfh::try_build_sharded(&c.trees, &c.taxa, 4, &guard).unwrap_err();
+        let err = freeze_slice(true, &guard, &c.trees, &c.taxa).unwrap_err();
         let CoreError::WorkerPanic(msg) = err else {
             panic!("expected WorkerPanic, got {err:?}");
         };
         assert!(msg.contains("injected panic"));
-        // The process survived; an un-injected guard still works fine.
-        let ok = Bfh::try_build_sharded(&c.trees, &c.taxa, 4, &RunGuard::default()).unwrap();
-        assert_eq!(ok.n_trees(), 50);
-    }
-
-    #[test]
-    fn retain_filters_and_fixes_sum() {
-        let c = coll("((A,B),((C,D),(E,F)));\n((A,B),((C,E),(D,F)));");
-        let mut bfh = Bfh::build(&c.trees, &c.taxa);
-        let before = bfh.sum();
-        // keep only splits present in every tree
-        bfh.retain(|_, count| count as usize == 2);
-        assert!(bfh.sum() < before);
-        assert!(bfh.iter().all(|(_, c)| c == 2));
-        let expected_sum: u64 = bfh.iter().map(|(_, c)| u64::from(c)).sum();
-        assert_eq!(bfh.sum(), expected_sum);
-    }
-
-    #[test]
-    fn merged_is_commutative_across_shard_layouts() {
-        let c = coll("((A,B),(C,D));\n((A,C),(B,D));\n((A,D),(B,C));\n((A,B),(C,D));");
-        let x = Bfh::build_sharded(&c.trees[..2], &c.taxa, 3);
-        let y = Bfh::build(&c.trees[2..], &c.taxa);
-        let xy = x.clone().merged(y.clone());
-        let yx = y.merged(x);
-        assert_eq!(xy.sum(), yx.sum());
-        assert_eq!(xy.n_trees(), 4);
-        for (bits, count) in xy.iter() {
-            assert_eq!(yx.frequency(bits), count);
-        }
-        assert_same_counts(&xy, &Bfh::build(&c.trees, &c.taxa));
+        // The process survived; an un-injected build still works fine.
+        assert_eq!(Bfh::build_sharded(&c.trees, &c.taxa, 4).n_trees(), 50);
     }
 
     #[test]

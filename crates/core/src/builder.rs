@@ -1,9 +1,8 @@
-//! [`BfhBuilder`] — one front door for every way of constructing a
-//! [`Bfh`] or its frozen table.
+//! [`BfhBuilder`] — one front door for building the frozen frequency
+//! table.
 //!
-//! The hash once grew a constructor per strategy, each with its own error
-//! behavior. The builder replaces that zoo: pick the knobs, then call one
-//! of the terminals, and get a `Result` instead of a panic on bad input.
+//! Pick the knobs (a parallel fold, a [`RunGuard`]), then call one of the
+//! terminals, and get a `Result` instead of a panic on bad input.
 //!
 //! ```
 //! use bfhrf::BfhBuilder;
@@ -11,12 +10,12 @@
 //!
 //! let refs = TreeCollection::parse(
 //!     "((A,B),(C,D));\n((A,B),(C,D));\n((A,C),(B,D));").unwrap();
-//! let bfh = BfhBuilder::new()
-//!     .shards(4)
-//!     .from_trees(&refs.trees, &refs.taxa)
+//! let table = BfhBuilder::new()
+//!     .parallel(true)
+//!     .freeze_trees(&refs.trees, &refs.taxa)
 //!     .unwrap();
-//! assert_eq!(bfh.n_trees(), 3);
-//! assert_eq!(bfh.n_shards(), 4);
+//! assert_eq!(table.n_trees(), 3);
+//! assert_eq!(table.distinct(), 2);
 //! ```
 //!
 //! # One pipeline
@@ -28,9 +27,7 @@
 //! ([`CHUNK`] trees) is folded, in tree order, straight into the lanes of
 //! one [`FrozenBfh`], which double as they fill; a parallel build folds it
 //! on a rayon worker while the calling thread fills the other buffer. No
-//! hash map is built: the `freeze_*` terminals return that table, and the
-//! terminals that return a [`Bfh`] route its entries into the configured
-//! shard maps.
+//! hash map is built: every terminal returns that table.
 //!
 //! The namespace may grow while the stream is read. A canonical mask is
 //! oriented on its own tree's leafset, so a mask made while the namespace
@@ -39,16 +36,14 @@
 //! is zero-extended in place, and the lanes are re-laid at the new stride
 //! before the next fold. The lanes hold the masks in the order they were
 //! first seen and every re-lay places them in that order, so the table is
-//! identical, bit for bit and in layout, for any thread count, shard count
-//! or build mode, and to a build over the whole collection parsed up
-//! front.
+//! identical, bit for bit and in layout, for any thread count or build
+//! mode, and to a build over the whole collection parsed up front.
 //!
 //! [`BfhBuilder::freeze_stream_kept`] also keeps [`KeptSplits`]: each
 //! reference tree's splits as the 4-byte pool ranks the fold gave them, so
 //! a caller scoring the references against themselves (Q = R) reads their
 //! frequencies without parsing, extracting or probing any tree twice.
 
-use crate::bfh::Bfh;
 use crate::error::CoreError;
 use crate::frozen::{zero_extend, FrozenBfh, LaneWriter, LanesId};
 use crate::guard::{isolate, CancelToken, RunBudget, RunGuard};
@@ -63,53 +58,25 @@ use std::time::Instant;
 /// of masks is under a megabyte at insect scale (n = 144).
 pub const CHUNK: usize = 256;
 
-/// Configurable [`Bfh`] construction. See the module docs for an example.
-#[derive(Debug, Clone)]
+/// Configurable frozen-table construction. See the module docs for an
+/// example.
+#[derive(Debug, Clone, Default)]
 pub struct BfhBuilder {
     parallel: bool,
-    shards: usize,
     guard: RunGuard,
 }
 
-impl Default for BfhBuilder {
-    fn default() -> Self {
-        BfhBuilder {
-            parallel: false,
-            shards: 1,
-            guard: RunGuard::default(),
-        }
-    }
-}
-
 impl BfhBuilder {
-    /// A builder with the defaults: sequential, single shard.
+    /// A builder with the defaults: a sequential fold, no budget.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fold each chunk on a rayon worker while the next one is read. A
-    /// build with more than one shard always does; this knob decides the
-    /// one-shard case.
+    /// Fold each chunk on a rayon worker while the next one is read. Only
+    /// a parallel build is budgeted.
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
-    }
-
-    /// Partition a returned [`Bfh`] into `k` independent shard maps. `k = 1`
-    /// (the default) keeps a single map and skips routing on every probe.
-    /// A frozen table has no shards; for it, `k > 1` only implies
-    /// [`BfhBuilder::parallel`].
-    ///
-    /// Values land in the terminals' error path rather than panicking:
-    /// `k = 0` is rejected there.
-    pub fn shards(mut self, k: usize) -> Self {
-        self.shards = k;
-        self
-    }
-
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Run the build under `budget`: both chunk buffers, the kept ranks and
@@ -136,39 +103,13 @@ impl BfhBuilder {
         self
     }
 
-    /// The table's entries routed into the configured shard maps, with the
-    /// build's metrics published.
-    fn hash(&self, table: FrozenBfh, start: Instant) -> Result<Bfh, CoreError> {
-        let bfh = Bfh::from_table(&table, self.shards)?;
-        drop(table);
-        record_build_metrics(
-            bfh.n_trees(),
-            bfh.sum(),
-            &bfh.shard_sizes(),
-            start.elapsed(),
-        );
-        Ok(bfh)
-    }
-
-    /// Build from an in-memory collection encoded over `taxa`, a chunk at
-    /// a time like every other terminal.
-    pub fn from_trees(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<Bfh, CoreError> {
-        let start = Instant::now();
-        let table = self.slice(trees, taxa)?;
-        self.hash(table, start)
-    }
-
-    /// [`BfhBuilder::from_trees`], returning the frozen table itself: no
-    /// hash map is built.
+    /// Build the frozen table from an in-memory collection encoded over
+    /// `taxa`, a chunk at a time like every other terminal.
     pub fn freeze_trees(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
         let start = Instant::now();
-        let table = self.slice(trees, taxa)?;
-        record_build_metrics(table.n_trees(), table.sum(), &[], start.elapsed());
+        let table = freeze_slice(self.parallel, &self.guard, trees, taxa)?;
+        record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
         Ok(table)
-    }
-
-    fn slice(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
-        freeze_slice(self.folds_in_parallel()?, &self.guard, trees, taxa)
     }
 
     /// Build the frozen table from a pull source of trees: `next` yields
@@ -181,8 +122,13 @@ impl BfhBuilder {
         F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
     {
         let start = Instant::now();
-        let (table, _) = self.stream(taxa, false, next)?;
-        record_build_metrics(table.n_trees(), table.sum(), &[], start.elapsed());
+        let (table, _) = build(
+            self.parallel,
+            false,
+            &self.guard,
+            &mut Parsed { taxa, next },
+        )?;
+        record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
         Ok(table)
     }
 
@@ -199,34 +145,9 @@ impl BfhBuilder {
         F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
     {
         let start = Instant::now();
-        let (table, kept) = self.stream(taxa, true, next)?;
-        record_build_metrics(table.n_trees(), table.sum(), &[], start.elapsed());
+        let (table, kept) = build(self.parallel, true, &self.guard, &mut Parsed { taxa, next })?;
+        record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
         Ok((table, kept.expect("kept splits were requested")))
-    }
-
-    /// The pipeline over a parser.
-    fn stream<F>(
-        &self,
-        taxa: &mut TaxonSet,
-        keep: bool,
-        next: F,
-    ) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError>
-    where
-        F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
-    {
-        let parallel = self.folds_in_parallel()?;
-        build(parallel, keep, &self.guard, &mut Parsed { taxa, next })
-    }
-
-    /// Whether the build folds on a rayon worker; a zero shard count is
-    /// refused here.
-    fn folds_in_parallel(&self) -> Result<bool, CoreError> {
-        if self.shards == 0 {
-            return Err(CoreError::Structure(
-                "shard count must be at least 1".into(),
-            ));
-        }
-        Ok(self.parallel || self.shards > 1)
     }
 }
 
@@ -734,16 +655,8 @@ impl KeptSplits {
 }
 
 /// Publish one finished build's throughput into the global registry:
-/// duration histogram, tree/split totals and last-build rate gauges. A
-/// build that returns a [`Bfh`] also passes its shard sizes, published as
-/// the shard skew (max/mean distinct entries, scaled by 1000 — 1000 means
-/// perfectly balanced routing).
-fn record_build_metrics(
-    n_trees: usize,
-    sum: u64,
-    shard_sizes: &[usize],
-    elapsed: std::time::Duration,
-) {
+/// duration histogram, tree/split totals and last-build rate gauges.
+fn record_build_metrics(n_trees: usize, sum: u64, elapsed: std::time::Duration) {
     let reg = phylo_obs::global();
     reg.histogram("build_ns", &[]).record_duration(elapsed);
     reg.counter("build_trees_total", &[]).add(n_trees as u64);
@@ -754,13 +667,6 @@ fn record_build_metrics(
             .set((n_trees as f64 / secs) as i64);
         reg.gauge("build_splits_per_s", &[])
             .set((sum as f64 / secs) as i64);
-    }
-    let total: usize = shard_sizes.iter().sum();
-    if shard_sizes.len() > 1 && total > 0 {
-        let mean = total as f64 / shard_sizes.len() as f64;
-        let max = shard_sizes.iter().copied().max().unwrap_or(0) as f64;
-        reg.gauge("build_shard_skew_permille", &[])
-            .set((max / mean * 1000.0) as i64);
     }
 }
 
@@ -776,36 +682,29 @@ mod tests {
     #[test]
     fn builder_strategies_agree() {
         let c = coll(&"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(20));
-        let base = BfhBuilder::new().from_trees(&c.trees, &c.taxa).unwrap();
-        for builder in [
-            BfhBuilder::new().parallel(true),
-            BfhBuilder::new().shards(4),
-            BfhBuilder::new().parallel(true).shards(4),
-        ] {
-            let b = builder.from_trees(&c.trees, &c.taxa).unwrap();
-            assert_eq!(b.sum(), base.sum());
-            assert_eq!(b.distinct(), base.distinct());
-            for (bits, count) in base.iter() {
-                assert_eq!(b.frequency(bits), count);
-            }
+        let live = crate::Bfh::build(&c.trees, &c.taxa);
+        let base = BfhBuilder::new().freeze_trees(&c.trees, &c.taxa).unwrap();
+        let parallel = BfhBuilder::new()
+            .parallel(true)
+            .freeze_trees(&c.trees, &c.taxa)
+            .unwrap();
+        assert_eq!(parallel.digest(), base.digest());
+        assert_eq!(
+            (base.n_trees(), base.sum(), base.distinct()),
+            (live.n_trees(), live.sum(), live.distinct())
+        );
+        for (bits, count) in live.iter() {
+            assert_eq!(base.frequency(bits), count);
         }
-    }
-
-    #[test]
-    fn zero_shards_is_an_error_not_a_panic() {
-        let c = coll("((A,B),(C,D));");
-        let err = BfhBuilder::new()
-            .shards(0)
-            .from_trees(&c.trees, &c.taxa)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Structure(_)));
     }
 
     #[test]
     fn out_of_namespace_taxa_is_a_typed_error() {
         let c = coll("((A,B),(C,D));");
         let narrow = TaxonSet::new(); // empty namespace: every leaf is out of range
-        let err = BfhBuilder::new().from_trees(&c.trees, &narrow).unwrap_err();
+        let err = BfhBuilder::new()
+            .freeze_trees(&c.trees, &narrow)
+            .unwrap_err();
         assert!(matches!(err, CoreError::TaxaMismatch(_)));
     }
 
@@ -816,7 +715,7 @@ mod tests {
             let mut taxa = TaxonSet::new();
             let mut newick = phylo::newick::NewickStream::new(text.as_bytes(), policy);
             let table = BfhBuilder::new()
-                .shards(2)
+                .parallel(true)
                 .freeze_stream(&mut taxa, |t| newick.next_tree(t));
             (table, taxa.len())
         };
@@ -853,11 +752,10 @@ mod tests {
         (out, n)
     }
 
-    /// Stream `text` through parallel and sharded builders and the slice
-    /// terminal under `budget`: each streamed build must give `want`'s
-    /// table, or be refused with a message starting `refused`. A slice
-    /// sizes its last buffers to the trees left, so it fits wherever a
-    /// stream does.
+    /// Stream `text` through a parallel builder and the slice terminal
+    /// under `budget`: the streamed build must give `want`'s table, or be
+    /// refused with a message starting `refused`. A slice sizes its last
+    /// buffers to the trees left, so it fits wherever a stream does.
     fn budgeted(
         text: &str,
         c: &TreeCollection,
@@ -865,25 +763,22 @@ mod tests {
         refused: Option<&str>,
         want: &FrozenBfh,
     ) {
-        for builder in [
-            BfhBuilder::new().parallel(true),
-            BfhBuilder::new().shards(3),
-        ] {
-            let builder = builder.budget(RunBudget::with_max_bytes(budget));
-            match (pulled(&builder, text).0, refused) {
-                (Ok(got), None) => assert_eq!(got.digest(), want.digest()),
-                (Err(CoreError::ResourceLimit(msg)), Some(what)) => {
-                    assert!(msg.starts_with(what), "{budget}: {msg}");
-                }
-                (out, _) => panic!("{budget}: {out:?}"),
+        let builder = BfhBuilder::new()
+            .parallel(true)
+            .budget(RunBudget::with_max_bytes(budget));
+        match (pulled(&builder, text).0, refused) {
+            (Ok(got), None) => assert_eq!(got.digest(), want.digest()),
+            (Err(CoreError::ResourceLimit(msg)), Some(what)) => {
+                assert!(msg.starts_with(what), "{budget}: {msg}");
             }
-            if refused.is_none() {
-                let sliced = builder.freeze_trees(&c.trees, &c.taxa).unwrap();
-                assert_eq!(
-                    (sliced.n_trees(), sliced.sum(), sliced.distinct()),
-                    (want.n_trees(), want.sum(), want.distinct())
-                );
-            }
+            (out, _) => panic!("{budget}: {out:?}"),
+        }
+        if refused.is_none() {
+            let sliced = builder.freeze_trees(&c.trees, &c.taxa).unwrap();
+            assert_eq!(
+                (sliced.n_trees(), sliced.sum(), sliced.distinct()),
+                (want.n_trees(), want.sum(), want.distinct())
+            );
         }
     }
 
@@ -913,12 +808,12 @@ mod tests {
         // A budget the first chunk already overflows refuses before the
         // stream is read any further.
         let builder = BfhBuilder::new()
-            .shards(2)
+            .parallel(true)
             .budget(RunBudget::with_max_bytes(need - 1));
         let (out, n) = pulled(&builder, &text);
         assert!(matches!(out, Err(CoreError::ResourceLimit(_))), "{out:?}");
         assert_eq!(n, CHUNK);
-        // The sequential one-shard build is not budgeted.
+        // The sequential build is not budgeted.
         let seq = BfhBuilder::new().budget(RunBudget::with_max_bytes(1));
         assert_eq!(pulled(&seq, &text).0.unwrap().n_trees(), 600);
     }
@@ -949,7 +844,7 @@ mod tests {
             let mut taxa = TaxonSet::new();
             let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
             BfhBuilder::new()
-                .shards(2)
+                .parallel(true)
                 .budget(RunBudget::with_max_bytes(budget))
                 .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
         };
@@ -977,10 +872,7 @@ mod tests {
         for at in [CHUNK + 3, 2 * CHUNK + 80] {
             let mut guard = RunGuard::default();
             guard.inject_panic_at(at);
-            for builder in [
-                BfhBuilder::new(),
-                BfhBuilder::new().parallel(true).shards(2),
-            ] {
+            for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
                 let builder = builder.guard(guard.clone());
                 let (out, _) = pulled(&builder, &text);
                 let Err(CoreError::WorkerPanic(msg)) = out else {
@@ -991,7 +883,7 @@ mod tests {
                     "{msg}"
                 );
                 assert!(matches!(
-                    builder.from_trees(&c.trees, &c.taxa),
+                    builder.freeze_trees(&c.trees, &c.taxa),
                     Err(CoreError::WorkerPanic(_))
                 ));
             }
@@ -999,7 +891,7 @@ mod tests {
             let mut taxa = TaxonSet::new();
             let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
             let (table, kept) = BfhBuilder::new()
-                .shards(2)
+                .parallel(true)
                 .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
                 .unwrap();
             for parallel in [false, true] {
@@ -1037,7 +929,7 @@ mod tests {
         let mut taxa = TaxonSet::new();
         let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
         let (table, kept) = BfhBuilder::new()
-            .shards(3)
+            .parallel(true)
             .freeze_stream_kept(&mut taxa, |t| match stream.next_tree(t)? {
                 Some(tree) => Ok(Some(tree)),
                 None => {
@@ -1052,7 +944,7 @@ mod tests {
         let whole = phylo::read_trees_from_str(&text, &mut taxa, TaxaPolicy::Require).unwrap();
         let want = BfhBuilder::new().freeze_trees(&whole, &taxa).unwrap();
         assert_eq!(table.digest(), want.digest());
-        let bfh = Bfh::build(&whole, &taxa);
+        let bfh = crate::Bfh::build(&whole, &taxa);
         assert_eq!(
             kept.score(&table, true, &RunGuard::default()).unwrap(),
             crate::rf::bfhrf_all(&whole, &taxa, &bfh).unwrap()
@@ -1132,9 +1024,9 @@ mod tests {
         let text =
             "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));\n".repeat(100);
         let c = coll(&text);
-        let bfh = Bfh::build(&c.trees, &c.taxa);
+        let bfh = crate::Bfh::build(&c.trees, &c.taxa);
         let want = crate::rf::bfhrf_all(&c.trees, &c.taxa, &bfh).unwrap();
-        for builder in [BfhBuilder::new(), BfhBuilder::new().shards(3)] {
+        for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
             let mut taxa = TaxonSet::new();
             let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
             let (table, kept) = builder

@@ -1,8 +1,9 @@
 //! Compressed-key frequency hash — the paper's §IX memory extension.
 //!
-//! [`CompactBfh`] is behaviourally identical to [`Bfh`] (it answers the
-//! same `frequency`/`sum`/`n_trees` queries, so [`crate::bfhrf_average`]
-//! arithmetic can run against either) but stores keys through the
+//! [`CompactBfh`] is behaviourally identical to [`crate::FrozenBfh`] (it
+//! answers the same `frequency`/`sum`/`n_trees` queries, so
+//! [`crate::bfhrf_average`] arithmetic can run against either) but stores
+//! keys through the
 //! lossless codec in [`phylo_bitset::compress`]. Real collections are
 //! dominated by small clades, whose sparse encodings are a few bytes
 //! instead of `n/8` — on wide namespaces this cuts key memory several
@@ -10,7 +11,6 @@
 //! non-transformative: [`CompactBfh::iter_bits`] reconstructs every
 //! stored bipartition exactly).
 
-use crate::bfh::Bfh;
 use crate::rf::RfAverage;
 use phylo::{TaxonSet, Tree};
 use phylo_bitset::compress::{compress, decompress};
@@ -44,20 +44,6 @@ impl CompactBfh {
             out.add_tree(tree, taxa);
         }
         out
-    }
-
-    /// Convert an uncompressed hash (e.g. one built in parallel).
-    pub fn from_bfh(bfh: &Bfh) -> Self {
-        let mut counts = HashMap::with_capacity_and_hasher(bfh.distinct(), BuildWordHasher);
-        for (bits, count) in bfh.iter() {
-            counts.insert(compress(bits), count);
-        }
-        CompactBfh {
-            counts,
-            sum: bfh.sum(),
-            n_trees: bfh.n_trees(),
-            n_taxa: bfh.n_taxa(),
-        }
     }
 
     /// Add one reference tree.
@@ -142,7 +128,7 @@ impl CompactBfh {
 
     /// Approximate heap bytes of the key payloads alone (what the
     /// compression is meant to shrink); compare with
-    /// [`Bfh::approx_bytes`].
+    /// [`crate::FrozenBfh::approx_bytes`].
     pub fn key_bytes(&self) -> usize {
         self.counts
             .keys()
@@ -155,6 +141,7 @@ impl CompactBfh {
 mod tests {
     use super::*;
     use crate::rf::bfhrf_average;
+    use crate::Bfh;
     use phylo::TreeCollection;
 
     fn coll(text: &str) -> TreeCollection {
@@ -181,24 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn from_bfh_is_equivalent_to_direct_build() {
-        let c = coll("((A,B),(C,D));\n((A,C),(B,D));\n((A,B),(C,D));");
-        let plain = Bfh::build(&c.trees, &c.taxa);
-        let via = CompactBfh::from_bfh(&plain);
-        let direct = CompactBfh::build(&c.trees, &c.taxa);
-        assert_eq!(via.sum(), direct.sum());
-        assert_eq!(via.distinct(), direct.distinct());
-        for (bits, count) in plain.iter() {
-            assert_eq!(via.frequency(bits), count);
-            assert_eq!(direct.frequency(bits), count);
-        }
-    }
-
-    #[test]
     fn reversibility_witness() {
         let c = coll("((A,B),((C,D),(E,F)));\n((A,E),((C,D),(B,F)));");
         let plain = Bfh::build(&c.trees, &c.taxa);
-        let compact = CompactBfh::from_bfh(&plain);
+        let compact = CompactBfh::build(&c.trees, &c.taxa);
         let mut reconstructed: Vec<(Bits, u32)> = compact.iter_bits().collect();
         reconstructed.sort_by(|a, b| a.0.cmp(&b.0));
         let mut original: Vec<(Bits, u32)> = plain.iter().map(|(b, c)| (b.clone(), c)).collect();
@@ -213,7 +186,7 @@ mod tests {
         let spec = phylo_sim::DatasetSpec::new("compact", 300, 30, 3);
         let c = phylo_sim::generate(&spec);
         let plain = Bfh::build(&c.trees, &c.taxa);
-        let compact = CompactBfh::from_bfh(&plain);
+        let compact = CompactBfh::build(&c.trees, &c.taxa);
         let raw_key_bytes =
             plain.distinct() * (phylo_bitset::words_for(300) * 8 + std::mem::size_of::<Bits>());
         assert!(

@@ -14,18 +14,18 @@
 //! speed of a probe, never an answer.
 //!
 //! ```
-//! use bfhrf::{Bfh, BfhrfComparator, Comparator};
+//! use bfhrf::{BfhBuilder, Comparator, FrozenComparator};
 //! use phylo::TreeCollection;
 //!
 //! let refs = TreeCollection::parse(
 //!     "((A,B),(C,D));\n((A,B),(C,D));\n((A,C),(B,D));").unwrap();
-//! let bfh = Bfh::build(&refs.trees, &refs.taxa);
-//! let cmp = BfhrfComparator::new(&bfh, &refs.taxa);
+//! let table = BfhBuilder::new().freeze_trees(&refs.trees, &refs.taxa).unwrap();
+//! let cmp = FrozenComparator::new(&table, &refs.taxa);
 //! let avg = cmp.average(&refs.trees[0]).unwrap();
 //! assert!((avg.average() - 2.0 / 3.0).abs() < 1e-12);
 //! ```
 
-use crate::bfh::Bfh;
+use crate::builder::BfhBuilder;
 use crate::error::CoreError;
 use crate::frozen::FrozenBfh;
 use crate::guard::{isolate, RunGuard};
@@ -102,9 +102,10 @@ pub(crate) fn check_tree_taxa(tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreEr
 /// BFHRF (Algorithm 2) over any split-frequency store: one tree-vs-hash
 /// comparison per query. Every entry point extracts a query's splits with
 /// their hashes into an arena and scores them through one kernel, so
-/// answers are bitwise-identical whatever the store — a live [`Bfh`], a
-/// [`FrozenBfh`] ([`FrozenComparator`]), one patched by a delta, or a
-/// [`crate::CompactBfh`]. `name()` is `"bfhrf"` for all of them.
+/// answers are bitwise-identical whatever the store — a [`FrozenBfh`]
+/// ([`FrozenComparator`]), one patched by a delta, a
+/// [`crate::CompactBfh`] or any other [`SplitFrequency`]. `name()` is
+/// `"bfhrf"` for all of them.
 #[derive(Debug, Clone)]
 pub struct BfhrfComparator<'a, H: SplitFrequency + Clone> {
     table: Cow<'a, H>,
@@ -121,6 +122,17 @@ impl<'a, H: SplitFrequency + Clone + Sync> BfhrfComparator<'a, H> {
     pub fn new(table: &'a H, taxa: &'a TaxonSet) -> Self {
         BfhrfComparator {
             table: Cow::Borrowed(table),
+            taxa,
+            parallel: false,
+        }
+    }
+
+    /// Compare against a table the comparator owns — what degradation
+    /// paths use when they build the fallback table themselves and have
+    /// nowhere to park a borrow.
+    pub fn from_owned(table: H, taxa: &'a TaxonSet) -> Self {
+        BfhrfComparator {
+            table: Cow::Owned(table),
             taxa,
             parallel: false,
         }
@@ -170,19 +182,6 @@ impl<'a, H: SplitFrequency + Clone + Sync> BfhrfComparator<'a, H> {
             &mut out,
         )?;
         Ok(out)
-    }
-}
-
-impl<'a> BfhrfComparator<'a, Bfh> {
-    /// Compare against a hash the comparator owns — what degradation paths
-    /// use when they build the fallback hash themselves and have nowhere
-    /// to park a borrow.
-    pub fn from_owned(bfh: Bfh, taxa: &'a TaxonSet) -> Self {
-        BfhrfComparator {
-            table: Cow::Owned(bfh),
-            taxa,
-            parallel: false,
-        }
     }
 }
 
@@ -442,8 +441,8 @@ impl Comparator for DayComparator<'_> {
 }
 
 /// Construct a HashRF comparator — or, when its estimated allocation
-/// exceeds the guard's byte budget, degrade to an owned-hash BFHRF
-/// comparator and record the [`Degradation`](crate::guard::Degradation)
+/// exceeds the guard's byte budget, degrade to a BFHRF comparator over a
+/// frozen table it owns and record the [`Degradation`](crate::guard::Degradation)
 /// on the guard instead of letting the kernel OOM-kill the run (the fate
 /// of the paper's r = 100k HashRF experiments).
 ///
@@ -474,14 +473,18 @@ pub fn hashrf_or_degrade<'a>(
                 .map_or_else(|| "unlimited".into(), |b| b.to_string()),
         ),
     );
-    let bfh = Bfh::try_build_sharded(refs, taxa, 1, guard)?;
-    Ok(Box::new(BfhrfComparator::from_owned(bfh, taxa)))
+    // A parallel build, so the fallback is budgeted under the same guard.
+    let table = BfhBuilder::new()
+        .parallel(true)
+        .guard(guard.clone())
+        .freeze_trees(refs, taxa)?;
+    Ok(Box::new(BfhrfComparator::from_owned(table, taxa)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompactBfh, SplitDelta};
+    use crate::{Bfh, CompactBfh, SplitDelta};
     use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
     use std::sync::Arc;
 
@@ -527,7 +530,7 @@ mod tests {
             Stores {
                 frozen: bfh.freeze(),
                 patched,
-                compact: CompactBfh::from_bfh(&bfh),
+                compact: CompactBfh::build(&refs.trees, &refs.taxa),
                 bfh,
             }
         }

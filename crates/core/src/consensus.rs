@@ -1,14 +1,17 @@
-//! Consensus trees straight from the frequency hash.
+//! Consensus trees straight from the frequency table.
 //!
 //! "We can simplify to the average RF value for most consensus type
-//! analyses" (paper §VIII) — and the [`Bfh`] already holds everything a
-//! split-frequency consensus needs: the majority-rule consensus keeps the
-//! splits present in more than `threshold · r` trees, the strict consensus
-//! those present in all. Splits above half-frequency are pairwise
+//! analyses" (paper §VIII) — and the [`FrozenBfh`] that answers average-RF
+//! queries already holds everything a split-frequency consensus needs: the
+//! majority-rule consensus keeps the splits present in more than
+//! `threshold · r` trees, the strict consensus those present in all.
+//! Splits above half-frequency are pairwise
 //! compatible, so assembly is a laminar-family construction, no
-//! compatibility solver needed.
+//! compatibility solver needed. Each consensus reads the table once, in
+//! slot order; the splits it keeps are sorted before assembly, so the tree
+//! does not depend on that order.
 
-use crate::bfh::Bfh;
+use crate::frozen::FrozenBfh;
 use crate::CoreError;
 use phylo::{TaxonId, TaxonSet, Tree};
 use phylo_bitset::Bits;
@@ -18,46 +21,47 @@ use phylo_bitset::Bits;
 /// `[0.5, 1.0)`; 0.5 is the classic majority rule.
 ///
 /// ```
-/// use bfhrf::{Bfh, consensus::majority_consensus};
+/// use bfhrf::{BfhBuilder, consensus::majority_consensus};
 /// use phylo::TreeCollection;
 ///
 /// let coll = TreeCollection::parse(
 ///     "((A,B),(C,D));\n((A,B),(C,D));\n((A,C),(B,D));").unwrap();
-/// let bfh = Bfh::build(&coll.trees, &coll.taxa);
-/// let tree = majority_consensus(&bfh, &coll.taxa, 0.5).unwrap();
+/// let table = BfhBuilder::new().freeze_trees(&coll.trees, &coll.taxa).unwrap();
+/// let tree = majority_consensus(&table, &coll.taxa, 0.5).unwrap();
 /// // the 2/3-majority split {A,B} survives
 /// assert_eq!(tree.bipartitions(&coll.taxa).len(), 1);
 /// ```
-pub fn majority_consensus(bfh: &Bfh, taxa: &TaxonSet, threshold: f64) -> Result<Tree, CoreError> {
+pub fn majority_consensus(
+    table: &FrozenBfh,
+    taxa: &TaxonSet,
+    threshold: f64,
+) -> Result<Tree, CoreError> {
     if !(0.5..1.0).contains(&threshold) {
         return Err(CoreError::TaxaMismatch(format!(
             "consensus threshold {threshold} outside [0.5, 1.0)"
         )));
     }
-    if bfh.n_trees() == 0 {
-        return Err(CoreError::EmptyReference);
-    }
-    let cut = threshold * bfh.n_trees() as f64;
-    let selected: Vec<Bits> = bfh
-        .iter()
-        .filter(|(_, count)| f64::from(*count) > cut)
-        .map(|(bits, _)| bits.clone())
-        .collect();
-    assemble(selected, taxa)
+    let cut = threshold * table.n_trees() as f64;
+    assemble(splits_where(table, |count| f64::from(count) > cut)?, taxa)
 }
 
 /// Strict consensus: only splits present in every reference tree.
-pub fn strict_consensus(bfh: &Bfh, taxa: &TaxonSet) -> Result<Tree, CoreError> {
-    if bfh.n_trees() == 0 {
+pub fn strict_consensus(table: &FrozenBfh, taxa: &TaxonSet) -> Result<Tree, CoreError> {
+    let r = table.n_trees() as u32;
+    assemble(splits_where(table, |count| count == r)?, taxa)
+}
+
+/// The table's splits whose frequency passes `keep`, in slot order; an
+/// empty table has no consensus.
+fn splits_where(table: &FrozenBfh, keep: impl Fn(u32) -> bool) -> Result<Vec<Bits>, CoreError> {
+    if table.n_trees() == 0 {
         return Err(CoreError::EmptyReference);
     }
-    let r = bfh.n_trees() as u32;
-    let selected: Vec<Bits> = bfh
+    Ok(table
         .iter()
-        .filter(|(_, count)| *count == r)
-        .map(|(bits, _)| bits.clone())
-        .collect();
-    assemble(selected, taxa)
+        .filter(|&(_, count)| keep(count))
+        .map(|(words, _)| Bits::from_words(table.n_taxa(), words))
+        .collect())
 }
 
 /// Greedy ("extended majority rule") consensus: walk the splits by
@@ -65,13 +69,13 @@ pub fn strict_consensus(bfh: &Bfh, taxa: &TaxonSet) -> Result<Tree, CoreError> {
 /// keep each one that is compatible with everything kept so far. The
 /// result refines the majority-rule tree and is always fully specified by
 /// the collection.
-pub fn greedy_consensus(bfh: &Bfh, taxa: &TaxonSet) -> Result<Tree, CoreError> {
-    if bfh.n_trees() == 0 {
+pub fn greedy_consensus(table: &FrozenBfh, taxa: &TaxonSet) -> Result<Tree, CoreError> {
+    if table.n_trees() == 0 {
         return Err(CoreError::EmptyReference);
     }
-    let mut splits: Vec<(Bits, u32)> = bfh
+    let mut splits: Vec<(Bits, u32)> = table
         .iter()
-        .map(|(bits, count)| (bits.clone(), count))
+        .map(|(words, count)| (Bits::from_words(table.n_taxa(), words), count))
         .collect();
     splits.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let n = taxa.len();
@@ -164,12 +168,15 @@ fn assemble(splits: Vec<Bits>, taxa: &TaxonSet) -> Result<Tree, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BfhBuilder;
     use phylo::{BipartitionSet, TreeCollection};
 
-    fn bfh_of(text: &str) -> (TreeCollection, Bfh) {
+    fn bfh_of(text: &str) -> (TreeCollection, FrozenBfh) {
         let coll = TreeCollection::parse(text).unwrap();
-        let bfh = Bfh::build(&coll.trees, &coll.taxa);
-        (coll, bfh)
+        let table = BfhBuilder::new()
+            .freeze_trees(&coll.trees, &coll.taxa)
+            .unwrap();
+        (coll, table)
     }
 
     #[test]
@@ -325,7 +332,7 @@ mod tests {
     #[test]
     fn empty_hash_rejected() {
         let (coll, _) = bfh_of("((A,B),(C,D));");
-        let empty = Bfh::empty(coll.taxa.len());
+        let empty = BfhBuilder::new().freeze_trees(&[], &coll.taxa).unwrap();
         assert_eq!(
             strict_consensus(&empty, &coll.taxa).unwrap_err(),
             CoreError::EmptyReference

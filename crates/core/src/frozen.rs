@@ -145,11 +145,13 @@ struct Entry {
     offset: u32,
 }
 
-/// A frozen, probe-optimized snapshot of a [`Bfh`].
+/// The bipartition frequency table every analysis reads: average RF, the
+/// RF variants, consensus and support.
 ///
-/// Answers exactly the same `frequency`/`sum`/`n_trees` questions (it
-/// implements [`crate::SplitFrequency`]), bitwise-identically, but
-/// read-only. Clones share the lanes.
+/// Built by [`crate::BfhBuilder`], loaded from a snapshot or mapped from a
+/// sidecar; it answers exactly the `frequency`/`sum`/`n_trees` questions a
+/// [`Bfh`] holding the same splits answers (it implements
+/// [`crate::SplitFrequency`]), but read-only. Clones share the lanes.
 #[derive(Debug, Clone)]
 pub struct FrozenBfh {
     n_taxa: usize,
@@ -257,7 +259,7 @@ impl SplitDelta {
         entries
     }
 
-    /// Heap bytes: map buckets plus key payloads (as [`Bfh::approx_bytes`]).
+    /// Heap bytes: map buckets plus key payloads.
     fn approx_bytes(&self) -> usize {
         let per_entry =
             words_for(self.n_taxa) * 8 + std::mem::size_of::<Bits>() + std::mem::size_of::<i64>();

@@ -8,10 +8,11 @@
 //!
 //! Computing the average Robinson-Foulds distance of each query tree in `Q`
 //! against a reference collection `R` classically needs `q × r` tree-vs-tree
-//! comparisons. BFHRF instead builds a **bipartition frequency hash**
-//! [`Bfh`] over `R` — a collision-free map from canonical bipartition
-//! bitmasks to how many reference trees contain them — and then answers
-//! each query with a single tree-vs-hash comparison:
+//! comparisons. BFHRF instead builds a **bipartition frequency hash** over
+//! `R` — a collision-free map from canonical bipartition bitmasks to how
+//! many reference trees contain them, laid out as the read-only
+//! [`FrozenBfh`] — and then answers each query with a single tree-vs-hash
+//! comparison:
 //!
 //! ```text
 //! RF_left  = sumBFHR − Σ_{b' ∈ B(T')} BFH[b']        (refs' splits missing from T')
@@ -26,8 +27,9 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`bfh`] | The frequency hash: sequential/sharded builds, incremental add/remove, preprocessing hooks |
-//! | [`builder`] | [`BfhBuilder`] — the one configurable front door for hash construction |
+//! | [`frozen`] | [`FrozenBfh`], the frequency table every analysis reads, and [`SplitDelta`] for updates without a rebuild |
+//! | [`builder`] | [`BfhBuilder`] — the one configurable front door for building the table |
+//! | [`bfh`] | The live hash with incremental add/remove: the oracle tests check the table against |
 //! | [`guard`] | Run hardening: [`RunBudget`], [`CancelToken`], degradation log, panic isolation |
 //! | [`comparator`] | The [`Comparator`] trait unifying every average-RF engine (BFHRF, DS/DSMP, HashRF, Day) |
 //! | [`rf`] | BFHRF itself (Algorithm 2): sequential, parallel, streaming |
@@ -35,26 +37,26 @@
 //! | [`hashrf`] | A faithful HashRF reimplementation: two-level universal hashing, all-vs-all `r × r` matrix, configurable ID width (collisions) |
 //! | [`day`] | Day's O(n) pairwise RF — the independent correctness oracle |
 //! | [`matrix`] | Collision-free all-vs-all RF matrices via a bipartition inverted index |
-//! | [`consensus`] | Majority-rule and strict consensus straight from the hash |
+//! | [`consensus`] | Majority-rule, strict and greedy consensus straight from the table |
 //! | [`variants`] | Generalized RF: split weighting (unit, information content), size filtering, normalization |
 //! | [`variable_taxa`] | RF across collections with differing taxa via restriction to the common set |
 //! | [`select`] | Best-query-tree selection (the paper's motivating use) |
 //! | [`pgm`] | A PGM-Hashed-style comparator (the other hashed 1-vs-1 method the paper cites) |
 //! | [`compact`] | Compressed-key hash (the paper's §IX lossless-compression extension) |
-//! | [`support`] | Split-support annotation from the hash (§IX "other applications of a BFH") |
+//! | [`support`] | Split-support annotation from the table (§IX "other applications of a BFH") |
 //! | [`cluster`] | k-medoids + silhouette over RF matrices (the clustering workload of §I) |
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use bfhrf::{Bfh, bfhrf_average};
+//! use bfhrf::{bfhrf_average, BfhBuilder};
 //! use phylo::TreeCollection;
 //!
 //! let refs = TreeCollection::parse("((A,B),(C,D));\n((A,B),(C,D));\n((A,C),(B,D));").unwrap();
 //! let queries = TreeCollection::parse("((A,B),(C,D));").unwrap();
 //!
-//! let bfh = Bfh::build(&refs.trees, &refs.taxa);
-//! let avg = bfhrf_average(&queries.trees[0], &refs.taxa, &bfh);
+//! let table = BfhBuilder::new().freeze_trees(&refs.trees, &refs.taxa).unwrap();
+//! let avg = bfhrf_average(&queries.trees[0], &refs.taxa, &table);
 //! // distance 0 to two refs, 2 to one: average 2/3
 //! assert!((avg.average() - 2.0 / 3.0).abs() < 1e-12);
 //! ```

@@ -1,6 +1,6 @@
 //! The BFHRF query computation — the paper's Algorithm 2, second loop.
 //!
-//! Each query tree is compared against the [`Bfh`] once, in `O(n²)`,
+//! Each query tree is compared against the frequency table once, in `O(n²)`,
 //! independently of `r` and of every other query. Totals are accumulated
 //! in integers; division by `r` happens only in [`RfAverage::average`], so
 //! results are exact and deterministic regardless of parallel scheduling.
@@ -50,8 +50,8 @@ impl RfAverage {
 
 /// Anything that can answer "how many reference trees contain this
 /// split?" — the interface Algorithm 2 actually needs. Implemented by
-/// [`Bfh`] and by [`crate::CompactBfh`]; alternative stores (mmap-backed,
-/// GPU-resident, ...) plug in here.
+/// [`crate::FrozenBfh`], the live [`Bfh`] and [`crate::CompactBfh`];
+/// alternative stores (mmap-backed, GPU-resident, ...) plug in here.
 pub trait SplitFrequency {
     /// Frequency of a canonical split bitmask (0 if absent).
     fn split_frequency(&self, bits: &phylo_bitset::Bits) -> u32;
@@ -61,8 +61,8 @@ pub trait SplitFrequency {
     fn reference_count(&self) -> usize;
     /// Frequency of a canonical mask given as raw words over an
     /// `n_bits`-wide namespace. The default materializes a key; stores with
-    /// a borrowed-key probe (like [`Bfh`]) override it so scratch-driven
-    /// queries never allocate.
+    /// a borrowed-key probe override it so scratch-driven queries never
+    /// allocate.
     fn split_frequency_words(&self, n_bits: usize, words: &[u64]) -> u32 {
         self.split_frequency(&phylo_bitset::Bits::from_words(n_bits, words))
     }
@@ -98,8 +98,8 @@ fn rf_average<H: SplitFrequency + ?Sized>(hash: &H, freq_sum: u64, splits: usize
 
 /// Whether removing the tree whose splits are `batch` from `table` would
 /// succeed after earlier removals took `taken` trees and `used(mask)`
-/// occurrences of each split — with [`Bfh::remove_tree`]'s error when it
-/// would not.
+/// occurrences of each split — with a "never added" structure error when
+/// it would not.
 pub(crate) fn check_removal<F: SplitFrequency + ?Sized>(
     table: &F,
     n_taxa: usize,
@@ -125,12 +125,12 @@ pub(crate) fn check_removal<F: SplitFrequency + ?Sized>(
 }
 
 /// Dry-run removing `trees` in order from `table` without touching it.
-/// `Ok` exactly when [`Bfh::remove_tree`] of each tree in turn, on a copy
-/// of the table, would succeed; otherwise the index of the first tree that
+/// `Ok` exactly when removing each tree in turn from a copy of the table
+/// would succeed; otherwise the index of the first tree that
 /// would fail and the error it would fail with. Costs one map entry per
 /// distinct split the batch touches instead of a copy of the table, so a
 /// frozen table with its delta ([`crate::FrozenBfh::overlay`]) is checked
-/// as cheaply as a live hash.
+/// as cheaply as an unpatched one.
 pub fn check_remove_batch<F: SplitFrequency + ?Sized>(
     table: &F,
     trees: &[Tree],
@@ -198,15 +198,15 @@ impl SplitFrequency for crate::CompactBfh {
 }
 
 /// Average RF of one query tree against any split-frequency store —
-/// Algorithm 2's arithmetic, generic over the hash representation.
+/// Algorithm 2's arithmetic, generic over the table representation.
 ///
 /// # Panics
 /// Panics if the store holds no trees (average undefined).
-pub fn bfhrf_average_with<H: SplitFrequency>(query: &Tree, taxa: &TaxonSet, hash: &H) -> RfAverage {
-    bfhrf_average_scratch(query, taxa, hash, &mut BipartitionScratch::new())
+pub fn bfhrf_average<H: SplitFrequency>(query: &Tree, taxa: &TaxonSet, table: &H) -> RfAverage {
+    bfhrf_average_scratch(query, taxa, table, &mut BipartitionScratch::new())
 }
 
-/// [`bfhrf_average_with`] through a caller-owned extraction arena: the
+/// [`bfhrf_average`] through a caller-owned extraction arena: the
 /// query's splits are extracted with their hashes into `scratch` and
 /// scored as one batch, so batched callers reuse one arena across all
 /// queries and the per-query loop allocates nothing.
@@ -226,14 +226,6 @@ pub fn bfhrf_average_scratch<H: SplitFrequency + ?Sized>(
     score_batch(hash, taxa.len(), &scratch.batch_splits(query, taxa))
 }
 
-/// Average RF of one query tree against the hash (tree-vs-hash comparison).
-///
-/// # Panics
-/// Panics if the hash holds no trees (average undefined).
-pub fn bfhrf_average(query: &Tree, taxa: &TaxonSet, bfh: &Bfh) -> RfAverage {
-    bfhrf_average_with(query, taxa, bfh)
-}
-
 /// One query's index and score, as produced by the batch entry points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryScore {
@@ -246,12 +238,12 @@ pub struct QueryScore {
 /// Average RF of every query tree, sequentially, through one reused
 /// extraction arena: [`crate::Comparator::average_all`] over a
 /// [`crate::BfhrfComparator`].
-pub fn bfhrf_all(
+pub fn bfhrf_all<H: SplitFrequency + Clone + Sync>(
     queries: &[Tree],
     taxa: &TaxonSet,
-    bfh: &Bfh,
+    table: &H,
 ) -> Result<Vec<QueryScore>, CoreError> {
-    crate::Comparator::average_all(&crate::BfhrfComparator::new(bfh, taxa), queries)
+    crate::Comparator::average_all(&crate::BfhrfComparator::new(table, taxa), queries)
 }
 
 /// Average RF of every query tree pulled from `next`, in input order,
@@ -570,11 +562,11 @@ mod tests {
             "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));",
             "((A,B),((C,D),(E,F)));",
         );
-        let compact = crate::CompactBfh::from_bfh(&bfh);
-        let a = bfhrf_average_with(&qs[0], &refs.taxa, &bfh);
-        let b = bfhrf_average_with(&qs[0], &refs.taxa, &compact);
+        let compact = crate::CompactBfh::build(&refs.trees, &refs.taxa);
+        let a = bfhrf_average(&qs[0], &refs.taxa, &bfh);
+        let b = bfhrf_average(&qs[0], &refs.taxa, &compact);
         assert_eq!(a, b);
-        assert_eq!(a, bfhrf_average(&qs[0], &refs.taxa, &bfh));
+        assert_eq!(a, bfhrf_average(&qs[0], &refs.taxa, &bfh.freeze()));
     }
 
     #[test]

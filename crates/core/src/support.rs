@@ -24,7 +24,7 @@ pub struct EdgeSupport {
 }
 
 /// Annotate every internal edge of `tree` with its reference-collection
-/// support, read from any frequency table (a [`crate::Bfh`] or a
+/// support, read from any frequency table (such as a
 /// [`crate::FrozenBfh`]). Trivial edges (leaves, root) carry no split and
 /// are skipped.
 ///

@@ -4,10 +4,11 @@
 //! standard supertree-style reduction compares trees on the intersection
 //! of their leaf sets: every tree is restricted to the taxa common to
 //! **all** trees of both collections, re-encoded over a dense
-//! sub-namespace, and then ordinary BFHRF runs unchanged — the hash never
+//! sub-namespace, and then ordinary BFHRF runs unchanged — the table never
 //! needed the fixed-taxa assumption, only consistent bitmask layouts.
 
-use crate::bfh::Bfh;
+use crate::builder::BfhBuilder;
+use crate::frozen::FrozenBfh;
 use crate::rf::{bfhrf_all, QueryScore};
 use crate::CoreError;
 use phylo::{TaxonSet, Tree, TreeCollection};
@@ -65,8 +66,8 @@ pub struct CommonTaxaRf {
     pub refs: Vec<Tree>,
     /// Queries restricted and re-encoded over [`CommonTaxaRf::taxa`].
     pub queries: Vec<Tree>,
-    /// The frequency hash over the restricted references.
-    pub bfh: Bfh,
+    /// The frequency table over the restricted references.
+    pub table: FrozenBfh,
     /// Per-query average RF on the common taxa.
     pub scores: Vec<QueryScore>,
 }
@@ -105,13 +106,13 @@ pub fn common_taxa_rf(
     }
     let refs_r = restrict_collection(refs, &shared, &taxa)?;
     let queries_r = restrict_collection(queries, &shared, &taxa)?;
-    let bfh = Bfh::build(&refs_r, &taxa);
-    let scores = bfhrf_all(&queries_r, &taxa, &bfh)?;
+    let table = BfhBuilder::new().freeze_trees(&refs_r, &taxa)?;
+    let scores = bfhrf_all(&queries_r, &taxa, &table)?;
     Ok(CommonTaxaRf {
         taxa,
         refs: refs_r,
         queries: queries_r,
-        bfh,
+        table,
         scores,
     })
 }
@@ -134,7 +135,7 @@ mod tests {
             phylo::TaxaPolicy::Require,
         )
         .unwrap();
-        let bfh = Bfh::build(&refs2.trees, &refs2.taxa);
+        let bfh = crate::Bfh::build(&refs2.trees, &refs2.taxa);
         let direct = bfhrf_all(&q2, &refs2.taxa, &bfh).unwrap();
         assert_eq!(out.scores[0].rf.total(), direct[0].rf.total());
     }

@@ -1,12 +1,13 @@
 //! Generalized and variant RF computations.
 //!
 //! The paper's extensibility claim (§VII.F) is that because the frequency
-//! hash stores untransformed bipartitions, any RF variant expressible as
-//! per-split preprocessing or weighting works on the hash exactly as it
-//! would on the traditional pairwise computation. This module provides:
+//! table stores untransformed bipartitions, any RF variant expressible as
+//! per-split preprocessing or weighting works on the table exactly as it
+//! would on the traditional pairwise computation. Both variants here read
+//! the [`FrozenBfh`] that answers plain average RF. This module provides:
 //!
 //! * [`SplitWeight`] + [`GeneralizedRf`] — weighted average RF against the
-//!   hash, with [`UnitWeight`] (recovers standard RF) and
+//!   table, with [`UnitWeight`] (recovers standard RF) and
 //!   [`PhyloInfoWeight`] (split phylogenetic information content, the
 //!   "information content" modification the paper cites from Wilkinson and
 //!   Smith);
@@ -17,14 +18,15 @@
 //! * [`branch_score`] — pairwise Kuhner–Felsenstein branch-score distance
 //!   (weighted RF with per-tree branch lengths).
 
-use crate::bfh::Bfh;
+use crate::builder::BfhBuilder;
+use crate::frozen::FrozenBfh;
 use crate::rf::RfAverage;
 use phylo::{TaxonSet, Tree};
 use phylo_bitset::Bits;
 
 /// A per-split weight used by [`GeneralizedRf`]. Weights must depend only
 /// on the split itself (not on which tree it came from) — that is exactly
-/// the class of variants the frequency hash supports losslessly.
+/// the class of variants the frequency table supports losslessly.
 pub trait SplitWeight: Sync {
     /// Weight of the canonical split `bits` over `n_taxa` taxa.
     fn weight(&self, bits: &Bits, n_taxa: usize) -> f64;
@@ -87,28 +89,28 @@ impl SplitWeight for PhyloInfoWeight {
     }
 }
 
-/// Weighted average RF of query trees against a [`Bfh`].
+/// Weighted average RF of query trees against a [`FrozenBfh`].
 ///
 /// The arithmetic mirrors Algorithm 2 with weights folded in:
 /// `left = Σ_b freq(b)·w(b) − Σ_{b′} freq(b′)·w(b′)` and
 /// `right = Σ_{b′} (r − freq(b′))·w(b′)`.
 pub struct GeneralizedRf<'a, W: SplitWeight> {
-    bfh: &'a Bfh,
+    table: &'a FrozenBfh,
     weight: W,
     weighted_sum: f64,
 }
 
 impl<'a, W: SplitWeight> GeneralizedRf<'a, W> {
-    /// Wrap a hash with a weighting scheme (one pass to compute the
+    /// Wrap a table with a weighting scheme (one pass to compute the
     /// weighted total).
-    pub fn new(bfh: &'a Bfh, weight: W) -> Self {
-        let n = bfh.n_taxa();
-        let weighted_sum = bfh
+    pub fn new(table: &'a FrozenBfh, weight: W) -> Self {
+        let n = table.n_taxa();
+        let weighted_sum = table
             .iter()
-            .map(|(bits, count)| f64::from(count) * weight.weight(bits, n))
+            .map(|(words, count)| f64::from(count) * weight.weight(&Bits::from_words(n, words), n))
             .sum();
         GeneralizedRf {
-            bfh,
+            table,
             weight,
             weighted_sum,
         }
@@ -121,14 +123,14 @@ impl<'a, W: SplitWeight> GeneralizedRf<'a, W> {
 
     /// Weighted average distance of `query` to the collection.
     pub fn average(&self, query: &Tree, taxa: &TaxonSet) -> f64 {
-        assert!(self.bfh.n_trees() > 0, "empty reference collection");
-        let r = self.bfh.n_trees() as f64;
+        assert!(self.table.n_trees() > 0, "empty reference collection");
+        let r = self.table.n_trees() as f64;
         let n = taxa.len();
         let mut probe_sum = 0.0; // Σ freq(b′)·w(b′)
         let mut query_weight = 0.0; // Σ w(b′)
         for bp in query.bipartitions(taxa) {
             let w = self.weight.weight(bp.bits(), n);
-            probe_sum += f64::from(self.bfh.frequency_of(&bp)) * w;
+            probe_sum += f64::from(self.table.frequency(bp.bits())) * w;
             query_weight += w;
         }
         let left = self.weighted_sum - probe_sum;
@@ -140,50 +142,66 @@ impl<'a, W: SplitWeight> GeneralizedRf<'a, W> {
 /// Bipartition-size-filtered average RF — the paper's demonstration
 /// variant: splits whose smaller side is outside `[min_side, max_side]`
 /// are ignored on both the reference and the query side.
+///
+/// It keeps the unfiltered table and the occurrence sum of the splits the
+/// filter keeps: a split that passes the filter has the same frequency in
+/// either table, so no filtered copy is needed.
 pub struct SizeFilteredRf {
-    bfh: Bfh,
+    table: FrozenBfh,
+    /// Σ frequency over the reference splits the filter keeps.
+    sum: u64,
     min_side: usize,
     max_side: usize,
 }
 
 impl SizeFilteredRf {
-    /// Build a filtered hash over the references.
+    /// Build the references' table and sum what the filter keeps.
+    ///
+    /// # Panics
+    /// Panics if a reference tree has a leaf outside `taxa`.
     pub fn new(refs: &[Tree], taxa: &TaxonSet, min_side: usize, max_side: usize) -> Self {
-        let n = taxa.len();
-        let mut bfh = Bfh::build(refs, taxa);
-        bfh.retain(|bits, _| {
-            let side = (bits.count_ones() as usize).min(n - bits.count_ones() as usize);
-            (min_side..=max_side).contains(&side)
-        });
-        SizeFilteredRf {
-            bfh,
+        let table = BfhBuilder::new()
+            .freeze_trees(refs, taxa)
+            .expect("reference trees are encoded over `taxa`");
+        let mut filtered = SizeFilteredRf {
+            table,
+            sum: 0,
             min_side,
             max_side,
-        }
+        };
+        filtered.sum = filtered.splits().map(|(_, c)| u64::from(c)).sum();
+        filtered
     }
 
-    /// The filtered hash (e.g. to inspect what survived).
-    pub fn bfh(&self) -> &Bfh {
-        &self.bfh
+    /// Whether a split whose smaller side has `side` taxa counts.
+    fn keeps(&self, side: usize) -> bool {
+        (self.min_side..=self.max_side).contains(&side)
+    }
+
+    /// The reference splits the filter keeps, with their frequencies.
+    pub fn splits(&self) -> impl Iterator<Item = (&[u64], u32)> + '_ {
+        let n = self.table.n_taxa();
+        self.table.iter().filter(move |(words, _)| {
+            let ones = phylo_bitset::popcount_words(words) as usize;
+            self.keeps(ones.min(n - ones))
+        })
     }
 
     /// Filtered average RF for one query tree.
     pub fn average(&self, query: &Tree, taxa: &TaxonSet) -> RfAverage {
-        assert!(self.bfh.n_trees() > 0, "empty reference collection");
+        assert!(self.table.n_trees() > 0, "empty reference collection");
         let n = taxa.len();
-        let r = self.bfh.n_trees() as u64;
+        let r = self.table.n_trees() as u64;
         let mut freq_sum = 0u64;
         let mut q_splits = 0u64;
-        for bp in query.bipartitions_filtered(taxa, |b| {
-            (self.min_side..=self.max_side).contains(&b.smaller_side(n))
-        }) {
-            freq_sum += u64::from(self.bfh.frequency_of(&bp));
+        for bp in query.bipartitions_filtered(taxa, |b| self.keeps(b.smaller_side(n))) {
+            freq_sum += u64::from(self.table.frequency(bp.bits()));
             q_splits += 1;
         }
         RfAverage {
-            left: self.bfh.sum() - freq_sum,
+            left: self.sum - freq_sum,
             right: q_splits * r - freq_sum,
-            n_refs: self.bfh.n_trees(),
+            n_refs: self.table.n_trees(),
         }
     }
 }
@@ -224,6 +242,12 @@ mod tests {
     use crate::rf::bfhrf_average;
     use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
 
+    fn table(refs: &TreeCollection) -> FrozenBfh {
+        BfhBuilder::new()
+            .freeze_trees(&refs.trees, &refs.taxa)
+            .unwrap()
+    }
+
     fn setup() -> (TreeCollection, Vec<Tree>) {
         let mut refs = TreeCollection::parse(
             "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));",
@@ -241,7 +265,7 @@ mod tests {
     #[test]
     fn unit_weight_recovers_standard_rf() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let bfh = table(&refs);
         let gen = GeneralizedRf::new(&bfh, UnitWeight);
         for q in &queries {
             let exact = bfhrf_average(q, &refs.taxa, &bfh);
@@ -275,7 +299,7 @@ mod tests {
     #[test]
     fn info_weighted_rf_orders_disagreements() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let bfh = table(&refs);
         let gen = GeneralizedRf::new(&bfh, PhyloInfoWeight::new(refs.taxa.len()));
         let d_same = gen.average(&queries[0], &refs.taxa);
         let d_diff = gen.average(&queries[1], &refs.taxa);
@@ -288,13 +312,14 @@ mod tests {
         let (refs, queries) = setup();
         // only cherries (smaller side exactly 2)
         let filt = SizeFilteredRf::new(&refs.trees, &refs.taxa, 2, 2);
-        for (bits, _) in filt.bfh().iter() {
-            let ones = bits.count_ones() as usize;
+        assert!(filt.splits().count() > 0);
+        for (words, _) in filt.splits() {
+            let ones = Bits::from_words(6, words).count_ones() as usize;
             assert_eq!(ones.min(6 - ones), 2);
         }
         let a = filt.average(&queries[0], &refs.taxa);
         // filtered distances are bounded by unfiltered ones
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let bfh = table(&refs);
         let full = bfhrf_average(&queries[0], &refs.taxa, &bfh);
         assert!(a.total() <= full.total());
     }
@@ -303,7 +328,7 @@ mod tests {
     fn size_filter_full_band_is_identity() {
         let (refs, queries) = setup();
         let filt = SizeFilteredRf::new(&refs.trees, &refs.taxa, 2, 4);
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let bfh = table(&refs);
         for q in &queries {
             assert_eq!(
                 filt.average(q, &refs.taxa),
@@ -315,7 +340,7 @@ mod tests {
     #[test]
     fn normalization_bounds() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let bfh = table(&refs);
         for q in &queries {
             let rf = bfhrf_average(q, &refs.taxa, &bfh);
             let norm = normalized_average(&rf, refs.taxa.len());

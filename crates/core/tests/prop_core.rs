@@ -89,7 +89,7 @@ proptest! {
         let bfh_seq = Bfh::build(&refs.trees, &refs.taxa);
         let bfh_par = BfhBuilder::new()
             .parallel(true)
-            .from_trees(&refs.trees, &refs.taxa)
+            .freeze_trees(&refs.trees, &refs.taxa)
             .unwrap();
         prop_assert_eq!(bfh_seq.sum(), bfh_par.sum());
         prop_assert_eq!(bfh_seq.distinct(), bfh_par.distinct());
@@ -124,18 +124,16 @@ proptest! {
         let sharded = Bfh::build_sharded(&refs.trees, &refs.taxa, shards);
         let built = BfhBuilder::new()
             .parallel(seed.is_multiple_of(2))
-            .shards(shards)
-            .from_trees(&refs.trees, &refs.taxa)
+            .freeze_trees(&refs.trees, &refs.taxa)
             .unwrap();
-        for other in [&sharded, &built] {
-            prop_assert_eq!(seq.sum(), other.sum());
-            prop_assert_eq!(seq.n_trees(), other.n_trees());
-            prop_assert_eq!(seq.distinct(), other.distinct());
+        let counts = |t: &FrozenBfh| (t.sum(), t.n_trees(), t.distinct());
+        for other in [&sharded.freeze(), &built] {
+            prop_assert_eq!(counts(other), (seq.sum(), seq.n_trees(), seq.distinct()));
             for (bits, count) in seq.iter() {
                 prop_assert_eq!(other.frequency(bits), count);
             }
-            for (bits, count) in other.iter() {
-                prop_assert_eq!(seq.frequency(bits), count);
+            for (words, count) in other.iter() {
+                prop_assert_eq!(seq.frequency_words(words), count);
             }
         }
     }
@@ -152,7 +150,7 @@ proptest! {
         // the total).
         let refs = collection(n, r, seed, true);
         let queries = collection(n, q, seed ^ 13, false);
-        let bfh = BfhBuilder::new().shards(3).from_trees(&refs.trees, &refs.taxa).unwrap();
+        let bfh = BfhBuilder::new().parallel(true).freeze_trees(&refs.trees, &refs.taxa).unwrap();
         let bfhrf = BfhrfComparator::new(&bfh, &refs.taxa);
         let ds = SetComparator::new(&refs.trees, &refs.taxa);
         let day = DayComparator::new(&refs.trees, &refs.taxa);
@@ -350,7 +348,7 @@ proptest! {
     ) {
         use bfhrf::consensus::{majority_consensus, strict_consensus};
         let coll = collection(n, r, seed, true);
-        let bfh = Bfh::build(&coll.trees, &coll.taxa);
+        let bfh = BfhBuilder::new().freeze_trees(&coll.trees, &coll.taxa).unwrap();
         let maj = majority_consensus(&bfh, &coll.taxa, 0.5).unwrap();
         let strict = strict_consensus(&bfh, &coll.taxa).unwrap();
         prop_assert!(maj.validate(&coll.taxa).is_ok());
@@ -376,7 +374,7 @@ proptest! {
     ) {
         use bfhrf::consensus::{greedy_consensus, majority_consensus, splits_compatible};
         let coll = collection(n, r, seed, true);
-        let bfh = Bfh::build(&coll.trees, &coll.taxa);
+        let bfh = BfhBuilder::new().freeze_trees(&coll.trees, &coll.taxa).unwrap();
         let greedy = greedy_consensus(&bfh, &coll.taxa).unwrap();
         prop_assert!(greedy.validate(&coll.taxa).is_ok());
         // greedy splits are pairwise compatible by construction, and the
@@ -404,7 +402,7 @@ proptest! {
         use bfhrf::variants::{GeneralizedRf, UnitWeight};
         let refs = collection(n, r, seed, true);
         let queries = collection(n, 2, seed ^ 3, true);
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let bfh = BfhBuilder::new().freeze_trees(&refs.trees, &refs.taxa).unwrap();
         let gen = GeneralizedRf::new(&bfh, UnitWeight);
         let exact = bfhrf_all(&queries.trees, &refs.taxa, &bfh).unwrap();
         for s in &exact {
@@ -455,7 +453,7 @@ proptest! {
         let refs = collection(n, r, seed, true);
         let queries = collection(n, q, seed ^ 5, false);
         let plain = Bfh::build(&refs.trees, &refs.taxa);
-        let compact = CompactBfh::from_bfh(&plain);
+        let compact = CompactBfh::build(&refs.trees, &refs.taxa);
         prop_assert_eq!(plain.sum(), compact.sum());
         prop_assert_eq!(plain.distinct(), compact.distinct());
         for (bits, count) in plain.iter() {
@@ -518,7 +516,7 @@ proptest! {
             let live = bfhrf::bfhrf_average(qt, &refs.taxa, &bfh);
             // batched kernel and generic SplitFrequency path both agree
             prop_assert_eq!(frozen.average_scratch(qt, &refs.taxa, &mut scratch), live);
-            prop_assert_eq!(bfhrf::rf::bfhrf_average_with(qt, &refs.taxa, &frozen), live);
+            prop_assert_eq!(bfhrf::bfhrf_average(qt, &refs.taxa, &frozen), live);
         }
         // through the Comparator API, sequential and parallel, against the
         // independent Day oracle
@@ -823,12 +821,7 @@ proptest! {
             }
         }
         for threads in [1usize, 2, 4] {
-            for builder in [
-                BfhBuilder::new(),
-                BfhBuilder::new().parallel(true),
-                BfhBuilder::new().shards(3),
-                BfhBuilder::new().parallel(true).shards(8),
-            ] {
+            for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
                 let again = fold_on(&builder, &text, threads);
                 prop_assert_eq!(again.digest(), table.digest(), "{} threads, {:?}", threads, builder);
             }
@@ -840,7 +833,7 @@ proptest! {
 fn empty_stream_folds_to_the_empty_hash_frozen() {
     for n in [4usize, 63, 64, 65, 127, 128, 129, 200] {
         let want = Bfh::empty(n).freeze();
-        for builder in [BfhBuilder::new(), BfhBuilder::new().shards(3)] {
+        for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
             let mut taxa = TaxonSet::with_numbered("t", n);
             let table = builder.freeze_stream(&mut taxa, |_| Ok(None)).unwrap();
             assert_eq!(table.digest(), want.digest(), "n={n}");

@@ -6,10 +6,12 @@
 //! before it folds, so the chunk buffer being filled is zero-extended and
 //! lanes already holding masks are re-laid wider. Every case must give,
 //! digest for digest, the table a build over the whole collection parsed
-//! up front gives, for any thread count, shard count or build mode; that
-//! table must answer like a freeze of the hash built sequentially; the
-//! kept Q = R scores must equal the streamed query scorer's; and `avgrf`
-//! must give the all-pairs set comparator's (`ds`) report. The leafsets
+//! up front gives, for any thread count or build mode; that table must
+//! answer like a freeze of the hash built sequentially; the kept Q = R
+//! scores must equal the streamed query scorer's; `avgrf` must give the
+//! all-pairs set comparator's (`ds`) report; and every consensus read
+//! from the streamed table must be the one read from either of the
+//! others, at final widths on both sides of each word boundary. The leafsets
 //! differ from tree to tree, which is what lets a namespace grow, so
 //! Day's algorithm, which needs one leafset, cannot be the oracle here.
 
@@ -166,20 +168,23 @@ fn widening_mid_stream_matches_the_materialized_build() {
                 .unwrap();
             let oracle_table = Bfh::build(&whole.trees, &whole.taxa);
             assert_answers_like(&first, &oracle_table, &format!("{name}: crossing at {at}"));
+            let consensus = consensus_newicks(&first, &whole.taxa);
+            assert_eq!(
+                consensus_newicks(&oracle_table.freeze(), &whole.taxa),
+                consensus,
+                "{name}: crossing at {at}"
+            );
+            for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
+                let (table, taxa) = streamed(bytes, policy, &builder);
+                assert_eq!(taxa.len(), whole.taxa.len());
+                assert_eq!(
+                    table.digest(),
+                    first.digest(),
+                    "{name}: crossing at {at}, {builder:?}"
+                );
+                assert_eq!(consensus_newicks(&table, &taxa), consensus, "{name}: {at}");
+            }
             for shards in [1usize, 2, 3] {
-                let mut builders = vec![BfhBuilder::new().parallel(true).shards(shards)];
-                if shards == 1 {
-                    builders.push(BfhBuilder::new());
-                }
-                for builder in &builders {
-                    let (table, taxa) = streamed(bytes, policy, builder);
-                    assert_eq!(taxa.len(), whole.taxa.len());
-                    assert_eq!(
-                        table.digest(),
-                        first.digest(),
-                        "{name}: crossing at {at}, {shards} shards, {builder:?}"
-                    );
-                }
                 let k = shards.to_string();
                 let (report, code) = avgrf(&path, &[&["--shards", &k][..], lenient].concat());
                 assert_eq!(report, oracle, "{name}: crossing at {at}, {shards} shards");
@@ -230,7 +235,6 @@ fn widening_inside_a_pipelined_chunk_matches_the_whole_build_and_its_scores() {
     let modes = [
         ("seq", BfhBuilder::new()),
         ("parallel", BfhBuilder::new().parallel(true)),
-        ("sharded", BfhBuilder::new().shards(3)),
     ];
     let guard = RunGuard::default();
     for (at64, at128, tail, seed) in cases {
@@ -294,4 +298,94 @@ fn widening_inside_a_pipelined_chunk_matches_the_whole_build_and_its_scores() {
             }
         }
     }
+}
+
+/// Every consensus of `table` over `taxa`, as Newick: majority at 0.5 and
+/// 0.75, strict and greedy.
+fn consensus_newicks(table: &FrozenBfh, taxa: &TaxonSet) -> [String; 4] {
+    use bfhrf::consensus::{greedy_consensus, majority_consensus, strict_consensus};
+    [
+        majority_consensus(table, taxa, 0.5),
+        majority_consensus(table, taxa, 0.75),
+        strict_consensus(table, taxa),
+        greedy_consensus(table, taxa),
+    ]
+    .map(|tree| phylo::write_newick(&tree.unwrap(), taxa))
+}
+
+#[test]
+fn consensus_of_a_widening_stream_matches_the_whole_build() {
+    // The first trees see at most 40 labels; from tree 20 on, one fixed
+    // tree on all `width` labels makes up seven eighths of the rest, so
+    // the majority consensus is resolved at both thresholds while the
+    // namespace widens mid-stream to its final width.
+    let dir = std::env::temp_dir().join(format!("bfhrf-consensus-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (width, seed) in [(63usize, 21u64), (64, 22), (65, 23), (128, 24), (129, 25)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut text = String::new();
+        segment(&mut text, 20, 40, &mut rng);
+        let mut labels = TaxonSet::new();
+        for i in 0..width {
+            labels.intern(&format!("t{i}"));
+        }
+        let fixed = phylo::write_newick(&random_binary_tree(width, &mut rng), &labels);
+        for i in 0..300 {
+            if i % 8 == 0 {
+                segment(&mut text, 1, width, &mut rng);
+            } else {
+                text.push_str(&fixed);
+                text.push('\n');
+            }
+        }
+        let whole = read(text.as_bytes(), IngestPolicy::Strict);
+        assert_eq!(whole.taxa.len(), width);
+        let sliced = BfhBuilder::new()
+            .freeze_trees(&whole.trees, &whole.taxa)
+            .unwrap();
+        let want = consensus_newicks(&sliced, &whole.taxa);
+        let oracle = Bfh::build(&whole.trees, &whole.taxa).freeze();
+        assert_eq!(
+            consensus_newicks(&oracle, &whole.taxa),
+            want,
+            "width {width}"
+        );
+        let resolved = |newick: &str| newick.matches('(').count();
+        assert!(resolved(&want[1]) > 1, "width {width}: {}", want[1]);
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
+                let (table, taxa) =
+                    pool.install(|| streamed(text.as_bytes(), IngestPolicy::Strict, &builder));
+                assert_eq!(
+                    consensus_newicks(&table, &taxa),
+                    want,
+                    "width {width}, {threads} threads, {builder:?}"
+                );
+            }
+        }
+        // The CLI streams the file into the same table.
+        let path = dir.join(format!("consensus-{width}.nwk"));
+        std::fs::write(&path, &text).unwrap();
+        let refs = path.display().to_string();
+        for (flags, newick) in [
+            (&[][..], &want[0]),
+            (&["--threshold", "0.75"][..], &want[1]),
+            (&["--strict"][..], &want[2]),
+            (&["--greedy"][..], &want[3]),
+        ] {
+            let mut argv = vec!["consensus".to_string(), "--refs".into(), refs.clone()];
+            argv.extend(flags.iter().map(|f| f.to_string()));
+            let out = bfhrf_cli::run_full(&argv).unwrap();
+            assert_eq!(
+                out.stdout,
+                format!("{newick}\n"),
+                "width {width}, {flags:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -389,22 +389,22 @@ fn open_base(
 impl Index {
     /// Create a fresh index at `dir` (created if missing) from an
     /// in-memory hash, writing a generation-0 snapshot and an empty WAL:
-    /// [`Index::create_table`] of the hash's freeze, with its shard count
-    /// in the snapshot header. Refuses to overwrite an existing snapshot.
+    /// [`Index::create_table`] of the hash's freeze, with a shard count of
+    /// 1 in the snapshot header. Refuses to overwrite an existing snapshot.
     pub fn create(dir: &Path, bfh: Bfh, taxa: TaxonSet) -> Result<Index, IndexError> {
-        let n_shards = bfh.n_shards();
         let start = Instant::now();
         let table = bfh.freeze();
         record_lay_out(start);
         drop(bfh);
-        Index::create_table(dir, table, n_shards, taxa)
+        Index::create_table(dir, table, 1, taxa)
     }
 
     /// Create a fresh index at `dir` from a frozen table, with `n_shards`
-    /// in the snapshot header: the snapshot is byte-identical to the one
-    /// [`Index::create`] writes for an `n_shards`-way hash holding the same
-    /// splits, and the table itself becomes the base and the sidecar, so no
-    /// hash is built and nothing is frozen.
+    /// written verbatim in the snapshot header (the build's `--shards`
+    /// value, kept through compactions and shown by `index inspect`; no
+    /// load depends on it). The table itself
+    /// becomes the base and the sidecar, so no hash is built and nothing is
+    /// frozen.
     pub fn create_table(
         dir: &Path,
         table: FrozenBfh,
@@ -711,14 +711,14 @@ impl Index {
     }
 
     /// The index's splits (snapshot plus replayed/pending WAL batches) as
-    /// a hash with the snapshot's shard count. Built from the table on
+    /// a hash. Built from the table on
     /// first use and kept until the next write: reads, writes, stats and
     /// compaction never need it, so only callers that want a [`Bfh`] pay
     /// for one.
     pub fn bfh(&self) -> &Bfh {
         self.bfh.get_or_init(|| {
             let table = self.base.with_delta(Arc::clone(&self.delta));
-            Bfh::from_table(&table, self.n_shards).expect("a table's splits form a valid hash")
+            Bfh::from_table(&table)
         })
     }
 

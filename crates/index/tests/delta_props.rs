@@ -133,8 +133,8 @@ proptest! {
         let queries = &coll.trees[..4];
         let dir = tmp("prop");
         let mut held: Vec<usize> = (0..r).collect();
-        let bfh = Bfh::build_sharded(&coll.trees[..r], &coll.taxa, shards);
-        let mut idx = Index::create(&dir, bfh, coll.taxa.clone()).unwrap();
+        let table = Bfh::build_sharded(&coll.trees[..r], &coll.taxa, shards).freeze();
+        let mut idx = Index::create_table(&dir, table, shards, coll.taxa.clone()).unwrap();
         assert_view_is_fresh(&mut idx, &probes, queries);
         // Every sequence ends with a burst and a compaction, so at least one
         // compaction folds a delta past the fold bound into lanes rebuilt

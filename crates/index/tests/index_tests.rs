@@ -61,12 +61,12 @@ proptest! {
 
         let snap = read_and_verify(&path).unwrap();
         prop_assert_eq!(snap.meta.generation, 3);
-        prop_assert_eq!(snap.meta.n_shards, bfh.n_shards());
+        prop_assert_eq!(snap.meta.n_shards, shards);
         prop_assert_eq!(snap.taxa.len(), coll.taxa.len());
         for (id, label) in coll.taxa.iter() {
             prop_assert_eq!(snap.taxa.label(id), label);
         }
-        assert_bfh_identical(&Bfh::from_table(&snap.table, shards).unwrap(), &bfh);
+        assert_bfh_identical(&Bfh::from_table(&snap.table), &bfh);
         for (bits, freq) in bfh.iter() {
             prop_assert_eq!(snap.table.frequency_words(bits.words()), freq);
         }
@@ -558,7 +558,7 @@ fn corrupt_sidecar_pool_is_refused_at_open_and_not_resealed() {
         drop(idx);
         verify_frozen_with(&RealVfs, &side).unwrap();
         let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE), &RunGuard::default()).unwrap();
-        assert_bfh_identical(&Bfh::from_table(&snapshot.table, 1).unwrap(), &truth);
+        assert_bfh_identical(&Bfh::from_table(&snapshot.table), &truth);
         let fast = Index::open_frozen(&dir).unwrap();
         assert_eq!(fast.frozen.distinct(), truth.distinct());
         let (mut masks, mut freqs) = (Vec::new(), Vec::new());

@@ -1,4 +1,4 @@
-//! Gene-concordance support values from the frequency hash.
+//! Gene-concordance support values from the frequency table.
 //!
 //! A direct application of the BFH beyond average RF (paper §IX): each
 //! edge of a focal species tree is annotated with the fraction of gene
@@ -20,12 +20,11 @@ fn main() {
     let mut sim = MscSimulator::new(species.clone(), taxa.clone(), 0.25, 3);
     let genes = sim.gene_trees(1000);
 
-    let bfh = BfhBuilder::new()
+    let table = BfhBuilder::new()
         .parallel(true)
-        .shards(4)
-        .from_trees(&genes.trees, &genes.taxa)
+        .freeze_trees(&genes.trees, &genes.taxa)
         .expect("gene trees live in their own namespace");
-    let supports = edge_support(&species, &genes.taxa, &bfh);
+    let supports = edge_support(&species, &genes.taxa, &table);
 
     println!("edge supports of the true species tree over 1000 gene trees:\n");
     println!("{:>10}  {:>7}  split", "count", "support");
@@ -35,7 +34,7 @@ fn main() {
         println!("{:>10}  {:>6.1}%  {}", s.count, s.fraction * 100.0, s.split);
     }
 
-    let annotated = write_newick_with_support(&species, &genes.taxa, &bfh);
+    let annotated = write_newick_with_support(&species, &genes.taxa, &table);
     println!("\nannotated newick:\n{annotated}");
 
     // sanity: nearly every edge of the true tree is seen in some gene

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use bfhrf::{best_query, bfhrf_all, Bfh};
+use bfhrf::{best_query, bfhrf_all, BfhBuilder};
 use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
 
 fn main() {
@@ -29,17 +29,19 @@ fn main() {
     )
     .expect("queries use known taxa");
 
-    // 1. Build the bipartition frequency hash over the references.
-    let bfh = Bfh::build(&refs.trees, &refs.taxa);
+    // 1. Build the bipartition frequency table over the references.
+    let table = BfhBuilder::new()
+        .freeze_trees(&refs.trees, &refs.taxa)
+        .expect("references live in their own namespace");
     println!(
-        "hash: {} distinct bipartitions, {} total occurrences over {} trees",
-        bfh.distinct(),
-        bfh.sum(),
-        bfh.n_trees()
+        "table: {} distinct bipartitions, {} total occurrences over {} trees",
+        table.distinct(),
+        table.sum(),
+        table.n_trees()
     );
 
-    // 2. One tree-vs-hash comparison per query.
-    let scores = bfhrf_all(&queries, &refs.taxa, &bfh).expect("nonempty inputs");
+    // 2. One tree-vs-table comparison per query.
+    let scores = bfhrf_all(&queries, &refs.taxa, &table).expect("nonempty inputs");
     for s in &scores {
         println!(
             "query {}: average RF = {:.4} (total {}, left {}, right {})",

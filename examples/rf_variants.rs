@@ -1,5 +1,5 @@
 //! The extensibility story (paper §VII.D–F): RF variants as drop-in
-//! preprocessing/weighting over the same frequency hash.
+//! preprocessing/weighting over the same frequency table.
 //!
 //! Shows, on one dataset: plain average RF, the normalized and halved
 //! conventions, information-content weighting, bipartition-size
@@ -13,7 +13,7 @@
 use bfhrf::variants::{
     branch_score, normalized_average, GeneralizedRf, PhyloInfoWeight, SizeFilteredRf, UnitWeight,
 };
-use bfhrf::{bfhrf_average, Bfh};
+use bfhrf::{bfhrf_average, BfhBuilder};
 use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
 
 fn main() {
@@ -32,17 +32,19 @@ fn main() {
     .unwrap()
     .remove(0);
     let n = refs.taxa.len();
-    let bfh = Bfh::build(&refs.trees, &refs.taxa);
+    let table = BfhBuilder::new()
+        .freeze_trees(&refs.trees, &refs.taxa)
+        .unwrap();
 
     // Plain, halved, normalized — the conventions §II.C mentions.
-    let rf = bfhrf_average(&query, &refs.taxa, &bfh);
+    let rf = bfhrf_average(&query, &refs.taxa, &table);
     println!("average RF             : {:.4}", rf.average());
     println!("average RF / 2         : {:.4}", rf.average_halved());
     println!("normalized to [0,1]    : {:.4}", normalized_average(&rf, n));
 
     // Generalized RF with split weights.
-    let unit = GeneralizedRf::new(&bfh, UnitWeight);
-    let info = GeneralizedRf::new(&bfh, PhyloInfoWeight::new(n));
+    let unit = GeneralizedRf::new(&table, UnitWeight);
+    let info = GeneralizedRf::new(&table, PhyloInfoWeight::new(n));
     println!(
         "unit-weighted (check)  : {:.4}",
         unit.average(&query, &refs.taxa)
@@ -55,9 +57,9 @@ fn main() {
     // Bipartition-size filtering — the variant the paper implements.
     let cherries_only = SizeFilteredRf::new(&refs.trees, &refs.taxa, 2, 2);
     println!(
-        "cherry-splits only     : {:.4}  ({} splits kept in the hash)",
+        "cherry-splits only     : {:.4}  ({} reference splits kept)",
         cherries_only.average(&query, &refs.taxa).average(),
-        cherries_only.bfh().distinct()
+        cherries_only.splits().count()
     );
 
     // Variable taxa: a second collection missing taxon h entirely.

@@ -12,7 +12,7 @@
 //! cargo run --release --example species_tree_search
 //! ```
 
-use bfhrf::{best_query, BfhBuilder, BfhrfComparator, Comparator};
+use bfhrf::{best_query, BfhBuilder, Comparator, FrozenComparator};
 use phylo_sim::coalescent::MscSimulator;
 use phylo_sim::perturb::nni_walk;
 use phylo_sim::species::kingman_species_tree;
@@ -40,13 +40,13 @@ fn main() {
         candidates.push(nni_walk(&species, 1 + k / 4, &mut rng));
     }
 
-    // Hash the gene trees once; score every candidate in parallel.
-    let bfh = BfhBuilder::new()
+    // Fold the gene trees into one frequency table; score every candidate
+    // in parallel.
+    let table = BfhBuilder::new()
         .parallel(true)
-        .shards(8)
-        .from_trees(&genes.trees, &genes.taxa)
+        .freeze_trees(&genes.trees, &genes.taxa)
         .expect("gene trees live in their own namespace");
-    let scores = BfhrfComparator::new(&bfh, &genes.taxa)
+    let scores = FrozenComparator::new(&table, &genes.taxa)
         .parallel(true)
         .average_all(&candidates)
         .expect("nonempty");

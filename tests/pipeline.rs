@@ -64,7 +64,7 @@ fn streaming_file_analysis_matches_in_memory() {
         TaxaPolicy::Require,
     );
     let bfh_streamed = BfhBuilder::new()
-        .shards(2)
+        .parallel(true)
         .freeze_stream(&mut taxa, |t| refs.next_tree(t))
         .unwrap();
     let mut queries = phylo::newick::NewickStream::new(
@@ -101,8 +101,7 @@ fn species_tree_recovery_under_low_ils() {
 
     let bfh = BfhBuilder::new()
         .parallel(true)
-        .shards(4)
-        .from_trees(&genes.trees, &genes.taxa)
+        .freeze_trees(&genes.trees, &genes.taxa)
         .unwrap();
 
     // candidate ranking: truth + perturbations

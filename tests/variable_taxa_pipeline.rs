@@ -56,9 +56,8 @@ fn consensus_of_restricted_collection_is_valid() {
         trees: vec![base.trees[0].clone()],
     };
     let out = common_taxa_rf(&refs, &queries).unwrap();
-    let bfh = Bfh::build(&out.refs, &out.taxa);
-    let maj = bfhrf::consensus::majority_consensus(&bfh, &out.taxa, 0.5).unwrap();
-    let greedy = bfhrf::consensus::greedy_consensus(&bfh, &out.taxa).unwrap();
+    let maj = bfhrf::consensus::majority_consensus(&out.table, &out.taxa, 0.5).unwrap();
+    let greedy = bfhrf::consensus::greedy_consensus(&out.table, &out.taxa).unwrap();
     assert!(maj.validate(&out.taxa).is_ok());
     assert!(greedy.validate(&out.taxa).is_ok());
     assert_eq!(maj.leaf_count(), out.taxa.len());
