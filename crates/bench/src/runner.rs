@@ -11,8 +11,9 @@ use crate::datasets::{prefix, prepare, PreparedDataset};
 use crate::measure::{measured, Measurement};
 use crate::stats;
 use bfhrf::{BfhBuilder, Comparator, FrozenComparator, HashRf, HashRfConfig};
-use phylo::newick::NewickStream;
-use phylo::{BipartitionScratch, BipartitionSet, TaxaPolicy, TaxonSet, Tree};
+use phylo::{
+    BipartitionScratch, BipartitionSet, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet, Tree,
+};
 use phylo_sim::DatasetSpec;
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -60,6 +61,11 @@ fn numbered_taxa(n: usize) -> TaxonSet {
     TaxonSet::with_numbered("t", n)
 }
 
+/// A strict reader over harness data, against a fixed namespace.
+fn strict(bytes: &[u8]) -> NewickReader<&[u8]> {
+    NewickReader::new(bytes, TaxaPolicy::Require, IngestPolicy::Strict)
+}
+
 fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -70,7 +76,7 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 /// Parse up to `limit` reference bipartition sets (the DS preprocessing
 /// step).
 fn parse_ref_sets(text: &str, taxa: &mut TaxonSet, limit: usize) -> Vec<BipartitionSet> {
-    let mut stream = NewickStream::new(text.as_bytes(), TaxaPolicy::Require);
+    let mut stream = strict(text.as_bytes());
     let mut sets = Vec::new();
     while sets.len() < limit {
         match stream.next_tree(taxa).expect("harness data parses") {
@@ -101,7 +107,7 @@ fn run_ds(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
     let query_phase = |limit: usize| -> (f64, Measurement) {
         let mut taxa_q = taxa.clone();
         let (total, m) = measured(|| {
-            let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
+            let mut stream = strict(ds.newick.as_bytes());
             let mut processed = 0usize;
             let mut total_avg = 0.0f64;
             let mut chunk: Vec<Tree> = Vec::with_capacity(CHUNK);
@@ -248,7 +254,7 @@ fn run_hashrf(ds: &PreparedDataset, mem_budget: usize) -> Outcome {
     }
     let mut taxa = numbered_taxa(ds.n_taxa);
     let (out, m) = measured(|| {
-        let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
+        let mut stream = strict(ds.newick.as_bytes());
         let mut trees = Vec::new();
         while let Some(t) = stream.next_tree(&mut taxa).expect("parses") {
             trees.push(t);

@@ -43,7 +43,7 @@ use bfhrf::{
     best_query, hashrf_or_degrade, BfhBuilder, Comparator, CoreError, DayComparator, HashRfConfig,
     RunBudget, RunGuard, SetComparator,
 };
-use phylo::{IngestPolicy, IngestReport, TaxaPolicy, TreeCollection};
+use phylo::{IngestPolicy, IngestReport, SplitReader, TaxaPolicy, TreeCollection};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -613,16 +613,26 @@ impl Streamed<'_> {
             let builder = resolve_builder(build_mode, shards, default_mode)?
                 .0
                 .guard(guard.clone());
-            prof.phase("build");
+            // The build splits into `ingest`, the calling thread's time
+            // cutting and lexing records, and `fold`, the rest of it: the
+            // wait on the worker's fold, and the final fold.
+            prof.phase("fold");
+            let mut timed = Timed {
+                reader: &mut refs,
+                ns: prof.enabled().then_some(0),
+            };
             let (frozen, kept) = match self.queries {
                 None => builder
-                    .freeze_stream_kept(&mut taxa, |t| refs.next_tree(t))
+                    .freeze_stream_kept(&mut taxa, &mut timed)
                     .map(|(table, kept)| (table, Some(kept))),
                 Some(_) => builder
-                    .freeze_stream(&mut taxa, |t| refs.next_tree(t))
+                    .freeze_stream(&mut taxa, &mut timed)
                     .map(|table| (table, None)),
             }
             .map_err(|e| stream_fail(refs_path, e))?;
+            if let Some(ns) = timed.ns {
+                prof.carve("ingest", ns);
+            }
             let mut partial = note_ingest(notes, refs_path, &refs.into_report());
             prof.phase("query");
             let scores = match self.queries {
@@ -638,17 +648,44 @@ impl Streamed<'_> {
                         self.policy,
                     )
                     .map_err(|e| format!("{path}: {e}"))?;
-                    let scores =
-                        bfhrf::rf::bfhrf_streaming(&frozen, &mut taxa, parallel, guard, |t| {
-                            queries.next_tree(t)
-                        })
-                        .map_err(|e| stream_fail(path, e))?;
+                    let scores = bfhrf::rf::bfhrf_streaming(
+                        &frozen,
+                        &mut taxa,
+                        parallel,
+                        guard,
+                        &mut queries,
+                    )
+                    .map_err(|e| stream_fail(path, e))?;
                     partial |= note_ingest(notes, path, &queries.into_report());
                     scores
                 }
             };
             Ok((scores, taxa.len(), partial))
         })?
+    }
+}
+
+/// A reader that, when `ns` is `Some`, adds up the time each record
+/// takes to cut and read into split masks.
+struct Timed<'r, S> {
+    reader: &'r mut S,
+    ns: Option<u64>,
+}
+
+impl<S: SplitReader> SplitReader for Timed<'_, S> {
+    fn next_splits(
+        &mut self,
+        taxa: &mut phylo::TaxonSet,
+        scratch: &mut phylo::BipartitionScratch,
+        out: &mut Vec<u64>,
+    ) -> Result<Option<usize>, phylo::PhyloError> {
+        let Some(ns) = &mut self.ns else {
+            return self.reader.next_splits(taxa, scratch, out);
+        };
+        let start = Instant::now();
+        let read = self.reader.next_splits(taxa, scratch, out);
+        *ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        read
     }
 }
 
@@ -705,7 +742,7 @@ fn cmd_consensus(raw: &[String]) -> Result<CmdOutcome, CliError> {
     .map_err(|e| format!("{refs_path}: {e}"))?;
     let table = BfhBuilder::new()
         .guard(guard)
-        .freeze_stream(&mut taxa, |t| refs.next_tree(t))
+        .freeze_stream(&mut taxa, &mut refs)
         .map_err(|e| stream_fail(refs_path, e))?;
     let partial = note_ingest(&mut notes, refs_path, &refs.into_report());
     let tree = if a.flag("strict") {
@@ -1022,7 +1059,7 @@ fn cmd_index_build(raw: &[String]) -> Result<CmdOutcome, CliError> {
         let (builder, n_shards) = resolve_builder(build_mode, shards, "sharded")?;
         let table = builder
             .guard(guard.clone())
-            .freeze_stream(&mut taxa, |t| refs.next_tree(t))
+            .freeze_stream(&mut taxa, &mut refs)
             .map_err(|e| stream_fail(refs_path, e))?;
         Ok((table, n_shards))
     })??;
@@ -1571,6 +1608,23 @@ mod tests {
     }
 
     #[test]
+    fn sequential_builds_are_budgeted_with_exit_3() {
+        let refs = tmp("refs_seq_budget.nwk", "((A,B),(C,D));\n((A,C),(B,D));\n");
+        let refs = refs.to_str().unwrap();
+        for argv in [
+            &["consensus", "--refs", refs][..],
+            &["avgrf", "--refs", refs, "--algorithm", "bfhrf-seq"][..],
+        ] {
+            let mut argv = argv.to_vec();
+            argv.extend(["--mem-budget", "100"]);
+            let err = runf(&argv).unwrap_err();
+            assert_eq!(err.code, EXIT_BUDGET, "{argv:?}");
+            assert!(err.message.contains("resource limit"), "{}", err.message);
+            assert!(err.message.contains("BFH build"), "{}", err.message);
+        }
+    }
+
+    #[test]
     fn timeout_zero_cancels_with_exit_3() {
         let refs = tmp("refs_timeout.nwk", "((A,B),(C,D));\n((A,C),(B,D));\n");
         let err = runf(&["avgrf", "--refs", refs.to_str().unwrap(), "--timeout", "0"]).unwrap_err();
@@ -1600,9 +1654,10 @@ mod tests {
         let lanes = 16 + 16 + 16 * 16 + 8 * 8;
         let ranks = bfhrf::CHUNK * (9 + 1) * 4;
         let mut taxa = phylo::TaxonSet::new();
-        let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+        let mut stream =
+            phylo::NewickReader::new(text.as_bytes(), TaxaPolicy::Grow, IngestPolicy::Strict);
         let table = BfhBuilder::new()
-            .freeze_stream(&mut taxa, |t| stream.next_tree(t))
+            .freeze_stream(&mut taxa, &mut stream)
             .unwrap();
         // The table is checked on top of the buffers and ranks before it
         // doubles; its last doubling needs under twice the finished table's

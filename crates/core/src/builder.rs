@@ -21,9 +21,10 @@
 //! # One pipeline
 //!
 //! Every terminal runs the same pipeline over its source, a slice or a
-//! parser. The calling thread pulls one tree at a time, extracts its
-//! canonical split masks into a chunk buffer and drops the tree, so a
-//! streamed build never holds more than one parsed tree. Each full buffer
+//! [`SplitReader`]. The calling thread pulls one tree at a time and puts
+//! its canonical split masks into a chunk buffer: a slice's trees are
+//! extracted, and a reader lexes each record straight into masks, so a
+//! streamed build never builds a tree at all. Each full buffer
 //! ([`CHUNK`] trees) is folded, in tree order, straight into the lanes of
 //! one [`FrozenBfh`], which double as they fill; a parallel build folds it
 //! on a rayon worker while the calling thread fills the other buffer. No
@@ -48,7 +49,7 @@ use crate::error::CoreError;
 use crate::frozen::{zero_extend, FrozenBfh, LaneWriter, LanesId};
 use crate::guard::{isolate, CancelToken, RunBudget, RunGuard};
 use crate::rf::{score_chunk, QueryScore, SplitFrequency, SplitRun};
-use phylo::{BipartitionScratch, PhyloError, TaxonSet, Tree};
+use phylo::{BipartitionScratch, PhyloError, SplitReader, TaxonSet, Tree};
 use phylo_bitset::words_for;
 use std::time::Instant;
 
@@ -72,8 +73,7 @@ impl BfhBuilder {
         Self::default()
     }
 
-    /// Fold each chunk on a rayon worker while the next one is read. Only
-    /// a parallel build is budgeted.
+    /// Fold each chunk on a rayon worker while the next one is read.
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
         self
@@ -82,7 +82,8 @@ impl BfhBuilder {
     /// Run the build under `budget`: both chunk buffers, the kept ranks and
     /// the lanes are checked before each chunk is read, the same with the
     /// grown lanes before each time the table doubles or widens, and the
-    /// deadline is polled at tree granularity.
+    /// deadline is polled at tree granularity. A sequential build is
+    /// checked exactly like a parallel one.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.guard.budget = budget;
         self
@@ -112,21 +113,25 @@ impl BfhBuilder {
         Ok(table)
     }
 
-    /// Build the frozen table from a pull source of trees: `next` yields
-    /// one tree per call, resolving labels against (and under a growing
-    /// policy, into) `taxa`, and `Ok(None)` at the end. A parse failure
-    /// surfaces as [`CoreError::Phylo`]. Each tree is dropped once its
-    /// masks are extracted, and no hash map is built.
-    pub fn freeze_stream<F>(&self, taxa: &mut TaxonSet, next: F) -> Result<FrozenBfh, CoreError>
+    /// Build the frozen table from a stream of trees read as split masks,
+    /// resolving labels against (and under a growing policy, into)
+    /// `taxa`. A read failure surfaces as [`CoreError::Phylo`]. No tree is
+    /// built and no hash map is made: each record's masks go straight
+    /// into a chunk buffer.
+    pub fn freeze_stream<S>(
+        &self,
+        taxa: &mut TaxonSet,
+        reader: &mut S,
+    ) -> Result<FrozenBfh, CoreError>
     where
-        F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+        S: SplitReader + ?Sized,
     {
         let start = Instant::now();
         let (table, _) = build(
             self.parallel,
             false,
             &self.guard,
-            &mut Parsed { taxa, next },
+            &mut Read { taxa, reader },
         )?;
         record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
         Ok(table)
@@ -136,16 +141,16 @@ impl BfhBuilder {
     /// stream order, as the pool ranks the table gave them, for scoring the
     /// references against themselves with [`KeptSplits::score`]. A split
     /// costs 4 bytes kept instead of its mask.
-    pub fn freeze_stream_kept<F>(
+    pub fn freeze_stream_kept<S>(
         &self,
         taxa: &mut TaxonSet,
-        next: F,
+        reader: &mut S,
     ) -> Result<(FrozenBfh, KeptSplits), CoreError>
     where
-        F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
+        S: SplitReader + ?Sized,
     {
         let start = Instant::now();
-        let (table, kept) = build(self.parallel, true, &self.guard, &mut Parsed { taxa, next })?;
+        let (table, kept) = build(self.parallel, true, &self.guard, &mut Read { taxa, reader })?;
         record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
         Ok((table, kept.expect("kept splits were requested")))
     }
@@ -167,25 +172,6 @@ pub(crate) fn freeze_slice(
     build(parallel, false, guard, &mut src).map(|(table, _)| table)
 }
 
-/// Pull up to [`CHUNK`] trees into `chunk`; `false` once the source is
-/// exhausted.
-pub(crate) fn fill_chunk<F>(
-    chunk: &mut Vec<Tree>,
-    taxa: &mut TaxonSet,
-    next: &mut F,
-) -> Result<bool, PhyloError>
-where
-    F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
-{
-    while chunk.len() < CHUNK {
-        match next(taxa)? {
-            Some(tree) => chunk.push(tree),
-            None => return Ok(false),
-        }
-    }
-    Ok(true)
-}
-
 /// Surface out-of-namespace leaves as a typed error instead of the
 /// extraction assert.
 fn validate(trees: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
@@ -205,14 +191,16 @@ fn validate(trees: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Where a build's trees come from, one at a time.
-trait TreeSource {
-    /// Pull the next tree and hand it, with the namespace it was read
-    /// over, to `visit`; `None` once the source is exhausted.
-    fn pull<R>(
+/// Where a build's trees come from, one at a time, as split masks.
+trait SplitSource {
+    /// Append the next tree's canonical masks to `piece`, at the stride
+    /// of the namespace's width after it; `false` once the source is
+    /// exhausted.
+    fn pull(
         &mut self,
-        visit: impl FnOnce(&Tree, &TaxonSet) -> R,
-    ) -> Result<Option<R>, CoreError>;
+        scratch: &mut BipartitionScratch,
+        piece: &mut SplitChunk,
+    ) -> Result<bool, CoreError>;
 
     /// The namespace's width now.
     fn n_taxa(&self) -> usize;
@@ -223,21 +211,19 @@ trait TreeSource {
     }
 }
 
-/// A parser that resolves labels against, and may grow, `taxa`.
-struct Parsed<'t, F> {
+/// A reader that resolves labels against, and may grow, `taxa`.
+struct Read<'t, 'r, S: ?Sized> {
     taxa: &'t mut TaxonSet,
-    next: F,
+    reader: &'r mut S,
 }
 
-impl<F> TreeSource for Parsed<'_, F>
-where
-    F: FnMut(&mut TaxonSet) -> Result<Option<Tree>, PhyloError>,
-{
-    fn pull<R>(
+impl<S: SplitReader + ?Sized> SplitSource for Read<'_, '_, S> {
+    fn pull(
         &mut self,
-        visit: impl FnOnce(&Tree, &TaxonSet) -> R,
-    ) -> Result<Option<R>, CoreError> {
-        Ok((self.next)(self.taxa)?.map(|tree| visit(&tree, self.taxa)))
+        scratch: &mut BipartitionScratch,
+        piece: &mut SplitChunk,
+    ) -> Result<bool, CoreError> {
+        piece.read(self.taxa, &mut *self.reader, scratch)
     }
 
     fn n_taxa(&self) -> usize {
@@ -251,12 +237,18 @@ struct Borrowed<'a> {
     taxa: &'a TaxonSet,
 }
 
-impl TreeSource for Borrowed<'_> {
-    fn pull<R>(
+impl SplitSource for Borrowed<'_> {
+    fn pull(
         &mut self,
-        visit: impl FnOnce(&Tree, &TaxonSet) -> R,
-    ) -> Result<Option<R>, CoreError> {
-        Ok(self.trees.next().map(|tree| visit(tree, self.taxa)))
+        scratch: &mut BipartitionScratch,
+        piece: &mut SplitChunk,
+    ) -> Result<bool, CoreError> {
+        let Some(tree) = self.trees.next() else {
+            return Ok(false);
+        };
+        scratch.for_each_split(tree, self.taxa, |w| piece.masks.extend_from_slice(w));
+        piece.end_tree();
+        Ok(true)
     }
 
     fn n_taxa(&self) -> usize {
@@ -269,9 +261,11 @@ impl TreeSource for Borrowed<'_> {
 }
 
 /// A chunk buffer: up to [`CHUNK`] trees' canonical masks in tree order
-/// and where each tree's masks end.
+/// and where each tree's masks end. A build fills two of them by turns;
+/// queries read straight to their masks are scored from one
+/// ([`crate::BfhrfComparator::average_chunk_guarded`]).
 #[derive(Debug, Default)]
-struct Piece {
+pub struct SplitChunk {
     /// Global index of the piece's first tree.
     first: usize,
     /// Trees the buffer makes room for: [`CHUNK`], or fewer when the
@@ -287,7 +281,30 @@ struct Piece {
     ends: Vec<u32>,
 }
 
-impl Piece {
+impl SplitChunk {
+    /// An empty chunk over a namespace of `n_taxa`, which reserves nothing
+    /// up front.
+    pub fn new(n_taxa: usize) -> SplitChunk {
+        let mut chunk = SplitChunk::default();
+        chunk.reset(0, 0, n_taxa);
+        chunk
+    }
+
+    /// Append the splits of the one Newick tree in `input`, resolving its
+    /// labels against `taxa`, the namespace the chunk is over, as
+    /// [`phylo::parse_newick_readonly`] does; no tree is built.
+    pub fn push_newick(
+        &mut self,
+        input: &str,
+        taxa: &TaxonSet,
+        scratch: &mut BipartitionScratch,
+    ) -> Result<(), PhyloError> {
+        debug_assert_eq!(self.n_taxa, taxa.len());
+        scratch.newick_splits(input, taxa, &mut self.masks)?;
+        self.end_tree();
+        Ok(())
+    }
+
     /// Heap bytes of a buffer's masks with room for `trees` trees of
     /// `n − 3` splits over `n_taxa` taxa.
     fn bound(n_taxa: usize, trees: usize) -> usize {
@@ -297,25 +314,28 @@ impl Piece {
     /// Empty the buffer for the chunk whose first tree is `first`, with
     /// room for `room` trees over a namespace of `n_taxa`, keeping its
     /// allocations.
-    fn reset(&mut self, first: usize, room: usize, n_taxa: usize) {
+    pub(crate) fn reset(&mut self, first: usize, room: usize, n_taxa: usize) {
         self.first = first;
         self.room = room;
         self.masks.clear();
         self.ends.clear();
         self.n_taxa = 0;
         self.words = 0;
-        self.grow(n_taxa);
+        self.grow(n_taxa, 0);
     }
 
-    /// Take the namespace to `n_taxa`: zero-extend the masks in place if it
+    /// Take the namespace to `n_taxa`, where the last `fresh` masks are
+    /// already at its stride: zero-extend the others in place if it
     /// crossed a word boundary, and make the buffer's room over it.
-    fn grow(&mut self, n_taxa: usize) {
+    fn grow(&mut self, n_taxa: usize, fresh: usize) {
         let words = words_for(n_taxa);
         if words > self.words {
+            let tail = self.masks.split_off(self.masks.len() - fresh * words);
             self.widen(words);
+            self.masks.extend_from_slice(&tail);
         }
         self.n_taxa = self.n_taxa.max(n_taxa);
-        let room = Piece::bound(self.n_taxa, self.room) / 8;
+        let room = SplitChunk::bound(self.n_taxa, self.room) / 8;
         self.masks
             .reserve_exact(room.saturating_sub(self.masks.len()));
         self.ends
@@ -328,14 +348,57 @@ impl Piece {
         self.words = words;
     }
 
-    /// Trees in the piece.
-    fn len(&self) -> usize {
+    /// Read `reader`'s next tree into the piece, its masks straight from
+    /// the record; `false` once the reader is exhausted.
+    pub(crate) fn read<S: SplitReader + ?Sized>(
+        &mut self,
+        taxa: &mut TaxonSet,
+        reader: &mut S,
+        scratch: &mut BipartitionScratch,
+    ) -> Result<bool, CoreError> {
+        let Some(fresh) = reader.next_splits(taxa, scratch, &mut self.masks)? else {
+            return Ok(false);
+        };
+        self.grow(taxa.len(), fresh);
+        self.end_tree();
+        Ok(true)
+    }
+
+    /// Close the tree whose masks were appended last.
+    fn end_tree(&mut self) {
+        let splits = self.masks.len().checked_div(self.words).unwrap_or(0);
+        self.ends.push(splits as u32);
+    }
+
+    /// Trees in the chunk.
+    pub fn len(&self) -> usize {
         self.ends.len()
+    }
+
+    /// Whether the chunk holds no tree.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
     }
 
     /// Non-trivial splits across the piece's trees.
     fn splits(&self) -> usize {
         self.ends.last().map_or(0, |&n| n as usize)
+    }
+
+    /// The namespace's width after the chunk's last tree.
+    pub fn n_taxa(&self) -> usize {
+        self.n_taxa
+    }
+
+    /// Tree `i`'s masks, packed at the piece's stride.
+    pub(crate) fn tree(&self, i: usize) -> &[u64] {
+        let from = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.masks[from * self.words..self.ends[i] as usize * self.words]
+    }
+
+    /// Words per mask.
+    pub(crate) fn words(&self) -> usize {
+        self.words
     }
 }
 
@@ -343,16 +406,15 @@ impl Piece {
 /// while the other is folded into growing lanes, on a rayon worker when
 /// `parallel` (and there is more than one), else alternately on this
 /// thread. Folds run in tree order. With `keep`, each tree's pool ranks
-/// come back as [`KeptSplits`]. Only a parallel build is budgeted.
+/// come back as [`KeptSplits`].
 fn build(
     parallel: bool,
     keep: bool,
     guard: &RunGuard,
-    src: &mut impl TreeSource,
+    src: &mut impl SplitSource,
 ) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError> {
     let overlap = parallel && rayon::current_num_threads() > 1;
     let mut fold = Fold {
-        parallel,
         guard,
         lanes: LaneWriter::growing(src.n_taxa()),
         n_trees: 0,
@@ -360,16 +422,20 @@ fn build(
         kept: keep.then(Vec::new),
     };
     let mut scratch = BipartitionScratch::new();
-    let (mut full, mut next) = (Piece::default(), Piece::default());
+    let (mut full, mut next) = (SplitChunk::default(), SplitChunk::default());
     let first_room = room(src);
     let n_taxa = src.n_taxa();
-    fold.check(Piece::bound(n_taxa, first_room), &Piece::default(), n_taxa)?;
+    fold.check(
+        SplitChunk::bound(n_taxa, first_room),
+        &SplitChunk::default(),
+        n_taxa,
+    )?;
     full.reset(0, first_room, n_taxa);
     let mut more = fill(&mut full, guard, &mut scratch, src)?;
     loop {
         let next_room = if more { room(src) } else { 0 };
         let n_taxa = full.n_taxa;
-        let buffers = Piece::bound(n_taxa, full.room) + Piece::bound(n_taxa, next_room);
+        let buffers = SplitChunk::bound(n_taxa, full.room) + SplitChunk::bound(n_taxa, next_room);
         fold.check(buffers, &full, n_taxa)?;
         fold.lanes.widen(n_taxa);
         if !more {
@@ -397,36 +463,31 @@ fn build(
 
 /// The room the next chunk buffer makes: [`CHUNK`] trees, or what is left
 /// of a source that knows.
-fn room(src: &impl TreeSource) -> usize {
+fn room(src: &impl SplitSource) -> usize {
     src.remaining().map_or(CHUNK, |left| left.min(CHUNK))
 }
 
 /// Pull trees into `piece` until it holds [`CHUNK`] of them; `false` once
-/// the source is exhausted. Each tree's masks are extracted as it is
-/// pulled, and the tree is dropped; the guard is polled per tree.
+/// the source is exhausted. Only each tree's masks are kept; the guard is
+/// polled per tree.
 fn fill(
-    piece: &mut Piece,
+    piece: &mut SplitChunk,
     guard: &RunGuard,
     scratch: &mut BipartitionScratch,
-    src: &mut impl TreeSource,
+    src: &mut impl SplitSource,
 ) -> Result<bool, CoreError> {
     while piece.len() < CHUNK {
         guard.checkpoint("BFH build")?;
         let index = piece.first + piece.len();
-        let pulled = src.pull(|tree, taxa| {
-            piece.grow(taxa.len());
-            isolate("BFH extract", || {
+        let pulled = isolate("BFH extract", || {
+            let pulled = src.pull(scratch, piece)?;
+            if pulled {
                 guard.panic_if_injected(index);
-                scratch.for_each_split(tree, taxa, |w| piece.masks.extend_from_slice(w));
-                Ok(())
-            })?;
-            let splits = piece.masks.len().checked_div(piece.words).unwrap_or(0);
-            piece.ends.push(splits as u32);
-            Ok::<_, CoreError>(())
+            }
+            Ok(pulled)
         })?;
-        match pulled {
-            Some(extracted) => extracted?,
-            None => return Ok(false),
+        if !pulled {
+            return Ok(false);
         }
     }
     Ok(true)
@@ -434,7 +495,6 @@ fn fill(
 
 /// The fold side of a build: the growing lanes and the kept ranks.
 struct Fold<'g> {
-    parallel: bool,
     guard: &'g RunGuard,
     lanes: LaneWriter,
     n_trees: usize,
@@ -446,7 +506,7 @@ impl Fold<'_> {
     /// Bytes the build holds besides the lanes while `pending` is folded:
     /// `buffers` for both chunk buffers, and the kept ranks with
     /// `pending`'s.
-    fn held(&self, buffers: usize, pending: &Piece) -> usize {
+    fn held(&self, buffers: usize, pending: &SplitChunk) -> usize {
         let ranks = self.kept.as_ref().map_or(0, |kept| {
             let have: usize = kept.iter().map(KeptChunk::bytes).sum();
             have + (pending.splits() + pending.len()) * 4
@@ -455,12 +515,8 @@ impl Fold<'_> {
     }
 
     /// Refuse to fold `pending` and read the next chunk if `buffers`, the
-    /// ranks and the lanes, widened to `n_taxa`, overflow the budget. Only
-    /// a parallel build is budgeted.
-    fn check(&self, buffers: usize, pending: &Piece, n_taxa: usize) -> Result<(), CoreError> {
-        if !self.parallel {
-            return Ok(());
-        }
+    /// ranks and the lanes, widened to `n_taxa`, overflow the budget.
+    fn check(&self, buffers: usize, pending: &SplitChunk, n_taxa: usize) -> Result<(), CoreError> {
         let need = self.held(buffers, pending) + self.lanes.bytes_over(n_taxa);
         self.guard.check_alloc("BFH build chunk buffers", need)
     }
@@ -468,10 +524,10 @@ impl Fold<'_> {
     /// Count `piece`'s masks, in tree order, into the lanes, keeping their
     /// ranks when asked; each doubling is checked with `buffers` held
     /// beside the lanes. The lanes must be as wide as the piece.
-    fn fold(&mut self, piece: &Piece, buffers: usize) -> Result<(), CoreError> {
+    fn fold(&mut self, piece: &SplitChunk, buffers: usize) -> Result<(), CoreError> {
         debug_assert!(piece.masks.is_empty() || piece.words == self.lanes.words());
         let held = self.held(buffers, piece);
-        let (guard, parallel) = (self.guard, self.parallel);
+        let guard = self.guard;
         let lanes = &mut self.lanes;
         let mut ranks = self
             .kept
@@ -479,7 +535,7 @@ impl Fold<'_> {
             .then(|| Vec::with_capacity(piece.splits()));
         isolate("BFH fold", || {
             guard.checkpoint("BFH fold")?;
-            let mut grow = |bytes: usize| table_check(parallel, guard, held + bytes);
+            let mut grow = |bytes: usize| guard.check_alloc("BFH build table", held + bytes);
             for w in piece.masks.chunks_exact(piece.words.max(1)) {
                 let rank = lanes.count(w, &mut grow)?;
                 if let Some(ranks) = &mut ranks {
@@ -504,8 +560,8 @@ impl Fold<'_> {
     /// The lanes are widened to `n_taxa` first: a source may grow the
     /// namespace after its last tree.
     fn finish(mut self, n_taxa: usize) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError> {
-        let need = self.held(0, &Piece::default()) + self.lanes.bytes_over(n_taxa);
-        table_check(self.parallel, self.guard, need)?;
+        let need = self.held(0, &SplitChunk::default()) + self.lanes.bytes_over(n_taxa);
+        self.guard.check_alloc("BFH build table", need)?;
         self.lanes.widen(n_taxa);
         let table = self.lanes.finish(self.n_trees, self.sum);
         let kept = self.kept.map(|chunks| KeptSplits {
@@ -514,15 +570,6 @@ impl Fold<'_> {
             lanes: table.lanes_id(),
         });
         Ok((table, kept))
-    }
-}
-
-/// Refuse lanes that would take a parallel build's `bytes` over budget.
-fn table_check(parallel: bool, guard: &RunGuard, bytes: usize) -> Result<(), CoreError> {
-    if parallel {
-        guard.check_alloc("BFH build table", bytes)
-    } else {
-        Ok(())
     }
 }
 
@@ -673,10 +720,38 @@ fn record_build_metrics(n_trees: usize, sum: u64, elapsed: std::time::Duration) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::{TaxaPolicy, TreeCollection};
+    use phylo::{IngestPolicy, NewickReader, TaxaPolicy, TreeCollection};
 
     fn coll(text: &str) -> TreeCollection {
         TreeCollection::parse(text).unwrap()
+    }
+
+    /// A strict reader over `text`.
+    fn reader(text: &str, policy: TaxaPolicy) -> NewickReader<&[u8]> {
+        NewickReader::new(text.as_bytes(), policy, IngestPolicy::Strict)
+    }
+
+    /// A reader that interns `late` more labels once its records run out.
+    struct Late<R> {
+        inner: R,
+        late: usize,
+    }
+
+    impl<R: SplitReader> SplitReader for Late<R> {
+        fn next_splits(
+            &mut self,
+            taxa: &mut TaxonSet,
+            scratch: &mut BipartitionScratch,
+            out: &mut Vec<u64>,
+        ) -> Result<Option<usize>, PhyloError> {
+            let read = self.inner.next_splits(taxa, scratch, out)?;
+            if read.is_none() {
+                for i in 0..self.late {
+                    taxa.intern(&format!("late{i}"));
+                }
+            }
+            Ok(read)
+        }
     }
 
     #[test]
@@ -713,10 +788,9 @@ mod tests {
         let text = "((A,B),(C,D));\n((A,C),(B,D));\n";
         let stream = |policy| {
             let mut taxa = TaxonSet::new();
-            let mut newick = phylo::newick::NewickStream::new(text.as_bytes(), policy);
             let table = BfhBuilder::new()
                 .parallel(true)
-                .freeze_stream(&mut taxa, |t| newick.next_tree(t));
+                .freeze_stream(&mut taxa, &mut reader(text, policy));
             (table, taxa.len())
         };
         let (grown, n_taxa) = stream(TaxaPolicy::Grow);
@@ -742,14 +816,9 @@ mod tests {
     /// Stream `text` through `builder`, counting the trees it pulls.
     fn pulled(builder: &BfhBuilder, text: &str) -> (Result<FrozenBfh, CoreError>, usize) {
         let mut taxa = TaxonSet::new();
-        let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
-        let mut n = 0usize;
-        let out = builder.freeze_stream(&mut taxa, |t| {
-            let tree = stream.next_tree(t)?;
-            n += usize::from(tree.is_some());
-            Ok(tree)
-        });
-        (out, n)
+        let mut stream = reader(text, TaxaPolicy::Grow);
+        let out = builder.freeze_stream(&mut taxa, &mut stream);
+        (out, stream.report().accepted)
     }
 
     /// Stream `text` through a parallel builder and the slice terminal
@@ -813,9 +882,16 @@ mod tests {
         let (out, n) = pulled(&builder, &text);
         assert!(matches!(out, Err(CoreError::ResourceLimit(_))), "{out:?}");
         assert_eq!(n, CHUNK);
-        // The sequential build is not budgeted.
-        let seq = BfhBuilder::new().budget(RunBudget::with_max_bytes(1));
-        assert_eq!(pulled(&seq, &text).0.unwrap().n_trees(), 600);
+        // The sequential build is budgeted the same way, with the same
+        // refusal.
+        let seq = BfhBuilder::new().budget(RunBudget::with_max_bytes(need - 1));
+        match pulled(&seq, &text) {
+            (Err(CoreError::ResourceLimit(m)), n) => {
+                assert!(m.starts_with(&msg), "{m}");
+                assert_eq!(n, CHUNK);
+            }
+            out => panic!("{out:?}"),
+        }
     }
 
     #[test]
@@ -842,11 +918,10 @@ mod tests {
         let (text, _) = three_chunks();
         let kept = |budget: usize| {
             let mut taxa = TaxonSet::new();
-            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
             BfhBuilder::new()
                 .parallel(true)
                 .budget(RunBudget::with_max_bytes(budget))
-                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .freeze_stream_kept(&mut taxa, &mut reader(&text, TaxaPolicy::Grow))
         };
         // Before the second chunk: the first chunk's ranks (9 per tree) and
         // split counts join the buffers and the first group of lanes.
@@ -889,10 +964,9 @@ mod tests {
             }
             // The Q = R scorer numbers the kept trees the same way.
             let mut taxa = TaxonSet::new();
-            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
             let (table, kept) = BfhBuilder::new()
                 .parallel(true)
-                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .freeze_stream_kept(&mut taxa, &mut reader(&text, TaxaPolicy::Grow))
                 .unwrap();
             for parallel in [false, true] {
                 let err = kept.score(&table, parallel, &guard).unwrap_err();
@@ -927,18 +1001,13 @@ mod tests {
             .map(|l| l.to_owned() + "\n")
             .collect();
         let mut taxa = TaxonSet::new();
-        let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
+        let mut stream = Late {
+            inner: reader(&text, TaxaPolicy::Grow),
+            late: 70,
+        };
         let (table, kept) = BfhBuilder::new()
             .parallel(true)
-            .freeze_stream_kept(&mut taxa, |t| match stream.next_tree(t)? {
-                Some(tree) => Ok(Some(tree)),
-                None => {
-                    for i in 0..70 {
-                        t.intern(&format!("late{i}"));
-                    }
-                    Ok(None)
-                }
-            })
+            .freeze_stream_kept(&mut taxa, &mut stream)
             .unwrap();
         assert_eq!(taxa.len(), 82);
         let whole = phylo::read_trees_from_str(&text, &mut taxa, TaxaPolicy::Require).unwrap();
@@ -953,11 +1022,11 @@ mod tests {
 
     #[test]
     fn piece_widening_zero_extends_in_place() {
-        let mut p = Piece {
+        let mut p = SplitChunk {
             words: 1,
             masks: vec![1, 2, 3],
             ends: vec![3],
-            ..Piece::default()
+            ..SplitChunk::default()
         };
         p.widen(3);
         assert_eq!(p.masks, [1, 0, 0, 2, 0, 0, 3, 0, 0]);
@@ -971,9 +1040,8 @@ mod tests {
         let text = "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(3);
         let kept_build = |text: &str| {
             let mut taxa = TaxonSet::new();
-            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
             BfhBuilder::new()
-                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .freeze_stream_kept(&mut taxa, &mut reader(text, TaxaPolicy::Grow))
                 .unwrap()
         };
         let (table, kept) = kept_build(&text);
@@ -1028,9 +1096,8 @@ mod tests {
         let want = crate::rf::bfhrf_all(&c.trees, &c.taxa, &bfh).unwrap();
         for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
             let mut taxa = TaxonSet::new();
-            let mut stream = phylo::newick::NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
             let (table, kept) = builder
-                .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
+                .freeze_stream_kept(&mut taxa, &mut reader(&text, TaxaPolicy::Grow))
                 .unwrap();
             assert_eq!(kept.len(), 300);
             for parallel in [false, true] {

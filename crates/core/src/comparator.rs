@@ -30,7 +30,10 @@ use crate::error::CoreError;
 use crate::frozen::FrozenBfh;
 use crate::guard::{isolate, RunGuard};
 use crate::hashrf::{HashRf, HashRfConfig};
-use crate::rf::{bfhrf_average_scratch, score_trees, QueryScore, RfAverage, SplitFrequency};
+use crate::rf::{
+    bfhrf_average_scratch, score_masks, score_trees, QueryScore, RfAverage, SplitFrequency,
+};
+use crate::SplitChunk;
 use phylo::{BipartitionScratch, BipartitionSet, TaxonSet, Tree};
 use phylo_bitset::Bits;
 use rayon::prelude::*;
@@ -156,6 +159,33 @@ impl<'a, H: SplitFrequency + Clone + Sync> BfhrfComparator<'a, H> {
         scratch: &mut BipartitionScratch,
     ) -> Result<Vec<QueryScore>, CoreError> {
         self.score(queries, false, guard, scratch)
+    }
+
+    /// [`Comparator::average_all_guarded`] over queries read straight to
+    /// their splits, with no tree built: the same scores, refusals and
+    /// guard polling, in parallel when [`parallel`](Self::parallel) is
+    /// set. The chunk must be over the comparator's namespace.
+    pub fn average_chunk_guarded(
+        &self,
+        queries: &SplitChunk,
+        guard: &RunGuard,
+    ) -> Result<Vec<QueryScore>, CoreError> {
+        if self.table.reference_count() == 0 {
+            return Err(CoreError::EmptyReference);
+        }
+        if queries.is_empty() {
+            return Err(CoreError::EmptyQuery);
+        }
+        if queries.n_taxa() != self.taxa.len() {
+            return Err(CoreError::TaxaMismatch(format!(
+                "queries are over {} taxa but the namespace has {}",
+                queries.n_taxa(),
+                self.taxa.len()
+            )));
+        }
+        let mut out = Vec::with_capacity(queries.len());
+        score_masks(&*self.table, queries, self.parallel, guard, &mut out)?;
+        Ok(out)
     }
 
     fn score(

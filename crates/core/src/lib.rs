@@ -86,7 +86,7 @@ pub mod variable_taxa;
 pub mod variants;
 
 pub use bfh::Bfh;
-pub use builder::{BfhBuilder, KeptSplits, CHUNK};
+pub use builder::{BfhBuilder, KeptSplits, SplitChunk, CHUNK};
 pub use compact::CompactBfh;
 pub use comparator::{
     hashrf_or_degrade, BfhrfComparator, Comparator, DayComparator, FrozenComparator,

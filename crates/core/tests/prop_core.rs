@@ -13,13 +13,17 @@ use bfhrf::{
     FrozenComparator, HashRf, HashRfConfig, SetComparator, SplitDelta, SplitFrequency,
 };
 use bfhrf::{FrozenBfh, CHUNK};
-use phylo::newick::NewickStream;
-use phylo::{BipartitionScratch, TaxaPolicy, TaxonSet, TreeCollection};
+use phylo::{BipartitionScratch, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet, TreeCollection};
 use phylo_sim::datasets::DatasetSpec;
 use phylo_sim::perturb::{random_binary_tree, random_collection};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// A strict reader over `text`.
+fn strict(text: &str, policy: TaxaPolicy) -> NewickReader<&[u8]> {
+    NewickReader::new(text.as_bytes(), policy, IngestPolicy::Strict)
+}
 
 /// Random collections: either coalescent (correlated splits) or uniform
 /// (near-disjoint splits) — the two regimes stress the hash differently.
@@ -678,27 +682,25 @@ proptest! {
         }
         let mut taxa = refs.taxa.clone();
         for (table, parallel) in [(&bfh, false), (&bfh, true)] {
-            let mut stream =
-                phylo::newick::NewickStream::new(text.as_bytes(), phylo::TaxaPolicy::Require);
+            let mut stream = strict(&text, TaxaPolicy::Require);
             let streamed = bfhrf::rf::bfhrf_streaming(
                 table,
                 &mut taxa,
                 parallel,
                 &bfhrf::RunGuard::default(),
-                |t| stream.next_tree(t),
+                &mut stream,
             )
             .unwrap();
             prop_assert_eq!(&batch, &streamed);
         }
         let frozen = bfh.freeze();
-        let mut stream =
-            phylo::newick::NewickStream::new(text.as_bytes(), phylo::TaxaPolicy::Require);
+        let mut stream = strict(&text, TaxaPolicy::Require);
         let streamed = bfhrf::rf::bfhrf_streaming(
             &frozen,
             &mut taxa,
             true,
             &bfhrf::RunGuard::default(),
-            |t| stream.next_tree(t),
+            &mut stream,
         )
         .unwrap();
         prop_assert_eq!(batch, streamed);
@@ -763,9 +765,8 @@ fn fold_on(builder: &BfhBuilder, text: &str, threads: usize) -> FrozenBfh {
         .unwrap();
     pool.install(|| {
         let mut taxa = TaxonSet::new();
-        let mut stream = NewickStream::new(text.as_bytes(), TaxaPolicy::Grow);
         builder
-            .freeze_stream(&mut taxa, |t| stream.next_tree(t))
+            .freeze_stream(&mut taxa, &mut strict(text, TaxaPolicy::Grow))
             .unwrap()
     })
 }
@@ -835,7 +836,9 @@ fn empty_stream_folds_to_the_empty_hash_frozen() {
         let want = Bfh::empty(n).freeze();
         for builder in [BfhBuilder::new(), BfhBuilder::new().parallel(true)] {
             let mut taxa = TaxonSet::with_numbered("t", n);
-            let table = builder.freeze_stream(&mut taxa, |_| Ok(None)).unwrap();
+            let table = builder
+                .freeze_stream(&mut taxa, &mut strict("", TaxaPolicy::Grow))
+                .unwrap();
             assert_eq!(table.digest(), want.digest(), "n={n}");
             assert_eq!(table.approx_bytes(), want.approx_bytes(), "n={n}");
         }

@@ -16,7 +16,10 @@
 //! Day's algorithm, which needs one leafset, cannot be the oracle here.
 
 use bfhrf::{Bfh, BfhBuilder, FrozenBfh, RunGuard, CHUNK};
-use phylo::{IngestPolicy, TaxaPolicy, TaxonSet, TreeCollection};
+use phylo::{
+    BipartitionScratch, IngestPolicy, NewickReader, PhyloError, SplitReader, TaxaPolicy, TaxonSet,
+    TreeCollection,
+};
 use phylo_sim::perturb::random_binary_tree;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -80,6 +83,34 @@ fn crossing(coll: &TreeCollection, from: usize) -> usize {
     usize::MAX
 }
 
+/// A strict reader over `text`.
+fn strict(text: &str, policy: TaxaPolicy) -> NewickReader<&[u8]> {
+    NewickReader::new(text.as_bytes(), policy, IngestPolicy::Strict)
+}
+
+/// A reader that interns `late` more labels once its records run out.
+struct Late<R> {
+    inner: R,
+    late: usize,
+}
+
+impl<R: SplitReader> SplitReader for Late<R> {
+    fn next_splits(
+        &mut self,
+        taxa: &mut TaxonSet,
+        scratch: &mut BipartitionScratch,
+        out: &mut Vec<u64>,
+    ) -> Result<Option<usize>, PhyloError> {
+        let read = self.inner.next_splits(taxa, scratch, out)?;
+        if read.is_none() {
+            for i in 0..self.late {
+                taxa.intern(&format!("late{i}"));
+            }
+        }
+        Ok(read)
+    }
+}
+
 fn read(bytes: &[u8], policy: IngestPolicy) -> TreeCollection {
     phylo_wire::read_collection_sniffed(bytes, policy)
         .unwrap()
@@ -90,9 +121,7 @@ fn streamed(bytes: &[u8], policy: IngestPolicy, builder: &BfhBuilder) -> (Frozen
     let mut taxa = TaxonSet::new();
     let mut stream =
         phylo_wire::SniffedReader::open(bytes, &mut taxa, TaxaPolicy::Grow, policy).unwrap();
-    let table = builder
-        .freeze_stream(&mut taxa, |t| stream.next_tree(t))
-        .unwrap();
+    let table = builder.freeze_stream(&mut taxa, &mut stream).unwrap();
     (table, taxa)
 }
 
@@ -266,19 +295,12 @@ fn widening_inside_a_pipelined_chunk_matches_the_whole_build_and_its_scores() {
                     let what = format!("{label} {at64}/{at128}, {threads} threads, {mode}");
                     let (table, kept, taxa) = pool.install(|| {
                         let mut taxa = TaxonSet::new();
-                        let mut stream =
-                            phylo::newick::NewickStream::new(body.as_bytes(), TaxaPolicy::Grow);
-                        let (table, kept) = builder
-                            .freeze_stream_kept(&mut taxa, |t| match stream.next_tree(t)? {
-                                Some(tree) => Ok(Some(tree)),
-                                None => {
-                                    for i in 0..late {
-                                        t.intern(&format!("late{i}"));
-                                    }
-                                    Ok(None)
-                                }
-                            })
-                            .unwrap();
+                        let mut stream = Late {
+                            inner: strict(body, TaxaPolicy::Grow),
+                            late,
+                        };
+                        let (table, kept) =
+                            builder.freeze_stream_kept(&mut taxa, &mut stream).unwrap();
                         (table, kept, taxa)
                     });
                     assert_eq!(taxa.len(), all.len(), "{what}");
@@ -286,13 +308,15 @@ fn widening_inside_a_pipelined_chunk_matches_the_whole_build_and_its_scores() {
                     let parallel = threads > 1;
                     let got = pool.install(|| kept.score(&table, parallel, &guard).unwrap());
                     let mut again = taxa.clone();
-                    let mut queries =
-                        phylo::newick::NewickStream::new(body.as_bytes(), TaxaPolicy::Require);
-                    let streamed =
-                        bfhrf::rf::bfhrf_streaming(&table, &mut again, parallel, &guard, |t| {
-                            queries.next_tree(t)
-                        })
-                        .unwrap();
+                    let mut queries = strict(body, TaxaPolicy::Require);
+                    let streamed = bfhrf::rf::bfhrf_streaming(
+                        &table,
+                        &mut again,
+                        parallel,
+                        &guard,
+                        &mut queries,
+                    )
+                    .unwrap();
                     assert_eq!(got, streamed, "{what}");
                 }
             }

@@ -52,7 +52,7 @@ pub mod tree;
 
 pub use bipartition::{Bipartition, BipartitionSet};
 pub use error::PhyloError;
-pub use ingest::{IngestPolicy, IngestReport, NewickReader, RecordError};
+pub use ingest::{IngestPolicy, IngestReport, NewickReader, RecordError, SplitReader};
 pub use newick::{
     parse_newick, parse_newick_readonly, read_trees_from_str, write_newick, TaxaPolicy,
 };

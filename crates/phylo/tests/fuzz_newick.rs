@@ -4,8 +4,10 @@
 //! the same treatment.
 
 use phylo::ingest::read_collection;
-use phylo::newick::NewickStream;
-use phylo::{parse_newick, IngestPolicy, PhyloError, TaxaPolicy, TaxonSet};
+use phylo::{
+    parse_newick, BipartitionScratch, IngestPolicy, NewickReader, PhyloError, SplitReader,
+    TaxaPolicy, TaxonSet,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -23,11 +25,21 @@ proptest! {
     ) {
         let mut taxa = TaxonSet::new();
         let _ = parse_newick(&s, &mut taxa, TaxaPolicy::Grow);
-        // the streaming splitter must also survive and terminate
+        // the streaming splitter must also survive and terminate, whether
+        // it builds trees or lexes records straight into split masks
+        let strict = || NewickReader::new(s.as_bytes(), TaxaPolicy::Grow, IngestPolicy::Strict);
         let mut taxa2 = TaxonSet::new();
-        let mut stream = NewickStream::new(s.as_bytes(), TaxaPolicy::Grow);
+        let mut stream = strict();
         for _ in 0..200 {
             match stream.next_tree(&mut taxa2) {
+                Ok(None) | Err(_) => break,
+                Ok(Some(_)) => {}
+            }
+        }
+        let (mut taxa3, mut scratch, mut masks) = (TaxonSet::new(), BipartitionScratch::new(), Vec::new());
+        let mut stream = strict();
+        for _ in 0..200 {
+            match stream.next_splits(&mut taxa3, &mut scratch, &mut masks) {
                 Ok(None) | Err(_) => break,
                 Ok(Some(_)) => {}
             }

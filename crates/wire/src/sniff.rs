@@ -7,8 +7,8 @@
 use crate::file::{BinReader, FILE_MAGIC};
 use crate::WireError;
 use phylo::{
-    IngestPolicy, IngestReport, NewickReader, PhyloError, TaxaPolicy, TaxonSet, Tree,
-    TreeCollection,
+    BipartitionScratch, IngestPolicy, IngestReport, NewickReader, PhyloError, SplitReader,
+    TaxaPolicy, TaxonSet, Tree, TreeCollection,
 };
 use std::io::{BufRead, Chain, Cursor, Read};
 
@@ -136,6 +136,33 @@ impl<R: BufRead> SniffedReader<R> {
         match self.inner {
             Inner::Newick(r) => r.into_report(),
             Inner::Bin(r) => r.into_report(),
+        }
+    }
+}
+
+impl<R: BufRead> SplitReader for SniffedReader<R> {
+    /// A Newick record is lexed straight into masks by
+    /// [`NewickReader`]; a `bin` record is decoded to a tree, whose splits
+    /// are then extracted.
+    fn next_splits(
+        &mut self,
+        taxa: &mut TaxonSet,
+        scratch: &mut BipartitionScratch,
+        out: &mut Vec<u64>,
+    ) -> Result<Option<usize>, PhyloError> {
+        match &mut self.inner {
+            Inner::Newick(r) => r.next_splits(taxa, scratch, out),
+            Inner::Bin(r) => {
+                let Some(tree) = r.next_tree().map_err(WireError::into_phylo)? else {
+                    return Ok(None);
+                };
+                let mut n = 0;
+                scratch.for_each_split(&tree, taxa, |w| {
+                    out.extend_from_slice(w);
+                    n += 1;
+                });
+                Ok(Some(n))
+            }
         }
     }
 }

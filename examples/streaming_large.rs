@@ -12,8 +12,7 @@
 //! ```
 
 use bfhrf::{BfhBuilder, RunGuard};
-use phylo::newick::NewickStream;
-use phylo::{TaxaPolicy, TaxonSet};
+use phylo::{IngestPolicy, NewickReader, TaxaPolicy, TaxonSet};
 use phylo_sim::datasets::{write_collection, DatasetSpec};
 use std::io::BufReader;
 use std::time::Instant;
@@ -35,18 +34,19 @@ fn main() {
     drop(coll); // nothing of the collection stays in memory
 
     // Phase 1: stream the references into the frozen table. The builder
-    // parses one tree, extracts its splits into a chunk buffer and drops
-    // it, so only one parsed tree is ever resident; each full buffer is
-    // folded straight into the table's lanes while the next one fills.
+    // reads each record straight into its split masks in a chunk buffer,
+    // so no tree is ever built; each full buffer is folded straight into
+    // the table's lanes while the next one fills.
     // Keeping the splits gives each tree's pool ranks back for scoring
     // Q = R.
     let mut taxa = TaxonSet::new();
     let t0 = Instant::now();
     let file = std::fs::File::open(&path).expect("open refs");
-    let mut stream = NewickStream::new(BufReader::new(file), TaxaPolicy::Grow);
+    let mut stream =
+        NewickReader::new(BufReader::new(file), TaxaPolicy::Grow, IngestPolicy::Strict);
     let (table, kept) = BfhBuilder::new()
         .parallel(true)
-        .freeze_stream_kept(&mut taxa, |t| stream.next_tree(t))
+        .freeze_stream_kept(&mut taxa, &mut stream)
         .expect("build from the stream");
     println!(
         "table built in {:.2}s: {} distinct splits from {} trees \

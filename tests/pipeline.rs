@@ -59,24 +59,23 @@ fn streaming_file_analysis_matches_in_memory() {
 
     // streaming build + streaming queries against the file
     let mut taxa = TaxonSet::with_numbered("t", 16);
-    let mut refs = phylo::newick::NewickStream::new(
-        BufReader::new(std::fs::File::open(&path).unwrap()),
-        TaxaPolicy::Require,
-    );
+    let open = || {
+        phylo::NewickReader::new(
+            BufReader::new(std::fs::File::open(&path).unwrap()),
+            TaxaPolicy::Require,
+            phylo::IngestPolicy::Strict,
+        )
+    };
     let bfh_streamed = BfhBuilder::new()
         .parallel(true)
-        .freeze_stream(&mut taxa, |t| refs.next_tree(t))
+        .freeze_stream(&mut taxa, &mut open())
         .unwrap();
-    let mut queries = phylo::newick::NewickStream::new(
-        BufReader::new(std::fs::File::open(&path).unwrap()),
-        TaxaPolicy::Require,
-    );
     let streamed = bfhrf::rf::bfhrf_streaming(
         &bfh_streamed,
         &mut taxa,
         false,
         &bfhrf::RunGuard::default(),
-        |t| queries.next_tree(t),
+        &mut open(),
     )
     .unwrap();
 
