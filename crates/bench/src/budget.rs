@@ -37,8 +37,7 @@ mod tests {
         TreeCollection::parse("((A,B),(C,D));\n((A,C),(B,D));\n((A,D),(B,C));").unwrap()
     }
 
-    /// The parallel build under `cell`'s guard: the sequential build is
-    /// not budgeted, so it has nothing to refuse.
+    /// A build under `cell`'s guard.
     fn build(cell: &CellBudget) -> Result<bfhrf::FrozenBfh, CoreError> {
         let c = coll();
         BfhBuilder::new()
