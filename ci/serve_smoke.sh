@@ -376,6 +376,34 @@ grep -q 'entries lane checksum mismatch' "$WORK/badlane.err" || {
     exit 1
 }
 
+echo "== a committed index with a version-1 sidecar: bind maps it without a note"
+# Written by a build that wrote only version-1 sidecars; this build writes
+# version 2 and must still serve version 1 exactly as before.
+V1="$(cd "$(dirname "$0")/.." && pwd)/crates/index/tests/fixtures/v1"
+cp -r "$V1/index" "$WORK/index_v1"
+"$BIN" avgrf --refs "$V1/refs.nwk" --queries "$V1/refs.nwk" >"$WORK/offline_v1.tsv"
+diff -u "$V1/avgrf.tsv" "$WORK/offline_v1.tsv"
+"$BIN" index inspect --index "$WORK/index_v1" --check >"$WORK/inspect_v1.txt"
+grep -q "^frozen_format	BFHFROZ/v1$" "$WORK/inspect_v1.txt" || {
+    echo "serve smoke: inspect does not report the v1 sidecar" >&2
+    cat "$WORK/inspect_v1.txt" >&2
+    exit 1
+}
+"$BIN" serve --index "$WORK/index_v1" --addr 127.0.0.1:0 --threads 2 \
+    --port-file "$WORK/port_v1" 2>"$WORK/v1.err" &
+SERVER_PID=$!
+wait_port "$WORK/port_v1" "$SERVER_PID"
+"$BIN" query --port-file "$WORK/port_v1" --queries "$V1/refs.nwk" >"$WORK/served_v1.tsv"
+diff -u "$WORK/offline_v1.tsv" "$WORK/served_v1.tsv"
+"$BIN" query --port-file "$WORK/port_v1" --op shutdown
+wait "$SERVER_PID"
+SERVER_PID=""
+if grep -v '^bfhrf: serving ' "$WORK/v1.err" | grep -q .; then
+    echo "serve smoke: the v1 bind noted something" >&2
+    cat "$WORK/v1.err" >&2
+    exit 1
+fi
+
 # ---------------------------------------------------------------------------
 # Multi-collection catalog: one daemon, many indexes, LRU-managed under a
 # global memory budget. Phase 1 creates three collections unbudgeted and

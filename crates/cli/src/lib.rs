@@ -1137,7 +1137,7 @@ fn cmd_index_inspect(raw: &[String]) -> Result<CmdOutcome, CliError> {
             "frozen_format\t{}/v{}\nfrozen_generation\t{}\nfrozen_bytes\t{}\n\
              frozen_ctrl_bytes\t{}\nfrozen_entries_bytes\t{}\nfrozen_pool_bytes\t{}",
             String::from_utf8_lossy(phylo_index::FROZEN_MAGIC).trim_end_matches('\0'),
-            phylo_index::FROZEN_VERSION,
+            fm.version,
             fm.generation,
             fm.file_len(),
             fm.ctrl.len,

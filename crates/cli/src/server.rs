@@ -1259,8 +1259,8 @@ fn op_best(
     let (view, _snap_id) = target_view(state, target);
     let guard = request_guard(state);
     let scores = score_payloads(state, enc, &view, queries, 0, &guard, scratch)?;
-    let best = bfhrf::best_query(&scores)
-        .ok_or_else(|| ReqError::new("the \"queries\" array is empty"))?;
+    let best =
+        bfhrf::best_query(&scores).ok_or_else(|| ReqError::from_core(CoreError::EmptyQuery))?;
     Ok(Response::Best {
         best_index: best.index,
         avg: best.rf.average(),

@@ -396,6 +396,120 @@ fn port_file_and_inspect() {
     assert!(outcome.stdout.starts_with("served\t"), "{}", outcome.stdout);
 }
 
+/// The committed index of `crates/index/tests/fixtures/v1`: 30 trees on
+/// 24 taxa, its `frozen.bfh` a version-1 sidecar, beside its Newick source
+/// and the offline `avgrf` report of that source against itself.
+fn v1_fixture() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../index/tests/fixtures/v1")
+}
+
+const INDEX_FILES: [&str; 3] = ["snapshot.bfh", "frozen.bfh", "wal.log"];
+
+/// A v1 index binds, serves and inspects as it always did: `inspect
+/// --check` passes and names the sidecar's own version, bind maps it
+/// without a note, and the daemon answers byte-identically to the stored
+/// offline report.
+#[test]
+fn a_v1_sidecar_index_binds_serves_and_inspects_as_before() {
+    let dir = scratch("v1-fixture");
+    let index_dir = dir.join("index");
+    std::fs::create_dir_all(&index_dir).unwrap();
+    for f in INDEX_FILES {
+        std::fs::copy(v1_fixture().join("index").join(f), index_dir.join(f)).unwrap();
+    }
+    let index_dir = index_dir.to_str().unwrap();
+    let refs = v1_fixture().join("refs.nwk");
+    let refs = refs.to_str().unwrap();
+    let report = std::fs::read_to_string(v1_fixture().join("avgrf.tsv")).unwrap();
+
+    let inspect = runv(&["index", "inspect", "--index", index_dir, "--check"]).unwrap();
+    for line in [
+        "frozen_format\tBFHFROZ/v1\n",
+        "check\tok",
+        "frozen_check\tok",
+    ] {
+        assert!(inspect.stdout.contains(line), "{}", inspect.stdout);
+    }
+
+    let srv = Server::bind(&ServeConfig {
+        index_dir: PathBuf::from(index_dir),
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        mem_budget: None,
+        timeout_ms: None,
+        catalog_dir: None,
+    })
+    .unwrap();
+    assert!(srv.notes().is_empty(), "{:?}", srv.notes());
+    let addr = srv.local_addr().to_string();
+    let handle = std::thread::spawn(move || srv.run().unwrap());
+    let served = runv(&["query", "--addr", &addr, "--queries", refs]).unwrap();
+    shutdown(&addr, handle);
+    assert_eq!(served.stdout, report);
+    let offline = runv(&["avgrf", "--refs", refs, "--queries", refs]).unwrap();
+    assert_eq!(offline.stdout, report);
+}
+
+/// `index build` over the v1 fixture's source writes the same snapshot
+/// and WAL bytes, and a version-2 sidecar that differs from the v1 one
+/// only in its version, its three lane sums and its header seal.
+#[test]
+fn index_build_writes_a_v2_sidecar_lane_for_lane_like_the_v1_fixture() {
+    let dir = scratch("v2-build");
+    let index_dir = dir.join("index");
+    let refs = v1_fixture().join("refs.nwk");
+    let out = runv(&[
+        "index",
+        "build",
+        "--refs",
+        refs.to_str().unwrap(),
+        "--out",
+        index_dir.to_str().unwrap(),
+        "--shards",
+        "2",
+    ])
+    .unwrap();
+    assert_eq!(out.code, EXIT_OK);
+    for f in ["snapshot.bfh", "wal.log"] {
+        let want = std::fs::read(v1_fixture().join("index").join(f)).unwrap();
+        assert!(
+            std::fs::read(index_dir.join(f)).unwrap() == want,
+            "{f} differs"
+        );
+    }
+    let v1 = std::fs::read(v1_fixture().join("index/frozen.bfh")).unwrap();
+    let v2 = std::fs::read(index_dir.join("frozen.bfh")).unwrap();
+    assert_eq!(v1.len(), v2.len());
+    // Bytes 8..10 are the version; the sealed u64 fields start at byte 10,
+    // ctrl_sum, entries_sum and pool_sum are fields 9, 12 and 15, and the
+    // seal follows the sixteenth field.
+    let field = |i: usize| 10 + 8 * i..18 + 8 * i;
+    let moved = [8..10, field(9), field(12), field(15), field(16)];
+    let differs: Vec<usize> = (0..v1.len()).filter(|&at| v1[at] != v2[at]).collect();
+    assert!(
+        differs
+            .iter()
+            .all(|at| moved.iter().any(|r| r.contains(at))),
+        "bytes outside the version, lane sums and seal differ: {differs:?}"
+    );
+    assert_eq!(u16::from_le_bytes([v2[8], v2[9]]), 2);
+    for sum in &moved[1..4] {
+        assert_ne!(v1[sum.clone()], v2[sum.clone()], "lane sum at {sum:?}");
+    }
+
+    let inspect = runv(&[
+        "index",
+        "inspect",
+        "--index",
+        index_dir.to_str().unwrap(),
+        "--check",
+    ])
+    .unwrap();
+    for line in ["frozen_format\tBFHFROZ/v2\n", "frozen_check\tok"] {
+        assert!(inspect.stdout.contains(line), "{}", inspect.stdout);
+    }
+}
+
 /// Find one exposition series by name and exact label set.
 fn find_series<'a>(
     metrics: &'a json::Json,

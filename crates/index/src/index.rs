@@ -251,7 +251,7 @@ fn record_lay_out(start: Instant) {
         .record_duration(start.elapsed());
 }
 
-/// How a sidecar that passed its own checks fails to shadow the snapshot
+/// Why a sidecar that passed its own checks cannot shadow the snapshot
 /// whose header the caller read.
 enum Mismatch {
     /// The sidecar was written at this other generation.
@@ -275,59 +275,44 @@ fn mismatch(f: &FrozenMeta, meta: &SnapshotMeta) -> Option<Mismatch> {
     }
 }
 
-/// The snapshot as a read-write open streams it past a candidate base:
-/// its header, its namespace, and the first split record the base
-/// answered with another count, if any.
-type CrossChecked = Result<(SnapshotMeta, TaxonSet, Option<usize>), IndexError>;
-
 /// The frozen sidecar as a candidate base for a fresh open, when it is
 /// current: at the snapshot's generation and agreeing with its header.
 /// Anything else is a cache miss, with a note when the file looked wrong.
-/// A current sidecar's lanes are checked while the snapshot streams past
-/// it ([`frozen_file::open_frozen_beside_with`]), every record probed
-/// ([`CrossCheck`]); the caller judges that stream ([`open_base`]). A
-/// sidecar that fails its checks is noted and its stream discarded.
+/// The caller still cross-checks the candidate against the snapshot's
+/// records before trusting it ([`open_base`]).
 fn prime_base(
     vfs: &dyn Vfs,
     dir: &Path,
     meta: &SnapshotMeta,
     guard: &RunGuard,
     notes: &mut Vec<String>,
-) -> Option<(Arc<FrozenBfh>, CrossChecked)> {
+) -> Option<Arc<FrozenBfh>> {
     let path = dir.join(FROZEN_FILE);
     if !vfs.exists(&path) {
         return None;
     }
-    let snap_path = dir.join(SNAPSHOT_FILE);
-    let decline = |f: &FrozenMeta| {
-        mismatch(f, meta).map(|m| match m {
-            Mismatch::Generation(found) => format!(
-                "frozen sidecar is stale (generation {found} vs {}); ignoring it",
-                meta.generation
-            ),
-            Mismatch::Layout => {
-                "frozen sidecar disagrees with the snapshot scalars; ignoring it".to_string()
-            }
-        })
-    };
-    let cross_check = |base: &FrozenBfh| {
-        let mut check = CrossCheck::new(base);
-        scan_snapshot_with(vfs, &snap_path, guard, |words, freq| {
-            check.push(words, freq);
-            Ok(())
-        })
-        .map(|(meta, taxa)| (meta, taxa, check.finish()))
-    };
-    match frozen_file::open_frozen_beside_with(vfs, &path, guard, decline, cross_check) {
+    let f = match frozen_file::open_frozen_with(vfs, &path, guard) {
+        Ok(f) => f,
         Err(e) => {
             notes.push(format!("frozen sidecar unreadable (cache only): {e}"));
+            return None;
+        }
+    };
+    match mismatch(&f.meta, meta) {
+        None => Some(Arc::new(f.frozen)),
+        Some(Mismatch::Generation(found)) => {
+            notes.push(format!(
+                "frozen sidecar is stale (generation {found} vs {}); ignoring it",
+                meta.generation
+            ));
             None
         }
-        Ok((_, Err(note))) => {
-            notes.push(note);
+        Some(Mismatch::Layout) => {
+            notes.push(
+                "frozen sidecar disagrees with the snapshot scalars; ignoring it".to_string(),
+            );
             None
         }
-        Ok((f, Ok(scanned))) => Some((Arc::new(f.frozen), scanned)),
     }
 }
 
@@ -401,9 +386,13 @@ fn open_base(
 ) -> Result<(Arc<FrozenBfh>, TaxonSet, SnapshotMeta), IndexError> {
     let snap_path = dir.join(SNAPSHOT_FILE);
     let header = read_meta_with(vfs, &snap_path)?;
-    if let Some((base, scanned)) = prime_base(vfs, dir, &header, guard, notes) {
-        let (meta, taxa, first) = scanned?;
-        match first {
+    if let Some(base) = prime_base(vfs, dir, &header, guard, notes) {
+        let mut check = CrossCheck::new(&base);
+        let (meta, taxa) = scan_snapshot_with(vfs, &snap_path, guard, |words, freq| {
+            check.push(words, freq);
+            Ok(())
+        })?;
+        match check.finish() {
             None if meta == header && base.distinct() == meta.distinct => {
                 return Ok((base, taxa, meta))
             }
@@ -1001,40 +990,72 @@ impl Index {
         dir: &Path,
         guard: &RunGuard,
     ) -> Result<FrozenOpen, IndexError> {
-        Index::open_frozen_beside(&*vfs, dir, guard, |_| ()).map(|(open, ())| open)
+        let (meta, taxa, frozen_path) = Index::frozen_candidate(&*vfs, dir, guard)?;
+        let opened = frozen_file::open_frozen_with(&*vfs, &frozen_path, guard)
+            .map_err(|e| unavailable(format!("sidecar rejected: {e}")))?;
+        decline_mismatch(&opened.meta, &meta)?;
+        Ok(FrozenOpen {
+            frozen: Arc::new(opened.frozen),
+            taxa: Arc::new(taxa),
+            meta,
+            mapped: opened.mapped,
+        })
     }
 
-    /// The read-only open a daemon binds with: [`Index::open_frozen`] with
-    /// the whole snapshot streamed through every check
-    /// ([`verify_snapshot_with`]) beside the sidecar's lane checks, so a
-    /// read-only daemon still refuses a corrupt snapshot it never loads.
+    /// The read-only open a daemon binds with: [`Index::open_frozen`],
+    /// with the whole snapshot streamed through every check
+    /// ([`verify_snapshot_with`]) so a read-only daemon still refuses a
+    /// corrupt snapshot it never loads.
     ///
     /// `Ok(None)` whenever [`Index::open_frozen`] would decline or fail,
-    /// for any reason: the caller falls back to [`Index::open`]. The
-    /// snapshot is streamed only once the cheap declines (the WAL, a
-    /// missing or stale sidecar, a header mismatch) have passed, so such
-    /// a fallback pays for no scan. `Err` is the snapshot's own error when
-    /// the sidecar passed and the snapshot did not.
+    /// for any reason: the caller falls back to [`Index::open`]. The cheap
+    /// declines run first on the calling thread (the WAL, a missing
+    /// sidecar, its header and its generation and scalars against the
+    /// snapshot's), so such a fallback pays for no scan. Then the
+    /// snapshot is verified on a second thread while this one opens the
+    /// sidecar. `Err` is the snapshot's own error when the sidecar passed
+    /// and the snapshot did not.
     pub fn open_frozen_verified(dir: &Path) -> Result<Option<FrozenOpen>, IndexError> {
         let guard = RunGuard::default();
+        let Ok((meta, taxa, frozen_path)) = Index::frozen_candidate(&RealVfs, dir, &guard) else {
+            return Ok(None);
+        };
+        let header = match frozen_file::read_frozen_meta_with(&RealVfs, &frozen_path) {
+            Ok(header) if mismatch(&header, &meta).is_none() => header,
+            _ => return Ok(None),
+        };
         let snapshot = dir.join(SNAPSHOT_FILE);
-        let verify = |_: &FrozenBfh| verify_snapshot_with(&RealVfs, &snapshot, &guard);
-        match Index::open_frozen_beside(&RealVfs, dir, &guard, verify) {
-            Ok((open, verified)) => verified.map(|_| Some(open)),
-            Err(_) => Ok(None),
-        }
+        let (opened, verified) = std::thread::scope(|s| {
+            let verified = s.spawn(|| verify_snapshot_with(&RealVfs, &snapshot, &guard));
+            let opened = frozen_file::open_frozen_with(&RealVfs, &frozen_path, &guard);
+            let verified = verified
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (opened, verified)
+        });
+        // A sidecar replaced since its header was read is declined too.
+        let opened = match opened {
+            Ok(opened) if opened.meta == header => opened,
+            _ => return Ok(None),
+        };
+        verified?;
+        Ok(Some(FrozenOpen {
+            frozen: Arc::new(opened.frozen),
+            taxa: Arc::new(taxa),
+            meta,
+            mapped: opened.mapped,
+        }))
     }
 
-    /// [`Index::open_frozen_with`], running `scan` on the sidecar's
-    /// validated table beside its lane checks once every cheap decline
-    /// has passed.
-    fn open_frozen_beside<S>(
+    /// The read-only open's declines that read no sidecar: the snapshot's
+    /// header and taxa, then a WAL holding anything to repair or replay,
+    /// then a missing sidecar. Returns the header, the taxa and the
+    /// sidecar's path.
+    fn frozen_candidate(
         vfs: &dyn Vfs,
         dir: &Path,
         guard: &RunGuard,
-        scan: impl FnOnce(&FrozenBfh) -> S,
-    ) -> Result<(FrozenOpen, S), IndexError> {
-        let unavailable = |detail: String| IndexError::FrozenUnavailable { detail };
+    ) -> Result<(SnapshotMeta, TaxonSet, PathBuf), IndexError> {
         let snap_path = dir.join(SNAPSHOT_FILE);
         if !vfs.exists(&snap_path) {
             return Err(IndexError::NotAnIndex(format!(
@@ -1081,27 +1102,26 @@ impl Index {
                 "no {FROZEN_FILE} sidecar (compact the index once to write it)"
             )));
         }
-        let decline = |f: &FrozenMeta| {
-            mismatch(f, &meta).map(|m| match m {
-                Mismatch::Generation(found) => unavailable(format!(
-                    "sidecar is stale (generation {found} vs snapshot {})",
-                    meta.generation
-                )),
-                Mismatch::Layout => {
-                    unavailable("sidecar layout disagrees with the snapshot header".into())
-                }
-            })
-        };
-        let (opened, scanned) =
-            frozen_file::open_frozen_beside_with(vfs, &frozen_path, guard, decline, scan)
-                .map_err(|e| unavailable(format!("sidecar rejected: {e}")))?;
-        let open = FrozenOpen {
-            frozen: std::sync::Arc::new(opened.frozen),
-            taxa: std::sync::Arc::new(taxa),
-            meta,
-            mapped: opened.mapped,
-        };
-        Ok((open, scanned?))
+        Ok((meta, taxa, frozen_path))
+    }
+}
+
+fn unavailable(detail: String) -> IndexError {
+    IndexError::FrozenUnavailable { detail }
+}
+
+/// The read-only open's refusal of a sidecar that cannot shadow the
+/// snapshot whose header it read.
+fn decline_mismatch(f: &FrozenMeta, meta: &SnapshotMeta) -> Result<(), IndexError> {
+    match mismatch(f, meta) {
+        None => Ok(()),
+        Some(Mismatch::Generation(found)) => Err(unavailable(format!(
+            "sidecar is stale (generation {found} vs snapshot {})",
+            meta.generation
+        ))),
+        Some(Mismatch::Layout) => Err(unavailable(
+            "sidecar layout disagrees with the snapshot header".into(),
+        )),
     }
 }
 
