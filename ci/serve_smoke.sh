@@ -54,15 +54,16 @@ echo "== served answers must match offline avgrf byte-for-byte"
 
 echo "== hashrf over its memory budget degrades to bfhrf with the same answers"
 # On these 40 references HashRF estimates 39 992 bytes (its r x r matrix
-# and bucket table), while the fallback BFHRF build needs 28 240 bytes (its
-# chunk buffers and the table after its last doubling). A budget between
-# the two must take the fallback and still answer like offline bfhrf.
+# and bucket table), while the fallback BFHRF build needs 36 880 bytes (its
+# chunk buffer of tree shapes and the table after its last doubling). A
+# budget between the two must take the fallback and still answer like
+# offline bfhrf.
 "$BIN" avgrf --refs "$WORK/refs.nwk" --queries "$WORK/queries.nwk" \
-    --algorithm hashrf --mem-budget 34000 \
+    --algorithm hashrf --mem-budget 38000 \
     >"$WORK/degraded.tsv" 2>"$WORK/degraded.err"
 diff -u "$WORK/offline.tsv" "$WORK/degraded.tsv"
 grep -q 'degraded hashrf -> bfhrf' "$WORK/degraded.err" || {
-    echo "serve smoke: hashrf did not degrade under --mem-budget 34000" >&2
+    echo "serve smoke: hashrf did not degrade under --mem-budget 38000" >&2
     cat "$WORK/degraded.err" >&2
     exit 1
 }

@@ -1,8 +1,8 @@
-//! Offline `avgrf` with Q = R streams its references: the builder holds
-//! one parsed tree at a time, extracts its canonical split masks into one
-//! of two chunk buffers, folds each full buffer straight into the frozen
-//! table's lanes, keeps each split as its 4-byte pool rank, and scores the
-//! ranks against that table. This counts the heap across one `run_full
+//! Offline `avgrf` with Q = R streams its references: the builder lexes
+//! one record at a time into its postorder shape in one of two chunk
+//! buffers, and the fold canonicalises each full buffer's shapes into
+//! split masks straight into the frozen table's lanes, keeps each split as
+//! its 4-byte pool rank, and scores the ranks against that table. This counts the heap across one `run_full
 //! avgrf` over 2 000 insect trees (n = 144), where the parsed trees alone
 //! would be ~37 MB, the trees' masks ~6.8 MB and the table ~7.3 MB, so
 //! keeping the masks again, holding a chunk of parsed trees, or building
@@ -59,12 +59,13 @@ fn offline_q_equals_r_holds_no_tree_and_one_copy_of_the_masks() {
     std::fs::remove_file(&path).ok();
 
     // The peak is the lanes after their last doubling (control and entry
-    // lanes 4.46 MB, pool room 3.15 MB) next to both chunk buffers
-    // (2 × 0.87 MB) and the kept ranks (1.13 MB): ~10.5 MB, 1.55 × the
-    // masks. Keeping each tree's masks instead of its ranks would be
-    // ~2.4 ×; a chunk of parsed trees (4.7 MB) held beside the lanes,
-    // ~2.0 ×; the shard maps coming back, over 3 ×; the parsed trees held
-    // again, over 7 ×.
+    // lanes 4.46 MB, pool room 3.15 MB) next to both chunk buffers of
+    // shapes (2 × 0.59 MB) and the kept ranks (1.13 MB): ~9.97 MB,
+    // 1.47 × the masks. Chunk buffers of masks again (2 × 0.87 MB) would
+    // be ~1.55 ×; keeping each tree's masks instead of its ranks, ~2.4 ×;
+    // a chunk of parsed trees (4.7 MB) held beside the lanes, ~2.0 ×; the
+    // shard maps coming back, over 3 ×; the parsed trees held again, over
+    // 7 ×.
     let mb = |b: usize| b as f64 / 1e6;
     println!(
         "offline avgrf peak {:.2} MB = {:.3} × the {:.2} MB of masks",
@@ -73,7 +74,7 @@ fn offline_q_equals_r_holds_no_tree_and_one_copy_of_the_masks() {
         mb(masks)
     );
     assert!(
-        (peak as f64) < 1.7 * masks as f64,
+        (peak as f64) < 1.52 * masks as f64,
         "offline avgrf peaked at {:.2} MB, {:.2} × the {:.2} MB of masks",
         mb(peak),
         peak as f64 / masks as f64,

@@ -46,6 +46,8 @@ use bfhrf::{
 use phylo::{IngestPolicy, IngestReport, SplitReader, TaxaPolicy, TreeCollection};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Clean success: every record parsed, the requested algorithm ran.
@@ -177,7 +179,8 @@ pub fn usage() -> String {
      \x20          --max-errors N       abort a --lenient run after N skips\n\
      \x20          --mem-budget BYTES   refuse allocations over the budget;\n\
      \x20                               a bfhrf build counts its two chunk\n\
-     \x20                               buffers, kept ranks and table;\n\
+     \x20                               buffers of tree shapes, kept ranks\n\
+     \x20                               and table;\n\
      \x20                               hashrf degrades to bfhrf when over\n\
      \x20          --timeout SECS       cancel the run at the deadline\n\
      \n\
@@ -610,12 +613,19 @@ impl Streamed<'_> {
                 self.policy,
             )
             .map_err(|e| format!("{refs_path}: {e}"))?;
-            let builder = resolve_builder(build_mode, shards, default_mode)?
+            let mut builder = resolve_builder(build_mode, shards, default_mode)?
                 .0
                 .guard(guard.clone());
             // The build splits into `ingest`, the calling thread's time
-            // cutting and lexing records, and `fold`, the rest of it: the
-            // wait on the worker's fold, and the final fold.
+            // cutting records and lexing them into shapes, and `fold`, the
+            // rest of it: the wait on the fold, and the last fold. The
+            // fold's own time, canonicalising each shape and counting its
+            // splits, is listed beside them as `fold busy`; in a parallel
+            // build, the longer of `ingest` and `fold busy` bounds it.
+            let busy = Arc::new(AtomicU64::new(0));
+            if prof.enabled() {
+                builder = builder.fold_clock(Arc::clone(&busy));
+            }
             prof.phase("fold");
             let mut timed = Timed {
                 reader: &mut refs,
@@ -632,6 +642,7 @@ impl Streamed<'_> {
             .map_err(|e| stream_fail(refs_path, e))?;
             if let Some(ns) = timed.ns {
                 prof.carve("ingest", ns);
+                prof.beside("fold busy", busy.load(Ordering::Relaxed));
             }
             let mut partial = note_ingest(notes, refs_path, &refs.into_report());
             prof.phase("query");
@@ -666,24 +677,24 @@ impl Streamed<'_> {
 }
 
 /// A reader that, when `ns` is `Some`, adds up the time each record
-/// takes to cut and read into split masks.
+/// takes to cut and read into its shape.
 struct Timed<'r, S> {
     reader: &'r mut S,
     ns: Option<u64>,
 }
 
 impl<S: SplitReader> SplitReader for Timed<'_, S> {
-    fn next_splits(
+    fn next_shape(
         &mut self,
         taxa: &mut phylo::TaxonSet,
         scratch: &mut phylo::BipartitionScratch,
-        out: &mut Vec<u64>,
-    ) -> Result<Option<usize>, phylo::PhyloError> {
+        shapes: &mut phylo::Shapes,
+    ) -> Result<bool, phylo::PhyloError> {
         let Some(ns) = &mut self.ns else {
-            return self.reader.next_splits(taxa, scratch, out);
+            return self.reader.next_shape(taxa, scratch, shapes);
         };
         let start = Instant::now();
-        let read = self.reader.next_splits(taxa, scratch, out);
+        let read = self.reader.next_shape(taxa, scratch, shapes);
         *ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         read
     }
@@ -1625,6 +1636,56 @@ mod tests {
     }
 
     #[test]
+    fn unary_chains_past_the_shape_bound_are_budgeted_with_exit_3() {
+        // 600 trees on 12 taxa, and the same trees with 30 unary nodes
+        // above each one's first leaf: the same splits from 53 shape nodes
+        // a tree, where the chunk buffers make room for 2n - 1 = 23.
+        let c = phylo_sim::perturb::random_collection(12, 600, 7);
+        let plain: String = c
+            .trees
+            .iter()
+            .map(|t| phylo::write_newick(t, &c.taxa) + "\n")
+            .collect();
+        let chained: String = plain
+            .lines()
+            .map(|l| {
+                let at = l.find('t').unwrap();
+                let end = at + 1 + l[at + 1..].find(|c: char| !c.is_ascii_digit()).unwrap();
+                let (open, close) = ("(".repeat(30), ")".repeat(30));
+                format!("{}{open}{}{close}{}\n", &l[..at], &l[at..end], &l[end..])
+            })
+            .collect();
+        let plain = tmp("refs_plain_shapes.nwk", &plain);
+        let chained = tmp("refs_chained_shapes.nwk", &chained);
+        let avgrf = |refs: &std::path::Path, budget: Option<usize>| {
+            let budget = budget.map(|b| b.to_string());
+            let mut argv = vec!["avgrf", "--refs", refs.to_str().unwrap(), "--threads", "2"];
+            if let Some(b) = &budget {
+                argv.extend(["--mem-budget", b]);
+            }
+            runf(&argv)
+        };
+        let want = avgrf(&plain, None).unwrap().stdout;
+        assert_eq!(avgrf(&chained, None).unwrap().stdout, want);
+        // The smallest budget the plain file builds under.
+        let (mut lo, mut hi) = (0usize, 1 << 24);
+        while lo + 1 < hi {
+            let mid = (lo + hi) / 2;
+            match avgrf(&plain, Some(mid)) {
+                Ok(_) => hi = mid,
+                Err(_) => lo = mid,
+            }
+        }
+        assert_eq!(avgrf(&plain, Some(hi)).unwrap().stdout, want);
+        let err = avgrf(&chained, Some(hi)).unwrap_err();
+        assert_eq!(err.code, EXIT_BUDGET);
+        assert!(err.message.contains("BFH build"), "{}", err.message);
+        // Room for the 30 more nodes a tree in both buffers suffices.
+        let more = 2 * bfhrf::CHUNK * 30 * phylo::Shapes::NODE_BYTES;
+        assert_eq!(avgrf(&chained, Some(hi + more)).unwrap().stdout, want);
+    }
+
+    #[test]
     fn timeout_zero_cancels_with_exit_3() {
         let refs = tmp("refs_timeout.nwk", "((A,B),(C,D));\n((A,C),(B,D));\n");
         let err = runf(&["avgrf", "--refs", refs.to_str().unwrap(), "--timeout", "0"]).unwrap_err();
@@ -1648,11 +1709,13 @@ mod tests {
         let empty = tmp("streamed_empty.nwk", "");
         let empty = empty.to_str().unwrap();
         // Before the second chunk is read: both chunk buffers, room for
-        // CHUNK trees of n − 3 one-word masks each, and the lanes' first
-        // group. Q = R also holds the first chunk's ranks and split counts.
-        let buffers = 2 * bfhrf::CHUNK * (12 - 3) * 8;
+        // CHUNK trees of 2n − 1 shape nodes and one end each, and the
+        // lanes' first group. Q = R also holds room for the first chunk's
+        // ranks (one per internal node at most) and split counts.
+        let buffers =
+            2 * bfhrf::CHUNK * (23 * phylo::Shapes::NODE_BYTES + phylo::Shapes::TREE_BYTES);
         let lanes = 16 + 16 + 16 * 16 + 8 * 8;
-        let ranks = bfhrf::CHUNK * (9 + 1) * 4;
+        let ranks = bfhrf::CHUNK * (11 + 1) * 4;
         let mut taxa = phylo::TaxonSet::new();
         let mut stream =
             phylo::NewickReader::new(text.as_bytes(), TaxaPolicy::Grow, IngestPolicy::Strict);

@@ -1132,8 +1132,9 @@ fn parallel_scoring(n_queries: usize) -> bool {
 }
 
 /// Score one run of tree payloads, the first numbered `base` in errors.
-/// Newick payloads are read straight to their splits in the connection's
-/// `scratch`, with no tree built; `bin` records are decoded to trees.
+/// Newick payloads are read straight to their shapes in the connection's
+/// `scratch`, with no tree built, and canonicalised where they are scored;
+/// `bin` records are decoded to trees.
 /// Either way the whole run is read before any of it is scored.
 fn score_payloads(
     state: &ServeState,

@@ -1072,6 +1072,43 @@ fn client_batch_mode_matches_offline_avgrf() {
     shutdown(&addr, handle);
 }
 
+#[test]
+fn large_newick_batches_score_in_parallel_like_offline_avgrf() {
+    // More than eight Newick queries in one frame take the parallel
+    // scorer: the frame's trees are read to shapes, and each rayon task
+    // canonicalises its share in its own scratch. Whatever the frame
+    // size, the answers are offline `avgrf`'s, byte for byte.
+    let dir = scratch("large-batch");
+    let c = phylo_sim::perturb::random_collection(20, 90, 0x5eed);
+    let lines: Vec<String> = c
+        .trees
+        .iter()
+        .map(|t| phylo::write_newick(t, &c.taxa) + "\n")
+        .collect();
+    let refs = lines[..60].concat();
+    let refs_path = write(&dir, "refs.nwk", &refs);
+    let queries_path = write(&dir, "queries.nwk", &lines[30..].concat());
+    let index_dir = build_index(&dir, &refs);
+    let (addr, handle) = start_server(&index_dir, None);
+    let offline = runv(&["avgrf", "--refs", &refs_path, "--queries", &queries_path]).unwrap();
+    assert_eq!(offline.stdout.lines().count(), 61);
+    for batch in ["9", "60", "64"] {
+        let served = runv(&[
+            "query",
+            "--addr",
+            &addr,
+            "--queries",
+            &queries_path,
+            "--batch",
+            batch,
+        ])
+        .unwrap();
+        assert_eq!(served.code, EXIT_OK, "--batch {batch}");
+        assert_eq!(served.stdout, offline.stdout, "--batch {batch}");
+    }
+    shutdown(&addr, handle);
+}
+
 // ---------------------------------------------------------------------------
 // Failure handling: ping, busy shedding, graceful drain, retries
 // ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ impl Bfh {
     /// Panics if `shards` is zero.
     pub fn build_sharded(trees: &[Tree], taxa: &TaxonSet, shards: usize) -> Self {
         assert!(shards > 0, "a Bfh needs at least one shard");
-        match freeze_slice(true, &RunGuard::default(), trees, taxa) {
+        match freeze_slice(true, &RunGuard::default(), None, trees, taxa) {
             Ok(table) => Bfh::from_table(&table),
             // A default guard never cancels, never refuses an allocation,
             // and never injects a panic — this arm is unreachable, but the
@@ -393,7 +393,7 @@ mod tests {
     fn guarded_build_matches_unguarded() {
         let c = coll(&"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(20));
         let plain = Bfh::build(&c.trees, &c.taxa);
-        let guarded = freeze_slice(true, &RunGuard::default(), &c.trees, &c.taxa).unwrap();
+        let guarded = freeze_slice(true, &RunGuard::default(), None, &c.trees, &c.taxa).unwrap();
         assert_same_counts(&plain, &Bfh::from_table(&guarded));
     }
 
@@ -401,7 +401,7 @@ mod tests {
     fn guarded_build_refuses_over_budget_spill() {
         let c = coll(&"((A,B),((C,D),(E,F)));\n".repeat(50));
         let guard = RunGuard::with_budget(crate::guard::RunBudget::with_max_bytes(16));
-        let err = freeze_slice(true, &guard, &c.trees, &c.taxa).unwrap_err();
+        let err = freeze_slice(true, &guard, None, &c.trees, &c.taxa).unwrap_err();
         assert!(matches!(err, CoreError::ResourceLimit(_)), "{err:?}");
     }
 
@@ -410,7 +410,7 @@ mod tests {
         let c = coll(&"((A,B),((C,D),(E,F)));\n".repeat(10));
         let guard = RunGuard::default();
         guard.cancel.cancel();
-        let err = freeze_slice(true, &guard, &c.trees, &c.taxa).unwrap_err();
+        let err = freeze_slice(true, &guard, None, &c.trees, &c.taxa).unwrap_err();
         assert!(matches!(err, CoreError::Cancelled(_)), "{err:?}");
     }
 
@@ -419,7 +419,7 @@ mod tests {
         let c = coll(&"((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n".repeat(25));
         let mut guard = RunGuard::default();
         guard.inject_panic_at(17);
-        let err = freeze_slice(true, &guard, &c.trees, &c.taxa).unwrap_err();
+        let err = freeze_slice(true, &guard, None, &c.trees, &c.taxa).unwrap_err();
         let CoreError::WorkerPanic(msg) = err else {
             panic!("expected WorkerPanic, got {err:?}");
         };

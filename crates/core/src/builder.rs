@@ -21,24 +21,29 @@
 //! # One pipeline
 //!
 //! Every terminal runs the same pipeline over its source, a slice or a
-//! [`SplitReader`]. The calling thread pulls one tree at a time and puts
-//! its canonical split masks into a chunk buffer: a slice's trees are
-//! extracted, and a reader lexes each record straight into masks, so a
-//! streamed build never builds a tree at all. Each full buffer
-//! ([`CHUNK`] trees) is folded, in tree order, straight into the lanes of
-//! one [`FrozenBfh`], which double as they fill; a parallel build folds it
-//! on a rayon worker while the calling thread fills the other buffer. No
-//! hash map is built: every terminal returns that table.
+//! [`SplitReader`]. The calling thread pulls one tree at a time and
+//! appends its postorder shape to a chunk buffer: a slice's trees are
+//! walked, and a reader lexes each record straight into its shape, so a
+//! streamed build never builds a tree. That thread does only what depends
+//! on the order of the records or may refuse one: the record cut, the
+//! grammar walk and its refusals, label interning in first-seen order and
+//! a lenient rollback. Each full buffer ([`CHUNK`] trees) is folded, in
+//! tree order, into the lanes of one [`FrozenBfh`], which double as they
+//! fill: the fold canonicalises each tree's shape into its split masks and
+//! counts them. A parallel build folds on a rayon worker while the calling
+//! thread fills the other buffer, so the one canonicalisation runs beside
+//! the lexing. No hash map is built: every terminal returns that table.
 //!
 //! The namespace may grow while the stream is read. A canonical mask is
-//! oriented on its own tree's leafset, so a mask made while the namespace
-//! was narrower is exactly the final mask with zero words appended. When
-//! the namespace crosses a 64-bit word boundary, the buffer being filled
-//! is zero-extended in place, and the lanes are re-laid at the new stride
-//! before the next fold. The lanes hold the masks in the order they were
-//! first seen and every re-lay places them in that order, so the table is
-//! identical, bit for bit and in layout, for any thread count or build
-//! mode, and to a build over the whole collection parsed up front.
+//! oriented on its own tree's leafset, so a mask written over a wider
+//! namespace is the narrower mask with zero words appended. The fold
+//! writes a chunk's masks at the namespace's width after the chunk's last
+//! tree, and when that width crossed a 64-bit word boundary the lanes are
+//! re-laid at the new stride before the fold. The lanes hold the masks in
+//! the order they were first seen and every re-lay places them in that
+//! order, so the table is identical, bit for bit and in layout, for any
+//! thread count or build mode, and to a build over the whole collection
+//! parsed up front.
 //!
 //! [`BfhBuilder::freeze_stream_kept`] also keeps [`KeptSplits`]: each
 //! reference tree's splits as the 4-byte pool ranks the fold gave them, so
@@ -46,17 +51,19 @@
 //! frequencies without parsing, extracting or probing any tree twice.
 
 use crate::error::CoreError;
-use crate::frozen::{zero_extend, FrozenBfh, LaneWriter, LanesId};
+use crate::frozen::{FrozenBfh, LaneWriter, LanesId};
 use crate::guard::{isolate, CancelToken, RunBudget, RunGuard};
 use crate::rf::{score_chunk, QueryScore, SplitFrequency, SplitRun};
-use phylo::{BipartitionScratch, PhyloError, SplitReader, TaxonSet, Tree};
+use phylo::{BipartitionScratch, PhyloError, Shapes, SplitReader, TaxonSet, Tree};
 use phylo_bitset::words_for;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Trees a build folds, and a streamed query pass holds parsed, at once.
+/// Trees a build folds, and a streamed query pass holds read, at once.
 /// Large enough that each fold outlasts a rayon hand-off and each query
 /// chunk splits evenly across workers, small enough that a chunk buffer
-/// of masks is under a megabyte at insect scale (n = 144).
+/// of shapes is under a megabyte at insect scale (n = 144).
 pub const CHUNK: usize = 256;
 
 /// Configurable frozen-table construction. See the module docs for an
@@ -65,6 +72,7 @@ pub const CHUNK: usize = 256;
 pub struct BfhBuilder {
     parallel: bool,
     guard: RunGuard,
+    fold_clock: Option<Arc<AtomicU64>>,
 }
 
 impl BfhBuilder {
@@ -81,9 +89,10 @@ impl BfhBuilder {
 
     /// Run the build under `budget`: both chunk buffers, the kept ranks and
     /// the lanes are checked before each chunk is read, the same with the
-    /// grown lanes before each time the table doubles or widens, and the
-    /// deadline is polled at tree granularity. A sequential build is
-    /// checked exactly like a parallel one.
+    /// grown lanes before each time the table doubles or widens, the same
+    /// with a grown buffer before a buffer takes a tree its room does not
+    /// fit, and the deadline is polled at tree granularity. A sequential
+    /// build is checked exactly like a parallel one.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.guard.budget = budget;
         self
@@ -104,20 +113,29 @@ impl BfhBuilder {
         self
     }
 
+    /// Add the nanoseconds the fold spends canonicalising and counting each
+    /// chunk to `ns`. In a parallel build that is the rayon worker's busy
+    /// time, beside the calling thread's reading.
+    pub fn fold_clock(mut self, ns: Arc<AtomicU64>) -> Self {
+        self.fold_clock = Some(ns);
+        self
+    }
+
     /// Build the frozen table from an in-memory collection encoded over
     /// `taxa`, a chunk at a time like every other terminal.
     pub fn freeze_trees(&self, trees: &[Tree], taxa: &TaxonSet) -> Result<FrozenBfh, CoreError> {
         let start = Instant::now();
-        let table = freeze_slice(self.parallel, &self.guard, trees, taxa)?;
+        let clock = self.fold_clock.as_deref();
+        let table = freeze_slice(self.parallel, &self.guard, clock, trees, taxa)?;
         record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
         Ok(table)
     }
 
-    /// Build the frozen table from a stream of trees read as split masks,
+    /// Build the frozen table from a stream of trees read as shapes,
     /// resolving labels against (and under a growing policy, into)
     /// `taxa`. A read failure surfaces as [`CoreError::Phylo`]. No tree is
-    /// built and no hash map is made: each record's masks go straight
-    /// into a chunk buffer.
+    /// built and no hash map is made: each record's shape goes straight
+    /// into a chunk buffer, and the fold makes its masks.
     pub fn freeze_stream<S>(
         &self,
         taxa: &mut TaxonSet,
@@ -131,6 +149,7 @@ impl BfhBuilder {
             self.parallel,
             false,
             &self.guard,
+            self.fold_clock.as_deref(),
             &mut Read { taxa, reader },
         )?;
         record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
@@ -150,17 +169,24 @@ impl BfhBuilder {
         S: SplitReader + ?Sized,
     {
         let start = Instant::now();
-        let (table, kept) = build(self.parallel, true, &self.guard, &mut Read { taxa, reader })?;
+        let (table, kept) = build(
+            self.parallel,
+            true,
+            &self.guard,
+            self.fold_clock.as_deref(),
+            &mut Read { taxa, reader },
+        )?;
         record_build_metrics(table.n_trees(), table.sum(), start.elapsed());
         Ok((table, kept.expect("kept splits were requested")))
     }
 }
 
 /// The pipeline over borrowed trees, after their taxa are checked against
-/// `taxa`.
+/// `taxa`; the fold's time is added to `clock` when given.
 pub(crate) fn freeze_slice(
     parallel: bool,
     guard: &RunGuard,
+    clock: Option<&AtomicU64>,
     trees: &[Tree],
     taxa: &TaxonSet,
 ) -> Result<FrozenBfh, CoreError> {
@@ -169,7 +195,7 @@ pub(crate) fn freeze_slice(
         trees: trees.iter(),
         taxa,
     };
-    build(parallel, false, guard, &mut src).map(|(table, _)| table)
+    build(parallel, false, guard, clock, &mut src).map(|(table, _)| table)
 }
 
 /// Surface out-of-namespace leaves as a typed error instead of the
@@ -191,15 +217,14 @@ fn validate(trees: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Where a build's trees come from, one at a time, as split masks.
+/// Where a build's trees come from, one at a time, as shapes.
 trait SplitSource {
-    /// Append the next tree's canonical masks to `piece`, at the stride
-    /// of the namespace's width after it; `false` once the source is
-    /// exhausted.
+    /// Append the next tree's shape to `shapes`; `false` once the source
+    /// is exhausted.
     fn pull(
         &mut self,
         scratch: &mut BipartitionScratch,
-        piece: &mut SplitChunk,
+        shapes: &mut Shapes,
     ) -> Result<bool, CoreError>;
 
     /// The namespace's width now.
@@ -221,9 +246,9 @@ impl<S: SplitReader + ?Sized> SplitSource for Read<'_, '_, S> {
     fn pull(
         &mut self,
         scratch: &mut BipartitionScratch,
-        piece: &mut SplitChunk,
+        shapes: &mut Shapes,
     ) -> Result<bool, CoreError> {
-        piece.read(self.taxa, &mut *self.reader, scratch)
+        Ok(self.reader.next_shape(self.taxa, scratch, shapes)?)
     }
 
     fn n_taxa(&self) -> usize {
@@ -241,13 +266,12 @@ impl SplitSource for Borrowed<'_> {
     fn pull(
         &mut self,
         scratch: &mut BipartitionScratch,
-        piece: &mut SplitChunk,
+        shapes: &mut Shapes,
     ) -> Result<bool, CoreError> {
         let Some(tree) = self.trees.next() else {
             return Ok(false);
         };
-        scratch.for_each_split(tree, self.taxa, |w| piece.masks.extend_from_slice(w));
-        piece.end_tree();
+        scratch.shape_tree(tree, shapes);
         Ok(true)
     }
 
@@ -260,39 +284,46 @@ impl SplitSource for Borrowed<'_> {
     }
 }
 
-/// A chunk buffer: up to [`CHUNK`] trees' canonical masks in tree order
-/// and where each tree's masks end. A build fills two of them by turns;
-/// queries read straight to their masks are scored from one
-/// ([`crate::BfhrfComparator::average_chunk_guarded`]).
+/// A chunk buffer: up to [`CHUNK`] trees' postorder shapes in tree order,
+/// with no mask made yet. A build fills two of them by turns and its fold
+/// canonicalises each; queries read to their shapes are scored from one
+/// ([`crate::BfhrfComparator::average_chunk_guarded`]), each tree
+/// canonicalised where it is scored.
 #[derive(Debug, Default)]
 pub struct SplitChunk {
-    /// Global index of the piece's first tree.
+    /// Global index of the chunk's first tree.
     first: usize,
     /// Trees the buffer makes room for: [`CHUNK`], or fewer when the
     /// source knows it has fewer left.
     room: usize,
-    /// The namespace's width after the piece's last tree was read.
+    /// Nodes the buffer makes room for, as checked against the budget.
+    nodes: usize,
+    /// The namespace's width after the chunk's last tree.
     n_taxa: usize,
-    /// Words per mask, `words_for(n_taxa)`.
-    words: usize,
-    /// Masks packed at `words`.
-    masks: Vec<u64>,
-    /// Per tree, the piece's split count up to and including it.
-    ends: Vec<u32>,
+    /// The trees' shapes.
+    shapes: Shapes,
+}
+
+/// Nodes of a tree over `n_taxa` taxa with no unary node and no repeated
+/// taxon, at most.
+fn tree_nodes(n_taxa: usize) -> usize {
+    (2 * n_taxa).saturating_sub(1)
 }
 
 impl SplitChunk {
     /// An empty chunk over a namespace of `n_taxa`, which reserves nothing
     /// up front.
     pub fn new(n_taxa: usize) -> SplitChunk {
-        let mut chunk = SplitChunk::default();
-        chunk.reset(0, 0, n_taxa);
-        chunk
+        SplitChunk {
+            n_taxa,
+            ..SplitChunk::default()
+        }
     }
 
-    /// Append the splits of the one Newick tree in `input`, resolving its
+    /// Append the shape of the one Newick tree in `input`, resolving its
     /// labels against `taxa`, the namespace the chunk is over, as
-    /// [`phylo::parse_newick_readonly`] does; no tree is built.
+    /// [`phylo::parse_newick_readonly`] does; no tree is built. A refused
+    /// tree appends nothing.
     pub fn push_newick(
         &mut self,
         input: &str,
@@ -300,89 +331,88 @@ impl SplitChunk {
         scratch: &mut BipartitionScratch,
     ) -> Result<(), PhyloError> {
         debug_assert_eq!(self.n_taxa, taxa.len());
-        scratch.newick_splits(input, taxa, &mut self.masks)?;
-        self.end_tree();
-        Ok(())
+        scratch.shape_newick(input, taxa, &mut self.shapes)
     }
 
-    /// Heap bytes of a buffer's masks with room for `trees` trees of
-    /// `n − 3` splits over `n_taxa` taxa.
+    /// Heap bytes of a buffer with room for `trees` trees of `2n − 1`
+    /// nodes over `n_taxa` taxa.
     fn bound(n_taxa: usize, trees: usize) -> usize {
-        trees * n_taxa.saturating_sub(3) * words_for(n_taxa) * 8
+        SplitChunk::bytes_at(trees, trees * tree_nodes(n_taxa))
+    }
+
+    /// Heap bytes of a buffer with room for `trees` trees of `nodes` nodes
+    /// in all.
+    fn bytes_at(trees: usize, nodes: usize) -> usize {
+        nodes * Shapes::NODE_BYTES + trees * Shapes::TREE_BYTES
+    }
+
+    /// Heap bytes of the buffer's room.
+    fn bytes(&self) -> usize {
+        SplitChunk::bytes_at(self.room, self.nodes)
     }
 
     /// Empty the buffer for the chunk whose first tree is `first`, with
-    /// room for `room` trees over a namespace of `n_taxa`, keeping its
-    /// allocations.
+    /// room for exactly `room` trees of `2n − 1` nodes over a namespace of
+    /// `n_taxa`.
     pub(crate) fn reset(&mut self, first: usize, room: usize, n_taxa: usize) {
         self.first = first;
         self.room = room;
-        self.masks.clear();
-        self.ends.clear();
-        self.n_taxa = 0;
-        self.words = 0;
-        self.grow(n_taxa, 0);
+        self.nodes = room * tree_nodes(n_taxa);
+        self.n_taxa = n_taxa;
+        self.shapes.clear_to(room, self.nodes);
     }
 
-    /// Take the namespace to `n_taxa`, where the last `fresh` masks are
-    /// already at its stride: zero-extend the others in place if it
-    /// crossed a word boundary, and make the buffer's room over it.
-    fn grow(&mut self, n_taxa: usize, fresh: usize) {
-        let words = words_for(n_taxa);
-        if words > self.words {
-            let tail = self.masks.split_off(self.masks.len() - fresh * words);
-            self.widen(words);
-            self.masks.extend_from_slice(&tail);
+    /// Append the one tree in `stage`, read while the namespace grew to
+    /// `n_taxa`, if it fits the buffer's room; `false` if it does not.
+    fn take(&mut self, stage: &Shapes, n_taxa: usize) -> bool {
+        if self.shapes.nodes() + stage.nodes() > self.nodes {
+            return false;
         }
-        self.n_taxa = self.n_taxa.max(n_taxa);
-        let room = SplitChunk::bound(self.n_taxa, self.room) / 8;
-        self.masks
-            .reserve_exact(room.saturating_sub(self.masks.len()));
-        self.ends
-            .reserve_exact(self.room.saturating_sub(self.ends.len()));
+        self.shapes.append(stage);
+        self.n_taxa = n_taxa;
+        true
     }
 
-    /// Zero-extend every mask to `words` words, in place.
-    fn widen(&mut self, words: usize) {
-        zero_extend(&mut self.masks, self.words, words);
-        self.words = words;
+    /// The node room that takes `stage` and then the rest of the buffer's
+    /// trees at `2n − 1` nodes each over `n_taxa` taxa.
+    fn room_for(&self, stage: &Shapes, n_taxa: usize) -> usize {
+        let left = self.room.saturating_sub(self.len() + 1);
+        let need = self.shapes.nodes() + stage.nodes() + left * tree_nodes(n_taxa);
+        need.max(self.room * tree_nodes(n_taxa))
     }
 
-    /// Read `reader`'s next tree into the piece, its masks straight from
-    /// the record; `false` once the reader is exhausted.
+    /// Make the buffer's room `nodes` nodes.
+    fn grow(&mut self, nodes: usize) {
+        self.shapes.reserve_nodes(nodes - self.shapes.nodes());
+        self.nodes = nodes;
+    }
+
+    /// Drop the chunk's trees, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.shapes.clear();
+    }
+
+    /// Read `reader`'s next tree into the chunk, growing it as needed;
+    /// `false` once the reader is exhausted.
     pub(crate) fn read<S: SplitReader + ?Sized>(
         &mut self,
         taxa: &mut TaxonSet,
         reader: &mut S,
         scratch: &mut BipartitionScratch,
     ) -> Result<bool, CoreError> {
-        let Some(fresh) = reader.next_splits(taxa, scratch, &mut self.masks)? else {
-            return Ok(false);
-        };
-        self.grow(taxa.len(), fresh);
-        self.end_tree();
-        Ok(true)
-    }
-
-    /// Close the tree whose masks were appended last.
-    fn end_tree(&mut self) {
-        let splits = self.masks.len().checked_div(self.words).unwrap_or(0);
-        self.ends.push(splits as u32);
+        let more = reader.next_shape(taxa, scratch, &mut self.shapes)?;
+        self.n_taxa = taxa.len();
+        Ok(more)
     }
 
     /// Trees in the chunk.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.shapes.len()
     }
 
     /// Whether the chunk holds no tree.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Non-trivial splits across the piece's trees.
-    fn splits(&self) -> usize {
-        self.ends.last().map_or(0, |&n| n as usize)
+        self.shapes.is_empty()
     }
 
     /// The namespace's width after the chunk's last tree.
@@ -390,15 +420,9 @@ impl SplitChunk {
         self.n_taxa
     }
 
-    /// Tree `i`'s masks, packed at the piece's stride.
-    pub(crate) fn tree(&self, i: usize) -> &[u64] {
-        let from = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.masks[from * self.words..self.ends[i] as usize * self.words]
-    }
-
-    /// Words per mask.
-    pub(crate) fn words(&self) -> usize {
-        self.words
+    /// The trees' shapes.
+    pub(crate) fn shapes(&self) -> &Shapes {
+        &self.shapes
     }
 }
 
@@ -406,11 +430,13 @@ impl SplitChunk {
 /// while the other is folded into growing lanes, on a rayon worker when
 /// `parallel` (and there is more than one), else alternately on this
 /// thread. Folds run in tree order. With `keep`, each tree's pool ranks
-/// come back as [`KeptSplits`].
+/// come back as [`KeptSplits`]; the fold's time is added to `clock` when
+/// given.
 fn build(
     parallel: bool,
     keep: bool,
     guard: &RunGuard,
+    clock: Option<&AtomicU64>,
     src: &mut impl SplitSource,
 ) -> Result<(FrozenBfh, Option<KeptSplits>), CoreError> {
     let overlap = parallel && rayon::current_num_threads() > 1;
@@ -420,8 +446,15 @@ fn build(
         n_trees: 0,
         sum: 0,
         kept: keep.then(Vec::new),
+        scratch: BipartitionScratch::new(),
+        masks: Vec::new(),
+        clock,
     };
-    let mut scratch = BipartitionScratch::new();
+    let mut reader = Reader {
+        guard,
+        scratch: BipartitionScratch::new(),
+        stage: Shapes::new(),
+    };
     let (mut full, mut next) = (SplitChunk::default(), SplitChunk::default());
     let first_room = room(src);
     let n_taxa = src.n_taxa();
@@ -431,11 +464,12 @@ fn build(
         n_taxa,
     )?;
     full.reset(0, first_room, n_taxa);
-    let mut more = fill(&mut full, guard, &mut scratch, src)?;
+    let filled = reader.fill(&mut full, src)?;
+    let mut more = reader.finish(&fold, &mut full, 0, filled, src)?;
     loop {
         let next_room = if more { room(src) } else { 0 };
         let n_taxa = full.n_taxa;
-        let buffers = SplitChunk::bound(n_taxa, full.room) + SplitChunk::bound(n_taxa, next_room);
+        let buffers = full.bytes() + SplitChunk::bound(n_taxa, next_room);
         fold.check(buffers, &full, n_taxa)?;
         fold.lanes.widen(n_taxa);
         if !more {
@@ -443,21 +477,22 @@ fn build(
             break;
         }
         next.reset(full.first + full.len(), next_room, n_taxa);
-        if overlap {
+        let filled = if overlap {
             let mut folded = Ok(());
             let filled = rayon::in_place_scope(|s| {
                 s.spawn(|_| folded = fold.fold(&full, buffers));
-                fill(&mut next, guard, &mut scratch, src)
+                reader.fill(&mut next, src)
             });
             folded?;
-            more = filled?;
+            filled?
         } else {
             fold.fold(&full, buffers)?;
-            more = fill(&mut next, guard, &mut scratch, src)?;
-        }
+            reader.fill(&mut next, src)?
+        };
+        more = reader.finish(&fold, &mut next, full.bytes(), filled, src)?;
         std::mem::swap(&mut full, &mut next);
     }
-    drop((full, next));
+    drop((full, next, reader));
     fold.finish(src.n_taxa())
 }
 
@@ -467,49 +502,112 @@ fn room(src: &impl SplitSource) -> usize {
     src.remaining().map_or(CHUNK, |left| left.min(CHUNK))
 }
 
-/// Pull trees into `piece` until it holds [`CHUNK`] of them; `false` once
-/// the source is exhausted. Only each tree's masks are kept; the guard is
-/// polled per tree.
-fn fill(
-    piece: &mut SplitChunk,
-    guard: &RunGuard,
-    scratch: &mut BipartitionScratch,
-    src: &mut impl SplitSource,
-) -> Result<bool, CoreError> {
-    while piece.len() < CHUNK {
-        guard.checkpoint("BFH build")?;
-        let index = piece.first + piece.len();
-        let pulled = isolate("BFH extract", || {
-            let pulled = src.pull(scratch, piece)?;
-            if pulled {
-                guard.panic_if_injected(index);
-            }
-            Ok(pulled)
-        })?;
-        if !pulled {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+/// Why [`Reader::fill`] stopped.
+enum Filled {
+    /// The buffer holds [`CHUNK`] trees.
+    Full,
+    /// The source is exhausted.
+    Done,
+    /// The tree read last does not fit the buffer's room; it waits in the
+    /// stage.
+    Cramped,
 }
 
-/// The fold side of a build: the growing lanes and the kept ranks.
+/// The calling thread's side of a build: it reads each tree's shape into
+/// a one-tree stage, and moves it into a chunk buffer.
+struct Reader<'g> {
+    guard: &'g RunGuard,
+    scratch: BipartitionScratch,
+    /// The tree read last, until a buffer takes it.
+    stage: Shapes,
+}
+
+impl Reader<'_> {
+    /// Pull trees into `piece` until it holds [`CHUNK`] of them, the source
+    /// is exhausted, or a tree does not fit the room. The guard is polled
+    /// per tree.
+    fn fill(
+        &mut self,
+        piece: &mut SplitChunk,
+        src: &mut impl SplitSource,
+    ) -> Result<Filled, CoreError> {
+        while piece.len() < CHUNK {
+            if self.stage.is_empty() {
+                let guard = self.guard;
+                guard.checkpoint("BFH build")?;
+                let index = piece.first + piece.len();
+                let (scratch, stage) = (&mut self.scratch, &mut self.stage);
+                let pulled = isolate("BFH read", || {
+                    let pulled = src.pull(scratch, stage)?;
+                    if pulled {
+                        guard.panic_if_injected(index);
+                    }
+                    Ok(pulled)
+                })?;
+                if !pulled {
+                    return Ok(Filled::Done);
+                }
+            }
+            if !piece.take(&self.stage, src.n_taxa()) {
+                return Ok(Filled::Cramped);
+            }
+            self.stage.clear();
+        }
+        Ok(Filled::Full)
+    }
+
+    /// Carry a fill that stopped cramped on to its end: check the budget
+    /// with `piece` grown to take the staged tree beside `other` bytes of
+    /// the other buffer, then grow it and fill on. No fold is running.
+    /// `false` once the source is exhausted.
+    fn finish(
+        &mut self,
+        fold: &Fold<'_>,
+        piece: &mut SplitChunk,
+        other: usize,
+        mut filled: Filled,
+        src: &mut impl SplitSource,
+    ) -> Result<bool, CoreError> {
+        loop {
+            match filled {
+                Filled::Full => return Ok(true),
+                Filled::Done => return Ok(false),
+                Filled::Cramped => {
+                    let n_taxa = src.n_taxa();
+                    let nodes = piece.room_for(&self.stage, n_taxa);
+                    let grown = SplitChunk::bytes_at(piece.room, nodes);
+                    fold.check(other + grown, &SplitChunk::default(), n_taxa)?;
+                    piece.grow(nodes);
+                    filled = self.fill(piece, src)?;
+                }
+            }
+        }
+    }
+}
+
+/// The fold side of a build: the growing lanes, the kept ranks, and the
+/// arena each tree's shape is canonicalised in.
 struct Fold<'g> {
     guard: &'g RunGuard,
     lanes: LaneWriter,
     n_trees: usize,
     sum: u64,
     kept: Option<Vec<KeptChunk>>,
+    scratch: BipartitionScratch,
+    /// One tree's masks.
+    masks: Vec<u64>,
+    /// Where the fold's time is added up, when timed.
+    clock: Option<&'g AtomicU64>,
 }
 
 impl Fold<'_> {
     /// Bytes the build holds besides the lanes while `pending` is folded:
-    /// `buffers` for both chunk buffers, and the kept ranks with
-    /// `pending`'s.
+    /// `buffers` for both chunk buffers, and the kept ranks with room for
+    /// `pending`'s, one per internal node at most.
     fn held(&self, buffers: usize, pending: &SplitChunk) -> usize {
         let ranks = self.kept.as_ref().map_or(0, |kept| {
             let have: usize = kept.iter().map(KeptChunk::bytes).sum();
-            have + (pending.splits() + pending.len()) * 4
+            have + (pending.shapes.inner() + pending.len()) * 4
         });
         buffers + ranks
     }
@@ -521,38 +619,59 @@ impl Fold<'_> {
         self.guard.check_alloc("BFH build chunk buffers", need)
     }
 
-    /// Count `piece`'s masks, in tree order, into the lanes, keeping their
-    /// ranks when asked; each doubling is checked with `buffers` held
-    /// beside the lanes. The lanes must be as wide as the piece.
+    /// Canonicalise `piece`'s shapes at its width and count their masks, in
+    /// tree order, into the lanes, keeping their ranks when asked; each
+    /// doubling is checked with `buffers` held beside the lanes. The lanes
+    /// must be as wide as the piece.
     fn fold(&mut self, piece: &SplitChunk, buffers: usize) -> Result<(), CoreError> {
-        debug_assert!(piece.masks.is_empty() || piece.words == self.lanes.words());
+        let start = self.clock.map(|_| Instant::now());
         let held = self.held(buffers, piece);
-        let guard = self.guard;
-        let lanes = &mut self.lanes;
-        let mut ranks = self
-            .kept
-            .is_some()
-            .then(|| Vec::with_capacity(piece.splits()));
+        let n_bits = piece.n_taxa;
+        let words = words_for(n_bits);
+        debug_assert!(piece.is_empty() || words == self.lanes.words());
+        let keep = self.kept.is_some();
+        let mut ranks = Vec::with_capacity(if keep { piece.shapes.inner() } else { 0 });
+        let mut ends = Vec::with_capacity(if keep { piece.len() } else { 0 });
+        let mut sum = 0usize;
+        let Fold {
+            guard,
+            lanes,
+            scratch,
+            masks,
+            ..
+        } = self;
         isolate("BFH fold", || {
             guard.checkpoint("BFH fold")?;
             let mut grow = |bytes: usize| guard.check_alloc("BFH build table", held + bytes);
-            for w in piece.masks.chunks_exact(piece.words.max(1)) {
-                let rank = lanes.count(w, &mut grow)?;
-                if let Some(ranks) = &mut ranks {
-                    ranks.push(rank);
+            for i in 0..piece.len() {
+                masks.clear();
+                sum += scratch.shape_splits(&piece.shapes, i, n_bits, masks);
+                for w in masks.chunks_exact(words.max(1)) {
+                    let rank = lanes.count(w, &mut grow)?;
+                    if keep {
+                        ranks.push(rank);
+                    }
+                }
+                if keep {
+                    ends.push(sum as u32);
                 }
             }
             Ok(())
         })?;
-        if let (Some(kept), Some(ranks)) = (&mut self.kept, ranks) {
+        if let Some(kept) = &mut self.kept {
+            ranks.shrink_to_fit();
             kept.push(KeptChunk {
                 first: piece.first,
                 ranks,
-                ends: piece.ends.to_vec(),
+                ends,
             });
         }
         self.n_trees += piece.len();
-        self.sum += piece.splits() as u64;
+        self.sum += sum as u64;
+        if let (Some(clock), Some(start)) = (self.clock, start) {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            clock.fetch_add(ns, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -738,14 +857,14 @@ mod tests {
     }
 
     impl<R: SplitReader> SplitReader for Late<R> {
-        fn next_splits(
+        fn next_shape(
             &mut self,
             taxa: &mut TaxonSet,
             scratch: &mut BipartitionScratch,
-            out: &mut Vec<u64>,
-        ) -> Result<Option<usize>, PhyloError> {
-            let read = self.inner.next_splits(taxa, scratch, out)?;
-            if read.is_none() {
+            shapes: &mut Shapes,
+        ) -> Result<bool, PhyloError> {
+            let read = self.inner.next_shape(taxa, scratch, shapes)?;
+            if !read {
                 for i in 0..self.late {
                     taxa.intern(&format!("late{i}"));
                 }
@@ -851,9 +970,9 @@ mod tests {
         }
     }
 
-    /// Both chunk buffers' bound over 12 taxa: CHUNK × (n − 3) masks of
-    /// one word, twice.
-    const BUFFERS: usize = 2 * CHUNK * (12 - 3) * 8;
+    /// Both chunk buffers' bound over 12 taxa: CHUNK trees of 2n − 1 = 23
+    /// shape nodes and one end each, twice.
+    const BUFFERS: usize = 2 * CHUNK * (23 * Shapes::NODE_BYTES + Shapes::TREE_BYTES);
 
     #[test]
     fn chunk_budget_is_checked_before_each_chunk() {
@@ -923,9 +1042,10 @@ mod tests {
                 .budget(RunBudget::with_max_bytes(budget))
                 .freeze_stream_kept(&mut taxa, &mut reader(&text, TaxaPolicy::Grow))
         };
-        // Before the second chunk: the first chunk's ranks (9 per tree) and
-        // split counts join the buffers and the first group of lanes.
-        let need = BUFFERS + CHUNK * (9 + 1) * 4 + LaneWriter::bytes_at(1, 16);
+        // Before the second chunk: room for the first chunk's ranks (at most
+        // one per internal node, 11 per tree) and split counts joins the
+        // buffers and the first group of lanes.
+        let need = BUFFERS + CHUNK * (11 + 1) * 4 + LaneWriter::bytes_at(1, 16);
         let msg = format!("BFH build chunk buffers needs {need} bytes");
         match kept(need - 1) {
             Err(CoreError::ResourceLimit(m)) => assert!(m.starts_with(&msg), "{m}"),
@@ -1021,18 +1141,84 @@ mod tests {
     }
 
     #[test]
-    fn piece_widening_zero_extends_in_place() {
-        let mut p = SplitChunk {
-            words: 1,
-            masks: vec![1, 2, 3],
-            ends: vec![3],
-            ..SplitChunk::default()
-        };
-        p.widen(3);
-        assert_eq!(p.masks, [1, 0, 0, 2, 0, 0, 3, 0, 0]);
-        p.widen(4);
-        assert_eq!(p.masks, [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]);
-        assert_eq!(p.splits(), 3);
+    fn shapes_canonicalised_wider_are_zero_extended() {
+        // The fold writes a chunk's masks at the namespace's final width:
+        // over three words they are the one-word masks with zero words
+        // appended.
+        let mut taxa = TaxonSet::new();
+        let mut shapes = Shapes::new();
+        let mut scratch = BipartitionScratch::new();
+        let mut stream = reader(
+            "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n",
+            TaxaPolicy::Grow,
+        );
+        while stream
+            .next_shape(&mut taxa, &mut scratch, &mut shapes)
+            .unwrap()
+        {}
+        assert_eq!((shapes.len(), taxa.len()), (2, 6));
+        for i in 0..shapes.len() {
+            let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+            let n = scratch.shape_splits(&shapes, i, 6, &mut narrow);
+            assert_eq!(scratch.shape_splits(&shapes, i, 130, &mut wide), n);
+            let padded: Vec<u64> = narrow.iter().flat_map(|&w| [w, 0, 0]).collect();
+            assert_eq!(wide, padded);
+        }
+    }
+
+    /// `three_chunks`' trees with `k` unary nodes above each one's first
+    /// leaf: the same splits, in the same order, from trees of 23 + `k`
+    /// nodes.
+    fn unary_chains(text: &str, k: usize) -> String {
+        text.lines()
+            .map(|l| {
+                let at = l.find('t').unwrap();
+                let end = at + 1 + l[at + 1..].find(|c: char| !c.is_ascii_digit()).unwrap();
+                let (open, close) = ("(".repeat(k), ")".repeat(k));
+                format!("{}{open}{}{close}{}\n", &l[..at], &l[at..end], &l[end..])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unary_chains_past_the_shape_bound_are_budgeted() {
+        let (text, _) = three_chunks();
+        let plain = pulled(&BfhBuilder::new(), &text).0.unwrap();
+        let chained = unary_chains(&text, 30);
+        let seq = pulled(&BfhBuilder::new(), &chained).0.unwrap();
+        assert_eq!(seq.digest(), plain.digest(), "unary nodes add no split");
+        // What the plain stream needs at most (see
+        // `table_budget_is_checked_before_each_doubling`), and what the
+        // chained one does: its buffers hold 53 nodes a tree.
+        let lanes = LaneWriter::bytes_at(1, plain.capacity());
+        let fits_plain = BUFFERS + lanes;
+        let fits_chained = 2 * CHUNK * (53 * Shapes::NODE_BYTES + Shapes::TREE_BYTES) + lanes;
+        for parallel in [false, true] {
+            let builder = |budget| {
+                BfhBuilder::new()
+                    .parallel(parallel)
+                    .budget(RunBudget::with_max_bytes(budget))
+            };
+            assert_eq!(
+                pulled(&builder(fits_plain), &text).0.unwrap().digest(),
+                plain.digest()
+            );
+            match pulled(&builder(fits_plain), &chained).0 {
+                Err(CoreError::ResourceLimit(m)) => assert!(m.starts_with("BFH build"), "{m}"),
+                out => panic!("{out:?}"),
+            }
+            let got = pulled(&builder(fits_chained), &chained).0.unwrap();
+            assert_eq!(got.digest(), plain.digest());
+        }
+        // One record longer than a whole buffer's room is taken alone.
+        let long = format!(
+            "{}{}",
+            unary_chains(&text[..text.find('\n').unwrap() + 1], 9000),
+            text
+        );
+        let got = pulled(&BfhBuilder::new().parallel(true), &long).0.unwrap();
+        assert_eq!(got.n_trees(), 601);
+        assert_eq!(got.sum(), plain.sum() + 9);
     }
 
     #[test]

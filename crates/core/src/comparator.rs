@@ -31,7 +31,7 @@ use crate::frozen::FrozenBfh;
 use crate::guard::{isolate, RunGuard};
 use crate::hashrf::{HashRf, HashRfConfig};
 use crate::rf::{
-    bfhrf_average_scratch, score_masks, score_trees, QueryScore, RfAverage, SplitFrequency,
+    bfhrf_average_scratch, score_shapes, score_trees, QueryScore, RfAverage, SplitFrequency,
 };
 use crate::SplitChunk;
 use phylo::{BipartitionScratch, BipartitionSet, TaxonSet, Tree};
@@ -162,9 +162,10 @@ impl<'a, H: SplitFrequency + Clone + Sync> BfhrfComparator<'a, H> {
     }
 
     /// [`Comparator::average_all_guarded`] over queries read straight to
-    /// their splits, with no tree built: the same scores, refusals and
+    /// their shapes, with no tree built: the same scores, refusals and
     /// guard polling, in parallel when [`parallel`](Self::parallel) is
-    /// set. The chunk must be over the comparator's namespace.
+    /// set, each query canonicalised in its run's own scratch. The chunk
+    /// must be over the comparator's namespace.
     pub fn average_chunk_guarded(
         &self,
         queries: &SplitChunk,
@@ -184,7 +185,14 @@ impl<'a, H: SplitFrequency + Clone + Sync> BfhrfComparator<'a, H> {
             )));
         }
         let mut out = Vec::with_capacity(queries.len());
-        score_masks(&*self.table, queries, self.parallel, guard, &mut out)?;
+        score_shapes(
+            &*self.table,
+            queries,
+            self.parallel,
+            guard,
+            &mut BipartitionScratch::new(),
+            &mut out,
+        )?;
         Ok(out)
     }
 
@@ -709,9 +717,10 @@ mod tests {
     fn hashrf_degrades_to_bfhrf_when_over_budget() {
         let (refs, queries) = setup();
         // A budget below HashRF's ~24 KB bucket-table estimate but above
-        // the fallback BFH build's ~800-byte footprint: HashRF is refused,
-        // BFHRF builds fine under the same guard.
-        let guard = RunGuard::with_budget(crate::guard::RunBudget::with_max_bytes(1000));
+        // the fallback BFH build's ~1.1 KB footprint (its chunk buffer of
+        // shapes and its lanes): HashRF is refused, BFHRF builds fine under
+        // the same guard.
+        let guard = RunGuard::with_budget(crate::guard::RunBudget::with_max_bytes(2000));
         let engine =
             hashrf_or_degrade(&refs.trees, &refs.taxa, HashRfConfig::default(), &guard).unwrap();
         assert_eq!(engine.name(), "bfhrf");

@@ -11,9 +11,7 @@ use crate::comparator::check_tree_taxa;
 use crate::guard::{isolate, RunGuard};
 use crate::CoreError;
 use phylo::{BipartitionScratch, SplitBatch, SplitReader, TaxonSet, Tree};
-use phylo_bitset::{
-    bits_map_with_capacity, map_get_words, map_get_words_mut, split_hash128, Bits, BitsMap,
-};
+use phylo_bitset::{bits_map_with_capacity, map_get_words, map_get_words_mut, Bits, BitsMap};
 use rayon::prelude::*;
 
 /// Exact average-RF result for one query tree against a collection.
@@ -249,8 +247,8 @@ pub fn bfhrf_all<H: SplitFrequency + Clone + Sync>(
 }
 
 /// Average RF of every query tree read from `queries`, in input order,
-/// holding at most [`CHUNK`] queries' split masks at a time and never a
-/// parsed tree: the streamed twin of
+/// holding at most [`CHUNK`] queries' shapes at a time and never a parsed
+/// tree: the streamed twin of
 /// [`crate::Comparator::average_all_guarded`], for any split-frequency
 /// store. `queries` resolves labels against `taxa`, the namespace the
 /// table was built over; a read failure surfaces as [`CoreError::Phylo`].
@@ -273,13 +271,13 @@ where
     let empty = hash.reference_count() == 0;
     let mut out = Vec::new();
     // The chunk reserves nothing up front: it grows to the queries it holds.
-    let mut chunk = SplitChunk::default();
+    let mut chunk = SplitChunk::new(taxa.len());
     let mut scratch = BipartitionScratch::new();
     loop {
-        chunk.reset(0, 0, taxa.len());
+        chunk.clear();
         while chunk.len() < CHUNK && chunk.read(taxa, queries, &mut scratch)? {}
         if !empty {
-            score_masks(hash, &chunk, parallel, guard, &mut out)?;
+            score_shapes(hash, &chunk, parallel, guard, &mut scratch, &mut out)?;
         }
         if chunk.len() < CHUNK {
             break;
@@ -294,14 +292,16 @@ where
     Ok(out)
 }
 
-/// Score a chunk of queries read as masks, appending to `out` (the
-/// chunk's first query gets index `out.len()`): sequentially, or, with
-/// `parallel`, split evenly over rayon workers.
-pub(crate) fn score_masks<H: SplitFrequency + Sync + ?Sized>(
+/// Score a chunk of queries read as shapes, appending to `out` (the
+/// chunk's first query gets index `out.len()`): sequentially through the
+/// caller's `scratch`, or, with `parallel`, split evenly over rayon
+/// workers. Each query is canonicalised where it is scored.
+pub(crate) fn score_shapes<H: SplitFrequency + Sync + ?Sized>(
     hash: &H,
     chunk: &SplitChunk,
     parallel: bool,
     guard: &RunGuard,
+    scratch: &mut BipartitionScratch,
     out: &mut Vec<QueryScore>,
 ) -> Result<(), CoreError> {
     let first = out.len();
@@ -311,38 +311,30 @@ pub(crate) fn score_masks<H: SplitFrequency + Sync + ?Sized>(
         chunk.len()
     }
     .max(1);
-    let runs: Vec<MaskRun<'_>> = (0..chunk.len())
+    let runs: Vec<ShapeRun<'_>> = (0..chunk.len())
         .step_by(per)
-        .map(|from| MaskRun {
+        .map(|from| ShapeRun {
             first: first + from,
             from,
             len: per.min(chunk.len() - from),
             chunk,
         })
         .collect();
-    score_chunk(
-        hash,
-        chunk.n_taxa(),
-        &runs,
-        parallel,
-        guard,
-        &mut Vec::new(),
-        out,
-    )
+    score_chunk(hash, chunk.n_taxa(), &runs, parallel, guard, scratch, out)
 }
 
-/// Queries read as masks: trees `from..from + len` of a chunk, the first
-/// numbered `first`. Each tree's masks are hashed into the arena and
-/// probed as one batch.
-struct MaskRun<'a> {
+/// Queries read as shapes: trees `from..from + len` of a chunk, the first
+/// numbered `first`. Each tree's shape is canonicalised, with its hashes,
+/// into the arena and probed as one batch.
+struct ShapeRun<'a> {
     first: usize,
     from: usize,
     len: usize,
     chunk: &'a SplitChunk,
 }
 
-impl SplitRun for MaskRun<'_> {
-    type Arena = Vec<u128>;
+impl SplitRun for ShapeRun<'_> {
+    type Arena = BipartitionScratch;
 
     fn first(&self) -> usize {
         self.first
@@ -357,13 +349,9 @@ impl SplitRun for MaskRun<'_> {
         i: usize,
         hash: &H,
         n_bits: usize,
-        hashes: &mut Vec<u128>,
+        scratch: &mut BipartitionScratch,
     ) -> (u64, usize) {
-        let words = self.chunk.words();
-        let masks = self.chunk.tree(self.from + i);
-        hashes.clear();
-        hashes.extend(masks.chunks_exact(words.max(1)).map(split_hash128));
-        let batch = SplitBatch::from_parts(words, masks, hashes);
+        let batch = scratch.shape_batch(self.chunk.shapes(), self.from + i, n_bits);
         (hash.batch_frequency_sum(n_bits, &batch), batch.len())
     }
 }

@@ -17,8 +17,8 @@
 
 use bfhrf::{Bfh, BfhBuilder, FrozenBfh, RunGuard, CHUNK};
 use phylo::{
-    BipartitionScratch, IngestPolicy, NewickReader, PhyloError, SplitReader, TaxaPolicy, TaxonSet,
-    TreeCollection,
+    BipartitionScratch, IngestPolicy, NewickReader, PhyloError, Shapes, SplitReader, TaxaPolicy,
+    TaxonSet, TreeCollection,
 };
 use phylo_sim::perturb::random_binary_tree;
 use rand::rngs::StdRng;
@@ -95,14 +95,14 @@ struct Late<R> {
 }
 
 impl<R: SplitReader> SplitReader for Late<R> {
-    fn next_splits(
+    fn next_shape(
         &mut self,
         taxa: &mut TaxonSet,
         scratch: &mut BipartitionScratch,
-        out: &mut Vec<u64>,
-    ) -> Result<Option<usize>, PhyloError> {
-        let read = self.inner.next_splits(taxa, scratch, out)?;
-        if read.is_none() {
+        shapes: &mut Shapes,
+    ) -> Result<bool, PhyloError> {
+        let read = self.inner.next_shape(taxa, scratch, shapes)?;
+        if !read {
             for i in 0..self.late {
                 taxa.intern(&format!("late{i}"));
             }

@@ -15,6 +15,9 @@ pub struct Profiler {
     enabled: bool,
     phases: Vec<(&'static str, u64)>,
     current: Option<(&'static str, Instant)>,
+    /// Time spent on other threads while the phases ran: listed after
+    /// the total, not part of it.
+    beside: Vec<(&'static str, u64)>,
 }
 
 impl Profiler {
@@ -24,6 +27,7 @@ impl Profiler {
             enabled,
             phases: Vec::new(),
             current: None,
+            beside: Vec::new(),
         }
     }
 
@@ -69,6 +73,16 @@ impl Profiler {
         }
     }
 
+    /// Record `ns` of time spent as `name` on another thread while the
+    /// phases ran, such as a build's fold on a worker beside its reading.
+    /// It is listed after the total with its share of it, and is not part
+    /// of it.
+    pub fn beside(&mut self, name: &'static str, ns: u64) {
+        if self.enabled {
+            self.beside.push((name, ns));
+        }
+    }
+
     /// End the current phase without starting another (e.g. before waiting
     /// on user-visible output that should not be attributed to a phase).
     pub fn end_phase(&mut self) {
@@ -92,29 +106,31 @@ impl Profiler {
         let width = self
             .phases
             .iter()
+            .chain(&self.beside)
             .map(|(n, _)| n.len())
             .max()
             .unwrap_or(0)
             .max("total".len());
         let mut out = String::new();
-        for (name, ns) in &self.phases {
+        let mut line = |name: &str, ns: u64, note: &str| {
             let share = if total == 0 {
                 0.0
             } else {
-                *ns as f64 / total as f64 * 100.0
+                ns as f64 / total as f64 * 100.0
             };
             let _ = writeln!(
                 out,
-                "profile: {name:width$}  {:>10}  {share:5.1}%",
-                crate::expose::fmt_ns(*ns as f64)
+                "profile: {name:width$}  {:>10}  {share:5.1}%{note}",
+                crate::expose::fmt_ns(ns as f64)
             );
+        };
+        for &(name, ns) in &self.phases {
+            line(name, ns, "");
         }
-        let _ = writeln!(
-            out,
-            "profile: {:width$}  {:>10}  100.0%",
-            "total",
-            crate::expose::fmt_ns(total as f64)
-        );
+        line("total", total, "");
+        for &(name, ns) in &self.beside {
+            line(name, ns, "  (on another thread, beside the total)");
+        }
         out
     }
 }
@@ -163,6 +179,23 @@ mod tests {
         // The two still add up to the wall time.
         assert!(ns("fold") >= 1_000_000, "{:?}", p.phases);
         assert_eq!(p.phases[0].0, "ingest", "the carved phase is listed first");
+    }
+
+    #[test]
+    fn time_beside_the_phases_is_listed_after_the_total() {
+        let mut p = Profiler::new(true);
+        p.phase("fold");
+        p.carve("ingest", 3_000_000);
+        p.beside("fold busy", 2_000_000);
+        let table = p.render();
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 4, "{table}");
+        assert!(lines[2].contains("total") && lines[2].contains("100.0%"));
+        assert!(lines[3].starts_with("profile: fold busy"), "{table}");
+        assert!(lines[3].ends_with("(on another thread, beside the total)"));
+        let mut off = Profiler::new(false);
+        off.beside("fold busy", 1);
+        assert_eq!(off.render(), "");
     }
 
     #[test]

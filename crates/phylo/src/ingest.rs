@@ -11,8 +11,9 @@
 //! logs the failure in an [`IngestReport`] instead of aborting.
 //!
 //! Each record comes back either as a parsed [`Tree`]
-//! ([`NewickReader::next_tree`]) or as its canonical split masks, lexed
-//! straight from the record's bytes ([`SplitReader::next_splits`]). Both
+//! ([`NewickReader::next_tree`]) or as its postorder shape, lexed straight
+//! from the record's bytes ([`SplitReader::next_shape`]), which
+//! [`SplitReader::next_splits`] turns into canonical split masks. All
 //! take the same records, refuse the same ones with the same errors and
 //! offsets, and leave the same namespace and report behind.
 //!
@@ -31,27 +32,44 @@
 use crate::newick::{parse_newick, policy_resolver, TaxaPolicy, Trivia};
 use crate::taxa::TaxonSet;
 use crate::tree::Tree;
-use crate::{BipartitionScratch, PhyloError, TreeCollection};
+use crate::{BipartitionScratch, PhyloError, Shapes, TreeCollection};
 use std::io::BufRead;
 
-/// A stream of trees read as their canonical split masks: what the BFHRF
-/// build and the streamed query scorer consume. [`NewickReader`] lexes
-/// each record straight into masks; `phylo_wire::SniffedReader` also
-/// reads binary containers.
+/// A stream of trees read as their postorder shapes: what the BFHRF build
+/// and the streamed query scorer consume, canonicalising each shape
+/// wherever they fold or score it. [`NewickReader`] lexes each record
+/// straight into a shape; `phylo_wire::SniffedReader` also reads binary
+/// containers.
 pub trait SplitReader {
     /// Read the next tree, resolving labels against (and under a growing
-    /// policy, into) `taxa`, and append its non-trivial canonical split
-    /// masks to `out` at stride `words_for(taxa.len())` as the namespace
-    /// stands after the tree — the masks [`BipartitionScratch::for_each_split`]
-    /// gives for the parsed tree, in the same order — using `scratch` as
-    /// the work space. Returns how many masks were appended, or `Ok(None)`
-    /// at the end of the stream.
+    /// policy, into) `taxa`, and append its shape to `shapes`, using
+    /// `scratch` as the work space. Returns `Ok(false)` at the end of the
+    /// stream. Whatever the outcome, `shapes` gains at most the one tree.
+    fn next_shape(
+        &mut self,
+        taxa: &mut TaxonSet,
+        scratch: &mut BipartitionScratch,
+        shapes: &mut Shapes,
+    ) -> Result<bool, PhyloError>;
+
+    /// Read the next tree as [`next_shape`](Self::next_shape) does, and
+    /// append its non-trivial canonical split masks to `out` at stride
+    /// `words_for(taxa.len())` as the namespace stands after the tree —
+    /// the masks [`BipartitionScratch::for_each_split`] gives for the
+    /// parsed tree, in the same order. Returns how many masks were
+    /// appended, or `Ok(None)` at the end of the stream.
     fn next_splits(
         &mut self,
         taxa: &mut TaxonSet,
         scratch: &mut BipartitionScratch,
         out: &mut Vec<u64>,
-    ) -> Result<Option<usize>, PhyloError>;
+    ) -> Result<Option<usize>, PhyloError> {
+        let mut one = scratch.take_one();
+        let read = self.next_shape(taxa, scratch, &mut one);
+        let n = read.map(|more| more.then(|| scratch.shape_splits(&one, 0, taxa.len(), out)));
+        scratch.put_one(one);
+        n
+    }
 }
 
 /// How the reader responds to a malformed record.
@@ -229,7 +247,7 @@ impl<R: BufRead> NewickReader<R> {
                     }
                     .min(self.buf.len());
                     let byte = start_offset + rel;
-                    let line = start_line + self.buf[..rel].iter().filter(|&&b| b == b'\n').count();
+                    let line = start_line + newlines(&self.buf[..rel]);
                     match self.policy {
                         IngestPolicy::Strict => {
                             return Err(match error {
@@ -342,20 +360,20 @@ impl<R: BufRead> NewickReader<R> {
 }
 
 impl<R: BufRead> SplitReader for NewickReader<R> {
-    /// [`NewickReader::next_tree`]'s records, lexed straight into masks
+    /// [`NewickReader::next_tree`]'s records, lexed straight into shapes
     /// with no tree built: the same records are accepted and refused,
     /// with the same errors, rollback and report.
-    fn next_splits(
+    fn next_shape(
         &mut self,
         taxa: &mut TaxonSet,
         scratch: &mut BipartitionScratch,
-        out: &mut Vec<u64>,
-    ) -> Result<Option<usize>, PhyloError> {
+        shapes: &mut Shapes,
+    ) -> Result<bool, PhyloError> {
         let policy = self.taxa_policy;
         let read = self.next_with(taxa, |text, taxa| {
-            scratch.read_newick(text, &mut policy_resolver(taxa, policy))
+            scratch.read_newick(text, &mut policy_resolver(taxa, policy), shapes)
         })?;
-        Ok(read.map(|()| scratch.write_splits(taxa.len(), out)))
+        Ok(read.is_some())
     }
 }
 
@@ -383,10 +401,21 @@ fn record_end(bytes: &[u8], trivia: &mut Trivia) -> Option<usize> {
     None
 }
 
-/// Newlines in `bytes`.
+/// Newlines in `bytes`, counted a block at a time: each block of
+/// [`NEWLINE_BLOCK`] bytes sums its matches in a `u8` lane, which one
+/// block cannot overflow, so the loop has no branch per byte.
 fn newlines(bytes: &[u8]) -> usize {
-    bytes.iter().filter(|&&b| b == b'\n').count()
+    let mut blocks = bytes.chunks_exact(NEWLINE_BLOCK);
+    let mut count = 0;
+    for block in &mut blocks {
+        let lane: u8 = block.iter().map(|&b| u8::from(b == b'\n')).sum();
+        count += usize::from(lane);
+    }
+    count + blocks.remainder().iter().filter(|&&b| b == b'\n').count()
 }
+
+/// Bytes [`newlines`] sums in one `u8` lane: at most 255.
+const NEWLINE_BLOCK: usize = 128;
 
 /// Read every tree from `reader` into a fresh [`TreeCollection`] under the
 /// given policy, returning the collection together with its [`IngestReport`].
@@ -552,6 +581,53 @@ mod tests {
         let (_, report) = read_collection(data.as_bytes(), lenient()).unwrap();
         assert_eq!(report.skipped.len(), 1);
         assert_eq!(report.skipped[0].line, 4);
+    }
+
+    #[test]
+    fn newlines_match_a_byte_count_at_every_length() {
+        let bytes: Vec<u8> = (0..700u32)
+            .map(|i| {
+                if i % 3 == 0 || i % 7 == 0 {
+                    b'\n'
+                } else {
+                    b'x'
+                }
+            })
+            .collect();
+        for len in 0..bytes.len() {
+            let want = bytes[..len].iter().filter(|&&b| b == b'\n').count();
+            assert_eq!(newlines(&bytes[..len]), want, "{len}");
+        }
+        // A block of nothing but newlines fills its lane.
+        assert_eq!(newlines(&[b'\n'; 1000]), 1000);
+    }
+
+    #[test]
+    fn crlf_lines_are_counted_across_refills() {
+        // A record of CRLF lines several times longer than an 8 KiB read
+        // buffer, then a malformed record: its line and byte must be the
+        // ones counted over the whole text.
+        let leaves: Vec<String> = (0..4000).map(|i| format!("t{i}")).collect();
+        let data = format!(
+            "(A,B);\r\n({});\r\n\r\n(t1,\r\n;\r\n(t2,t3);\r\n",
+            leaves.join(",\r\n")
+        );
+        assert!(data.len() > 3 * 8192);
+        let reader = std::io::BufReader::with_capacity(8192, data.as_bytes());
+        let (coll, report) = read_collection(reader, lenient()).unwrap();
+        assert_eq!(coll.trees.len(), 3);
+        let [skip] = &report.skipped[..] else {
+            panic!("{report:?}");
+        };
+        let bad = data.find("(t1,").unwrap();
+        assert!(skip.byte > bad && skip.byte < data.len(), "{skip}");
+        assert_eq!(skip.line, data[..skip.byte].matches('\n').count() + 1);
+        assert_eq!(skip.line, 4004);
+        let reader = std::io::BufReader::with_capacity(8192, data.as_bytes());
+        match read_collection(reader, IngestPolicy::Strict) {
+            Err(PhyloError::Parse { offset, .. }) => assert_eq!(offset, skip.byte),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

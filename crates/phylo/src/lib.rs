@@ -56,7 +56,7 @@ pub use ingest::{IngestPolicy, IngestReport, NewickReader, RecordError, SplitRea
 pub use newick::{
     parse_newick, parse_newick_readonly, read_trees_from_str, write_newick, TaxaPolicy,
 };
-pub use scratch::{BipartitionScratch, SplitBatch};
+pub use scratch::{BipartitionScratch, Shapes, SplitBatch};
 pub use taxa::{TaxonId, TaxonSet};
 pub use tree::{NodeId, Tree};
 

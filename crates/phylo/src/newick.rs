@@ -22,7 +22,7 @@
 //! nested caterpillar trees cannot overflow the stack. Streamed
 //! multi-record input goes through [`crate::NewickReader`].
 
-use crate::scratch::{ShapeNode, NO_TAXON};
+use crate::scratch::{Shapes, NO_TAXON};
 use crate::taxa::{TaxonId, TaxonSet};
 use crate::tree::{NodeId, Tree};
 use crate::PhyloError;
@@ -428,20 +428,26 @@ fn parse_one(
     Ok(build.tree)
 }
 
-/// The split emitter: read the one Newick tree in `input` into its
-/// postorder `shape`, with `frames` as the stack of open parentheses. It
-/// runs [`parse_newick`]'s grammar, refusals and label resolution, but
-/// builds no node and no branch length's `f64`.
+/// The split emitter: append the one Newick tree in `input` to `shapes`
+/// as its postorder shape, with `frames` as the stack of open
+/// parentheses. It runs [`parse_newick`]'s grammar, refusals and label
+/// resolution, but builds no node and no branch length's `f64`. A refused
+/// record leaves `shapes` as it was.
 pub(crate) fn parse_shape(
     input: &str,
     resolve: &mut dyn FnMut(&str) -> Result<TaxonId, PhyloError>,
-    shape: &mut Vec<ShapeNode>,
+    shapes: &mut Shapes,
     frames: &mut Vec<Frame>,
 ) -> Result<(), PhyloError> {
-    shape.clear();
+    let mark = shapes.mark();
     let mut lexer = Lexer::new(input);
-    parse_tree(&mut lexer, resolve, frames, shape)?;
-    expect_end(&mut lexer)
+    let parsed =
+        parse_tree(&mut lexer, resolve, frames, shapes).and_then(|()| expect_end(&mut lexer));
+    match parsed {
+        Ok(()) => shapes.end_tree(),
+        Err(_) => shapes.rewind(mark),
+    }
+    parsed
 }
 
 /// What a parse builds while [`parse_tree`] walks the grammar. The walk
@@ -498,7 +504,7 @@ impl Build for TreeBuild {
 }
 
 /// The split emitter keeps only the postorder shape.
-impl Build for Vec<ShapeNode> {
+impl Build for Shapes {
     fn open(&mut self) {}
 
     fn sibling(&mut self) {}
@@ -512,7 +518,7 @@ impl Build for Vec<ShapeNode> {
     }
 
     fn finish(&mut self, taxon: u32, kids: u32) {
-        self.push(ShapeNode { taxon, kids });
+        self.push_node(taxon, kids);
     }
 }
 

@@ -8,17 +8,19 @@
 //! a flat `u64` arena sized `internal nodes × words` plus a handful of
 //! index buffers, all grown once and reused across trees.
 //!
-//! Extraction runs in two steps. The first reads a tree's **shape** into
-//! the scratch: its nodes in postorder, each with its taxon (if any) and
-//! how many children close under it. A parsed [`Tree`] is walked for it
-//! ([`for_each_split`](BipartitionScratch::for_each_split)); a Newick
-//! record is lexed straight into it, with no tree built
+//! Extraction runs in two steps. The first reads a tree's **shape**: its
+//! nodes in postorder, each with its taxon (if any) and how many children
+//! close under it. A parsed [`Tree`] is walked for it
+//! ([`shape_tree`](BipartitionScratch::shape_tree)); a Newick record is
+//! lexed straight into it, with no tree built
 //! ([`NewickReader`](crate::NewickReader)'s
-//! [`next_splits`](crate::SplitReader::next_splits),
-//! [`newick_splits`](BipartitionScratch::newick_splits)). The second step is
-//! the one canonicalisation both share: one pass over a stack of subtree
-//! masks, in which child masks OR into their parent and popcounts
-//! accumulate via the chunked kernels in `phylo_bitset`
+//! [`next_shape`](crate::SplitReader::next_shape),
+//! [`shape_newick`](BipartitionScratch::shape_newick)). Shapes pack into a
+//! [`Shapes`] buffer, so one thread can read them and another turn them
+//! into masks. The second step is the one canonicalisation all of them
+//! share ([`shape_splits`](BipartitionScratch::shape_splits)): one pass
+//! over a stack of subtree masks, in which child masks OR into their parent
+//! and popcounts accumulate via the chunked kernels in `phylo_bitset`
 //! ([`union_words`]/[`popcount_words`]), then the rules below, then a
 //! branch-free conditional flip ([`orient_words`]) instead of a
 //! ~50/50-unpredictable branch per split. Each canonical split lands in a
@@ -134,13 +136,120 @@ impl<'a> SplitBatch<'a> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShapeNode {
     /// The taxon id, or [`NO_TAXON`].
-    pub(crate) taxon: u32,
+    taxon: u32,
     /// Children of the node.
-    pub(crate) kids: u32,
+    kids: u32,
 }
 
 /// [`ShapeNode::taxon`] of a node without a taxon.
 pub(crate) const NO_TAXON: u32 = u32::MAX;
+
+/// Trees' postorder shapes, one after another: what a tree reader hands
+/// on to be canonicalised ([`BipartitionScratch::shape_splits`]), with
+/// no mask made yet. A shape costs [`Shapes::NODE_BYTES`] a node, and a
+/// tree without unary nodes or repeated taxa has at most `2k − 1` nodes
+/// over `k` leaves.
+#[derive(Debug, Clone, Default)]
+pub struct Shapes {
+    /// Every tree's nodes, in postorder, tree after tree.
+    nodes: Vec<ShapeNode>,
+    /// Per tree, the node count up to and including it.
+    ends: Vec<usize>,
+    /// Nodes with children, across every tree.
+    inner: usize,
+}
+
+impl Shapes {
+    /// Heap bytes of one node.
+    pub const NODE_BYTES: usize = std::mem::size_of::<ShapeNode>();
+    /// Heap bytes of one tree's end.
+    pub const TREE_BYTES: usize = std::mem::size_of::<usize>();
+
+    /// An empty buffer.
+    pub fn new() -> Shapes {
+        Shapes::default()
+    }
+
+    /// Trees held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no tree is held.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Nodes held, across every tree.
+    pub fn nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Internal nodes held, across every tree: a bound on their
+    /// non-trivial splits.
+    pub fn inner(&self) -> usize {
+        self.inner
+    }
+
+    /// Drop every tree, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.ends.clear();
+        self.inner = 0;
+    }
+
+    /// Empty the buffer and hold room for exactly `trees` trees of `nodes`
+    /// nodes in all, giving back any more than that.
+    pub fn clear_to(&mut self, trees: usize, nodes: usize) {
+        self.clear();
+        self.nodes.shrink_to(nodes);
+        self.nodes.reserve_exact(nodes);
+        self.ends.shrink_to(trees);
+        self.ends.reserve_exact(trees);
+    }
+
+    /// Make room for `nodes` more nodes, exactly.
+    pub fn reserve_nodes(&mut self, nodes: usize) {
+        self.nodes.reserve_exact(nodes);
+    }
+
+    /// Append every tree of `other`.
+    pub fn append(&mut self, other: &Shapes) {
+        let base = self.nodes.len();
+        self.nodes.extend_from_slice(&other.nodes);
+        self.ends.extend(other.ends.iter().map(|&end| base + end));
+        self.inner += other.inner;
+    }
+
+    /// Tree `i`'s nodes.
+    fn tree(&self, i: usize) -> &[ShapeNode] {
+        let from = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.nodes[from..self.ends[i]]
+    }
+
+    /// Where the tree being appended starts, to [`rewind`](Self::rewind)
+    /// to.
+    pub(crate) fn mark(&self) -> (usize, usize) {
+        (self.nodes.len(), self.inner)
+    }
+
+    /// Drop what was appended since `mark`.
+    pub(crate) fn rewind(&mut self, (nodes, inner): (usize, usize)) {
+        self.nodes.truncate(nodes);
+        self.inner = inner;
+    }
+
+    /// Append a node to the tree being appended.
+    pub(crate) fn push_node(&mut self, taxon: u32, kids: u32) {
+        self.inner += usize::from(kids > 0);
+        self.nodes.push(ShapeNode { taxon, kids });
+    }
+
+    /// Close the tree being appended.
+    pub(crate) fn end_tree(&mut self) {
+        self.ends.push(self.nodes.len());
+    }
+}
 
 /// [`Slot::bottom`] when the bottom of the chain is a leaf.
 const NO_SLOT: u32 = u32::MAX;
@@ -174,19 +283,15 @@ struct Slot {
 /// further allocation happens.
 #[derive(Debug, Default)]
 pub struct BipartitionScratch {
-    /// The tree being extracted, in postorder.
-    shape: Vec<ShapeNode>,
-    /// The open parentheses while a Newick record is lexed into `shape`.
+    /// The one tree being extracted by the calls that take a tree or a
+    /// record and give its masks.
+    one: Shapes,
+    /// The open parentheses while a Newick record is lexed into a shape.
     frames: Vec<Frame>,
-    /// Reused traversal stack while a [`Tree`] is walked into `shape`.
+    /// Reused traversal stack while a [`Tree`] is walked into a shape.
     walk: Vec<NodeId>,
-    /// The mask stack.
-    stack: Vec<Entry>,
-    /// Internal-node masks, slot-major: slot `s` owns
-    /// `masks[s*words .. (s+1)*words]`. Slots follow postorder.
-    masks: Vec<u64>,
-    /// Per slot, its leaf count and chain.
-    slots: Vec<Slot>,
+    /// The canonicalisation's buffers.
+    canon: Canon,
     /// Batched canonical masks, packed at stride `words` (see
     /// [`Self::batch_splits`]).
     batch: Vec<u64>,
@@ -213,14 +318,10 @@ impl BipartitionScratch {
     /// Panics if a leaf's taxon id is out of range for `taxa` (the same
     /// contract as [`Tree::bipartitions`]).
     pub fn for_each_split<F: FnMut(&[u64])>(&mut self, tree: &Tree, taxa: &TaxonSet, mut visit: F) {
-        self.read_tree(tree);
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        self.write_splits(taxa.len(), &mut batch);
-        for w in batch.chunks_exact(words_for(taxa.len()).max(1)) {
+        self.tree_batch(tree, taxa.len());
+        for w in self.batch.chunks_exact(words_for(taxa.len()).max(1)) {
             visit(w);
         }
-        self.batch = batch;
     }
 
     /// Extract every canonical split of `tree` **and** its 128-bit split
@@ -232,15 +333,35 @@ impl BipartitionScratch {
     /// its words are still cache-hot. The batch stays valid until the next
     /// extraction call on this scratch.
     pub fn batch_splits(&mut self, tree: &Tree, taxa: &TaxonSet) -> SplitBatch<'_> {
-        self.read_tree(tree);
-        let words = words_for(taxa.len());
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        self.write_splits(taxa.len(), &mut batch);
+        self.tree_batch(tree, taxa.len());
+        self.hashed(taxa.len())
+    }
+
+    /// Canonicalise `tree`, over `n_bits` taxa, into the batch.
+    fn tree_batch(&mut self, tree: &Tree, n_bits: usize) {
+        self.one.clear();
+        read_tree(tree, &mut self.walk, &mut self.one);
+        self.batch.clear();
+        self.canon.write(self.one.tree(0), n_bits, &mut self.batch);
+    }
+
+    /// [`batch_splits`](Self::batch_splits) for tree `i` of `shapes`,
+    /// encoded over `n_bits` taxa.
+    ///
+    /// # Panics
+    /// Panics if a taxon id is out of range for `n_bits`.
+    pub fn shape_batch(&mut self, shapes: &Shapes, i: usize, n_bits: usize) -> SplitBatch<'_> {
+        self.batch.clear();
+        self.canon.write(shapes.tree(i), n_bits, &mut self.batch);
+        self.hashed(n_bits)
+    }
+
+    /// The batch's masks, over `n_bits` taxa, with each one's hash.
+    fn hashed(&mut self, n_bits: usize) -> SplitBatch<'_> {
+        let words = words_for(n_bits);
         self.hashes.clear();
         self.hashes
-            .extend(batch.chunks_exact(words.max(1)).map(split_hash128));
-        self.batch = batch;
+            .extend(self.batch.chunks_exact(words.max(1)).map(split_hash128));
         SplitBatch {
             words,
             masks: &self.batch,
@@ -261,8 +382,51 @@ impl BipartitionScratch {
         taxa: &TaxonSet,
         out: &mut Vec<u64>,
     ) -> Result<usize, PhyloError> {
-        self.read_newick(input, &mut |label| taxa.require(label))?;
-        Ok(self.write_splits(taxa.len(), out))
+        let mut one = self.take_one();
+        let read = self.shape_newick(input, taxa, &mut one);
+        let n = read.map(|()| self.canon.write(one.tree(0), taxa.len(), out));
+        self.put_one(one);
+        n
+    }
+
+    /// Append the shape of the one Newick tree in `input` to `shapes`,
+    /// resolving its labels against `taxa` as
+    /// [`crate::parse_newick_readonly`] does, which accepts and refuses
+    /// exactly the same inputs with the same errors. A refused record
+    /// appends nothing.
+    pub fn shape_newick(
+        &mut self,
+        input: &str,
+        taxa: &TaxonSet,
+        shapes: &mut Shapes,
+    ) -> Result<(), PhyloError> {
+        self.read_newick(input, &mut |label| taxa.require(label), shapes)
+    }
+
+    /// Append `tree`'s shape to `shapes`, in the postorder of
+    /// `Tree::postorder`, so its splits come in `bipartitions`' order.
+    pub fn shape_tree(&mut self, tree: &Tree, shapes: &mut Shapes) {
+        read_tree(tree, &mut self.walk, shapes);
+    }
+
+    /// Append the canonical masks of tree `i` of `shapes`, encoded over
+    /// `n_bits` taxa, to `out` at stride `words_for(n_bits)`, and return
+    /// how many there were: the masks [`for_each_split`](Self::for_each_split)
+    /// gives for the tree the shape was read from, in the same order. A
+    /// mask is oriented on its own tree's leafset, so over a wider
+    /// namespace it is the narrower mask with zero words appended.
+    ///
+    /// # Panics
+    /// Panics if a taxon id is out of range for `n_bits` (the same
+    /// contract as [`Tree::bipartitions`]).
+    pub fn shape_splits(
+        &mut self,
+        shapes: &Shapes,
+        i: usize,
+        n_bits: usize,
+        out: &mut Vec<u64>,
+    ) -> usize {
+        self.canon.write(shapes.tree(i), n_bits, out)
     }
 
     /// Number of non-trivial splits of `tree` (|B(T)|), without materializing
@@ -281,52 +445,79 @@ impl BipartitionScratch {
         out
     }
 
-    /// Read the one Newick tree in `input` into the shape, resolving leaf
-    /// labels through `resolve`.
+    /// Append the one Newick tree in `input` to `shapes`, resolving leaf
+    /// labels through `resolve`; a refused record appends nothing.
     pub(crate) fn read_newick(
         &mut self,
         input: &str,
         resolve: &mut dyn FnMut(&str) -> Result<crate::TaxonId, PhyloError>,
+        shapes: &mut Shapes,
     ) -> Result<(), PhyloError> {
-        parse_shape(input, resolve, &mut self.shape, &mut self.frames)
+        parse_shape(input, resolve, shapes, &mut self.frames)
     }
 
-    /// Read `tree` into the shape, in the postorder of `Tree::postorder`
-    /// (the same two-stack walk), so splits come in `bipartitions`' order.
-    fn read_tree(&mut self, tree: &Tree) {
-        self.shape.clear();
-        let Some(root) = tree.root() else { return };
-        self.walk.clear();
-        self.walk.push(root);
-        while let Some(n) = self.walk.pop() {
+    /// The one-tree buffer, emptied, for a caller that reads one tree's
+    /// shape through this scratch; hand it back with [`Self::put_one`].
+    pub(crate) fn take_one(&mut self) -> Shapes {
+        let mut one = std::mem::take(&mut self.one);
+        one.clear();
+        one
+    }
+
+    /// Hand back the buffer [`Self::take_one`] lent.
+    pub(crate) fn put_one(&mut self, one: Shapes) {
+        self.one = one;
+    }
+}
+
+/// Append `tree`'s shape to `shapes`, in the postorder of
+/// `Tree::postorder` (the same two-stack walk), with `walk` as the stack.
+fn read_tree(tree: &Tree, walk: &mut Vec<NodeId>, shapes: &mut Shapes) {
+    let from = shapes.nodes.len();
+    if let Some(root) = tree.root() {
+        walk.clear();
+        walk.push(root);
+        while let Some(n) = walk.pop() {
             let kids = tree.children(n);
-            self.shape.push(ShapeNode {
-                taxon: tree.taxon(n).map_or(NO_TAXON, |t| t.0),
-                kids: kids.len() as u32,
-            });
-            self.walk.extend_from_slice(kids);
+            shapes.push_node(tree.taxon(n).map_or(NO_TAXON, |t| t.0), kids.len() as u32);
+            walk.extend_from_slice(kids);
         }
-        self.shape.reverse();
+        shapes.nodes[from..].reverse();
     }
+    shapes.end_tree();
+}
 
+/// The canonicalisation's reusable buffers.
+#[derive(Debug, Default)]
+struct Canon {
+    /// The mask stack.
+    stack: Vec<Entry>,
+    /// Internal-node masks, slot-major: slot `s` owns
+    /// `masks[s*words .. (s+1)*words]`. Slots follow postorder.
+    masks: Vec<u64>,
+    /// Per slot, its leaf count and chain.
+    slots: Vec<Slot>,
+}
+
+impl Canon {
     /// The one canonicalisation: append every non-trivial canonical mask
-    /// of the shape, encoded over `n_bits` taxa, to `out` at stride
+    /// of `shape`, encoded over `n_bits` taxa, to `out` at stride
     /// `words_for(n_bits)`, in postorder, and return how many there were.
     ///
     /// # Panics
     /// Panics if a taxon id is out of range for `n_bits` (the same
     /// contract as [`Tree::bipartitions`]).
-    pub(crate) fn write_splits(&mut self, n_bits: usize, out: &mut Vec<u64>) -> usize {
+    fn write(&mut self, shape: &[ShapeNode], n_bits: usize, out: &mut Vec<u64>) -> usize {
         let words = words_for(n_bits);
-        let inner = self.shape.iter().filter(|n| n.kids > 0).count();
+        let inner = shape.iter().filter(|n| n.kids > 0).count();
         // Reset the arena (memset; no reallocation once grown).
         self.masks.clear();
         self.masks.resize(inner * words, 0);
         self.slots.clear();
         self.stack.clear();
-        let root = self.shape.len().wrapping_sub(1);
+        let root = shape.len().wrapping_sub(1);
         let mut skip = NO_SLOT;
-        for (i, node) in self.shape.iter().enumerate() {
+        for (i, node) in shape.iter().enumerate() {
             assert!(
                 node.taxon == NO_TAXON || (node.taxon as usize) < n_bits,
                 "taxon id {} out of range for namespace of {n_bits}",

@@ -7,7 +7,7 @@
 use crate::file::{BinReader, FILE_MAGIC};
 use crate::WireError;
 use phylo::{
-    BipartitionScratch, IngestPolicy, IngestReport, NewickReader, PhyloError, SplitReader,
+    BipartitionScratch, IngestPolicy, IngestReport, NewickReader, PhyloError, Shapes, SplitReader,
     TaxaPolicy, TaxonSet, Tree, TreeCollection,
 };
 use std::io::{BufRead, Chain, Cursor, Read};
@@ -141,27 +141,23 @@ impl<R: BufRead> SniffedReader<R> {
 }
 
 impl<R: BufRead> SplitReader for SniffedReader<R> {
-    /// A Newick record is lexed straight into masks by
-    /// [`NewickReader`]; a `bin` record is decoded to a tree, whose splits
-    /// are then extracted.
-    fn next_splits(
+    /// A Newick record is lexed straight into its shape by
+    /// [`NewickReader`]; a `bin` record is decoded to a tree, whose shape
+    /// is then walked.
+    fn next_shape(
         &mut self,
         taxa: &mut TaxonSet,
         scratch: &mut BipartitionScratch,
-        out: &mut Vec<u64>,
-    ) -> Result<Option<usize>, PhyloError> {
+        shapes: &mut Shapes,
+    ) -> Result<bool, PhyloError> {
         match &mut self.inner {
-            Inner::Newick(r) => r.next_splits(taxa, scratch, out),
+            Inner::Newick(r) => r.next_shape(taxa, scratch, shapes),
             Inner::Bin(r) => {
                 let Some(tree) = r.next_tree().map_err(WireError::into_phylo)? else {
-                    return Ok(None);
+                    return Ok(false);
                 };
-                let mut n = 0;
-                scratch.for_each_split(&tree, taxa, |w| {
-                    out.extend_from_slice(w);
-                    n += 1;
-                });
-                Ok(Some(n))
+                scratch.shape_tree(&tree, shapes);
+                Ok(true)
             }
         }
     }
